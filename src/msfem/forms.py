@@ -1,25 +1,33 @@
 """Assembly of the bilinear forms and load vectors used by the scheme.
 
-All element loops are vectorized over chunks of cells; nonlinear coefficients
-(|psi_h|^2, |A_h|^2, the probability current) are evaluated pointwise at the
-quadrature nodes of the assembled form, with the default degree 2r+2 keeping
-the quadrature error below the scheme's spatial order.
+Element loops are vectorized over chunks of cells and produce one local matrix
+per cell.  Every form on a space lands on that space's CSR pattern
+(``FeSpace.pattern``): the local matrices are summed into the pattern's data
+array by ``np.bincount`` through its (cell, i, j) -> data index map, and
+the form is returned as a ``scipy.sparse.csr_array`` that shares the
+pattern's index arrays.  Forms on one space can therefore be combined by
+combining their ``data`` arrays.  On a vector space the componentwise
+(block-diagonal) mass forms use the diagonal component blocks of the same
+pattern as the div-div + curl-curl form.
+
+Nonlinear coefficients (|psi_h|^2, |A_h|^2, the probability current) are
+evaluated pointwise at the quadrature nodes of the assembled form, with the
+default degree 2r+2 keeping the quadrature error below the scheme's spatial
+order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from .elements import quadrature_rule, reference_element
 from .mesh import Mesh
-from .sparsela import SparseMatrix, from_arrays
 from .space import FeSpace, FieldVector
 
 __all__ = [
-    "AssembledOperator",
     "Abs2",
     "FieldPlusConstant",
     "assemble_mass",
@@ -35,26 +43,11 @@ __all__ = [
 _CHUNK_ENTRY_BUDGET = 8_000_000
 
 
-@dataclass
-class AssembledOperator:
-    """Sparse matrix over free dofs plus a record of what was assembled."""
-
-    matrix: SparseMatrix
-    form: str
-    coefficients: tuple[str, ...] = ()
-
-    @property
-    def csr(self):
-        return self.matrix.csr
-
-
 class Abs2:
     """Coefficient |f_h|^2 evaluated from a discrete (possibly complex) field."""
 
     def __init__(self, field_vec: FieldVector):
         self.field = field_vec
-
-    name = "abs2"
 
 
 class FieldPlusConstant:
@@ -63,8 +56,6 @@ class FieldPlusConstant:
     def __init__(self, field_vec: FieldVector, constant: float):
         self.field = field_vec
         self.constant = constant
-
-    name = "field+const"
 
 
 @lru_cache(maxsize=None)
@@ -160,96 +151,62 @@ def _pairing(weighted_rows, rows):
     return np.matmul(weighted_rows.transpose(0, 2, 1), rows)
 
 
-def _coeff_name(coeff):
-    if coeff is None:
-        return "1"
-    if isinstance(coeff, (Abs2, FieldPlusConstant)):
-        return coeff.name
-    if isinstance(coeff, FieldVector):
-        return "field"
-    if np.isscalar(coeff):
-        return f"const={coeff}"
-    return getattr(coeff, "__name__", "callable")
+def _on_pattern(space: FeSpace, loc: np.ndarray, componentwise: bool = False):
+    """csr_array of per-cell local matrices summed on the space's pattern.
 
-
-class _TripletBuffer:
-    def __init__(self, n_dofs: int, dtype):
-        self.n = n_dofs
-        self.rows, self.cols, self.vals = [], [], []
-        self.dtype = dtype
-
-    def add(self, rows, cols, vals):
-        self.rows.append(rows.reshape(-1).astype(np.int64, copy=False))
-        self.cols.append(cols.reshape(-1).astype(np.int64, copy=False))
-        self.vals.append(vals.reshape(-1).astype(self.dtype, copy=False))
-
-    def finalize(self) -> SparseMatrix:
-        rows = np.concatenate(self.rows) if self.rows else np.zeros(0, dtype=np.int64)
-        cols = np.concatenate(self.cols) if self.cols else np.zeros(0, dtype=np.int64)
-        vals = (np.concatenate(self.vals) if self.vals
-                else np.zeros(0, dtype=self.dtype))
-        # constrained dofs were mapped to index n; assemble padded, then trim
-        padded = from_arrays(self.n + 1, self.n + 1, rows, cols, vals)
-        return SparseMatrix(padded.csr[:self.n, :self.n].tocsr())
-
-
-def _scatter_matrix(buf: _TripletBuffer, dofs: np.ndarray, loc: np.ndarray):
-    # dofs: (c, nldof); loc: (c, nldof, nldof)
-    nd = dofs.shape[1]
-    rows = np.repeat(dofs, nd, axis=1)
-    cols = np.tile(dofs, (1, nd))
-    buf.add(rows, cols, loc)
+    ``loc`` is (cells, k, k) over the pattern's local dofs, or with
+    ``componentwise`` a scalar (cells, nloc, nloc) block placed on every
+    diagonal component block of a vector space.
+    """
+    pat = space.pattern()
+    if componentwise:
+        nc, nloc = loc.shape[:2]
+        d = space.ncomp
+        blocks = pat.cell_map.reshape(nc, nloc, d, nloc, d)
+        data = sum(pat.assemble(loc, blocks[:, :, k, :, k]) for k in range(d))
+    else:
+        data = pat.assemble(loc)
+    return pat.matrix(data.astype(space.dtype, copy=False))
 
 
 def _scatter_load(out: np.ndarray, dofs: np.ndarray, loc: np.ndarray):
     np.add.at(out, dofs.reshape(-1), loc.reshape(-1))
 
 
-def _scalar_dofs(space: FeSpace, sl: slice, comp: int = 0) -> np.ndarray:
-    return space.cell_dof_index()[sl, :, comp]
-
-
-def _vector_dofs(space: FeSpace, sl: slice) -> np.ndarray:
+def _cell_dofs(space: FeSpace, sl: slice) -> np.ndarray:
     cd = space.cell_dof_index()[sl]      # (c, nloc, ncomp)
     return cd.reshape(cd.shape[0], -1)   # node-major, component-minor
 
 
-def assemble_mass(space: FeSpace, qdeg: int | None = None) -> AssembledOperator:
+def assemble_mass(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
     """Mass matrix (u, v); block-diagonal per component for vector spaces."""
-    return assemble_weighted_mass(space, None, qdeg=qdeg, form="mass")
+    return assemble_weighted_mass(space, None, qdeg=qdeg)
 
 
-def assemble_weighted_mass(space: FeSpace, weight, qdeg: int | None = None, *,
-                           form: str = "weighted-mass") -> AssembledOperator:
+def assemble_weighted_mass(space: FeSpace, weight, qdeg: int | None = None) -> sp.csr_array:
     """(w u, v) with w a pointwise scalar weight (see module coefficients)."""
     qdeg = _default_qdeg(space, qdeg)
     _check_coeff_mesh(space, weight)
     nloc = space.element.node_count
-    buf = _TripletBuffer(space.n_dofs, space.dtype)
+    loc = np.empty((space.mesh.n_cells, nloc, nloc))
     for sl in _chunks(space.mesh.n_cells, (nloc * space.ncomp) ** 2):
         data = _chunk_data(space.mesh, space.degree, qdeg, sl)
         w = data.coefficient(weight) * data.wdet
-        loc = _pairing(w[:, :, None] * data.vals[None], data.vals)
-        if space.kind == "scalar":
-            _scatter_matrix(buf, _scalar_dofs(space, sl), loc)
-        else:
-            for c in range(space.ncomp):
-                _scatter_matrix(buf, _scalar_dofs(space, sl, c), loc)
-    return AssembledOperator(buf.finalize(), form, (_coeff_name(weight),))
+        loc[sl] = _pairing(w[:, :, None] * data.vals[None], data.vals)
+    return _on_pattern(space, loc, componentwise=space.kind == "vector")
 
 
-def assemble_stiffness(space: FeSpace, qdeg: int | None = None) -> AssembledOperator:
+def assemble_stiffness(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
     """Scalar stiffness (grad u, grad v)."""
     if space.kind != "scalar":
         raise ValueError("stiffness is assembled on scalar spaces")
     qdeg = _default_qdeg(space, qdeg)
     nloc = space.element.node_count
-    buf = _TripletBuffer(space.n_dofs, space.dtype)
+    loc = np.empty((space.mesh.n_cells, nloc, nloc))
     for sl in _chunks(space.mesh.n_cells, nloc * nloc):
         data = _chunk_data(space.mesh, space.degree, qdeg, sl)
-        loc = _pairing(*_grad_rows(data))
-        _scatter_matrix(buf, _scalar_dofs(space, sl), loc)
-    return AssembledOperator(buf.finalize(), "stiffness")
+        loc[sl] = _pairing(*_grad_rows(data))
+    return _on_pattern(space, loc)
 
 
 def _grad_rows(data: _ChunkData):
@@ -281,7 +238,7 @@ def _curl_rows(grads: np.ndarray, dim: int) -> np.ndarray:
     return out.reshape(c, q, nloc * 3, 3)
 
 
-def assemble_D(space: FeSpace, qdeg: int | None = None) -> AssembledOperator:
+def assemble_D(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
     """Grad-div plus curl-curl form (div u, div v) + (curl u, curl v).
 
     In 2D the curl is the scalar d1 u2 - d2 u1.
@@ -291,57 +248,52 @@ def assemble_D(space: FeSpace, qdeg: int | None = None) -> AssembledOperator:
     qdeg = _default_qdeg(space, qdeg)
     d = space.mesh.dim
     nloc = space.element.node_count
-    buf = _TripletBuffer(space.n_dofs, float)
+    loc = np.empty((space.mesh.n_cells, nloc * d, nloc * d))
     for sl in _chunks(space.mesh.n_cells, (nloc * d) ** 2):
         data = _chunk_data(space.mesh, space.degree, qdeg, sl)
         nc, nq = data.wdet.shape
         div = data.grads.reshape(nc, nq, nloc * d)           # (c, q, nloc*d)
-        loc = _pairing(div * data.wdet[:, :, None], div)
+        loc[sl] = _pairing(div * data.wdet[:, :, None], div)
         curl = _curl_rows(data.grads, d)
-        if d == 2:
-            loc += _pairing(curl * data.wdet[:, :, None], curl)
-        else:
-            flat = curl.transpose(0, 2, 1, 3).reshape(nc, nloc * d, nq * 3) \
-                .transpose(0, 2, 1)
-            wflat = (curl * data.wdet[:, :, None, None]) \
-                .transpose(0, 2, 1, 3).reshape(nc, nloc * d, nq * 3).transpose(0, 2, 1)
-            loc += _pairing(wflat, flat)
-        _scatter_matrix(buf, _vector_dofs(space, sl), loc)
-    return AssembledOperator(buf.finalize(), "divdiv+curlcurl")
+        # one curl component at a time: no flattened (c, q*3, nloc*d) copies
+        for cm in ([curl] if d == 2 else np.moveaxis(curl, -1, 0)):
+            loc[sl] += _pairing(cm * data.wdet[:, :, None], cm)
+    return _on_pattern(space, loc)
 
 
 def assemble_B(space: FeSpace, a_field: FieldVector, qdeg: int | None = None,
-               stiffness: SparseMatrix | None = None) -> AssembledOperator:
+               stiffness: sp.csr_array | None = None) -> sp.csr_array:
     """Magnetic Schrodinger form ((i grad + A) u, (i grad + A) v).
 
     Expanded as (grad u, grad v) + (|A|^2 u, v) + i (v grad u - u grad v, A);
     Hermitian and positive semidefinite for any real A field.  The gradient
-    term is A-independent; pass it as ``stiffness`` to skip reassembling it.
+    term is A-independent; pass it as ``stiffness``, assembled on this space,
+    to skip reassembling it.
     """
     if space.kind != "scalar" or space.dtype is not complex:
         raise ValueError("the magnetic form is assembled on a complex scalar space")
     if a_field.space.mesh is not space.mesh:
         raise ValueError("A-field lives on a different mesh")
+    pat = space.pattern()
+    if stiffness is not None and not np.may_share_memory(stiffness.indices, pat.indices):
+        raise ValueError("stiffness is not on the pattern of this space")
     qdeg = _default_qdeg(space, qdeg)
     nloc = space.element.node_count
-    buf = _TripletBuffer(space.n_dofs, complex)
+    loc = np.empty((space.mesh.n_cells, nloc, nloc), dtype=complex)
     for sl in _chunks(space.mesh.n_cells, nloc * nloc * 4):
         data = _chunk_data(space.mesh, space.degree, qdeg, sl)
         a_q = data.field_values(a_field)                       # (c, q, d)
         a2 = np.einsum("cqd,cqd->cq", a_q, a_q, optimize=True)
-        loc = np.zeros((data.wdet.shape[0], nloc, nloc), dtype=complex)
+        loc[sl] = _pairing((a2 * data.wdet)[:, :, None] * data.vals[None], data.vals)
         if stiffness is None:
-            loc += _pairing(*_grad_rows(data))
-        loc += _pairing((a2 * data.wdet)[:, :, None] * data.vals[None], data.vals)
+            loc[sl] += _pairing(*_grad_rows(data))
         a_dot_g = np.einsum("cqd,cqld->cql", a_q, data.grads, optimize=True)
         t = _pairing(data.wdet[:, :, None] * data.vals[None], a_dot_g)
-        loc += 1j * (t - np.swapaxes(t, 1, 2))
-        _scatter_matrix(buf, _scalar_dofs(space, sl), loc)
-    op = AssembledOperator(buf.finalize(), "magnetic", ("A",))
+        loc[sl] += 1j * (t - np.swapaxes(t, 1, 2))
+    values = pat.assemble(loc)
     if stiffness is not None:
-        op = AssembledOperator(op.matrix.add(stiffness.astype(complex)),
-                               "magnetic", ("A",))
-    return op
+        values += stiffness.data
+    return pat.matrix(values)
 
 
 def assemble_current_load(space: FeSpace, psi_field: FieldVector,
@@ -362,7 +314,7 @@ def assemble_current_load(space: FeSpace, psi_field: FieldVector,
         grad_q = data.field_gradients(psi_field)
         current = -np.imag(np.conj(psi_q)[..., None] * grad_q)   # (c, q, d)
         loc = np.einsum("cqm,qa,cq->cam", current, data.vals, data.wdet, optimize=True)
-        _scatter_load(out, _vector_dofs(space, sl),
+        _scatter_load(out, _cell_dofs(space, sl),
                       loc.reshape(loc.shape[0], nloc * d))
     return out[:-1]
 
@@ -396,10 +348,10 @@ def assemble_coefficient_load(space: FeSpace, coeff,
             s = np.asarray(coeff(data.x))
         if space.kind == "scalar":
             loc = np.einsum("cq,qa->ca", s * data.wdet, data.vals, optimize=True)
-            _scatter_load(out, _scalar_dofs(space, sl), loc)
+            _scatter_load(out, _cell_dofs(space, sl), loc)
         else:
             loc = np.einsum("cqm,qa,cq->cam", s, data.vals, data.wdet, optimize=True)
-            _scatter_load(out, _vector_dofs(space, sl),
+            _scatter_load(out, _cell_dofs(space, sl),
                           loc.reshape(loc.shape[0], nloc * d))
     return out[:-1]
 

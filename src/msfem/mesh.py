@@ -19,8 +19,6 @@ __all__ = [
     "build_structured",
     "boundary_facets",
     "mesh_size",
-    "dump_text",
-    "parse_text",
 ]
 
 # Permutations defining the Kuhn (Freudenthal) split of a cube into 6 tets.
@@ -209,32 +207,3 @@ def _extract_boundary(mesh: Mesh) -> list[BoundaryFacet]:
 def boundary_facets(mesh: Mesh) -> list[BoundaryFacet]:
     """All facets on x_i in {0,1}, each with its outward axis-aligned normal."""
     return mesh.boundary()
-
-
-def dump_text(mesh: Mesh) -> str:
-    """Plain-text dump: 'dim M nv nc' header, vertex lines, 0-based cell lines."""
-    lines = [f"{mesh.dim} {mesh.subdivisions} {mesh.n_vertices} {mesh.n_cells}"]
-    for v in mesh.vertices_int:
-        lines.append(" ".join(str(int(x)) for x in v))
-    for c in mesh.cells:
-        lines.append(" ".join(str(int(x)) for x in c))
-    return "\n".join(lines) + "\n"
-
-
-def parse_text(text: str) -> Mesh:
-    rows = [r for r in (line.strip() for line in text.splitlines()) if r]
-    dim, M, nv, nc = (int(x) for x in rows[0].split())
-    vertices_int = np.array(
-        [[int(x) for x in rows[1 + i].split()] for i in range(nv)], dtype=int
-    )
-    cells = np.array(
-        [[int(x) for x in rows[1 + nv + i].split()] for i in range(nc)], dtype=int
-    )
-    return Mesh(
-        dim=dim,
-        subdivisions=M,
-        vertices_int=vertices_int,
-        vertices=vertices_int / float(M),
-        cells=cells,
-        h=float(np.sqrt(dim)) / M,
-    )

@@ -56,7 +56,6 @@ class SchemeConfig:
     mode: str = "mms"
     tol: float = 1e-10
     qdeg: int | None = None
-    freeze_psi_weight: bool = False   # benchmarking only: fixes the A-system
 
     def __post_init__(self):
         if self.degree not in (1, 2):
@@ -99,13 +98,10 @@ class FieldState:
     k: int
     t: float
     psi: FieldVector
-    psi_prev: FieldVector | None
     a: FieldVector
     a_prev: FieldVector
-    a_prev2: FieldVector | None
     phi: FieldVector
     phi_prev: FieldVector
-    phi_prev2: FieldVector | None
 
 
 @dataclass
@@ -130,7 +126,11 @@ def build_spaces(config: SchemeConfig, mesh: Mesh | None = None) -> Spaces:
 
 
 class AlternatingStepper:
-    """Owns the spaces, the cached constant operators and the solver state."""
+    """Owns the spaces, the cached constant operators and the solver state.
+
+    All matrices of one space share its CSR pattern, so each step matrix is
+    built as a linear combination of ``data`` arrays on that pattern.
+    """
 
     def __init__(self, config: SchemeConfig, case: "mms.ManufacturedCase | None" = None,
                  spaces: Spaces | None = None):
@@ -142,15 +142,15 @@ class AlternatingStepper:
         self.mesh = self.spaces.psi.mesh
         q = config.quadrature_degree
 
-        self.mass_psi = forms.assemble_mass(self.spaces.psi, q).matrix
-        self.mass_vec = forms.assemble_mass(self.spaces.A, q).matrix
-        self.D = forms.assemble_D(self.spaces.A, q).matrix
-        self.mass_phi = forms.assemble_mass(self.spaces.phi, q).matrix
-        self.stiff_phi = forms.assemble_stiffness(self.spaces.phi, q).matrix
-        self.stiff_psi = forms.assemble_stiffness(self.spaces.psi, q).matrix
+        self.mass_psi = forms.assemble_mass(self.spaces.psi, q)
+        self.mass_vec = forms.assemble_mass(self.spaces.A, q)
+        self.D = forms.assemble_D(self.spaces.A, q)
+        self.mass_phi = forms.assemble_mass(self.spaces.phi, q)
+        self.stiff_phi = forms.assemble_stiffness(self.spaces.phi, q)
+        self.stiff_psi = forms.assemble_stiffness(self.spaces.psi, q)
         dt = config.dt
-        self.phi_system = self.mass_phi.scaled(1.0 / dt ** 2).add(self.stiff_phi, 0.5)
-        self._frozen_weight = None
+        self.phi_system = self.spaces.phi.pattern().matrix(
+            self.mass_phi.data / dt ** 2 + 0.5 * self.stiff_phi.data)
         self._psi_precond = None
         self.solve_iterations = 0
         if self.spaces.psi.n_dofs > _DIRECT_COMPLEX_LIMIT:
@@ -165,9 +165,10 @@ class AlternatingStepper:
         import scipy.sparse.linalg as spla
 
         dt = self.config.dt
-        S0 = (self.mass_psi.scaled(-1j / dt + 0.5 * self.config.v0)
-              .add(self.stiff_psi, 0.25))
-        ilu = spla.spilu(S0.csr.tocsc(), drop_tol=1e-4, fill_factor=12)
+        S0 = self.spaces.psi.pattern().matrix(
+            (-1j / dt + 0.5 * self.config.v0) * self.mass_psi.data
+            + 0.25 * self.stiff_psi.data)
+        ilu = spla.spilu(S0.tocsc(), drop_tol=1e-4, fill_factor=12)
         return ilu.solve
 
     # ---- sources -----------------------------------------------------------
@@ -220,33 +221,22 @@ class AlternatingStepper:
         phi1 = interpolate(self.spaces.phi, data.phi1)
         a_ghost = FieldVector(self.spaces.A, a0.data - dt * a1.data)
         phi_ghost = FieldVector(self.spaces.phi, phi0.data - dt * phi1.data)
-        return FieldState(k=0, t=0.0,
-                          psi=psi0, psi_prev=None,
-                          a=a0, a_prev=a_ghost, a_prev2=None,
-                          phi=phi0, phi_prev=phi_ghost, phi_prev2=None)
+        return FieldState(k=0, t=0.0, psi=psi0,
+                          a=a0, a_prev=a_ghost, phi=phi0, phi_prev=phi_ghost)
 
     # ---- the three solves of one step ---------------------------------------
-
-    def _weighted_vec_mass(self, state: FieldState):
-        if self.config.freeze_psi_weight:
-            if self._frozen_weight is None:
-                self._frozen_weight = forms.assemble_weighted_mass(
-                    self.spaces.A, forms.Abs2(state.psi),
-                    self.config.quadrature_degree).matrix
-            return self._frozen_weight
-        return forms.assemble_weighted_mass(
-            self.spaces.A, forms.Abs2(state.psi),
-            self.config.quadrature_degree).matrix
 
     def step_wave_a(self, state: FieldState) -> FieldVector:
         """Advance the vector potential: SPD solve of the averaged wave system."""
         cfg = self.config
         dt = cfg.dt
-        W = self._weighted_vec_mass(state)
-        DW = self.D.add(W)
-        system = self.mass_vec.scaled(1.0 / dt ** 2).add(DW, 0.5)
-        rhs = (self.mass_vec.matvec(2.0 * state.a.data - state.a_prev.data) / dt ** 2
-               - 0.5 * DW.matvec(state.a_prev.data)
+        pattern = self.spaces.A.pattern()
+        W = forms.assemble_weighted_mass(self.spaces.A, forms.Abs2(state.psi),
+                                         cfg.quadrature_degree)
+        DW = pattern.matrix(self.D.data + W.data)
+        system = pattern.matrix(self.mass_vec.data / dt ** 2 + 0.5 * DW.data)
+        rhs = (self.mass_vec @ (2.0 * state.a.data - state.a_prev.data) / dt ** 2
+               - 0.5 * (DW @ state.a_prev.data)
                - forms.assemble_current_load(self.spaces.A, state.psi, cfg.quadrature_degree))
         g = self._source_g(state.t)
         if g is not None:
@@ -263,8 +253,8 @@ class AlternatingStepper:
         """Advance the scalar potential: SPD solve with the cached system matrix."""
         cfg = self.config
         dt = cfg.dt
-        rhs = (self.mass_phi.matvec(2.0 * state.phi.data - state.phi_prev.data) / dt ** 2
-               - 0.5 * self.stiff_phi.matvec(state.phi_prev.data)
+        rhs = (self.mass_phi @ (2.0 * state.phi.data - state.phi_prev.data) / dt ** 2
+               - 0.5 * (self.stiff_phi @ state.phi_prev.data)
                + forms.assemble_coefficient_load(self.spaces.phi, forms.Abs2(state.psi),
                                                  cfg.quadrature_degree).real)
         l = self._source_l(state.t)
@@ -285,15 +275,15 @@ class AlternatingStepper:
         dt = cfg.dt
         a_bar = FieldVector(self.spaces.A, 0.5 * (a_new.data + state.a.data))
         phi_bar = FieldVector(self.spaces.phi, 0.5 * (phi_new.data + state.phi.data))
+        pattern = self.spaces.psi.pattern()
         K_B = forms.assemble_B(self.spaces.psi, a_bar, cfg.quadrature_degree,
-                               stiffness=self.stiff_psi).matrix
+                               stiffness=self.stiff_psi)
         M_w = forms.assemble_weighted_mass(
             self.spaces.psi, forms.FieldPlusConstant(phi_bar, cfg.v0),
-            cfg.quadrature_degree).matrix
-        H_half = K_B.scaled(0.25).add(M_w, 0.5)
-        lhs = self.mass_psi.scaled(-1j / dt).add(H_half)
-        rhs = (self.mass_psi.scaled(-1j / dt).matvec(state.psi.data)
-               - H_half.matvec(state.psi.data))
+            cfg.quadrature_degree)
+        H_half = pattern.matrix(0.25 * K_B.data + 0.5 * M_w.data)
+        lhs = pattern.matrix(-1j / dt * self.mass_psi.data + H_half.data)
+        rhs = (-1j / dt) * (self.mass_psi @ state.psi.data) - H_half @ state.psi.data
         f = self._source_f(state.t + 0.5 * dt)
         if f is not None:
             rhs = rhs + forms.assemble_source_load(self.spaces.psi, f,
@@ -311,16 +301,14 @@ class AlternatingStepper:
         phi_new = self.step_wave_phi(state)
         psi_new = self.step_schrodinger(state, a_new, phi_new)
         k = state.k + 1
-        return FieldState(k=k, t=k * self.config.dt,
-                          psi=psi_new, psi_prev=state.psi,
-                          a=a_new, a_prev=state.a, a_prev2=state.a_prev,
-                          phi=phi_new, phi_prev=state.phi, phi_prev2=state.phi_prev)
+        return FieldState(k=k, t=k * self.config.dt, psi=psi_new,
+                          a=a_new, a_prev=state.a, phi=phi_new, phi_prev=state.phi)
 
     # ---- norms and driving ---------------------------------------------------
 
     def psi_l2_norm(self, state: FieldState) -> float:
         v = state.psi.data
-        return math.sqrt(abs(np.vdot(v, self.mass_psi.matvec(v)).real))
+        return math.sqrt(abs(np.vdot(v, self.mass_psi @ v).real))
 
     def run(self, snapshot_steps=(), data: InitialData | None = None,
             collect_errors: bool | None = None) -> RunResult:
@@ -368,8 +356,8 @@ def snapshot_record(stepper: AlternatingStepper, state: FieldState) -> dict:
     """Text-stable snapshot: time, per-field L2 norm and coefficient checksum."""
     m_vec = stepper.mass_vec
     m_phi = stepper.mass_phi
-    a_norm = math.sqrt(abs(state.a.data @ m_vec.matvec(state.a.data)))
-    phi_norm = math.sqrt(abs(state.phi.data @ m_phi.matvec(state.phi.data)))
+    a_norm = math.sqrt(abs(state.a.data @ (m_vec @ state.a.data)))
+    phi_norm = math.sqrt(abs(state.phi.data @ (m_phi @ state.phi.data)))
     return {
         "k": state.k,
         "t": state.t,

@@ -4,7 +4,9 @@ Scalar spaces (real or complex) carry homogeneous Dirichlet constraints on all
 boundary nodes; vector spaces constrain the tangential components node by node
 (A x n = 0), taking the union of the face rules on edges and corners.
 Constrained dofs are eliminated: coefficient vectors hold free dofs only and
-constrained entries evaluate as zero.
+constrained entries evaluate as zero.  The lattice node numbering of each
+(mesh, degree) and the CSR pattern of each dof numbering are built once and
+cached on the mesh, so spaces that share a numbering share its pattern.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from .elements import reference_element
 from .mesh import Mesh
+from .sparsela import Pattern
 
 __all__ = [
     "FeSpace",
@@ -66,6 +69,19 @@ class FeSpace:
             self._cache["cell_dofs"] = padded[self.cell_nodes]  # (nc, nloc, ncomp)
         return self._cache["cell_dofs"]
 
+    def pattern(self) -> Pattern:
+        """CSR pattern of the forms on this space, over (node, comp) local dofs.
+
+        The numbering is fixed by the mesh, degree, kind and constraint flag,
+        so e.g. the real and complex Dirichlet scalar spaces share one pattern.
+        """
+        key = ("pattern", self.degree, self.kind, self.constrained_space)
+        store = self.mesh._geom
+        if key not in store:
+            cd = self.cell_dof_index()
+            store[key] = Pattern(cd.reshape(cd.shape[0], -1), self.n_dofs)
+        return store[key]
+
     def gather_cells(self, field_vec: "FieldVector", cells=slice(None)) -> np.ndarray:
         """Local coefficient values per cell, constrained entries as zero.
 
@@ -108,13 +124,17 @@ class FieldVector:
 
 
 def _global_nodes(mesh: Mesh, degree: int):
-    elem = reference_element(mesh.dim, degree)
-    vints = mesh.vertices_int[mesh.cells]              # (nc, d+1, d)
-    node_ints = np.einsum("lk,ckd->cld", elem.vertex_weights, vints)
-    flat = node_ints.reshape(-1, mesh.dim)
-    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
-    cell_nodes = inverse.reshape(mesh.n_cells, elem.node_count)
-    return uniq, cell_nodes
+    """Lattice nodes of degree ``degree`` and their per-cell numbering, cached
+    on the mesh."""
+    key = ("nodes", degree)
+    if key not in mesh._geom:
+        elem = reference_element(mesh.dim, degree)
+        vints = mesh.vertices_int[mesh.cells]              # (nc, d+1, d)
+        node_ints = np.einsum("lk,ckd->cld", elem.vertex_weights, vints)
+        flat = node_ints.reshape(-1, mesh.dim)
+        uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
+        mesh._geom[key] = uniq, inverse.reshape(mesh.n_cells, elem.node_count)
+    return mesh._geom[key]
 
 
 def build_scalar_space(mesh: Mesh, degree: int, *, complex_field: bool = False,

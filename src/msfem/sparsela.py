@@ -1,9 +1,18 @@
-"""Sparse matrix storage and the linear solvers used by the time stepper.
+"""Sparse matrix structure and the linear solvers used by the time stepper.
 
-Storage is CSR (backed by scipy.sparse).  The solver contract is the relative
-residual bound, not the method: SPD systems go through Jacobi-preconditioned
-CG with a sparse-LU fallback, general complex systems through sparse LU or
-preconditioned GMRES.  Every solve re-checks its own residual.
+Every matrix the scheme assembles couples the dofs of one space through its
+cells, so each dof numbering gets one CSR ``Pattern``, built once: its
+``indptr``/``indices`` and a (cell, i, j) -> data index map.  A form is then
+the data array ``np.bincount(map, local values)`` on that pattern, a linear
+combination of forms is the same combination of data arrays, and each matrix
+a solver sees is a ``scipy.sparse.csr_array`` that shares the pattern's index
+arrays.
+
+The solver contract is the relative residual bound, not the method: SPD
+systems go through Jacobi-preconditioned CG with a sparse-LU fallback, general
+complex systems through sparse LU or preconditioned GMRES.  Every solve
+re-checks its own residual, and every failure (no convergence, a non-finite
+input, a singular factor) raises ``SolveError`` with a ``SolveReport``.
 """
 
 from __future__ import annotations
@@ -16,17 +25,62 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
-    "SparseMatrix",
+    "Pattern",
     "SolveReport",
     "SolveError",
-    "from_triplets",
-    "from_arrays",
     "solve_spd",
     "solve_complex",
-    "factorized",
 ]
 
 DEFAULT_TOL = 1e-10
+# An iterative solve stops on its recursively updated residual, which drifts
+# from the true one; the re-checked true residual may exceed tol by this factor.
+ITERATIVE_SLACK = 10.0
+# A direct solve's residual is set by conditioning, not by tol; it is accepted
+# up to this floor.
+DIRECT_RESIDUAL_FLOOR = 1e-8
+
+
+class Pattern:
+    """CSR structure of the matrices assembled on one dof numbering.
+
+    ``cell_map[c, i, j]`` is the position in a data array of the entry that
+    couples local dofs i and j of cell c.  Pairs that touch a constrained dof
+    map to the extra slot ``nnz``, which ``assemble`` drops.  Column indices
+    are strictly increasing within each row.
+    """
+
+    def __init__(self, cell_dofs: np.ndarray, n: int):
+        """``cell_dofs``: (cells, k) global dof per local dof, ``n`` where constrained."""
+        nc, k = cell_dofs.shape
+        pairs = cell_dofs[:, :, None] * (n + 1) + cell_dofs[:, None, :]   # row, col keys
+        keys, inverse = np.unique(pairs.ravel(), return_inverse=True)
+        key_rows, key_cols = np.divmod(keys, n + 1)
+        free = (key_rows < n) & (key_cols < n)
+        self.nnz = int(free.sum())
+        self.shape = (n, n)
+        slot = np.where(free, np.cumsum(free) - 1, self.nnz)
+        self.cell_map = slot[inverse].reshape(nc, k, k)
+        # scipy keeps int32 index arrays as given; int64 ones it would copy
+        # down to int32 every time a matrix is wrapped
+        idx = np.int32 if max(n, self.nnz) < np.iinfo(np.int32).max else np.int64
+        self.indices = key_cols[free].astype(idx)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(key_rows[free], minlength=n))]).astype(idx)
+
+    def assemble(self, loc: np.ndarray, cell_map: np.ndarray | None = None) -> np.ndarray:
+        """Data array of the local matrices ``loc`` summed through ``cell_map``
+        (default: the full map; a slice of it places ``loc`` on sub-blocks)."""
+        index = (self.cell_map if cell_map is None else cell_map).ravel()
+        size = self.nnz + 1
+        if np.iscomplexobj(loc):
+            return (np.bincount(index, loc.real.ravel(), size)[:-1]
+                    + 1j * np.bincount(index, loc.imag.ravel(), size)[:-1])
+        return np.bincount(index, loc.ravel(), size)[:-1]
+
+    def matrix(self, data: np.ndarray) -> sp.csr_array:
+        """Wrap a data array on this pattern; the index arrays are shared."""
+        return sp.csr_array((data, self.indices, self.indptr), shape=self.shape)
 
 
 @dataclass
@@ -46,100 +100,20 @@ class SolveError(RuntimeError):
         self.report = report
 
 
-class SparseMatrix:
-    """CSR matrix over real or complex scalars.
-
-    After finalization column indices are strictly increasing within each row
-    and duplicates are summed.
-    """
-
-    def __init__(self, csr: sp.csr_matrix):
-        csr = csr.tocsr()
-        csr.sum_duplicates()
-        csr.sort_indices()
-        self.csr = csr
-
-    @property
-    def n_rows(self) -> int:
-        return self.csr.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.csr.shape[1]
-
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.csr)
-
-    @property
-    def nnz(self) -> int:
-        return self.csr.nnz
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.csr @ x
-
-    def __matmul__(self, x):
-        return self.csr @ x
-
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
-
-    def diagonal(self) -> np.ndarray:
-        return self.csr.diagonal()
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.csr.T.tocsr())
-
-    def conjugate_transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.csr.conj().T.tocsr())
-
-    def astype(self, dtype) -> "SparseMatrix":
-        return SparseMatrix(self.csr.astype(dtype))
-
-    def scaled(self, alpha) -> "SparseMatrix":
-        return SparseMatrix(alpha * self.csr)
-
-    def add(self, other: "SparseMatrix", alpha=1.0) -> "SparseMatrix":
-        return SparseMatrix((self.csr + alpha * other.csr).tocsr())
-
-    def dump_matrix_market(self, path) -> None:
-        from scipy.io import mmwrite
-
-        mmwrite(str(path), self.csr)
-
-
-def from_triplets(n: int, entries) -> SparseMatrix:
-    """Square n x n matrix from (row, col, value) triplets; duplicates summed."""
-    entries = list(entries)
-    if entries:
-        rows = np.array([e[0] for e in entries], dtype=np.int64)
-        cols = np.array([e[1] for e in entries], dtype=np.int64)
-        vals = np.array([e[2] for e in entries])
-    else:
-        rows = np.zeros(0, dtype=np.int64)
-        cols = np.zeros(0, dtype=np.int64)
-        vals = np.zeros(0)
-    return from_arrays(n, n, rows, cols, vals)
-
-
-def from_arrays(n_rows: int, n_cols: int, rows, cols, vals) -> SparseMatrix:
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    if rows.size and (rows.min() < 0 or rows.max() >= n_rows
-                      or cols.min() < 0 or cols.max() >= n_cols):
-        raise IndexError("triplet index out of range")
-    coo = sp.coo_matrix((np.asarray(vals), (rows, cols)), shape=(n_rows, n_cols))
-    return SparseMatrix(coo.tocsr())
-
-
-def _relative_residual(A: SparseMatrix, x: np.ndarray, b: np.ndarray) -> float:
+def _relative_residual(A: sp.csr_array, x: np.ndarray, b: np.ndarray) -> float:
     nb = np.linalg.norm(b)
     if nb == 0.0:
-        return float(np.linalg.norm(A.matvec(x)))
-    return float(np.linalg.norm(A.matvec(x) - b) / nb)
+        return float(np.linalg.norm(A @ x))
+    return float(np.linalg.norm(A @ x - b) / nb)
 
 
-def _jacobi_cg(A: sp.csr_matrix, b: np.ndarray, tol: float, maxiter: int):
+def _check_rhs(b: np.ndarray):
+    if not np.all(np.isfinite(b)):
+        raise SolveError("right-hand side is not finite",
+                         SolveReport(0, float("nan"), 0.0, "none"))
+
+
+def _jacobi_cg(A: sp.csr_array, b: np.ndarray, tol: float, maxiter: int):
     """Plain preconditioned CG; returns (x, iterations, converged)."""
     d = A.diagonal().copy()
     d[d == 0.0] = 1.0
@@ -155,13 +129,16 @@ def _jacobi_cg(A: sp.csr_matrix, b: np.ndarray, tol: float, maxiter: int):
     for it in range(1, maxiter + 1):
         Ap = A @ p
         pAp = float(np.real(np.vdot(p, Ap)))
-        if pAp <= 0.0:
-            return x, it, False  # breakdown: matrix not SPD to working precision
+        if not pAp > 0.0:
+            return x, it, False  # breakdown: not SPD to working precision, or not finite
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        if np.linalg.norm(r) <= tol * nb:
+        rn = np.linalg.norm(r)
+        if rn <= tol * nb:
             return x, it, True
+        if not np.isfinite(rn):
+            return x, it, False
         z = dinv * r
         rz_new = float(np.real(np.vdot(r, z)))
         p = z + (rz_new / rz) * p
@@ -169,7 +146,22 @@ def _jacobi_cg(A: sp.csr_matrix, b: np.ndarray, tol: float, maxiter: int):
     return x, maxiter, False
 
 
-def solve_spd(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL, *,
+def _direct(A: sp.csr_array, b: np.ndarray, tol: float, t0: float, what: str):
+    """Sparse-LU solve; a singular factor or a residual above the direct
+    bound raises SolveError."""
+    try:
+        x = spla.splu(A.tocsc()).solve(b)
+    except RuntimeError as err:  # SuperLU: "Factor is exactly singular", ...
+        report = SolveReport(0, float("inf"), time.perf_counter() - t0, "direct-lu")
+        raise SolveError(f"{what} failed: {err}", report) from err
+    res = _relative_residual(A, x, b)
+    report = SolveReport(0, res, time.perf_counter() - t0, "direct-lu")
+    if not res <= max(tol, DIRECT_RESIDUAL_FLOOR):
+        raise SolveError(f"{what} residual above tolerance", report)
+    return x, report
+
+
+def solve_spd(A: sp.csr_array, b: np.ndarray, tol: float = DEFAULT_TOL, *,
               method: str = "auto", maxiter: int | None = None,
               check_symmetry: bool = False) -> tuple[np.ndarray, SolveReport]:
     """Solve a symmetric positive definite system to the requested relative
@@ -179,20 +171,20 @@ def solve_spd(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL, *,
     direct fallback).
     """
     if check_symmetry:
-        dev = abs(A.csr - A.csr.T).max()
+        dev = abs(A - A.T).max()
         if dev > 1e-12:
             raise ValueError(f"matrix not symmetric: max deviation {dev:.3e}")
     b = np.asarray(b)
-    n = A.n_rows
+    _check_rhs(b)
     if maxiter is None:
-        maxiter = max(200, 4 * n)
+        maxiter = max(200, 4 * A.shape[0])
     t0 = time.perf_counter()
     if method in ("cg", "auto"):
-        x, iters, ok = _jacobi_cg(A.csr, b, tol, maxiter)
+        x, iters, ok = _jacobi_cg(A, b, tol, maxiter)
         if ok:
             res = _relative_residual(A, x, b)
             report = SolveReport(iters, res, time.perf_counter() - t0, "cg-jacobi")
-            if res <= max(tol, 10 * tol):
+            if res <= ITERATIVE_SLACK * tol:
                 return x, report
             if method == "cg":
                 raise SolveError("CG residual re-check failed", report)
@@ -200,15 +192,10 @@ def solve_spd(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL, *,
             report = SolveReport(iters, _relative_residual(A, x, b),
                                  time.perf_counter() - t0, "cg-jacobi")
             raise SolveError("CG did not converge", report)
-    x = spla.splu(A.csr.tocsc()).solve(b)
-    res = _relative_residual(A, x, b)
-    report = SolveReport(0, res, time.perf_counter() - t0, "direct-lu")
-    if res > max(tol, 1e-8):
-        raise SolveError("direct solve residual above tolerance", report)
-    return x, report
+    return _direct(A, b, tol, t0, "direct solve")
 
 
-def solve_complex(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL, *,
+def solve_complex(A: sp.csr_array, b: np.ndarray, tol: float = DEFAULT_TOL, *,
                   precond=None, maxiter: int = 2000) -> tuple[np.ndarray, SolveReport]:
     """Solve a general complex square system.
 
@@ -217,7 +204,8 @@ def solve_complex(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL, *,
     the solve is direct.
     """
     b = np.asarray(b, dtype=complex)
-    n = A.n_rows
+    _check_rhs(b)
+    n = A.shape[0]
     t0 = time.perf_counter()
     if precond is not None:
         M = spla.LinearOperator((n, n), matvec=precond, dtype=complex)
@@ -226,23 +214,12 @@ def solve_complex(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL, *,
         def cb(_):
             counter["n"] += 1
 
-        x, info = spla.gmres(A.csr, b, rtol=tol * 0.1, atol=0.0, M=M,
+        x, info = spla.gmres(A, b, rtol=tol * 0.1, atol=0.0, M=M,
                              maxiter=maxiter, restart=200, callback=cb,
                              callback_type="pr_norm")
         if info == 0:
             res = _relative_residual(A, x, b)
-            if res <= max(tol, 10 * tol):
+            if res <= ITERATIVE_SLACK * tol:
                 return x, SolveReport(counter["n"], res,
                                       time.perf_counter() - t0, "gmres")
-    x = spla.splu(A.csr.tocsc()).solve(b)
-    res = _relative_residual(A, x, b)
-    report = SolveReport(0, res, time.perf_counter() - t0, "direct-lu")
-    if res > max(tol, 1e-8):
-        raise SolveError("complex direct solve residual above tolerance", report)
-    return x, report
-
-
-def factorized(A: SparseMatrix):
-    """Reusable solver handle (sparse LU) for a matrix applied many times."""
-    lu = spla.splu(A.csr.tocsc())
-    return lu.solve
+    return _direct(A, b, tol, t0, "complex direct solve")

@@ -108,14 +108,3 @@ def test_rejections():
         mmesh.build_structured(2, 0)
     with pytest.raises(ValueError):
         mmesh.build_structured(4, 2)
-
-
-def test_dump_parse_roundtrip():
-    m = mmesh.build_structured(3, 2)
-    text = mmesh.dump_text(m)
-    first = text.splitlines()[0]
-    assert first == f"3 2 {m.n_vertices} {m.n_cells}"
-    m2 = mmesh.parse_text(text)
-    assert np.array_equal(m2.vertices_int, m.vertices_int)
-    assert np.array_equal(m2.cells, m.cells)
-    assert mmesh.dump_text(m2) == text
