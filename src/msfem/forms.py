@@ -1,24 +1,31 @@
 """Assembly of the bilinear forms and load vectors used by the scheme.
 
-Element loops are vectorized over chunks of cells and produce one local matrix
-per cell.  Every form on a space lands on that space's CSR pattern
-(``FeSpace.pattern``): the local matrices are summed into the pattern's data
-array by ``np.bincount`` through its (cell, i, j) -> data index map, and
-the form is returned as a ``scipy.sparse.csr_array`` that shares the
-pattern's index arrays.  Forms on one space can therefore be combined by
-combining their ``data`` arrays.  On a vector space the componentwise
-(block-diagonal) mass forms use the diagonal component blocks of the same
-pattern as the div-div + curl-curl form.
+Every form, load and error norm on a mesh samples one quadrature table per
+(mesh, degree, qdeg) (``quadrature_table``): basis values, weighted
+Jacobians, physical gradients and points at the quadrature nodes of every
+cell, built once on the whole mesh and cached on it.  Element loops run over
+chunks of cells and read slices (views) of that table.  The chunks stay
+because they bound the per-chunk transients (local matrices, field values
+and gradients, curls, weighted copies of the gradient table): without them
+these come on top of the table as whole-mesh arrays and raise the peak
+memory of the large meshes.
+
+Every form on a space lands on that space's CSR pattern (``FeSpace.pattern``):
+the local matrices are summed into the pattern's data array by
+``np.bincount`` through its (cell, i, j) -> data index map, and the form is
+returned as a ``scipy.sparse.csr_array`` that shares the pattern's index
+arrays.  Forms on one space can therefore be combined by combining their
+``data`` arrays.  On a vector space the componentwise (block-diagonal) mass
+forms use the diagonal component blocks of the same pattern as the
+div-div + curl-curl form.
 
 Nonlinear coefficients (|psi_h|^2, |A_h|^2, the probability current) are
 evaluated pointwise at the quadrature nodes of the assembled form, with the
-default degree 2r+2 keeping the quadrature error below the scheme's spatial
-order.
+default degree 2r+2 (``quadrature_degree``) keeping the quadrature error
+below the scheme's spatial order.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +45,8 @@ __all__ = [
     "assemble_current_load",
     "assemble_source_load",
     "assemble_coefficient_load",
+    "quadrature_degree",
+    "quadrature_table",
 ]
 
 _CHUNK_ENTRY_BUDGET = 8_000_000
@@ -58,16 +67,9 @@ class FieldPlusConstant:
         self.constant = constant
 
 
-@lru_cache(maxsize=None)
-def _tables(dim: int, degree: int, qdeg: int):
-    rule = quadrature_rule(dim, qdeg)
-    elem = reference_element(dim, degree)
-    vals, grads_ref = elem.tabulate(rule.points_ref)
-    return rule, vals, grads_ref
-
-
-def _default_qdeg(space: FeSpace, qdeg):
-    return 2 * space.degree + 2 if qdeg is None else qdeg
+def quadrature_degree(degree: int, qdeg: int | None = None) -> int:
+    """Quadrature degree for degree-r elements: ``qdeg`` if given, else 2r+2."""
+    return 2 * degree + 2 if qdeg is None else qdeg
 
 
 def _chunks(n_cells: int, per_cell_entries: int):
@@ -76,70 +78,68 @@ def _chunks(n_cells: int, per_cell_entries: int):
         yield slice(start, min(start + size, n_cells))
 
 
-class _ChunkData:
-    """Geometry and basis data for one chunk of cells."""
+class QuadratureTable:
+    """Basis and geometry at the quadrature nodes of every cell of a mesh.
 
-    def __init__(self, mesh: Mesh, degree: int, qdeg: int, sl: slice):
-        rule, vals, grads_ref = _tables(mesh.dim, degree, qdeg)
+    ``vals`` (q, nloc) are the reference basis values, ``wdet`` (c, q) the
+    quadrature weights times det J, ``grads`` (c, q, nloc, d) the physical
+    basis gradients and ``x`` (c, q, d) the physical points.  Built once per
+    (mesh, degree, qdeg) by ``quadrature_table``; chunk loops read slices of
+    it, and the field and coefficient evaluations take the cell slice.
+    """
+
+    def __init__(self, mesh: Mesh, degree: int, qdeg: int):
+        rule = quadrature_rule(mesh.dim, qdeg)
+        vals, grads_ref = reference_element(mesh.dim, degree).tabulate(rule.points_ref)
         J, JinvT, det = mesh.jacobians()
-        self.sl = sl
-        self.vals = vals                             # (q, nloc)
-        self.wdet = rule.weights[None, :] * det[sl, None]   # (c, q)
-        self.grads = np.einsum("cij,qlj->cqli", JinvT[sl], grads_ref, optimize=True)
-        v0 = mesh.vertices[mesh.cells[sl, 0]]
-        self.x = v0[:, None, :] + np.einsum("cij,qj->cqi", J[sl], rule.points_ref, optimize=True)
+        self.vals = vals                                    # (q, nloc)
+        self.wdet = rule.weights[None, :] * det[:, None]    # (c, q)
+        self.grads = np.einsum("cij,qlj->cqli", JinvT, grads_ref, optimize=True)
+        v0 = mesh.vertices[mesh.cells[:, 0]]
+        self.x = v0[:, None, :] + np.einsum("cij,qj->cqi", J, rule.points_ref, optimize=True)
 
-    def field_values(self, field_vec: FieldVector):
+    def field_values(self, field_vec: FieldVector, sl: slice):
         space = field_vec.space
-        local = space.gather_cells(field_vec, self.sl)   # (c, nloc[, ncomp])
+        local = space.gather_cells(field_vec, sl)   # (c, nloc[, ncomp])
         if space.kind == "scalar":
             return np.einsum("ql,cl->cq", self.vals, local, optimize=True)
         return np.einsum("ql,cld->cqd", self.vals, local, optimize=True)
 
-    def field_gradients(self, field_vec: FieldVector):
+    def field_gradients(self, field_vec: FieldVector, sl: slice):
         space = field_vec.space
-        local = space.gather_cells(field_vec, self.sl)
+        local = space.gather_cells(field_vec, sl)
         if space.kind == "scalar":
-            return np.einsum("cqld,cl->cqd", self.grads, local, optimize=True)
-        return np.einsum("cqld,cle->cqed", self.grads, local, optimize=True)
+            return np.einsum("cqld,cl->cqd", self.grads[sl], local, optimize=True)
+        return np.einsum("cqld,cle->cqed", self.grads[sl], local, optimize=True)
 
-    def coefficient(self, coeff):
-        """Pointwise values of a scalar coefficient at the quadrature nodes."""
+    def coefficient(self, coeff, sl: slice):
+        """Pointwise values of a coefficient at the quadrature nodes of the
+        cells ``sl``: None (one), a scalar, a discrete-field wrapper, or a
+        callable of x."""
         if coeff is None:
-            return np.ones_like(self.wdet)
+            return np.ones_like(self.wdet[sl])
         if isinstance(coeff, Abs2):
-            v = self.field_values(coeff.field)
+            v = self.field_values(coeff.field, sl)
             if v.ndim == 3:
                 return np.einsum("cqd,cqd->cq", v, v, optimize=True).real
             return (v * v.conj()).real
         if isinstance(coeff, FieldPlusConstant):
-            return self.field_values(coeff.field).real + coeff.constant
+            return self.field_values(coeff.field, sl).real + coeff.constant
         if isinstance(coeff, FieldVector):
-            return self.field_values(coeff).real
+            return self.field_values(coeff, sl).real
         if np.isscalar(coeff):
-            return np.full_like(self.wdet, float(coeff))
-        return np.asarray(coeff(self.x))
+            return np.full_like(self.wdet[sl], float(coeff))
+        return np.asarray(coeff(self.x[sl]))
 
 
-_CHUNK_CACHE_BYTES = 600_000_000
-
-
-def _chunk_data(mesh: Mesh, degree: int, qdeg: int, sl: slice) -> _ChunkData:
-    """Chunk tables, cached on the mesh when the whole-mesh footprint is small.
-
-    Assembly is called many times per step on identical chunks; the gradient
-    tables dominate the cost, so reusing them is the main assembly speedup.
-    """
-    rule, _, grads_ref = _tables(mesh.dim, degree, qdeg)
-    footprint = (mesh.n_cells * rule.weights.size * grads_ref.shape[1]
-                 * (mesh.dim + 1) * 8)
-    if footprint > _CHUNK_CACHE_BYTES:
-        return _ChunkData(mesh, degree, qdeg, sl)
-    store = mesh._geom.setdefault("chunk_data", {})
-    key = (degree, qdeg, sl.start, sl.stop)
-    if key not in store:
-        store[key] = _ChunkData(mesh, degree, qdeg, sl)
-    return store[key]
+def quadrature_table(mesh: Mesh, degree: int, qdeg: int | None = None) -> QuadratureTable:
+    """The mesh's quadrature table for degree-``degree`` elements, cached on
+    the mesh; ``qdeg`` defaults to ``quadrature_degree(degree)``."""
+    qdeg = quadrature_degree(degree, qdeg)
+    key = ("quadrature", degree, qdeg)
+    if key not in mesh._geom:
+        mesh._geom[key] = QuadratureTable(mesh, degree, qdeg)
+    return mesh._geom[key]
 
 
 def _pairing(weighted_rows, rows):
@@ -185,14 +185,13 @@ def assemble_mass(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
 
 def assemble_weighted_mass(space: FeSpace, weight, qdeg: int | None = None) -> sp.csr_array:
     """(w u, v) with w a pointwise scalar weight (see module coefficients)."""
-    qdeg = _default_qdeg(space, qdeg)
     _check_coeff_mesh(space, weight)
     nloc = space.element.node_count
     loc = np.empty((space.mesh.n_cells, nloc, nloc))
+    tab = quadrature_table(space.mesh, space.degree, qdeg)
     for sl in _chunks(space.mesh.n_cells, (nloc * space.ncomp) ** 2):
-        data = _chunk_data(space.mesh, space.degree, qdeg, sl)
-        w = data.coefficient(weight) * data.wdet
-        loc[sl] = _pairing(w[:, :, None] * data.vals[None], data.vals)
+        w = tab.coefficient(weight, sl) * tab.wdet[sl]
+        loc[sl] = _pairing(w[:, :, None] * tab.vals[None], tab.vals)
     return _on_pattern(space, loc, componentwise=space.kind == "vector")
 
 
@@ -200,21 +199,19 @@ def assemble_stiffness(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
     """Scalar stiffness (grad u, grad v)."""
     if space.kind != "scalar":
         raise ValueError("stiffness is assembled on scalar spaces")
-    qdeg = _default_qdeg(space, qdeg)
     nloc = space.element.node_count
     loc = np.empty((space.mesh.n_cells, nloc, nloc))
+    tab = quadrature_table(space.mesh, space.degree, qdeg)
     for sl in _chunks(space.mesh.n_cells, nloc * nloc):
-        data = _chunk_data(space.mesh, space.degree, qdeg, sl)
-        loc[sl] = _pairing(*_grad_rows(data))
+        loc[sl] = _pairing(*_grad_rows(tab.grads[sl], tab.wdet[sl]))
     return _on_pattern(space, loc)
 
 
-def _grad_rows(data: _ChunkData):
+def _grad_rows(grads: np.ndarray, wdet: np.ndarray):
     """Weighted and plain gradient rows flattened over (point, direction)."""
-    c, q, nloc, d = data.grads.shape
-    g = data.grads.transpose(0, 2, 1, 3).reshape(c, nloc, q * d)
-    gw = (data.grads * data.wdet[:, :, None, None]) \
-        .transpose(0, 2, 1, 3).reshape(c, nloc, q * d)
+    c, q, nloc, d = grads.shape
+    g = grads.transpose(0, 2, 1, 3).reshape(c, nloc, q * d)
+    gw = (grads * wdet[:, :, None, None]).transpose(0, 2, 1, 3).reshape(c, nloc, q * d)
     return gw.transpose(0, 2, 1), g.transpose(0, 2, 1)
 
 
@@ -245,19 +242,19 @@ def assemble_D(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
     """
     if space.kind != "vector":
         raise ValueError("the div-div + curl-curl form needs a vector space")
-    qdeg = _default_qdeg(space, qdeg)
     d = space.mesh.dim
     nloc = space.element.node_count
     loc = np.empty((space.mesh.n_cells, nloc * d, nloc * d))
+    tab = quadrature_table(space.mesh, space.degree, qdeg)
     for sl in _chunks(space.mesh.n_cells, (nloc * d) ** 2):
-        data = _chunk_data(space.mesh, space.degree, qdeg, sl)
-        nc, nq = data.wdet.shape
-        div = data.grads.reshape(nc, nq, nloc * d)           # (c, q, nloc*d)
-        loc[sl] = _pairing(div * data.wdet[:, :, None], div)
-        curl = _curl_rows(data.grads, d)
+        grads, wdet = tab.grads[sl], tab.wdet[sl]
+        nc, nq = wdet.shape
+        div = grads.reshape(nc, nq, nloc * d)           # (c, q, nloc*d)
+        loc[sl] = _pairing(div * wdet[:, :, None], div)
+        curl = _curl_rows(grads, d)
         # one curl component at a time: no flattened (c, q*3, nloc*d) copies
         for cm in ([curl] if d == 2 else np.moveaxis(curl, -1, 0)):
-            loc[sl] += _pairing(cm * data.wdet[:, :, None], cm)
+            loc[sl] += _pairing(cm * wdet[:, :, None], cm)
     return _on_pattern(space, loc)
 
 
@@ -277,18 +274,18 @@ def assemble_B(space: FeSpace, a_field: FieldVector, qdeg: int | None = None,
     pat = space.pattern()
     if stiffness is not None and not np.may_share_memory(stiffness.indices, pat.indices):
         raise ValueError("stiffness is not on the pattern of this space")
-    qdeg = _default_qdeg(space, qdeg)
     nloc = space.element.node_count
     loc = np.empty((space.mesh.n_cells, nloc, nloc), dtype=complex)
+    tab = quadrature_table(space.mesh, space.degree, qdeg)
     for sl in _chunks(space.mesh.n_cells, nloc * nloc * 4):
-        data = _chunk_data(space.mesh, space.degree, qdeg, sl)
-        a_q = data.field_values(a_field)                       # (c, q, d)
+        grads, wdet = tab.grads[sl], tab.wdet[sl]
+        a_q = tab.field_values(a_field, sl)                    # (c, q, d)
         a2 = np.einsum("cqd,cqd->cq", a_q, a_q, optimize=True)
-        loc[sl] = _pairing((a2 * data.wdet)[:, :, None] * data.vals[None], data.vals)
+        loc[sl] = _pairing((a2 * wdet)[:, :, None] * tab.vals[None], tab.vals)
         if stiffness is None:
-            loc[sl] += _pairing(*_grad_rows(data))
-        a_dot_g = np.einsum("cqd,cqld->cql", a_q, data.grads, optimize=True)
-        t = _pairing(data.wdet[:, :, None] * data.vals[None], a_dot_g)
+            loc[sl] += _pairing(*_grad_rows(grads, wdet))
+        a_dot_g = np.einsum("cqd,cqld->cql", a_q, grads, optimize=True)
+        t = _pairing(wdet[:, :, None] * tab.vals[None], a_dot_g)
         loc[sl] += 1j * (t - np.swapaxes(t, 1, 2))
     values = pat.assemble(loc)
     if stiffness is not None:
@@ -304,16 +301,15 @@ def assemble_current_load(space: FeSpace, psi_field: FieldVector,
         raise ValueError("the current load is assembled on a vector space")
     if psi_field.space.mesh is not space.mesh:
         raise ValueError("psi lives on a different mesh")
-    qdeg = _default_qdeg(space, qdeg)
     out = np.zeros(space.n_dofs + 1)
     nloc = space.element.node_count
     d = space.mesh.dim
+    tab = quadrature_table(space.mesh, space.degree, qdeg)
     for sl in _chunks(space.mesh.n_cells, nloc * d * 4):
-        data = _chunk_data(space.mesh, space.degree, qdeg, sl)
-        psi_q = data.field_values(psi_field)
-        grad_q = data.field_gradients(psi_field)
+        psi_q = tab.field_values(psi_field, sl)
+        grad_q = tab.field_gradients(psi_field, sl)
         current = -np.imag(np.conj(psi_q)[..., None] * grad_q)   # (c, q, d)
-        loc = np.einsum("cqm,qa,cq->cam", current, data.vals, data.wdet, optimize=True)
+        loc = np.einsum("cqm,qa,cq->cam", current, tab.vals, tab.wdet[sl], optimize=True)
         _scatter_load(out, _cell_dofs(space, sl),
                       loc.reshape(loc.shape[0], nloc * d))
     return out[:-1]
@@ -333,24 +329,19 @@ def assemble_coefficient_load(space: FeSpace, coeff,
     Scalar spaces take scalar coefficients, vector spaces d-vector ones.
     Coefficients may be callables of x or the discrete-field wrappers.
     """
-    qdeg = _default_qdeg(space, qdeg)
     _check_coeff_mesh(space, coeff)
     out = np.zeros(space.n_dofs + 1,
                    dtype=complex if space.dtype is complex else float)
     nloc = space.element.node_count
     d = space.mesh.dim
+    tab = quadrature_table(space.mesh, space.degree, qdeg)
     for sl in _chunks(space.mesh.n_cells, nloc * space.ncomp * 4):
-        data = _chunk_data(space.mesh, space.degree, qdeg, sl)
-        if isinstance(coeff, (Abs2, FieldPlusConstant, FieldVector)) \
-                or np.isscalar(coeff) or coeff is None:
-            s = data.coefficient(coeff)
-        else:
-            s = np.asarray(coeff(data.x))
+        s = tab.coefficient(coeff, sl)
         if space.kind == "scalar":
-            loc = np.einsum("cq,qa->ca", s * data.wdet, data.vals, optimize=True)
+            loc = np.einsum("cq,qa->ca", s * tab.wdet[sl], tab.vals, optimize=True)
             _scatter_load(out, _cell_dofs(space, sl), loc)
         else:
-            loc = np.einsum("cqm,qa,cq->cam", s, data.vals, data.wdet, optimize=True)
+            loc = np.einsum("cqm,qa,cq->cam", s, tab.vals, tab.wdet[sl], optimize=True)
             _scatter_load(out, _cell_dofs(space, sl),
                           loc.reshape(loc.shape[0], nloc * d))
     return out[:-1]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import forms
 from .mesh import build_structured
-from .space import FeSpace, FieldVector
+from .space import FieldVector
 
 __all__ = [
     "ManufacturedCase",
@@ -357,14 +357,15 @@ def scalar_error_norms(field_vec: FieldVector, value_fn, grad_fn,
                        qdeg: int) -> ErrorEntry:
     """L2 and H1 errors of a scalar field against exact closures."""
     space = field_vec.space
+    tab = forms.quadrature_table(space.mesh, space.degree, qdeg)
     l2 = 0.0
     semi = 0.0
     for sl in forms._chunks(space.mesh.n_cells, 8 * space.element.node_count):
-        data = forms._chunk_data(space.mesh, space.degree, qdeg, sl)
-        dv = data.field_values(field_vec) - value_fn(data.x)
-        dg = data.field_gradients(field_vec) - grad_fn(data.x)
-        l2 += float(np.sum(data.wdet * np.abs(dv) ** 2))
-        semi += float(np.sum(data.wdet * np.sum(np.abs(dg) ** 2, axis=-1)))
+        x, wdet = tab.x[sl], tab.wdet[sl]
+        dv = tab.field_values(field_vec, sl) - value_fn(x)
+        dg = tab.field_gradients(field_vec, sl) - grad_fn(x)
+        l2 += float(np.sum(wdet * np.abs(dv) ** 2))
+        semi += float(np.sum(wdet * np.sum(np.abs(dg) ** 2, axis=-1)))
     return ErrorEntry(l2=math.sqrt(l2), h1=math.sqrt(l2 + semi),
                       parts={"grad": math.sqrt(semi)})
 
@@ -374,24 +375,25 @@ def vector_error_norms(field_vec: FieldVector, value_fn, div_fn, curl_fn,
     """L2, div and curl errors of a vector field; the reported H1-equivalent
     is the square root of their summed squares."""
     space = field_vec.space
+    tab = forms.quadrature_table(space.mesh, space.degree, qdeg)
     d = space.mesh.dim
     l2 = div2 = curl2 = 0.0
     for sl in forms._chunks(space.mesh.n_cells, 8 * space.element.node_count * d):
-        data = forms._chunk_data(space.mesh, space.degree, qdeg, sl)
-        dv = data.field_values(field_vec) - value_fn(data.x)
-        grad = data.field_gradients(field_vec)   # (c, q, comp, deriv)
-        ddiv = np.trace(grad, axis1=-2, axis2=-1) - div_fn(data.x)
+        x, wdet = tab.x[sl], tab.wdet[sl]
+        dv = tab.field_values(field_vec, sl) - value_fn(x)
+        grad = tab.field_gradients(field_vec, sl)   # (c, q, comp, deriv)
+        ddiv = np.trace(grad, axis1=-2, axis2=-1) - div_fn(x)
         if d == 2:
-            dcurl = grad[..., 1, 0] - grad[..., 0, 1] - curl_fn(data.x)
-            curl2 += float(np.sum(data.wdet * dcurl ** 2))
+            dcurl = grad[..., 1, 0] - grad[..., 0, 1] - curl_fn(x)
+            curl2 += float(np.sum(wdet * dcurl ** 2))
         else:
             curl = np.stack([grad[..., 2, 1] - grad[..., 1, 2],
                              grad[..., 0, 2] - grad[..., 2, 0],
                              grad[..., 1, 0] - grad[..., 0, 1]], axis=-1)
-            dcurl = curl - curl_fn(data.x)
-            curl2 += float(np.sum(data.wdet * np.sum(dcurl ** 2, axis=-1)))
-        l2 += float(np.sum(data.wdet * np.sum(np.abs(dv) ** 2, axis=-1)))
-        div2 += float(np.sum(data.wdet * ddiv ** 2))
+            dcurl = curl - curl_fn(x)
+            curl2 += float(np.sum(wdet * np.sum(dcurl ** 2, axis=-1)))
+        l2 += float(np.sum(wdet * np.sum(np.abs(dv) ** 2, axis=-1)))
+        div2 += float(np.sum(wdet * ddiv ** 2))
     return ErrorEntry(l2=math.sqrt(l2), h1=math.sqrt(l2 + div2 + curl2),
                       parts={"div": math.sqrt(div2), "curl": math.sqrt(curl2)})
 
@@ -399,8 +401,7 @@ def vector_error_norms(field_vec: FieldVector, value_fn, div_fn, curl_fn,
 def error_norms(field_vec: FieldVector, case: ManufacturedCase, which: str,
                 t: float, qdeg: int | None = None) -> ErrorEntry:
     """Errors of a discrete field against the exact case field at time t."""
-    if qdeg is None:
-        qdeg = 2 * field_vec.space.degree + 2
+    qdeg = forms.quadrature_degree(field_vec.space.degree, qdeg)
     if which == "psi":
         return scalar_error_norms(field_vec, lambda x: case.psi(x, t),
                                   lambda x: case.grad_psi(x, t), qdeg)
@@ -466,14 +467,9 @@ def gauge_residuals(case: ManufacturedCase, M: int = 8,
     verification cases do not satisfy them (the sources absorb the mismatch),
     so these are reported, never enforced.
     """
-    from .elements import quadrature_rule
-
-    mesh = build_structured(case.dim, M)
-    rule = quadrature_rule(case.dim, qdeg)
-    J, _, det = mesh.jacobians()
-    v0 = mesh.vertices[mesh.cells[:, 0]]
-    x = v0[:, None, :] + np.einsum("cij,qj->cqi", J, rule.points_ref)
-    wdet = rule.weights[None, :] * det[:, None]
+    # the exact data need only the points and weights; P1 has the smallest table
+    tab = forms.quadrature_table(build_structured(case.dim, M), 1, qdeg)
+    x, wdet = tab.x, tab.wdet
 
     g1 = case.div_A(x, 0.0) + case.phi_t(x, 0.0)
     psi0 = case.psi(x, 0.0)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class SchemeConfig:
     v0: float = 5.0
     mode: str = "mms"
     tol: float = 1e-10
-    qdeg: int | None = None
 
     def __post_init__(self):
         if self.degree not in (1, 2):
@@ -67,10 +66,6 @@ class SchemeConfig:
         if abs(self.n_steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise ValueError(
                 f"n_steps * dt = {self.n_steps * self.dt} does not reach t_final={self.t_final}")
-
-    @property
-    def quadrature_degree(self) -> int:
-        return 2 * self.degree + 2 if self.qdeg is None else self.qdeg
 
 
 @dataclass
@@ -140,14 +135,12 @@ class AlternatingStepper:
         self.case = case
         self.spaces = spaces or build_spaces(config)
         self.mesh = self.spaces.psi.mesh
-        q = config.quadrature_degree
-
-        self.mass_psi = forms.assemble_mass(self.spaces.psi, q)
-        self.mass_vec = forms.assemble_mass(self.spaces.A, q)
-        self.D = forms.assemble_D(self.spaces.A, q)
-        self.mass_phi = forms.assemble_mass(self.spaces.phi, q)
-        self.stiff_phi = forms.assemble_stiffness(self.spaces.phi, q)
-        self.stiff_psi = forms.assemble_stiffness(self.spaces.psi, q)
+        self.mass_psi = forms.assemble_mass(self.spaces.psi)
+        self.mass_vec = forms.assemble_mass(self.spaces.A)
+        self.D = forms.assemble_D(self.spaces.A)
+        self.mass_phi = forms.assemble_mass(self.spaces.phi)
+        self.stiff_phi = forms.assemble_stiffness(self.spaces.phi)
+        self.stiff_psi = forms.assemble_stiffness(self.spaces.psi)
         dt = config.dt
         self.phi_system = self.spaces.phi.pattern().matrix(
             self.mass_phi.data / dt ** 2 + 0.5 * self.stiff_phi.data)
@@ -173,23 +166,13 @@ class AlternatingStepper:
 
     # ---- sources -----------------------------------------------------------
 
-    def _source_f(self, t: float):
+    def _source(self, source, t: float):
+        """``source(case, x, t)`` (one of ``mms.source_*``) as a closure of x
+        at time t, or None outside verification mode."""
         if self.config.mode != "mms":
             return None
         case = self.case
-        return lambda x: mms.source_f(case, x, t)
-
-    def _source_g(self, t: float):
-        if self.config.mode != "mms":
-            return None
-        case = self.case
-        return lambda x: mms.source_g(case, x, t)
-
-    def _source_l(self, t: float):
-        if self.config.mode != "mms":
-            return None
-        case = self.case
-        return lambda x: mms.source_l(case, x, t)
+        return lambda x: source(case, x, t)
 
     # ---- initialization ----------------------------------------------------
 
@@ -231,17 +214,15 @@ class AlternatingStepper:
         cfg = self.config
         dt = cfg.dt
         pattern = self.spaces.A.pattern()
-        W = forms.assemble_weighted_mass(self.spaces.A, forms.Abs2(state.psi),
-                                         cfg.quadrature_degree)
+        W = forms.assemble_weighted_mass(self.spaces.A, forms.Abs2(state.psi))
         DW = pattern.matrix(self.D.data + W.data)
         system = pattern.matrix(self.mass_vec.data / dt ** 2 + 0.5 * DW.data)
         rhs = (self.mass_vec @ (2.0 * state.a.data - state.a_prev.data) / dt ** 2
                - 0.5 * (DW @ state.a_prev.data)
-               - forms.assemble_current_load(self.spaces.A, state.psi, cfg.quadrature_degree))
-        g = self._source_g(state.t)
+               - forms.assemble_current_load(self.spaces.A, state.psi))
+        g = self._source(mms.source_g, state.t)
         if g is not None:
-            rhs = rhs + forms.assemble_source_load(self.spaces.A, g,
-                                                   qdeg=cfg.quadrature_degree)
+            rhs = rhs + forms.assemble_source_load(self.spaces.A, g)
         try:
             x, rep = sparsela.solve_spd(system, rhs, cfg.tol)
         except sparsela.SolveError as err:
@@ -255,12 +236,11 @@ class AlternatingStepper:
         dt = cfg.dt
         rhs = (self.mass_phi @ (2.0 * state.phi.data - state.phi_prev.data) / dt ** 2
                - 0.5 * (self.stiff_phi @ state.phi_prev.data)
-               + forms.assemble_coefficient_load(self.spaces.phi, forms.Abs2(state.psi),
-                                                 cfg.quadrature_degree).real)
-        l = self._source_l(state.t)
+               + forms.assemble_coefficient_load(self.spaces.phi,
+                                                 forms.Abs2(state.psi)).real)
+        l = self._source(mms.source_l, state.t)
         if l is not None:
-            rhs = rhs + forms.assemble_source_load(self.spaces.phi, l,
-                                                   qdeg=cfg.quadrature_degree).real
+            rhs = rhs + forms.assemble_source_load(self.spaces.phi, l).real
         try:
             x, rep = sparsela.solve_spd(self.phi_system, rhs, cfg.tol)
         except sparsela.SolveError as err:
@@ -276,18 +256,15 @@ class AlternatingStepper:
         a_bar = FieldVector(self.spaces.A, 0.5 * (a_new.data + state.a.data))
         phi_bar = FieldVector(self.spaces.phi, 0.5 * (phi_new.data + state.phi.data))
         pattern = self.spaces.psi.pattern()
-        K_B = forms.assemble_B(self.spaces.psi, a_bar, cfg.quadrature_degree,
-                               stiffness=self.stiff_psi)
+        K_B = forms.assemble_B(self.spaces.psi, a_bar, stiffness=self.stiff_psi)
         M_w = forms.assemble_weighted_mass(
-            self.spaces.psi, forms.FieldPlusConstant(phi_bar, cfg.v0),
-            cfg.quadrature_degree)
+            self.spaces.psi, forms.FieldPlusConstant(phi_bar, cfg.v0))
         H_half = pattern.matrix(0.25 * K_B.data + 0.5 * M_w.data)
         lhs = pattern.matrix(-1j / dt * self.mass_psi.data + H_half.data)
         rhs = (-1j / dt) * (self.mass_psi @ state.psi.data) - H_half @ state.psi.data
-        f = self._source_f(state.t + 0.5 * dt)
+        f = self._source(mms.source_f, state.t + 0.5 * dt)
         if f is not None:
-            rhs = rhs + forms.assemble_source_load(self.spaces.psi, f,
-                                                   qdeg=cfg.quadrature_degree)
+            rhs = rhs + forms.assemble_source_load(self.spaces.psi, f)
         try:
             x, rep = sparsela.solve_complex(lhs, rhs, cfg.tol, precond=self._psi_precond)
         except sparsela.SolveError as err:

@@ -221,10 +221,7 @@ def evaluate(field_vec: FieldVector, cell: int, point_ref, *, gradient: bool = F
     pt = np.atleast_2d(np.asarray(point_ref, dtype=float))
     vals, grads_ref = elem.tabulate(pt)
     local = space.gather_cells(field_vec, cells=slice(cell, cell + 1))[0]
-    if space.kind == "scalar":
-        value = vals[0] @ local
-    else:
-        value = vals[0] @ local  # (ncomp,)
+    value = vals[0] @ local   # scalar, or (ncomp,) on vector spaces
     if not gradient:
         return value
     _, JinvT, _ = space.mesh.jacobians()

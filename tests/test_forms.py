@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from msfem import forms
+from msfem import forms, mms
 from msfem.mesh import Mesh, build_structured
 from msfem.space import (FieldVector, build_scalar_space, build_vector_space,
                          interpolate)
@@ -239,47 +239,61 @@ def test_source_load_zero_and_partition_of_unity():
 # ---- oracle equivalence: vectorized assembly vs naive dense assembly ----
 
 CASES = [(2, 3, 1), (2, 2, 2), (3, 2, 1)]
+# A budget small enough that every form runs over several chunks of one or a
+# few cells each, with a shorter last chunk on most of the cases.
+SMALL_CHUNK_BUDGET = 100
+
+
+def chunk_budgets(monkeypatch):
+    """Run the assembly under test at the default and at a small chunk budget."""
+    for budget in (forms._CHUNK_ENTRY_BUDGET, SMALL_CHUNK_BUDGET):
+        monkeypatch.setattr(forms, "_CHUNK_ENTRY_BUDGET", budget)
+        yield budget
 
 
 @pytest.mark.parametrize("dim,M,r", CASES)
-def test_oracle_equivalence_mass_stiffness(dim, M, r):
+def test_oracle_equivalence_mass_stiffness(dim, M, r, monkeypatch):
     mesh = build_structured(dim, M)
     space = build_scalar_space(mesh, r)
     qdeg = 2 * r + 2
-    M1 = forms.assemble_mass(space).toarray()
-    assert np.max(np.abs(M1 - oracles.naive_mass(space, qdeg))) <= 1e-12
-    K1 = forms.assemble_stiffness(space).toarray()
-    assert np.max(np.abs(K1 - oracles.naive_stiffness(space, qdeg))) <= 1e-12
+    M2 = oracles.naive_mass(space, qdeg)
+    K2 = oracles.naive_stiffness(space, qdeg)
+    for _ in chunk_budgets(monkeypatch):
+        M1 = forms.assemble_mass(space).toarray()
+        assert np.max(np.abs(M1 - M2)) <= 1e-12
+        K1 = forms.assemble_stiffness(space).toarray()
+        assert np.max(np.abs(K1 - K2)) <= 1e-12
 
 
 @pytest.mark.parametrize("dim,M,r", CASES)
-def test_oracle_equivalence_D(dim, M, r):
+def test_oracle_equivalence_D(dim, M, r, monkeypatch):
     mesh = build_structured(dim, M)
     space = build_vector_space(mesh, r)
-    D1 = forms.assemble_D(space).toarray()
     D2 = oracles.naive_D(space, 2 * r + 2)
-    assert np.max(np.abs(D1 - D2)) <= 1e-12
+    for _ in chunk_budgets(monkeypatch):
+        D1 = forms.assemble_D(space).toarray()
+        assert np.max(np.abs(D1 - D2)) <= 1e-12
 
 
 @pytest.mark.parametrize("dim,M,r", CASES)
-def test_oracle_equivalence_B_and_weighted(dim, M, r):
+def test_oracle_equivalence_B_and_weighted(dim, M, r, monkeypatch):
     rng = np.random.default_rng(5)
     mesh = build_structured(dim, M)
     cspace = build_scalar_space(mesh, r, complex_field=True)
     vspace = build_vector_space(mesh, r)
     a = FieldVector(vspace, rng.standard_normal(vspace.n_dofs))
     qdeg = 2 * r + 2
-    B1 = forms.assemble_B(cspace, a).toarray()
     B2 = oracles.naive_B(cspace, a, qdeg)
-    assert np.max(np.abs(B1 - B2)) <= 1e-12
-
-    W1 = forms.assemble_weighted_mass(vspace, lambda x: np.cos(x[..., 0])).toarray()
     W2 = oracles.naive_weighted_mass(vspace, lambda x: np.cos(x[0]), qdeg)
-    assert np.max(np.abs(W1 - W2)) <= 1e-12
+    for _ in chunk_budgets(monkeypatch):
+        B1 = forms.assemble_B(cspace, a).toarray()
+        assert np.max(np.abs(B1 - B2)) <= 1e-12
+        W1 = forms.assemble_weighted_mass(vspace, lambda x: np.cos(x[..., 0])).toarray()
+        assert np.max(np.abs(W1 - W2)) <= 1e-12
 
 
 @pytest.mark.parametrize("dim,M,r", CASES)
-def test_oracle_equivalence_loads(dim, M, r):
+def test_oracle_equivalence_loads(dim, M, r, monkeypatch):
     rng = np.random.default_rng(6)
     mesh = build_structured(dim, M)
     cspace = build_scalar_space(mesh, r, complex_field=True)
@@ -287,16 +301,44 @@ def test_oracle_equivalence_loads(dim, M, r):
     psi = FieldVector(cspace, rng.standard_normal(cspace.n_dofs)
                       + 1j * rng.standard_normal(cspace.n_dofs))
     qdeg = 2 * r + 2
-    l1 = forms.assemble_current_load(vspace, psi)
-    l2 = oracles.naive_current_load(vspace, psi, qdeg)
-    assert np.max(np.abs(l1 - l2)) <= 1e-12
 
     def s(x):
         return np.sin(x[..., 0]) + x[..., 1]
 
-    f1 = forms.assemble_source_load(cspace, s)
+    l2 = oracles.naive_current_load(vspace, psi, qdeg)
     f2 = oracles.naive_source_load(cspace, lambda x: s(np.asarray(x)[None, :])[0], qdeg)
-    assert np.max(np.abs(f1 - f2)) <= 1e-12
+    for _ in chunk_budgets(monkeypatch):
+        l1 = forms.assemble_current_load(vspace, psi)
+        assert np.max(np.abs(l1 - l2)) <= 1e-12
+        f1 = forms.assemble_source_load(cspace, s)
+        assert np.max(np.abs(f1 - f2)) <= 1e-12
+
+
+def test_one_quadrature_table_per_degree_and_qdeg(monkeypatch):
+    # forms with different per-cell sizes split the mesh into different
+    # chunks; they must all read the one whole-mesh table of their degree
+    monkeypatch.setattr(forms, "_CHUNK_ENTRY_BUDGET", 2000)
+    mesh = build_structured(3, 2)
+    cspace = build_scalar_space(mesh, 1, complex_field=True)
+    vspace = build_vector_space(mesh, 1)
+    p2space = build_scalar_space(mesh, 2)
+    psi = FieldVector(cspace, np.ones(cspace.n_dofs, dtype=complex))
+    forms.assemble_mass(cspace)
+    forms.assemble_stiffness(cspace)
+    forms.assemble_D(vspace)
+    forms.assemble_weighted_mass(vspace, forms.Abs2(psi))
+    forms.assemble_current_load(vspace, psi)
+    forms.assemble_B(cspace, vspace.new_field())
+    forms.assemble_mass(p2space)
+    forms.assemble_mass(cspace, qdeg=2)
+    forms.assemble_coefficient_load(cspace, forms.Abs2(psi), qdeg=2)
+    mms.error_norms(psi, mms.make_case(3), "psi", 0.0)
+
+    tables = {k: v for k, v in mesh._geom.items() if isinstance(v, forms.QuadratureTable)}
+    assert sorted(tables) == [("quadrature", 1, 2), ("quadrature", 1, 4), ("quadrature", 2, 6)]
+    for t in tables.values():
+        assert t.wdet.shape[0] == t.grads.shape[0] == t.x.shape[0] == mesh.n_cells
+    assert forms.quadrature_table(mesh, 1) is forms.quadrature_table(mesh, 1, 4)
 
 
 def test_mesh_mismatch_rejected():

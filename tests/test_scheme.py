@@ -98,13 +98,12 @@ def test_wave_step_zero_equilibrium_regression():
 def wave_a_residual(st, state, a_new):
     cfg = st.config
     dt = cfg.dt
-    q = cfg.quadrature_degree
     sp = st.spaces
-    Mv = forms.assemble_mass(sp.A, q)
-    D = forms.assemble_D(sp.A, q)
-    W = forms.assemble_weighted_mass(sp.A, forms.Abs2(state.psi), q)
-    Fc = forms.assemble_current_load(sp.A, state.psi, q)
-    rhs = forms.assemble_source_load(sp.A, lambda x: mms.source_g(st.case, x, state.t), qdeg=q) \
+    Mv = forms.assemble_mass(sp.A)
+    D = forms.assemble_D(sp.A)
+    W = forms.assemble_weighted_mass(sp.A, forms.Abs2(state.psi))
+    Fc = forms.assemble_current_load(sp.A, state.psi)
+    rhs = forms.assemble_source_load(sp.A, lambda x: mms.source_g(st.case, x, state.t)) \
         if cfg.mode == "mms" else 0.0
     lhs = (Mv @ (a_new.data - 2 * state.a.data + state.a_prev.data) / dt ** 2
            + 0.5 * (D @ (a_new.data + state.a_prev.data)
@@ -125,13 +124,12 @@ def test_single_step_plugback_residuals_3d():
 
     # scalar potential step
     dt = cfg.dt
-    q = cfg.quadrature_degree
     sp = st.spaces
     phi_new = st.step_wave_phi(state)
-    Mp = forms.assemble_mass(sp.phi, q)
-    Kp = forms.assemble_stiffness(sp.phi, q)
-    dens = forms.assemble_coefficient_load(sp.phi, forms.Abs2(state.psi), q).real
-    lsrc = forms.assemble_source_load(sp.phi, lambda x: mms.source_l(st.case, x, state.t), qdeg=q).real
+    Mp = forms.assemble_mass(sp.phi)
+    Kp = forms.assemble_stiffness(sp.phi)
+    dens = forms.assemble_coefficient_load(sp.phi, forms.Abs2(state.psi)).real
+    lsrc = forms.assemble_source_load(sp.phi, lambda x: mms.source_l(st.case, x, state.t)).real
     lhs = (Mp @ (phi_new.data - 2 * state.phi.data + state.phi_prev.data) / dt ** 2
            + 0.5 * (Kp @ (phi_new.data + state.phi_prev.data)))
     r = lhs - dens - lsrc
@@ -142,10 +140,10 @@ def test_single_step_plugback_residuals_3d():
     psi_new = st.step_schrodinger(state, a_new, phi_new)
     a_bar = FieldVector(sp.A, 0.5 * (a_new.data + state.a.data))
     phi_bar = FieldVector(sp.phi, 0.5 * (phi_new.data + state.phi.data))
-    Mc = forms.assemble_mass(sp.psi, q)
-    KB = forms.assemble_B(sp.psi, a_bar, q)
-    Mw = forms.assemble_weighted_mass(sp.psi, forms.FieldPlusConstant(phi_bar, cfg.v0), q)
-    F = forms.assemble_source_load(sp.psi, lambda x: mms.source_f(st.case, x, state.t + dt / 2), qdeg=q)
+    Mc = forms.assemble_mass(sp.psi)
+    KB = forms.assemble_B(sp.psi, a_bar)
+    Mw = forms.assemble_weighted_mass(sp.psi, forms.FieldPlusConstant(phi_bar, cfg.v0))
+    F = forms.assemble_source_load(sp.psi, lambda x: mms.source_f(st.case, x, state.t + dt / 2))
     dpsi = (psi_new.data - state.psi.data) / dt
     bar = 0.5 * (psi_new.data + state.psi.data)
     r = (-1j * (Mc @ dpsi) + 0.5 * (KB @ bar) + Mw @ bar - F)
@@ -161,17 +159,16 @@ def test_step_solutions_match_dense_solves():
     st = scheme.AlternatingStepper(cfg)
     state = st.initialize()
     dt = cfg.dt
-    q = cfg.quadrature_degree
     sp = st.spaces
 
     a_new = st.step_wave_a(state)
-    W = forms.assemble_weighted_mass(sp.A, forms.Abs2(state.psi), q)
+    W = forms.assemble_weighted_mass(sp.A, forms.Abs2(state.psi))
     sys_d = (st.mass_vec.toarray() / dt ** 2
              + 0.5 * (st.D.toarray() + W.toarray()))
     rhs = (st.mass_vec @ (2 * state.a.data - state.a_prev.data) / dt ** 2
            - 0.5 * (st.D.toarray() + W.toarray()) @ state.a_prev.data
-           - forms.assemble_current_load(sp.A, state.psi, q)
-           + forms.assemble_source_load(sp.A, lambda x: mms.source_g(st.case, x, state.t), qdeg=q))
+           - forms.assemble_current_load(sp.A, state.psi)
+           + forms.assemble_source_load(sp.A, lambda x: mms.source_g(st.case, x, state.t)))
     x = np.linalg.solve(sys_d, rhs)
     assert np.linalg.norm(a_new.data - x) / np.linalg.norm(x) <= 1e-10
 
@@ -179,20 +176,20 @@ def test_step_solutions_match_dense_solves():
     sys_d = st.mass_phi.toarray() / dt ** 2 + 0.5 * st.stiff_phi.toarray()
     rhs = (st.mass_phi @ (2 * state.phi.data - state.phi_prev.data) / dt ** 2
            - 0.5 * (st.stiff_phi @ state.phi_prev.data)
-           + forms.assemble_coefficient_load(sp.phi, forms.Abs2(state.psi), q).real
-           + forms.assemble_source_load(sp.phi, lambda x: mms.source_l(st.case, x, state.t), qdeg=q).real)
+           + forms.assemble_coefficient_load(sp.phi, forms.Abs2(state.psi)).real
+           + forms.assemble_source_load(sp.phi, lambda x: mms.source_l(st.case, x, state.t)).real)
     x = np.linalg.solve(sys_d, rhs)
     assert np.linalg.norm(phi_new.data - x) / np.linalg.norm(x) <= 1e-10
 
     psi_new = st.step_schrodinger(state, a_new, phi_new)
     a_bar = FieldVector(sp.A, 0.5 * (a_new.data + state.a.data))
     phi_bar = FieldVector(sp.phi, 0.5 * (phi_new.data + state.phi.data))
-    KB = forms.assemble_B(sp.psi, a_bar, q).toarray()
-    Mw = forms.assemble_weighted_mass(sp.psi, forms.FieldPlusConstant(phi_bar, cfg.v0), q).toarray()
+    KB = forms.assemble_B(sp.psi, a_bar).toarray()
+    Mw = forms.assemble_weighted_mass(sp.psi, forms.FieldPlusConstant(phi_bar, cfg.v0)).toarray()
     Mc = st.mass_psi.toarray()
     S = -1j / dt * Mc + 0.25 * KB + 0.5 * Mw
     rhs = ((-1j / dt * Mc - 0.25 * KB - 0.5 * Mw) @ state.psi.data
-           + forms.assemble_source_load(sp.psi, lambda x: mms.source_f(st.case, x, state.t + dt / 2), qdeg=q))
+           + forms.assemble_source_load(sp.psi, lambda x: mms.source_f(st.case, x, state.t + dt / 2)))
     x = np.linalg.solve(S, rhs)
     assert np.linalg.norm(psi_new.data - x) / np.linalg.norm(x) <= 1e-10
 
@@ -214,9 +211,8 @@ def test_first_phi_step_from_rest_matches_dense_formula():
     )
     state = st.initialize(data)
     phi_new = st.step_wave_phi(state)
-    q = cfg.quadrature_degree
     sys_d = st.mass_phi.toarray() / dt ** 2 + 0.5 * st.stiff_phi.toarray()
-    load = forms.assemble_coefficient_load(st.spaces.phi, forms.Abs2(state.psi), q).real
+    load = forms.assemble_coefficient_load(st.spaces.phi, forms.Abs2(state.psi)).real
     x = np.linalg.solve(sys_d, load)
     assert np.allclose(phi_new.data, x, rtol=1e-10)
     # nodally phi ~ c dt^2 up to the stiffness correction
@@ -230,8 +226,7 @@ def test_wave_system_matrices_spd():
     cfg = small_config(dim=2, M=4, dt=0.1)
     st = scheme.AlternatingStepper(cfg)
     state = st.initialize()
-    W = forms.assemble_weighted_mass(st.spaces.A, forms.Abs2(state.psi),
-                                     cfg.quadrature_degree)
+    W = forms.assemble_weighted_mass(st.spaces.A, forms.Abs2(state.psi))
     sys_a = ((1 / cfg.dt ** 2) * st.mass_vec + 0.5 * (st.D + W)).toarray()
     assert np.max(np.abs(sys_a - sys_a.T)) <= 1e-12
     for _ in range(50):
@@ -251,12 +246,11 @@ def test_schrodinger_matrix_hermitian_part():
     state = st.initialize()
     a_new = st.step_wave_a(state)
     phi_new = st.step_wave_phi(state)
-    q = cfg.quadrature_degree
     a_bar = FieldVector(st.spaces.A, 0.5 * (a_new.data + state.a.data))
     phi_bar = FieldVector(st.spaces.phi, 0.5 * (phi_new.data + state.phi.data))
-    KB = forms.assemble_B(st.spaces.psi, a_bar, q).toarray()
+    KB = forms.assemble_B(st.spaces.psi, a_bar).toarray()
     Mw = forms.assemble_weighted_mass(
-        st.spaces.psi, forms.FieldPlusConstant(phi_bar, cfg.v0), q).toarray()
+        st.spaces.psi, forms.FieldPlusConstant(phi_bar, cfg.v0)).toarray()
     S = -1j / cfg.dt * st.mass_psi.toarray() + 0.25 * KB + 0.5 * Mw
     assert np.max(np.abs(S + S.conj().T - 2 * (0.25 * KB + 0.5 * Mw))) <= 1e-12
 
@@ -309,15 +303,14 @@ def test_consistency_rate_of_interpolated_exact_solution():
         st = scheme.AlternatingStepper(cfg)
         case = st.case
         sp = st.spaces
-        q = cfg.quadrature_degree
         tkm1 = 0.2
         a_km2 = interpolate(sp.A, lambda x: case.A(x, tkm1 - dt))
         a_km1 = interpolate(sp.A, lambda x: case.A(x, tkm1))
         a_k = interpolate(sp.A, lambda x: case.A(x, tkm1 + dt))
         psi_km1 = interpolate(sp.psi, lambda x: case.psi(x, tkm1))
-        W = forms.assemble_weighted_mass(sp.A, forms.Abs2(psi_km1), q)
-        Fc = forms.assemble_current_load(sp.A, psi_km1, q)
-        G = forms.assemble_source_load(sp.A, lambda x: mms.source_g(case, x, tkm1), qdeg=q)
+        W = forms.assemble_weighted_mass(sp.A, forms.Abs2(psi_km1))
+        Fc = forms.assemble_current_load(sp.A, psi_km1)
+        G = forms.assemble_source_load(sp.A, lambda x: mms.source_g(case, x, tkm1))
         r = (st.mass_vec @ (a_k.data - 2 * a_km1.data + a_km2.data) / dt ** 2
              + 0.5 * (st.D @ (a_k.data + a_km2.data)
                       + W @ (a_k.data + a_km2.data))
