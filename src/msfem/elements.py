@@ -18,10 +18,8 @@ __all__ = [
     "QuadratureRule",
     "AffineMap",
     "reference_element",
-    "reference_basis",
     "quadrature_rule",
     "affine_map",
-    "push_gradients",
 ]
 
 MAX_QUADRATURE_DEGREE = 30
@@ -105,15 +103,6 @@ def reference_element(dim: int, degree: int) -> ReferenceElement:
     )
 
 
-def reference_basis(dim: int, degree: int, point_bary) -> tuple[np.ndarray, np.ndarray]:
-    """Values and reference gradients of all nodal basis functions at one
-    barycentric point."""
-    elem = reference_element(dim, degree)
-    bary = np.asarray(point_bary, dtype=float)
-    vals, grads = elem.tabulate(bary[1:][None, :])
-    return vals[0], grads[0]
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Quadrature on the reference simplex, exact for total degree <= degree."""
@@ -122,11 +111,6 @@ class QuadratureRule:
     degree: int
     points_ref: np.ndarray   # (npts, d)
     weights: np.ndarray      # (npts,), sum = 1/d!
-
-    @property
-    def points_bary(self) -> np.ndarray:
-        lam0 = 1.0 - self.points_ref.sum(axis=1)
-        return np.column_stack([lam0, self.points_ref])
 
 
 def _gauss01(n: int):
@@ -176,7 +160,6 @@ class AffineMap:
     vertices: np.ndarray   # (d+1, d)
     jacobian: np.ndarray   # (d, d)
     det: float
-    inv_transpose: np.ndarray
 
     def to_physical(self, points_ref: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points_ref)
@@ -189,11 +172,4 @@ def affine_map(vertex_coords: np.ndarray) -> AffineMap:
     det = float(np.linalg.det(J))
     if abs(det) < 1e-14:
         raise ValueError("degenerate cell: |det J| < 1e-14")
-    return AffineMap(
-        vertices=verts, jacobian=J, det=det, inv_transpose=np.linalg.inv(J).T
-    )
-
-
-def push_gradients(amap: AffineMap, ref_gradients: np.ndarray) -> np.ndarray:
-    """Map reference gradients to physical ones: grad_x = J^{-T} grad_ref."""
-    return np.asarray(ref_gradients) @ amap.inv_transpose.T
+    return AffineMap(vertices=verts, jacobian=J, det=det)

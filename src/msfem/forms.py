@@ -22,7 +22,9 @@ div-div + curl-curl form.
 Nonlinear coefficients (|psi_h|^2, |A_h|^2, the probability current) are
 evaluated pointwise at the quadrature nodes of the assembled form, with the
 default degree 2r+2 (``quadrature_degree``) keeping the quadrature error
-below the scheme's spatial order.
+below the scheme's spatial order.  A weight or load coefficient is one of:
+None (the constant one), a callable of the points x, a ``FieldVector`` (its
+real part), or ``Abs2`` of a scalar field (|f_h|^2).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .space import FeSpace, FieldVector
 
 __all__ = [
     "Abs2",
-    "FieldPlusConstant",
+    "QuadratureTable",
     "assemble_mass",
     "assemble_stiffness",
     "assemble_D",
@@ -53,18 +55,11 @@ _CHUNK_ENTRY_BUDGET = 8_000_000
 
 
 class Abs2:
-    """Coefficient |f_h|^2 evaluated from a discrete (possibly complex) field."""
+    """Coefficient |f_h|^2 evaluated from a discrete (possibly complex) scalar
+    field."""
 
     def __init__(self, field_vec: FieldVector):
         self.field = field_vec
-
-
-class FieldPlusConstant:
-    """Coefficient f_h + c from a real discrete field and a constant."""
-
-    def __init__(self, field_vec: FieldVector, constant: float):
-        self.field = field_vec
-        self.constant = constant
 
 
 def quadrature_degree(degree: int, qdeg: int | None = None) -> int:
@@ -113,22 +108,15 @@ class QuadratureTable:
         return np.einsum("cqld,cle->cqed", self.grads[sl], local, optimize=True)
 
     def coefficient(self, coeff, sl: slice):
-        """Pointwise values of a coefficient at the quadrature nodes of the
-        cells ``sl``: None (one), a scalar, a discrete-field wrapper, or a
-        callable of x."""
+        """Pointwise values of a coefficient (see the module docstring) at
+        the quadrature nodes of the cells ``sl``."""
         if coeff is None:
             return np.ones_like(self.wdet[sl])
         if isinstance(coeff, Abs2):
             v = self.field_values(coeff.field, sl)
-            if v.ndim == 3:
-                return np.einsum("cqd,cqd->cq", v, v, optimize=True).real
             return (v * v.conj()).real
-        if isinstance(coeff, FieldPlusConstant):
-            return self.field_values(coeff.field, sl).real + coeff.constant
         if isinstance(coeff, FieldVector):
             return self.field_values(coeff, sl).real
-        if np.isscalar(coeff):
-            return np.full_like(self.wdet[sl], float(coeff))
         return np.asarray(coeff(self.x[sl]))
 
 
@@ -258,21 +246,21 @@ def assemble_D(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
     return _on_pattern(space, loc)
 
 
-def assemble_B(space: FeSpace, a_field: FieldVector, qdeg: int | None = None,
-               stiffness: sp.csr_array | None = None) -> sp.csr_array:
+def assemble_B(space: FeSpace, a_field: FieldVector, stiffness: sp.csr_array,
+               qdeg: int | None = None) -> sp.csr_array:
     """Magnetic Schrodinger form ((i grad + A) u, (i grad + A) v).
 
     Expanded as (grad u, grad v) + (|A|^2 u, v) + i (v grad u - u grad v, A);
     Hermitian and positive semidefinite for any real A field.  The gradient
-    term is A-independent; pass it as ``stiffness``, assembled on this space,
-    to skip reassembling it.
+    term is A-independent: ``stiffness`` is that form, assembled on this space
+    once, and only the A terms are assembled here.
     """
     if space.kind != "scalar" or space.dtype is not complex:
         raise ValueError("the magnetic form is assembled on a complex scalar space")
     if a_field.space.mesh is not space.mesh:
         raise ValueError("A-field lives on a different mesh")
     pat = space.pattern()
-    if stiffness is not None and not np.may_share_memory(stiffness.indices, pat.indices):
+    if not np.may_share_memory(stiffness.indices, pat.indices):
         raise ValueError("stiffness is not on the pattern of this space")
     nloc = space.element.node_count
     loc = np.empty((space.mesh.n_cells, nloc, nloc), dtype=complex)
@@ -282,14 +270,11 @@ def assemble_B(space: FeSpace, a_field: FieldVector, qdeg: int | None = None,
         a_q = tab.field_values(a_field, sl)                    # (c, q, d)
         a2 = np.einsum("cqd,cqd->cq", a_q, a_q, optimize=True)
         loc[sl] = _pairing((a2 * wdet)[:, :, None] * tab.vals[None], tab.vals)
-        if stiffness is None:
-            loc[sl] += _pairing(*_grad_rows(grads, wdet))
         a_dot_g = np.einsum("cqd,cqld->cql", a_q, grads, optimize=True)
         t = _pairing(wdet[:, :, None] * tab.vals[None], a_dot_g)
         loc[sl] += 1j * (t - np.swapaxes(t, 1, 2))
     values = pat.assemble(loc)
-    if stiffness is not None:
-        values += stiffness.data
+    values += stiffness.data
     return pat.matrix(values)
 
 
@@ -315,19 +300,17 @@ def assemble_current_load(space: FeSpace, psi_field: FieldVector,
     return out[:-1]
 
 
-def assemble_source_load(space: FeSpace, source, t: float | None = None,
-                         qdeg: int | None = None) -> np.ndarray:
-    """Load vector (s, v) for a source s(x) (or s(x, t) when t is given)."""
-    fn = source if t is None else (lambda x: source(x, t))
-    return assemble_coefficient_load(space, fn, qdeg=qdeg)
+def assemble_source_load(space: FeSpace, source, qdeg: int | None = None) -> np.ndarray:
+    """Load vector (s, v) for a source s(x)."""
+    return assemble_coefficient_load(space, source, qdeg=qdeg)
 
 
 def assemble_coefficient_load(space: FeSpace, coeff,
                               qdeg: int | None = None) -> np.ndarray:
     """Load vector of a pointwise coefficient against the space's test basis.
 
-    Scalar spaces take scalar coefficients, vector spaces d-vector ones.
-    Coefficients may be callables of x or the discrete-field wrappers.
+    Scalar spaces take the coefficients of the module docstring, vector
+    spaces callables of x that return d-vectors.
     """
     _check_coeff_mesh(space, coeff)
     out = np.zeros(space.n_dofs + 1,

@@ -15,23 +15,11 @@ import numpy as np
 
 __all__ = [
     "Mesh",
-    "BoundaryFacet",
     "build_structured",
-    "boundary_facets",
-    "mesh_size",
 ]
 
 # Permutations defining the Kuhn (Freudenthal) split of a cube into 6 tets.
 _KUHN_PERMS = list(itertools.permutations(range(3)))
-
-
-@dataclass(frozen=True)
-class BoundaryFacet:
-    """One boundary facet: its vertex indices, owning cell and outward normal."""
-
-    vertices: tuple[int, ...]
-    cell: int
-    normal: np.ndarray
 
 
 @dataclass
@@ -39,7 +27,8 @@ class Mesh:
     """Simplicial partition of (0,1)^d with lattice-exact vertex coordinates.
 
     ``vertices_int`` holds the integer lattice coordinates (vertex = int/M);
-    ``cells`` are (d+1)-tuples of vertex indices with positive orientation.
+    ``cells`` are (d+1)-tuples of vertex indices with positive orientation;
+    ``h`` is the longest cell edge, the grid-cube diagonal sqrt(d)/M.
     Instances are immutable by convention; geometry caches are filled lazily.
     """
 
@@ -81,11 +70,6 @@ class Mesh:
         _, _, det = self.jacobians()
         fact = 2.0 if self.dim == 2 else 6.0
         return det / fact
-
-    def boundary(self) -> list[BoundaryFacet]:
-        if "bnd" not in self._geom:
-            self._geom["bnd"] = _extract_boundary(self)
-        return self._geom["bnd"]
 
 
 def build_structured(dim: int, M: int) -> Mesh:
@@ -159,51 +143,3 @@ def _perm_sign(perm) -> int:
             if p[i] > p[j]:
                 sign = -sign
     return sign
-
-
-def mesh_size(mesh: Mesh) -> float:
-    """Max cell diameter (longest edge over all cells)."""
-    coords = mesh.cell_vertex_coords()
-    nloc = mesh.dim + 1
-    hmax = 0.0
-    for i in range(nloc):
-        for j in range(i + 1, nloc):
-            e = coords[:, i, :] - coords[:, j, :]
-            hmax = max(hmax, float(np.sqrt((e * e).sum(axis=1)).max()))
-    return hmax
-
-
-def _extract_boundary(mesh: Mesh) -> list[BoundaryFacet]:
-    dim = mesh.dim
-    nloc = dim + 1
-    facet_of = {}
-    for c in range(mesh.n_cells):
-        cell = mesh.cells[c]
-        for drop in range(nloc):
-            fverts = tuple(sorted(int(v) for i, v in enumerate(cell) if i != drop))
-            facet_of.setdefault(fverts, []).append(c)
-
-    M = mesh.subdivisions
-    out = []
-    for fverts, owners in facet_of.items():
-        if len(owners) != 1:
-            continue
-        ints = mesh.vertices_int[list(fverts)]
-        normal = None
-        for a in range(dim):
-            if np.all(ints[:, a] == 0):
-                normal = np.zeros(dim)
-                normal[a] = -1.0
-            elif np.all(ints[:, a] == M):
-                normal = np.zeros(dim)
-                normal[a] = 1.0
-        if normal is None:
-            raise AssertionError(f"boundary facet {fverts} not on an axis plane")
-        out.append(BoundaryFacet(vertices=fverts, cell=owners[0], normal=normal))
-    out.sort(key=lambda f: f.vertices)
-    return out
-
-
-def boundary_facets(mesh: Mesh) -> list[BoundaryFacet]:
-    """All facets on x_i in {0,1}, each with its outward axis-aligned normal."""
-    return mesh.boundary()

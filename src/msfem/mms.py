@@ -30,6 +30,10 @@ __all__ = [
     "paper_case",
     "analogue_2d",
     "make_case",
+    "current_density",
+    "source_f",
+    "source_g",
+    "source_l",
     "sources",
     "fd_sources",
     "source_gate",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms, mms, sparsela
-from .mesh import Mesh, build_structured
+from .mesh import build_structured
 from .space import FeSpace, FieldVector, build_scalar_space, build_vector_space, interpolate
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "RunResult",
     "AlternatingStepper",
     "SchemeError",
+    "build_spaces",
     "snapshot_record",
 ]
 
@@ -111,8 +112,8 @@ class RunResult:
     solve_iterations: int
 
 
-def build_spaces(config: SchemeConfig, mesh: Mesh | None = None) -> Spaces:
-    mesh = mesh or build_structured(config.dim, config.M)
+def build_spaces(config: SchemeConfig) -> Spaces:
+    mesh = build_structured(config.dim, config.M)
     return Spaces(
         psi=build_scalar_space(mesh, config.degree, complex_field=True),
         A=build_vector_space(mesh, config.degree),
@@ -127,12 +128,9 @@ class AlternatingStepper:
     built as a linear combination of ``data`` arrays on that pattern.
     """
 
-    def __init__(self, config: SchemeConfig, case: "mms.ManufacturedCase | None" = None,
-                 spaces: Spaces | None = None):
+    def __init__(self, config: SchemeConfig, spaces: Spaces | None = None):
         self.config = config
-        if case is None and config.mode == "mms":
-            case = mms.make_case(config.dim, config.v0)
-        self.case = case
+        self.case = mms.make_case(config.dim, config.v0) if config.mode == "mms" else None
         self.spaces = spaces or build_spaces(config)
         self.mesh = self.spaces.psi.mesh
         self.mass_psi = forms.assemble_mass(self.spaces.psi)
@@ -186,8 +184,7 @@ class AlternatingStepper:
                 phi0=lambda x: case.phi(x, 0.0),
                 phi1=lambda x: case.phi_t(x, 0.0),
             )
-        dim = self.config.dim
-        psi_case = case or mms.make_case(dim, self.config.v0)
+        psi_case = mms.make_case(self.config.dim, self.config.v0)
         zero_s = lambda x: np.zeros(x.shape[:-1])
         zero_v = lambda x: np.zeros(x.shape)
         return InitialData(psi0=lambda x: psi_case.psi(x, 0.0),
@@ -256,10 +253,10 @@ class AlternatingStepper:
         a_bar = FieldVector(self.spaces.A, 0.5 * (a_new.data + state.a.data))
         phi_bar = FieldVector(self.spaces.phi, 0.5 * (phi_new.data + state.phi.data))
         pattern = self.spaces.psi.pattern()
-        K_B = forms.assemble_B(self.spaces.psi, a_bar, stiffness=self.stiff_psi)
-        M_w = forms.assemble_weighted_mass(
-            self.spaces.psi, forms.FieldPlusConstant(phi_bar, cfg.v0))
-        H_half = pattern.matrix(0.25 * K_B.data + 0.5 * M_w.data)
+        K_B = forms.assemble_B(self.spaces.psi, a_bar, self.stiff_psi)
+        M_w = forms.assemble_weighted_mass(self.spaces.psi, phi_bar)   # (phi_bar u, v)
+        H_half = pattern.matrix(
+            0.25 * K_B.data + 0.5 * (M_w.data + cfg.v0 * self.mass_psi.data))
         lhs = pattern.matrix(-1j / dt * self.mass_psi.data + H_half.data)
         rhs = (-1j / dt) * (self.mass_psi @ state.psi.data) - H_half @ state.psi.data
         f = self._source(mms.source_f, state.t + 0.5 * dt)
@@ -287,13 +284,13 @@ class AlternatingStepper:
         v = state.psi.data
         return math.sqrt(abs(np.vdot(v, self.mass_psi @ v).real))
 
-    def run(self, snapshot_steps=(), data: InitialData | None = None,
-            collect_errors: bool | None = None) -> RunResult:
-        """Execute all configured steps, recording norms and snapshot errors."""
+    def run(self, snapshot_steps=()) -> RunResult:
+        """Execute all configured steps, recording norms, and at the snapshot
+        steps the snapshot records and, in verification mode, the errors."""
         cfg = self.config
-        collect = cfg.mode == "mms" if collect_errors is None else collect_errors
+        collect = cfg.mode == "mms"
         t0 = time.perf_counter()
-        state = self.initialize(data)
+        state = self.initialize()
         snap_at = set(int(s) for s in snapshot_steps)
         report = mms.ErrorReport(h=self.mesh.h, dt=cfg.dt, M=cfg.M,
                                  degree=cfg.degree) if collect else None
@@ -345,12 +342,3 @@ def snapshot_record(stepper: AlternatingStepper, state: FieldState) -> dict:
         "A_hash": _checksum(state.a.data),
         "phi_hash": _checksum(state.phi.data),
     }
-
-
-def format_snapshots(snapshots) -> str:
-    cols = ["k", "t", "psi_l2", "A_l2", "phi_l2", "psi_hash", "A_hash", "phi_hash"]
-    lines = ["\t".join(cols)]
-    for s in snapshots:
-        lines.append("\t".join(
-            f"{s[c]:.12e}" if isinstance(s[c], float) else str(s[c]) for c in cols))
-    return "\n".join(lines) + "\n"

@@ -110,9 +110,6 @@ class FieldVector:
     space: FeSpace
     data: np.ndarray
 
-    def copy(self) -> "FieldVector":
-        return FieldVector(self.space, self.data.copy())
-
     def nodal_values(self) -> np.ndarray:
         """Per-(node, comp) values including the constrained zeros."""
         out = np.zeros((self.space.n_nodes, self.space.ncomp), dtype=self.data.dtype)
@@ -191,22 +188,24 @@ def _finish_space(mesh, degree, kind, dtype, ncomp, constrained_space,
     )
 
 
-def interpolate(space: FeSpace, fn, *, check: bool = True,
-                tol: float = 1e-10) -> FieldVector:
+def interpolate(space: FeSpace, fn) -> FieldVector:
     """Pointwise nodal interpolation of ``fn(x)`` onto the space.
 
-    With ``check`` on, a nonzero value (beyond ``tol``) at a constrained
+    ``fn`` is vectorised: it maps the (nodes, d) array of node coordinates to
+    (nodes,) values on scalar spaces and (nodes, d) on vector ones; any other
+    shape raises ValueError.  A nonzero value (beyond 1e-10) at a constrained
     (node, component) raises BoundaryValueError instead of being dropped.
     """
     vals = np.asarray(fn(space.nodes))
     expected = (space.n_nodes,) if space.kind == "scalar" else (space.n_nodes, space.ncomp)
     if vals.shape != expected:
-        vals = np.array([fn(x) for x in space.nodes])
+        raise ValueError(f"interpolation target returned shape {vals.shape}, "
+                         f"expected {expected}")
     vals = vals.reshape(space.n_nodes, space.ncomp)
-    if check and space.constrained.any():
+    if space.constrained.any():
         bad = np.abs(vals) * space.constrained
         worst = bad.max()
-        if worst > tol:
+        if worst > 1e-10:
             n, c = np.unravel_index(int(bad.argmax()), bad.shape)
             raise BoundaryValueError(
                 f"interpolation target violates constraint at node {n} "

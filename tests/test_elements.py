@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from msfem import elements as el
+from msfem import forms
+from msfem.mesh import Mesh
 
 
 def bary_monomial_integral(exponents):
@@ -17,6 +19,11 @@ def bary_monomial_integral(exponents):
     d = len(a) - 1
     num = math.prod(math.factorial(k) for k in a)
     return num * math.factorial(d) / math.factorial(sum(a) + d) / math.factorial(d)
+
+
+def barycentric(points_ref):
+    """Barycentric coordinates (1 - sum x, x) of reference points."""
+    return np.column_stack([1.0 - points_ref.sum(axis=1), points_ref])
 
 
 def random_simplex_points(dim, n, rng):
@@ -49,13 +56,6 @@ def test_node_counts():
     assert el.reference_element(3, 2).node_count == 10
 
 
-def test_p1_vertex_values_are_unit_vectors():
-    elem = el.reference_element(2, 1)
-    for i in range(3):
-        vals, _ = el.reference_basis(2, 1, elem.nodes_bary[i])
-        assert np.allclose(vals, np.eye(3)[i], atol=1e-15)
-
-
 def test_degree_rejection():
     with pytest.raises(ValueError):
         el.reference_element(2, 3)
@@ -72,7 +72,7 @@ def test_quadrature_weight_sums(dim):
 
 def test_quadrature_lambda1_lambda2():
     rule = el.quadrature_rule(2, 2)
-    lam = rule.points_bary
+    lam = barycentric(rule.points_ref)
     val = (rule.weights * lam[:, 1] * lam[:, 2]).sum()
     assert val == pytest.approx(bary_monomial_integral((0, 1, 1)), rel=1e-13)
 
@@ -81,7 +81,7 @@ def test_quadrature_lambda1_lambda2():
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_quadrature_monomial_exactness(dim, q):
     rule = el.quadrature_rule(dim, q)
-    lam = rule.points_bary
+    lam = barycentric(rule.points_ref)
     for total in range(q + 1):
         for combo in itertools.combinations_with_replacement(range(dim + 1), total):
             a = [combo.count(i) for i in range(dim + 1)]
@@ -97,32 +97,18 @@ def test_quadrature_degree_rejection():
         el.quadrature_rule(2, -1)
 
 
-def test_push_gradients_identity_cell():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    amap = el.affine_map(verts)
-    _, grads = el.reference_basis(2, 1, (1 / 3, 1 / 3, 1 / 3))
-    assert np.allclose(el.push_gradients(amap, grads), grads, atol=1e-15)
-
-
-def test_push_gradients_uniform_scaling():
-    s = 0.25
-    verts = s * np.array([[0.0, 0.0, 0.0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    amap = el.affine_map(verts)
-    _, grads = el.reference_basis(3, 1, (0.25, 0.25, 0.25, 0.25))
-    assert np.allclose(el.push_gradients(amap, grads), grads / s, rtol=1e-13)
-
-
 def test_p1_gradients_match_vandermonde_solve():
     rng = np.random.default_rng(3)
     verts = rng.random((4, 3)) * [[1, 1, 1]] + np.eye(4)[:, :3] * 2  # non-degenerate
-    amap = el.affine_map(verts)
-    _, gref = el.reference_basis(3, 1, (0.25, 0.25, 0.25, 0.25))
-    gphys = el.push_gradients(amap, gref)
+    # off the lattice: vertices_int is a placeholder the table does not read
+    mesh = Mesh(dim=3, subdivisions=1, vertices_int=np.zeros((4, 3), dtype=int),
+                vertices=verts, cells=np.array([[0, 1, 2, 3]]), h=1.0)
+    grads = forms.quadrature_table(mesh, 1).grads[0]   # (q, nloc, d)
     # oracle: linear nodal basis via the 4x4 Vandermonde system
     V = np.hstack([np.ones((4, 1)), verts])
     for i in range(4):
         coeffs = np.linalg.solve(V, np.eye(4)[i])
-        assert np.allclose(gphys[i], coeffs[1:], atol=1e-12)
+        assert np.allclose(grads[:, i], coeffs[1:], atol=1e-12)
 
 
 def test_degenerate_cell_rejected():

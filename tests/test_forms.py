@@ -5,7 +5,7 @@ import oracles
 from msfem import forms, mms
 from msfem.mesh import Mesh, build_structured
 from msfem.space import (FieldVector, build_scalar_space, build_vector_space,
-                         interpolate)
+                         evaluate, interpolate, locate_points)
 
 
 def single_triangle_mesh():
@@ -44,9 +44,9 @@ def test_mass_total_measure():
 
 def test_weighted_mass_zero_and_unit_weight():
     space = build_scalar_space(build_structured(2, 2), 2)
-    Z = forms.assemble_weighted_mass(space, 0.0)
+    Z = forms.assemble_weighted_mass(space, lambda x: np.zeros(x.shape[:-1]))
     assert Z.nnz == 0 or np.max(np.abs(Z.toarray())) == 0.0
-    W1 = forms.assemble_weighted_mass(space, 1.0).toarray()
+    W1 = forms.assemble_weighted_mass(space, lambda x: np.ones(x.shape[:-1])).toarray()
     M = forms.assemble_mass(space).toarray()
     assert np.allclose(W1, M, atol=1e-13)
 
@@ -112,9 +112,9 @@ def test_B_reduces_to_stiffness_for_zero_A():
     mesh = build_structured(2, 3)
     cspace = build_scalar_space(mesh, 2, complex_field=True)
     vspace = build_vector_space(mesh, 2)
-    B = forms.assemble_B(cspace, vspace.new_field()).toarray()
-    K = forms.assemble_stiffness(cspace).toarray()
-    assert np.max(np.abs(B - K)) <= 1e-13
+    K = forms.assemble_stiffness(cspace)
+    B = forms.assemble_B(cspace, vspace.new_field(), K).toarray()
+    assert np.max(np.abs(B - K.toarray())) <= 1e-13
 
 
 def test_B_hermitian_for_random_A():
@@ -123,7 +123,7 @@ def test_B_hermitian_for_random_A():
     cspace = build_scalar_space(mesh, 1, complex_field=True)
     vspace = build_vector_space(mesh, 1)
     a = FieldVector(vspace, rng.standard_normal(vspace.n_dofs))
-    B = forms.assemble_B(cspace, a).toarray()
+    B = forms.assemble_B(cspace, a, forms.assemble_stiffness(cspace)).toarray()
     assert np.max(np.abs(B - B.conj().T)) <= 1e-12
 
 
@@ -133,7 +133,7 @@ def test_B_quadratic_form_real_nonnegative():
     cspace = build_scalar_space(mesh, 1, complex_field=True)
     vspace = build_vector_space(mesh, 1)
     a = FieldVector(vspace, rng.standard_normal(vspace.n_dofs))
-    B = forms.assemble_B(cspace, a)
+    B = forms.assemble_B(cspace, a, forms.assemble_stiffness(cspace))
     for _ in range(100):
         psi = rng.standard_normal(cspace.n_dofs) + 1j * rng.standard_normal(cspace.n_dofs)
         val = np.vdot(psi, B @ psi)
@@ -159,7 +159,7 @@ def test_B_energy_matches_independent_quadrature():
 
     psi = interpolate(cspace, psi_fn)
     a = interpolate(vspace, A_fn)
-    B = forms.assemble_B(cspace, a)
+    B = forms.assemble_B(cspace, a, forms.assemble_stiffness(cspace))
     energy = np.vdot(psi.data, B @ psi.data).real
 
     # independent path: evaluate the discrete fields cellwise on a degree-12
@@ -283,13 +283,23 @@ def test_oracle_equivalence_B_and_weighted(dim, M, r, monkeypatch):
     vspace = build_vector_space(mesh, r)
     a = FieldVector(vspace, rng.standard_normal(vspace.n_dofs))
     qdeg = 2 * r + 2
+    # a real scalar field as the weight, as the potential term of the psi step
+    phi = FieldVector(build_scalar_space(mesh, r), rng.standard_normal(cspace.n_dofs))
+
+    def phi_at(x):
+        cells, refs = locate_points(mesh, x)
+        return evaluate(phi, cells[0], refs[0])
+
     B2 = oracles.naive_B(cspace, a, qdeg)
     W2 = oracles.naive_weighted_mass(vspace, lambda x: np.cos(x[0]), qdeg)
+    P2 = oracles.naive_weighted_mass(cspace, phi_at, qdeg)
     for _ in chunk_budgets(monkeypatch):
-        B1 = forms.assemble_B(cspace, a).toarray()
+        B1 = forms.assemble_B(cspace, a, forms.assemble_stiffness(cspace)).toarray()
         assert np.max(np.abs(B1 - B2)) <= 1e-12
         W1 = forms.assemble_weighted_mass(vspace, lambda x: np.cos(x[..., 0])).toarray()
         assert np.max(np.abs(W1 - W2)) <= 1e-12
+        P1 = forms.assemble_weighted_mass(cspace, phi).toarray()
+        assert np.max(np.abs(P1 - P2)) <= 1e-12
 
 
 @pytest.mark.parametrize("dim,M,r", CASES)
@@ -328,7 +338,7 @@ def test_one_quadrature_table_per_degree_and_qdeg(monkeypatch):
     forms.assemble_D(vspace)
     forms.assemble_weighted_mass(vspace, forms.Abs2(psi))
     forms.assemble_current_load(vspace, psi)
-    forms.assemble_B(cspace, vspace.new_field())
+    forms.assemble_B(cspace, vspace.new_field(), forms.assemble_stiffness(cspace))
     forms.assemble_mass(p2space)
     forms.assemble_mass(cspace, qdeg=2)
     forms.assemble_coefficient_load(cspace, forms.Abs2(psi), qdeg=2)
@@ -347,4 +357,4 @@ def test_mesh_mismatch_rejected():
     cspace = build_scalar_space(mesh_a, 1, complex_field=True)
     vspace = build_vector_space(mesh_b, 1)
     with pytest.raises(ValueError):
-        forms.assemble_B(cspace, vspace.new_field())
+        forms.assemble_B(cspace, vspace.new_field(), forms.assemble_stiffness(cspace))

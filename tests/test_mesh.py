@@ -36,42 +36,10 @@ def test_cell_count_formula_and_positive_volumes(dim, M):
     assert abs(vols.sum() - 1.0) <= 1e-12
 
 
-def test_boundary_facet_counts():
-    assert len(mmesh.boundary_facets(mmesh.build_structured(2, 1))) == 4
-    assert len(mmesh.boundary_facets(mmesh.build_structured(3, 1))) == 12
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_boundary_normals_axis_aligned_outward(dim):
-    m = mmesh.build_structured(dim, 2)
-    for f in mmesh.boundary_facets(m):
-        n = f.normal
-        assert np.sum(np.abs(n)) == 1.0           # +-e_i
-        coords = m.vertices[list(f.vertices)]
-        axis = int(np.argmax(np.abs(n)))
-        plane = coords[0, axis]
-        assert plane in (0.0, 1.0)
-        assert np.all(coords[:, axis] == plane)
-        assert n[axis] == (1.0 if plane == 1.0 else -1.0)
-        # points out of the owning cell
-        centroid = m.vertices[m.cells[f.cell]].mean(axis=0)
-        assert (coords[0] - centroid) @ n > 0
-
-
-def test_facet_on_x1_zero_has_minus_e1_normal():
-    m = mmesh.build_structured(3, 2)
-    found = False
-    for f in mmesh.boundary_facets(m):
-        coords = m.vertices[list(f.vertices)]
-        if np.all(coords[:, 0] == 0.0):
-            found = True
-            assert np.allclose(f.normal, [-1.0, 0.0, 0.0])
-    assert found
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 def test_interior_facets_shared_by_two_cells(dim):
-    m = mmesh.build_structured(dim, 2)
+    M = 2
+    m = mmesh.build_structured(dim, M)
     counts = {}
     for c in range(m.n_cells):
         cell = m.cells[c]
@@ -80,20 +48,19 @@ def test_interior_facets_shared_by_two_cells(dim):
             counts[key] = counts.get(key, 0) + 1
     n_boundary = sum(1 for v in counts.values() if v == 1)
     assert set(counts.values()) <= {1, 2}
-    assert n_boundary == len(mmesh.boundary_facets(m))
-
-
-def test_mesh_size_values():
-    assert mmesh.mesh_size(mmesh.build_structured(2, 1)) == pytest.approx(np.sqrt(2), abs=1e-15)
-    assert mmesh.mesh_size(mmesh.build_structured(3, 1)) == pytest.approx(np.sqrt(3), abs=1e-15)
-    assert mmesh.mesh_size(mmesh.build_structured(2, 2)) == pytest.approx(np.sqrt(2) / 2, abs=1e-15)
+    # M edges on each of the 4 sides of the square, 2M^2 triangles on each
+    # of the 6 faces of the cube
+    assert n_boundary == (4 * M if dim == 2 else 12 * M ** 2)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_doubling_m_halves_mesh_size(dim):
-    h1 = mmesh.mesh_size(mmesh.build_structured(dim, 2))
-    h2 = mmesh.mesh_size(mmesh.build_structured(dim, 4))
-    assert h2 == pytest.approx(h1 / 2, rel=1e-14)
+def test_h_is_longest_cell_edge(dim):
+    for M in (1, 2, 4):
+        m = mmesh.build_structured(dim, M)
+        coords = m.cell_vertex_coords()
+        longest = max(np.linalg.norm(coords[:, i] - coords[:, j], axis=1).max()
+                      for i in range(dim + 1) for j in range(i + 1, dim + 1))
+        assert m.h == pytest.approx(longest, rel=1e-14)
 
 
 def test_vertices_exact_lattice_multiples():

@@ -76,7 +76,7 @@ def test_forms_and_step_matrices_share_the_space_pattern(dim, r, monkeypatch):
     rng = np.random.default_rng(0)
     a = FieldVector(sp.A, rng.standard_normal(sp.A.n_dofs))
     for m in (st.mass_psi, st.stiff_psi, st.phi_system,
-              forms.assemble_B(sp.psi, a), forms.assemble_B(sp.psi, a, stiffness=st.stiff_psi),
+              forms.assemble_B(sp.psi, a, st.stiff_psi),
               forms.assemble_weighted_mass(sp.psi, forms.Abs2(state.psi))):
         assert on_pattern(m, sp.psi)
     for m in (st.mass_phi, st.stiff_phi):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from msfem import space as sp
-from msfem.mesh import boundary_facets, build_structured
+from msfem.mesh import build_structured
 
 
 def test_scalar_free_dof_counts():
@@ -89,6 +89,16 @@ def test_interpolate_flags_constraint_violation():
         sp.interpolate(space, lambda x: x[..., 0])
 
 
+def test_interpolate_rejects_wrongly_shaped_target():
+    m = build_structured(2, 2)
+    scalar = sp.build_scalar_space(m, 1, dirichlet=False)
+    with pytest.raises(ValueError, match=r"returned shape \(\), expected \(9,\)"):
+        sp.interpolate(scalar, lambda x: 1.0)
+    vector = sp.build_vector_space(m, 1, constrained=False)
+    with pytest.raises(ValueError, match=r"returned shape \(9,\), expected \(9, 2\)"):
+        sp.interpolate(vector, lambda x: x[..., 0])
+
+
 def test_paper_vector_potential_at_half_time_is_zero():
     # cos(pi * 1/2) = 0, so the t=1/2 snapshot interpolates to the zero field
     m = build_structured(3, 2)
@@ -130,16 +140,15 @@ def test_tangential_trace_vanishes_on_boundary():
         m = build_structured(dim, 2)
         space = sp.build_vector_space(m, 2)
         f = sp.FieldVector(space, rng.standard_normal(space.n_dofs))
-        for facet in boundary_facets(m)[::3]:
-            coords = m.vertices[list(facet.vertices)]
-            axis = int(np.argmax(np.abs(facet.normal)))
-            for _ in range(4):
-                lam = rng.dirichlet(np.ones(dim))
-                x = lam @ coords
-                cells, refs = sp.locate_points(m, x[None, :])
-                v = sp.evaluate(f, cells[0], refs[0])
-                tang = [v[c] for c in range(dim) if c != axis]
-                assert np.max(np.abs(tang)) < 1e-13
+        for axis in range(dim):
+            for side in (0.0, 1.0):
+                pts = rng.random((8, dim))
+                pts[:, axis] = side
+                cells, refs = sp.locate_points(m, pts)
+                for c, ref in zip(cells, refs):
+                    v = sp.evaluate(f, c, ref)
+                    tang = np.delete(v, axis)
+                    assert np.max(np.abs(tang)) < 1e-13
 
 
 def test_complex_scalar_space_dtype():

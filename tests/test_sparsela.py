@@ -40,12 +40,6 @@ def test_solve_spd_cg_failure_carries_report():
     assert exc.value.report.method == "cg-jacobi"
 
 
-def test_solve_spd_symmetry_check():
-    A = csr_array(([1.0], ([0], [1])), shape=(2, 2))
-    with pytest.raises(ValueError):
-        sla.solve_spd(A, np.ones(2), check_symmetry=True)
-
-
 def test_solve_complex_identity_and_diagonal():
     I = csr_array(np.eye(2, dtype=complex))
     b = np.array([1.0 + 1j, -2.0])
@@ -117,3 +111,26 @@ def test_solve_complex_singular_and_nan_raise_solve_error():
     for precond in (None, identity):
         with pytest.raises(sla.SolveError):
             sla.solve_complex(nan, np.ones(A.shape[0], dtype=complex), precond=precond)
+
+
+def test_stalled_gmres_falls_back_to_lu_after_one_restart_cycle():
+    # indefinite Helmholtz-like system on which unpreconditioned GMRES stalls
+    space = build_scalar_space(build_structured(2, 32), 1, complex_field=True)
+    M = assemble_mass(space)
+    A = 0.25 * assemble_stiffness(space) - 2000.0 * M - 1e-3j * M
+    b = np.random.default_rng(0).standard_normal(A.shape[0]).astype(complex)
+    # GMRES_MAX_ITERATIONS inner iterations apply the preconditioner that
+    # many times, plus twice on the right-hand side and the initial residual
+    limit = sla.GMRES_MAX_ITERATIONS + 2
+    applied = []
+
+    def counting(r):
+        applied.append(1)
+        assert len(applied) <= limit, "GMRES ran past one restart cycle"
+        return r
+
+    x, rep = sla.solve_complex(A, b, precond=counting)
+    assert len(applied) <= limit
+    assert rep.method == "direct-lu"
+    assert rep.residual <= sla.DIRECT_RESIDUAL_FLOOR
+    assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= sla.DIRECT_RESIDUAL_FLOOR
