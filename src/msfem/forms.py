@@ -20,9 +20,13 @@ forms use the diagonal component blocks of the same pattern as the
 div-div + curl-curl form.
 
 Nonlinear coefficients (|psi_h|^2, |A_h|^2, the probability current) are
-evaluated pointwise at the quadrature nodes of the assembled form, with the
-default degree 2r+2 (``quadrature_degree``) keeping the quadrature error
-below the scheme's spatial order.  A weight or load coefficient is one of:
+evaluated pointwise at the quadrature nodes of the assembled form.  The
+coefficient forms (mass, ``B``, weighted mass) and the loads share the default
+degree 2r+2 (``quadrature_degree``), which keeps the quadrature error below
+the scheme's spatial order.  The gradient-only forms (stiffness, ``D``)
+integrate products of two gradients of degree r-1, which degree 2(r-1)
+integrates exactly on affine cells: one point per P1 cell.  A weight or load
+coefficient is one of:
 None (the constant one), a callable of the points x, a ``FieldVector`` (its
 real part), or ``Abs2`` of a scalar field (|f_h|^2).
 """
@@ -63,8 +67,16 @@ class Abs2:
 
 
 def quadrature_degree(degree: int, qdeg: int | None = None) -> int:
-    """Quadrature degree for degree-r elements: ``qdeg`` if given, else 2r+2."""
+    """Quadrature degree of the coefficient forms and loads for degree-r
+    elements: ``qdeg`` if given, else 2r+2.  The gradient-only forms use
+    ``_gradient_degree`` (2(r-1)) instead."""
     return 2 * degree + 2 if qdeg is None else qdeg
+
+
+def _gradient_degree(degree: int, qdeg: int | None = None) -> int:
+    """Quadrature degree of the gradient-only forms: ``qdeg`` if given, else
+    2(r-1), exact for a product of two degree-(r-1) gradients on affine cells."""
+    return 2 * (degree - 1) if qdeg is None else qdeg
 
 
 def _chunks(n_cells: int, per_cell_entries: int):
@@ -184,12 +196,12 @@ def assemble_weighted_mass(space: FeSpace, weight, qdeg: int | None = None) -> s
 
 
 def assemble_stiffness(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
-    """Scalar stiffness (grad u, grad v)."""
+    """Scalar stiffness (grad u, grad v), by default at degree 2(r-1)."""
     if space.kind != "scalar":
         raise ValueError("stiffness is assembled on scalar spaces")
     nloc = space.element.node_count
     loc = np.empty((space.mesh.n_cells, nloc, nloc))
-    tab = quadrature_table(space.mesh, space.degree, qdeg)
+    tab = quadrature_table(space.mesh, space.degree, _gradient_degree(space.degree, qdeg))
     for sl in _chunks(space.mesh.n_cells, nloc * nloc):
         loc[sl] = _pairing(*_grad_rows(tab.grads[sl], tab.wdet[sl]))
     return _on_pattern(space, loc)
@@ -226,14 +238,15 @@ def _curl_rows(grads: np.ndarray, dim: int) -> np.ndarray:
 def assemble_D(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
     """Grad-div plus curl-curl form (div u, div v) + (curl u, curl v).
 
-    In 2D the curl is the scalar d1 u2 - d2 u1.
+    In 2D the curl is the scalar d1 u2 - d2 u1.  The default quadrature
+    degree is 2(r-1), exact for this gradient-only integrand.
     """
     if space.kind != "vector":
         raise ValueError("the div-div + curl-curl form needs a vector space")
     d = space.mesh.dim
     nloc = space.element.node_count
     loc = np.empty((space.mesh.n_cells, nloc * d, nloc * d))
-    tab = quadrature_table(space.mesh, space.degree, qdeg)
+    tab = quadrature_table(space.mesh, space.degree, _gradient_degree(space.degree, qdeg))
     for sl in _chunks(space.mesh.n_cells, (nloc * d) ** 2):
         grads, wdet = tab.grads[sl], tab.wdet[sl]
         nc, nq = wdet.shape

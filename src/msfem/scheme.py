@@ -7,10 +7,14 @@ against the time-averaged new potentials.  The wave-step matrices are SPD;
 the wave-function step is a Cayley-type map that conserves the discrete L2
 norm exactly when sources vanish.
 
-Source sampling in verification mode: the wave equations are centered at the
-previous time level (their second differences and two-level averages are),
-so their sources are evaluated at t_{k-1}; the wave-function step is centered
-at the half level and takes its source at t_{k-1/2}.
+Sources in verification mode: every manufactured source is a sum of time
+amplitudes times spatial shapes, sum_j c_j(t) s_j(x) (``mms.ManufacturedCase``
+``f_terms``/``g_terms``/``l_terms``).  The stepper assembles each load
+(s_j, v) once, and a step's source load is sum_j c_j(t) (s_j, v).  The wave
+equations are centered at the previous time level (their second differences
+and two-level averages are), so their sources are sampled at t_{k-1}; the
+wave-function step is centered at the half level and takes its source at
+t_{k-1/2}.
 """
 
 from __future__ import annotations
@@ -146,6 +150,13 @@ class AlternatingStepper:
         self.solve_iterations = 0
         if self.spaces.psi.n_dofs > _DIRECT_COMPLEX_LIMIT:
             self._psi_precond = self._build_psi_preconditioner()
+        self._source_loads = {}
+        if self.case is not None:
+            for name, space, terms in (("f", self.spaces.psi, self.case.f_terms),
+                                       ("g", self.spaces.A, self.case.g_terms),
+                                       ("l", self.spaces.phi, self.case.l_terms)):
+                self._source_loads[name] = [(c, forms.assemble_source_load(space, s))
+                                            for c, s in terms]
 
     def _build_psi_preconditioner(self):
         """ILU of the step-independent part of the wave-function system.
@@ -164,13 +175,10 @@ class AlternatingStepper:
 
     # ---- sources -----------------------------------------------------------
 
-    def _source(self, source, t: float):
-        """``source(case, x, t)`` (one of ``mms.source_*``) as a closure of x
-        at time t, or None outside verification mode."""
-        if self.config.mode != "mms":
-            return None
-        case = self.case
-        return lambda x: source(case, x, t)
+    def source_load(self, name: str, t: float) -> np.ndarray:
+        """Load vector of the manufactured source ``name`` ('f', 'g' or 'l')
+        at time t: sum_j c_j(t) (s_j, v) over the precomputed loads."""
+        return sum(c(t) * load for c, load in self._source_loads[name])
 
     # ---- initialization ----------------------------------------------------
 
@@ -217,9 +225,8 @@ class AlternatingStepper:
         rhs = (self.mass_vec @ (2.0 * state.a.data - state.a_prev.data) / dt ** 2
                - 0.5 * (DW @ state.a_prev.data)
                - forms.assemble_current_load(self.spaces.A, state.psi))
-        g = self._source(mms.source_g, state.t)
-        if g is not None:
-            rhs = rhs + forms.assemble_source_load(self.spaces.A, g)
+        if self.case is not None:
+            rhs = rhs + self.source_load("g", state.t)
         try:
             x, rep = sparsela.solve_spd(system, rhs, cfg.tol)
         except sparsela.SolveError as err:
@@ -235,9 +242,8 @@ class AlternatingStepper:
                - 0.5 * (self.stiff_phi @ state.phi_prev.data)
                + forms.assemble_coefficient_load(self.spaces.phi,
                                                  forms.Abs2(state.psi)).real)
-        l = self._source(mms.source_l, state.t)
-        if l is not None:
-            rhs = rhs + forms.assemble_source_load(self.spaces.phi, l).real
+        if self.case is not None:
+            rhs = rhs + self.source_load("l", state.t)
         try:
             x, rep = sparsela.solve_spd(self.phi_system, rhs, cfg.tol)
         except sparsela.SolveError as err:
@@ -259,9 +265,8 @@ class AlternatingStepper:
             0.25 * K_B.data + 0.5 * (M_w.data + cfg.v0 * self.mass_psi.data))
         lhs = pattern.matrix(-1j / dt * self.mass_psi.data + H_half.data)
         rhs = (-1j / dt) * (self.mass_psi @ state.psi.data) - H_half @ state.psi.data
-        f = self._source(mms.source_f, state.t + 0.5 * dt)
-        if f is not None:
-            rhs = rhs + forms.assemble_source_load(self.spaces.psi, f)
+        if self.case is not None:
+            rhs = rhs + self.source_load("f", state.t + 0.5 * dt)
         try:
             x, rep = sparsela.solve_complex(lhs, rhs, cfg.tol, precond=self._psi_precond)
         except sparsela.SolveError as err:

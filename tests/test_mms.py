@@ -52,6 +52,22 @@ def test_source_gate_catches_broken_case():
         mms.source_gate(broken, n=50)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_source_decomposition_matches_sources(dim):
+    # every source is sum_j c_j(t) s_j(x) over the case's separable terms
+    case = mms.make_case(dim)
+    rng = np.random.default_rng(3)
+    x = rng.random((50, dim))
+    for t in rng.uniform(0.0, 4.0, size=8):
+        for terms, source in ((case.f_terms, mms.source_f),
+                              (case.g_terms, mms.source_g),
+                              (case.l_terms, mms.source_l)):
+            got = sum(c(t) * s(x) for c, s in terms)
+            want = source(case, x, t)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_g_source_at_half_time_reduces_to_wave_terms():
     # at t=1/2: A and its spatial derivatives vanish, the current of the
     # separable psi is identically zero, so g = A_tt alone
@@ -96,8 +112,7 @@ def test_error_quadrature_stability():
     space = build_scalar_space(mesh, 1, complex_field=True)
     f = interpolate(space, lambda x: case.psi(x, 0.0))
     e1 = mms.error_norms(f, case, "psi", 0.0, qdeg=4)
-    e2 = mms.error_norms(f, case, "psi", 0.0, qdeeg=6) if False else \
-        mms.error_norms(f, case, "psi", 0.0, qdeg=6)
+    e2 = mms.error_norms(f, case, "psi", 0.0, qdeg=6)
     assert abs(e1.h1 - e2.h1) / e2.h1 < 1e-3
     assert abs(e1.l2 - e2.l2) / e2.l2 < 1e-3
 

@@ -151,6 +151,35 @@ def test_single_step_plugback_residuals_3d():
     assert np.linalg.norm(r) / scale <= 1e-10
 
 
+@pytest.mark.parametrize("dim,r", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_source_loads_match_closure_assembly(dim, r):
+    st = scheme.AlternatingStepper(small_config(dim=dim, M=4 if dim == 2 else 3, r=r))
+    sp = st.spaces
+    for t in (0.3, 1.7, 2.45):
+        for name, space, source in (("f", sp.psi, mms.source_f),
+                                    ("g", sp.A, mms.source_g),
+                                    ("l", sp.phi, mms.source_l)):
+            want = forms.assemble_source_load(space, lambda x: source(st.case, x, t))
+            got = st.source_load(name, t)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_mms_step_evaluates_no_source_closure(monkeypatch):
+    # the step's sources are combinations of loads assembled at construction
+    st = scheme.AlternatingStepper(small_config(dim=2, M=4))
+    state = st.initialize()
+    want = st.advance(state)
+
+    def closure_called(*args, **kwargs):
+        raise AssertionError("a step evaluated a source closure")
+
+    for name in ("source_f", "source_g", "source_l"):
+        monkeypatch.setattr(mms, name, closure_called)
+    got = st.advance(state)
+    for g, w in ((got.psi, want.psi), (got.a, want.a), (got.phi, want.phi)):
+        assert np.array_equal(g.data, w.data)
+
+
 # ---- dense-solve oracle on small meshes ------------------------------------
 
 def test_step_solutions_match_dense_solves():
