@@ -1,14 +1,21 @@
 """Assembly of the bilinear forms and load vectors used by the scheme.
 
 Every form, load and error norm on a mesh samples one quadrature table per
-(mesh, degree, qdeg) (``quadrature_table``): basis values, weighted
-Jacobians, physical gradients and points at the quadrature nodes of every
-cell, built once on the whole mesh and cached on it.  Element loops run over
-chunks of cells and read slices (views) of that table.  The chunks stay
-because they bound the per-chunk transients (local matrices, field values
-and gradients, curls, weighted copies of the gradient table): without them
-these come on top of the table as whole-mesh arrays and raise the peak
-memory of the large meshes.
+(mesh, degree, qdeg) (``quadrature_table``), built once on the whole mesh and
+cached on it.  The table keeps no basis data per cell.  Physical basis
+gradients factor through the reference ones, grad phi_l(x_q) =
+J^{-T} grad_ref phi_l(xi_q), so every contraction runs in reference
+coordinates against small cell-independent reference tensors, and the cell
+geometry enters only as det J in the point weights and as one d x d map
+J^{-T} per cell: the reference-tensor factorisation of Kirby & Logg, ACM TOMS
+32(3), 2006.  Each per-step form is then one GEMM of per-cell point weights
+against a reference tensor: the weighted mass and the |A|^2 part of ``B``
+against values x values, the A . grad part of ``B`` (A mapped to reference
+coordinates) against values x reference gradients.  The current load
+contracts over the points in reference coordinates and maps the result once
+per cell.  Element loops run over chunks of cells and read slices (views) of
+the table; the chunks bound the per-chunk transients (local matrices, field
+values and gradients).
 
 Every form on a space lands on that space's CSR pattern (``FeSpace.pattern``):
 the local matrices are summed into the pattern's data array by
@@ -28,7 +35,11 @@ integrate products of two gradients of degree r-1, which degree 2(r-1)
 integrates exactly on affine cells: one point per P1 cell.  A weight or load
 coefficient is one of:
 None (the constant one), a callable of the points x, a ``FieldVector`` (its
-real part), or ``Abs2`` of a scalar field (|f_h|^2).
+real part), or an array of point values at the form's quadrature nodes,
+(cells, q) or (cells, q, d) on vector spaces, which the chunk loops slice.
+The scheme evaluates psi_h once per step as a ``QuadratureField`` and passes
+its |psi_h|^2 point values to W and the |psi_h|^2 load, and the whole field to
+the current load.
 """
 
 from __future__ import annotations
@@ -41,8 +52,8 @@ from .mesh import Mesh
 from .space import FeSpace, FieldVector
 
 __all__ = [
-    "Abs2",
     "QuadratureTable",
+    "QuadratureField",
     "assemble_mass",
     "assemble_stiffness",
     "assemble_D",
@@ -56,14 +67,6 @@ __all__ = [
 ]
 
 _CHUNK_ENTRY_BUDGET = 8_000_000
-
-
-class Abs2:
-    """Coefficient |f_h|^2 evaluated from a discrete (possibly complex) scalar
-    field."""
-
-    def __init__(self, field_vec: FieldVector):
-        self.field = field_vec
 
 
 def quadrature_degree(degree: int, qdeg: int | None = None) -> int:
@@ -86,47 +89,74 @@ def _chunks(n_cells: int, per_cell_entries: int):
 
 
 class QuadratureTable:
-    """Basis and geometry at the quadrature nodes of every cell of a mesh.
+    """Reference tensors and cell geometry at the quadrature nodes of a mesh.
 
-    ``vals`` (q, nloc) are the reference basis values, ``wdet`` (c, q) the
-    quadrature weights times det J, ``grads`` (c, q, nloc, d) the physical
-    basis gradients and ``x`` (c, q, d) the physical points.  Built once per
-    (mesh, degree, qdeg) by ``quadrature_table``; chunk loops read slices of
-    it, and the field and coefficient evaluations take the cell slice.
+    Cell-independent: ``vals`` (q, nloc) the reference basis values, ``gref``
+    (q, nloc, d) the reference basis gradients, and the reference tensors
+    ``vv`` (q, nloc^2) with vv[q, i nloc + j] = vals[q, i] vals[q, j] and
+    ``vg`` (q d, nloc^2) with vg[q d + k, i nloc + j] = vals[q, i] gref[q, j, k].
+    Per cell: ``wdet`` (c, q) the quadrature weights times det J, ``JinvT``
+    (c, d, d) the inverse-transposed Jacobians (the array ``mesh.jacobians()``
+    caches, not a copy) and ``x`` (c, q, d) the physical points.  The physical
+    gradient of basis function l at point q of cell c is
+    ``JinvT[c] @ gref[q, l]``; no array holds it for every cell (Kirby & Logg,
+    ACM TOMS 32(3), 2006).  Built once per (mesh, degree, qdeg) by
+    ``quadrature_table``; chunk loops read slices of it, and the field and
+    coefficient evaluations take the cell slice.
     """
 
     def __init__(self, mesh: Mesh, degree: int, qdeg: int):
         rule = quadrature_rule(mesh.dim, qdeg)
-        vals, grads_ref = reference_element(mesh.dim, degree).tabulate(rule.points_ref)
+        vals, gref = reference_element(mesh.dim, degree).tabulate(rule.points_ref)
         J, JinvT, det = mesh.jacobians()
+        nq, nloc, d = gref.shape
         self.vals = vals                                    # (q, nloc)
+        self.gref = gref                                    # (q, nloc, d)
+        self.vv = np.einsum("qi,qj->qij", vals, vals).reshape(nq, nloc * nloc)
+        self.vg = np.einsum("qi,qjk->qkij", vals, gref).reshape(nq * d, nloc * nloc)
+        self.JinvT = JinvT                                  # (c, d, d)
         self.wdet = rule.weights[None, :] * det[:, None]    # (c, q)
-        self.grads = np.einsum("cij,qlj->cqli", JinvT, grads_ref, optimize=True)
         v0 = mesh.vertices[mesh.cells[:, 0]]
         self.x = v0[:, None, :] + np.einsum("cij,qj->cqi", J, rule.points_ref, optimize=True)
+
+    def gradients(self, sl: slice) -> np.ndarray:
+        """Physical basis gradients (c, q, nloc, d) of the cells ``sl``, built
+        for one chunk of the setup-time gradient forms (stiffness, ``D``)."""
+        return np.einsum("cij,qlj->cqli", self.JinvT[sl], self.gref, optimize=True)
 
     def field_values(self, field_vec: FieldVector, sl: slice):
         space = field_vec.space
         local = space.gather_cells(field_vec, sl)   # (c, nloc[, ncomp])
         if space.kind == "scalar":
-            return np.einsum("ql,cl->cq", self.vals, local, optimize=True)
-        return np.einsum("ql,cld->cqd", self.vals, local, optimize=True)
+            return local @ self.vals.T
+        return np.matmul(self.vals, local)
 
     def field_gradients(self, field_vec: FieldVector, sl: slice):
+        """Physical gradients of a field at the nodes of the cells ``sl``:
+        (c, q, d), or (c, q, comp, d) on vector spaces.  The coefficients
+        are contracted with ``gref`` first, then mapped by J^{-T} per cell."""
         space = field_vec.space
         local = space.gather_cells(field_vec, sl)
+        nq, nloc, d = self.gref.shape
+        gref = self.gref.transpose(1, 0, 2).reshape(nloc, nq * d)
+        JinvT = self.JinvT[sl].transpose(0, 2, 1)
         if space.kind == "scalar":
-            return np.einsum("cqld,cl->cqd", self.grads[sl], local, optimize=True)
-        return np.einsum("cqld,cle->cqed", self.grads[sl], local, optimize=True)
+            return np.matmul((local @ gref).reshape(-1, nq, d), JinvT)
+        nc, e = local.shape[0], space.ncomp
+        g = (local.transpose(0, 2, 1).reshape(nc * e, nloc) @ gref).reshape(nc, e * nq, d)
+        return np.matmul(g, JinvT).reshape(nc, e, nq, d).transpose(0, 2, 1, 3)
 
     def coefficient(self, coeff, sl: slice):
         """Pointwise values of a coefficient (see the module docstring) at
         the quadrature nodes of the cells ``sl``."""
         if coeff is None:
             return np.ones_like(self.wdet[sl])
-        if isinstance(coeff, Abs2):
-            v = self.field_values(coeff.field, sl)
-            return (v * v.conj()).real
+        if isinstance(coeff, np.ndarray):
+            if coeff.shape[:2] != self.wdet.shape:
+                raise ValueError(
+                    f"point values of shape {coeff.shape} are not at the "
+                    f"{self.wdet.shape} quadrature nodes of this form")
+            return coeff[sl]
         if isinstance(coeff, FieldVector):
             return self.field_values(coeff, sl).real
         return np.asarray(coeff(self.x[sl]))
@@ -140,6 +170,30 @@ def quadrature_table(mesh: Mesh, degree: int, qdeg: int | None = None) -> Quadra
     if key not in mesh._geom:
         mesh._geom[key] = QuadratureTable(mesh, degree, qdeg)
     return mesh._geom[key]
+
+
+class QuadratureField:
+    """A scalar field evaluated once at the default quadrature nodes of its
+    space: ``values`` (c, q), the reference-coordinate gradients ``grad_ref``
+    (c, d, q), direction before point, and ``abs2`` = |values|^2 (c, q).
+
+    The scheme evaluates psi_h this way once per step: ``abs2`` is the point
+    coefficient of W(|psi_h|^2) and of the |psi_h|^2 load, and the current
+    load reads the values and gradients.
+    """
+
+    def __init__(self, field_vec: FieldVector):
+        space = field_vec.space
+        if space.kind != "scalar":
+            raise ValueError("a quadrature field is a scalar field")
+        tab = quadrature_table(space.mesh, space.degree)
+        nq, nloc, d = tab.gref.shape
+        local = space.gather_cells(field_vec)                       # (c, nloc)
+        self.mesh = space.mesh
+        self.values = local @ tab.vals.T
+        self.grad_ref = (local @ tab.gref.transpose(1, 2, 0).reshape(nloc, d * nq)
+                         ).reshape(-1, d, nq)
+        self.abs2 = (self.values * self.values.conj()).real
 
 
 def _pairing(weighted_rows, rows):
@@ -170,7 +224,7 @@ def _on_pattern(space: FeSpace, loc: np.ndarray, componentwise: bool = False):
 
 
 def _scatter_load(out: np.ndarray, dofs: np.ndarray, loc: np.ndarray):
-    np.add.at(out, dofs.reshape(-1), loc.reshape(-1))
+    np.add.at(out, dofs.reshape(-1), loc.reshape(dofs.size, *out.shape[1:]))
 
 
 def _cell_dofs(space: FeSpace, sl: slice) -> np.ndarray:
@@ -187,12 +241,12 @@ def assemble_weighted_mass(space: FeSpace, weight, qdeg: int | None = None) -> s
     """(w u, v) with w a pointwise scalar weight (see module coefficients)."""
     _check_coeff_mesh(space, weight)
     nloc = space.element.node_count
-    loc = np.empty((space.mesh.n_cells, nloc, nloc))
+    loc = np.empty((space.mesh.n_cells, nloc * nloc))
     tab = quadrature_table(space.mesh, space.degree, qdeg)
     for sl in _chunks(space.mesh.n_cells, (nloc * space.ncomp) ** 2):
-        w = tab.coefficient(weight, sl) * tab.wdet[sl]
-        loc[sl] = _pairing(w[:, :, None] * tab.vals[None], tab.vals)
-    return _on_pattern(space, loc, componentwise=space.kind == "vector")
+        loc[sl] = (tab.coefficient(weight, sl) * tab.wdet[sl]) @ tab.vv
+    return _on_pattern(space, loc.reshape(-1, nloc, nloc),
+                       componentwise=space.kind == "vector")
 
 
 def assemble_stiffness(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
@@ -203,7 +257,7 @@ def assemble_stiffness(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
     loc = np.empty((space.mesh.n_cells, nloc, nloc))
     tab = quadrature_table(space.mesh, space.degree, _gradient_degree(space.degree, qdeg))
     for sl in _chunks(space.mesh.n_cells, nloc * nloc):
-        loc[sl] = _pairing(*_grad_rows(tab.grads[sl], tab.wdet[sl]))
+        loc[sl] = _pairing(*_grad_rows(tab.gradients(sl), tab.wdet[sl]))
     return _on_pattern(space, loc)
 
 
@@ -248,7 +302,7 @@ def assemble_D(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
     loc = np.empty((space.mesh.n_cells, nloc * d, nloc * d))
     tab = quadrature_table(space.mesh, space.degree, _gradient_degree(space.degree, qdeg))
     for sl in _chunks(space.mesh.n_cells, (nloc * d) ** 2):
-        grads, wdet = tab.grads[sl], tab.wdet[sl]
+        grads, wdet = tab.gradients(sl), tab.wdet[sl]
         nc, nq = wdet.shape
         div = grads.reshape(nc, nq, nloc * d)           # (c, q, nloc*d)
         loc[sl] = _pairing(div * wdet[:, :, None], div)
@@ -278,43 +332,60 @@ def assemble_B(space: FeSpace, a_field: FieldVector, stiffness: sp.csr_array,
     nloc = space.element.node_count
     loc = np.empty((space.mesh.n_cells, nloc, nloc), dtype=complex)
     tab = quadrature_table(space.mesh, space.degree, qdeg)
+    nq, _, d = tab.gref.shape
     for sl in _chunks(space.mesh.n_cells, nloc * nloc * 4):
-        grads, wdet = tab.grads[sl], tab.wdet[sl]
-        a_q = tab.field_values(a_field, sl)                    # (c, q, d)
-        a2 = np.einsum("cqd,cqd->cq", a_q, a_q, optimize=True)
-        loc[sl] = _pairing((a2 * wdet)[:, :, None] * tab.vals[None], tab.vals)
-        a_dot_g = np.einsum("cqd,cqld->cql", a_q, grads, optimize=True)
-        t = _pairing(wdet[:, :, None] * tab.vals[None], a_dot_g)
+        wdet = tab.wdet[sl]
+        nc = wdet.shape[0]
+        local = a_field.space.gather_cells(a_field, sl)             # (c, nloc, d)
+        # |A|^2 at the points from the Gram matrix of the cell's coefficients
+        gram = np.matmul(local, local.transpose(0, 2, 1)).reshape(nc, nloc * nloc)
+        a2 = gram @ tab.vv.T
+        # A . grad phi_j = (A J^{-T}) . grad_ref phi_j: A in reference coordinates
+        a_ref = np.matmul(tab.vals, np.matmul(local, tab.JinvT[sl]))  # (c, q, d)
+        a_ref *= wdet[:, :, None]
+        t = (a_ref.reshape(nc, nq * d) @ tab.vg).reshape(nc, nloc, nloc)
+        loc[sl] = ((a2 * wdet) @ tab.vv).reshape(nc, nloc, nloc)
         loc[sl] += 1j * (t - np.swapaxes(t, 1, 2))
     values = pat.assemble(loc)
     values += stiffness.data
     return pat.matrix(values)
 
 
-def assemble_current_load(space: FeSpace, psi_field: FieldVector,
+def assemble_current_load(space: FeSpace, psi: QuadratureField,
                           qdeg: int | None = None) -> np.ndarray:
     """Load vector of the probability current (i/2)(psi* grad psi - c.c.)
-    against the vector test functions; real-valued."""
+    against the vector test functions; real-valued.
+
+    The current -Im(psi* grad psi) is linear in the gradient, so it is
+    contracted over the points in reference coordinates and mapped by J^{-T}
+    once per cell.
+    """
     if space.kind != "vector":
         raise ValueError("the current load is assembled on a vector space")
-    if psi_field.space.mesh is not space.mesh:
+    if psi.mesh is not space.mesh:
         raise ValueError("psi lives on a different mesh")
     out = np.zeros(space.n_dofs + 1)
     nloc = space.element.node_count
     d = space.mesh.dim
     tab = quadrature_table(space.mesh, space.degree, qdeg)
+    if psi.values.shape != tab.wdet.shape:
+        raise ValueError("psi was not evaluated at the quadrature nodes of this load")
+    nq = tab.vals.shape[0]
     for sl in _chunks(space.mesh.n_cells, nloc * d * 4):
-        psi_q = tab.field_values(psi_field, sl)
-        grad_q = tab.field_gradients(psi_field, sl)
-        current = -np.imag(np.conj(psi_q)[..., None] * grad_q)   # (c, q, d)
-        loc = np.einsum("cqm,qa,cq->cam", current, tab.vals, tab.wdet[sl], optimize=True)
-        _scatter_load(out, _cell_dofs(space, sl),
-                      loc.reshape(loc.shape[0], nloc * d))
+        p = psi.values[sl][:, None, :]
+        g = psi.grad_ref[sl]
+        current = p.imag * g.real - p.real * g.imag      # -Im(psi* grad_ref psi), (c, k, q)
+        current *= tab.wdet[sl][:, None, :]
+        nc = current.shape[0]
+        ref = (current.reshape(nc * d, nq) @ tab.vals).reshape(nc, d, nloc)
+        loc = np.matmul(tab.JinvT[sl], ref)                                 # (c, m, a)
+        _scatter_load(out, _cell_dofs(space, sl), loc.transpose(0, 2, 1))
     return out[:-1]
 
 
 def assemble_source_load(space: FeSpace, source, qdeg: int | None = None) -> np.ndarray:
-    """Load vector (s, v) for a source s(x)."""
+    """Load vector (s, v) for a source s(x), or the (n_dofs, k) loads of k
+    sources given as point values stacked on a last axis."""
     return assemble_coefficient_load(space, source, qdeg=qdeg)
 
 
@@ -323,27 +394,26 @@ def assemble_coefficient_load(space: FeSpace, coeff,
     """Load vector of a pointwise coefficient against the space's test basis.
 
     Scalar spaces take the coefficients of the module docstring, vector
-    spaces callables of x that return d-vectors.
+    spaces callables of x that return d-vectors or (c, q, d) point values.
+    Point values with one more last axis hold k coefficients; their k loads
+    are contracted in one pass and returned as the columns of (n_dofs, k).
     """
     _check_coeff_mesh(space, coeff)
-    out = np.zeros(space.n_dofs + 1,
+    value_ndim = 2 if space.kind == "scalar" else 3
+    batch = coeff.shape[value_ndim:] if isinstance(coeff, np.ndarray) else ()
+    k = int(np.prod(batch))
+    out = np.zeros((space.n_dofs + 1, k),
                    dtype=complex if space.dtype is complex else float)
     nloc = space.element.node_count
-    d = space.mesh.dim
     tab = quadrature_table(space.mesh, space.degree, qdeg)
-    for sl in _chunks(space.mesh.n_cells, nloc * space.ncomp * 4):
-        s = tab.coefficient(coeff, sl)
-        if space.kind == "scalar":
-            loc = np.einsum("cq,qa->ca", s * tab.wdet[sl], tab.vals, optimize=True)
-            _scatter_load(out, _cell_dofs(space, sl), loc)
-        else:
-            loc = np.einsum("cqm,qa,cq->cam", s, tab.vals, tab.wdet[sl], optimize=True)
-            _scatter_load(out, _cell_dofs(space, sl),
-                          loc.reshape(loc.shape[0], nloc * d))
-    return out[:-1]
+    for sl in _chunks(space.mesh.n_cells, nloc * space.ncomp * k * 4):
+        w = tab.wdet[sl]
+        s = tab.coefficient(coeff, sl).reshape(*w.shape, -1) * w[:, :, None]
+        loc = np.matmul(tab.vals.T, s)                     # (c, a, m), m = (comp, k)
+        _scatter_load(out, _cell_dofs(space, sl), loc)
+    return out[:-1].reshape(space.n_dofs, *batch)
 
 
 def _check_coeff_mesh(space: FeSpace, coeff):
-    inner = getattr(coeff, "field", coeff)
-    if isinstance(inner, FieldVector) and inner.space.mesh is not space.mesh:
+    if isinstance(coeff, FieldVector) and coeff.space.mesh is not space.mesh:
         raise ValueError("coefficient field lives on a different mesh")

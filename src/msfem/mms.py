@@ -6,10 +6,12 @@ potential, a polynomial scalar potential); the 2D analogue for fast runs comes
 from the same dimension-generic constructor.  Every field is a time amplitude
 times a spatial shape, so each source is a short sum sum_j c_j(t) s_j(x)
 (``ManufacturedCase.f_terms``/``g_terms``/``l_terms``), from which the stepper
-precomputes one load per shape.  The pointwise sources ``source_f/g/l`` are
-cross-checked against a Richardson-extrapolated finite-difference oracle
-built from the value closures alone, and the convergence harness refuses to
-run when that gate fails.
+precomputes one load per shape; the shapes are evaluated together from
+shared per-coordinate sin/cos factors (``ManufacturedCase.factors``).  The
+pointwise sources ``source_f/g/l`` are cross-checked against a
+Richardson-extrapolated finite-difference oracle built from the value
+closures alone, and the convergence harness refuses to run when that gate
+fails.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +63,10 @@ class ManufacturedCase:
     All closures are vectorized over points of shape (..., dim).  Every
     source is a sum of time amplitudes times spatial shapes: ``f_terms``,
     ``g_terms`` and ``l_terms`` hold the pairs ``(c_j, s_j)`` with
-    ``source_*(x, t) = sum_j c_j(t) * s_j(x)``.
+    ``source_*(x, t) = sum_j c_j(t) * s_j(factors(x))``.  The shapes are
+    products of a few per-coordinate factors (sin/cos of pi x_i and 2 pi x_i,
+    x_i (1 - x_i)); ``factors(x)`` evaluates each of them at most once for
+    all the shapes that read it.
     """
 
     dim: int
@@ -81,6 +87,7 @@ class ManufacturedCase:
     phi_tt: callable
     grad_phi: callable
     lap_phi: callable
+    factors: callable
     f_terms: tuple
     g_terms: tuple
     l_terms: tuple
@@ -126,47 +133,76 @@ def _partials(factors, derivs):
                     axis=-1)
 
 
+class _Factors:
+    """The per-coordinate factors of the separable fields at points x, each
+    a list over the coordinates, evaluated on first use and then shared."""
+
+    def __init__(self, x):
+        self.x = np.asarray(x, dtype=float)
+
+    def _each(self, fn):
+        return [fn(self.x[..., i]) for i in range(self.x.shape[-1])]
+
+    @cached_property
+    def sin1(self):
+        return self._each(lambda xi: np.sin(np.pi * xi))
+
+    @cached_property
+    def cos1(self):
+        return self._each(lambda xi: np.cos(np.pi * xi))
+
+    @cached_property
+    def sin2(self):
+        return self._each(lambda xi: np.sin(2.0 * np.pi * xi))
+
+    @cached_property
+    def cos2(self):
+        return self._each(lambda xi: np.cos(2.0 * np.pi * xi))
+
+    @cached_property
+    def bubble(self):
+        return self._each(lambda xi: xi * (1 - xi))
+
+
 def _separable_case(d: int, v0: float) -> ManufacturedCase:
     """The verification triple on (0,1)^d: psi = amp(t) S(x), A = a(t) W(x)
     with W = grad G / pi, phi = tau(t) P(x).
 
     Lap S = -4 d pi^2 S, div W = -d pi G and Lap W = -d pi^2 W; W is a
     gradient, so curl A = 0, and the probability current of psi is zero.
+    The spatial shapes take the ``_Factors`` of the points; the closures of
+    x build them.
     """
     two_pi = 2.0 * np.pi
     pi = np.pi
 
-    def S(x):
-        return _product([np.sin(two_pi * x[..., i]) for i in range(d)])
+    def S(F):
+        return _product(F.sin2)
 
-    def grad_S(x):
-        return two_pi * _partials([np.sin(two_pi * x[..., i]) for i in range(d)],
-                                  [np.cos(two_pi * x[..., i]) for i in range(d)])
+    def grad_S(F):
+        return two_pi * _partials(F.sin2, F.cos2)
 
-    def W(x):
-        return _partials([np.sin(pi * x[..., i]) for i in range(d)],
-                         [np.cos(pi * x[..., i]) for i in range(d)])
+    def W(F):
+        return _partials(F.sin1, F.cos1)
 
-    def G(x):
-        return _product([np.sin(pi * x[..., i]) for i in range(d)])
+    def G(F):
+        return _product(F.sin1)
 
-    def P(x):
-        return _product([x[..., i] * (1 - x[..., i]) for i in range(d)])
+    def P(F):
+        return _product(F.bubble)
 
-    def grad_P(x):
-        return _partials([x[..., i] * (1 - x[..., i]) for i in range(d)],
-                         [1 - 2 * x[..., i] for i in range(d)])
+    def grad_P(F):
+        return _partials(F.bubble, [1 - 2 * F.x[..., i] for i in range(d)])
 
-    def lap_P(x):
-        u = [x[..., i] * (1 - x[..., i]) for i in range(d)]
-        return -2.0 * sum(_product(u, i, 1.0) for i in range(d))
+    def lap_P(F):
+        return -2.0 * sum(_product(F.bubble, i, 1.0) for i in range(d))
 
-    def W_dot_grad_S(x):
-        return np.einsum("...d,...d->...", W(x), grad_S(x))
+    def W_dot_grad_S(F):
+        return np.einsum("...d,...d->...", W(F), grad_S(F))
 
-    def W2_S(x):
-        w = W(x)
-        return np.einsum("...d,...d->...", w, w) * S(x)
+    def W2_S(F):
+        w = W(F)
+        return np.einsum("...d,...d->...", w, w) * S(F)
 
     curl_shape = (lambda x: x.shape) if d == 3 else (lambda x: x.shape[:-1])
 
@@ -180,41 +216,42 @@ def _separable_case(d: int, v0: float) -> ManufacturedCase:
     return ManufacturedCase(
         dim=d,
         v0=v0,
-        psi=lambda x, t: _amp(t) * S(x),
-        psi_t=lambda x, t: _amp_t(t) * S(x),
-        grad_psi=lambda x, t: _amp(t) * grad_S(x),
-        lap_psi=lambda x, t: -4.0 * d * pi ** 2 * _amp(t) * S(x),
-        A=lambda x, t: a(t) * W(x),
-        A_t=lambda x, t: a_t(t) * W(x),
-        A_tt=lambda x, t: -pi ** 2 * a(t) * W(x),
-        div_A=lambda x, t: -d * pi * a(t) * G(x),
-        div_A_t=lambda x, t: -d * pi * a_t(t) * G(x),
+        factors=_Factors,
+        psi=lambda x, t: _amp(t) * S(_Factors(x)),
+        psi_t=lambda x, t: _amp_t(t) * S(_Factors(x)),
+        grad_psi=lambda x, t: _amp(t) * grad_S(_Factors(x)),
+        lap_psi=lambda x, t: -4.0 * d * pi ** 2 * _amp(t) * S(_Factors(x)),
+        A=lambda x, t: a(t) * W(_Factors(x)),
+        A_t=lambda x, t: a_t(t) * W(_Factors(x)),
+        A_tt=lambda x, t: -pi ** 2 * a(t) * W(_Factors(x)),
+        div_A=lambda x, t: -d * pi * a(t) * G(_Factors(x)),
+        div_A_t=lambda x, t: -d * pi * a_t(t) * G(_Factors(x)),
         curl_A=lambda x, t: np.zeros(curl_shape(x)),
-        lap_A=lambda x, t: -d * pi ** 2 * a(t) * W(x),
-        phi=lambda x, t: tau(t) * P(x),
-        phi_t=lambda x, t: tau_t(t) * P(x),
-        phi_tt=lambda x, t: tau_tt(t) * P(x),
-        grad_phi=lambda x, t: tau(t) * grad_P(x),
-        lap_phi=lambda x, t: tau(t) * lap_P(x),
+        lap_A=lambda x, t: -d * pi ** 2 * a(t) * W(_Factors(x)),
+        phi=lambda x, t: tau(t) * P(_Factors(x)),
+        phi_t=lambda x, t: tau_t(t) * P(_Factors(x)),
+        phi_tt=lambda x, t: tau_tt(t) * P(_Factors(x)),
+        grad_phi=lambda x, t: tau(t) * grad_P(_Factors(x)),
+        lap_phi=lambda x, t: tau(t) * lap_P(_Factors(x)),
         # f = -i psi_t + (1/2)(-Lap psi + i div A psi + 2i A.grad psi
         #     + |A|^2 psi) + v0 psi + phi psi
         f_terms=(
             (lambda t: -1j * _amp_t(t) + (2.0 * d * pi ** 2 + v0) * _amp(t), S),
-            (lambda t: -0.5j * d * pi * a(t) * _amp(t), lambda x: G(x) * S(x)),
+            (lambda t: -0.5j * d * pi * a(t) * _amp(t), lambda F: G(F) * S(F)),
             (lambda t: 1j * a(t) * _amp(t), W_dot_grad_S),
             (lambda t: 0.5 * a(t) ** 2 * _amp(t), W2_S),
-            (lambda t: tau(t) * _amp(t), lambda x: P(x) * S(x)),
+            (lambda t: tau(t) * _amp(t), lambda F: P(F) * S(F)),
         ),
         # g = A_tt - Lap A + |psi|^2 A (the current is zero)
         g_terms=(
             (lambda t: (d - 1) * pi ** 2 * a(t), W),
-            (lambda t: abs2_amp(t) * a(t), lambda x: S(x)[..., None] ** 2 * W(x)),
+            (lambda t: abs2_amp(t) * a(t), lambda F: S(F)[..., None] ** 2 * W(F)),
         ),
         # l = phi_tt - Lap phi - |psi|^2
         l_terms=(
             (tau_tt, P),
             (lambda t: -tau(t), lap_P),
-            (lambda t: -abs2_amp(t), lambda x: S(x) ** 2),
+            (lambda t: -abs2_amp(t), lambda F: S(F) ** 2),
         ),
     )
 

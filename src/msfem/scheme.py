@@ -7,9 +7,15 @@ against the time-averaged new potentials.  The wave-step matrices are SPD;
 the wave-function step is a Cayley-type map that conserves the discrete L2
 norm exactly when sources vanish.
 
+The wave steps read psi from the previous level three times: in W(|psi|^2),
+the current load and the |psi|^2 load.  A state evaluates psi at the
+quadrature nodes once (``FieldState.psi_points``) and the three forms share
+it.
+
 Sources in verification mode: every manufactured source is a sum of time
 amplitudes times spatial shapes, sum_j c_j(t) s_j(x) (``mms.ManufacturedCase``
-``f_terms``/``g_terms``/``l_terms``).  The stepper assembles each load
+``f_terms``/``g_terms``/``l_terms``).  The stepper evaluates all shapes at
+the quadrature points from one set of shared factors, assembles each load
 (s_j, v) once, and a step's source load is sum_j c_j(t) (s_j, v).  The wave
 equations are centered at the previous time level (their second differences
 and two-level averages are), so their sources are sampled at t_{k-1}; the
@@ -23,6 +29,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,6 +110,13 @@ class FieldState:
     phi: FieldVector
     phi_prev: FieldVector
 
+    @cached_property
+    def psi_points(self) -> forms.QuadratureField:
+        """psi at the quadrature nodes of the step forms, evaluated once per
+        state, on first use inside the step phase that reads it: W, the
+        current load and the |psi|^2 load all share it."""
+        return forms.QuadratureField(self.psi)
+
 
 @dataclass
 class RunResult:
@@ -152,11 +166,16 @@ class AlternatingStepper:
             self._psi_precond = self._build_psi_preconditioner()
         self._source_loads = {}
         if self.case is not None:
+            # every source shape is a product of the same few sin/cos factors:
+            # evaluate them once at the quadrature points all the loads share
+            factors = self.case.factors(forms.quadrature_table(self.mesh, config.degree).x)
             for name, space, terms in (("f", self.spaces.psi, self.case.f_terms),
                                        ("g", self.spaces.A, self.case.g_terms),
                                        ("l", self.spaces.phi, self.case.l_terms)):
-                self._source_loads[name] = [(c, forms.assemble_source_load(space, s))
-                                            for c, s in terms]
+                shapes = np.stack([s(factors) for _, s in terms], axis=-1)
+                loads = forms.assemble_source_load(space, shapes)
+                self._source_loads[name] = [(c, np.ascontiguousarray(load))
+                                            for (c, _), load in zip(terms, loads.T)]
 
     def _build_psi_preconditioner(self):
         """ILU of the step-independent part of the wave-function system.
@@ -219,12 +238,13 @@ class AlternatingStepper:
         cfg = self.config
         dt = cfg.dt
         pattern = self.spaces.A.pattern()
-        W = forms.assemble_weighted_mass(self.spaces.A, forms.Abs2(state.psi))
+        psi = state.psi_points
+        W = forms.assemble_weighted_mass(self.spaces.A, psi.abs2)
         DW = pattern.matrix(self.D.data + W.data)
         system = pattern.matrix(self.mass_vec.data / dt ** 2 + 0.5 * DW.data)
         rhs = (self.mass_vec @ (2.0 * state.a.data - state.a_prev.data) / dt ** 2
                - 0.5 * (DW @ state.a_prev.data)
-               - forms.assemble_current_load(self.spaces.A, state.psi))
+               - forms.assemble_current_load(self.spaces.A, psi))
         if self.case is not None:
             rhs = rhs + self.source_load("g", state.t)
         try:
@@ -240,8 +260,7 @@ class AlternatingStepper:
         dt = cfg.dt
         rhs = (self.mass_phi @ (2.0 * state.phi.data - state.phi_prev.data) / dt ** 2
                - 0.5 * (self.stiff_phi @ state.phi_prev.data)
-               + forms.assemble_coefficient_load(self.spaces.phi,
-                                                 forms.Abs2(state.psi)).real)
+               + forms.assemble_coefficient_load(self.spaces.phi, state.psi_points.abs2))
         if self.case is not None:
             rhs = rhs + self.source_load("l", state.t)
         try:

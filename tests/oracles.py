@@ -8,7 +8,21 @@ matrices.  Only usable on small meshes.
 import numpy as np
 
 from msfem.elements import affine_map, quadrature_rule, reference_element
+from msfem.mesh import Mesh, build_structured
 from msfem.space import evaluate
+
+
+def jittered_mesh(dim, M, seed, amplitude=0.15):
+    """The structured mesh with every interior vertex moved by a seeded
+    uniform offset of up to amplitude/M per coordinate: cells of unequal
+    shape, whose Jacobians are no scaled permutations."""
+    base = build_structured(dim, M)
+    interior = np.all((base.vertices_int > 0) & (base.vertices_int < M), axis=1)
+    offset = np.random.default_rng(seed).uniform(-amplitude / M, amplitude / M,
+                                                 size=base.vertices.shape)
+    return Mesh(dim=dim, subdivisions=M, vertices_int=base.vertices_int,
+                vertices=base.vertices + offset * interior[:, None],
+                cells=base.cells, h=base.h)
 
 
 def _cell_quad(space, qdeg):
@@ -23,7 +37,7 @@ def _cell_quad(space, qdeg):
             gphys = gref[0] @ np.linalg.inv(amap.jacobian)
             w = rule.weights[q] * abs(amap.det)
             x = amap.to_physical(xi[None, :])[0]
-            yield c, x, w, vals[0], gphys
+            yield c, xi, x, w, vals[0], gphys
 
 
 def _dofs_scalar(space, c):
@@ -45,11 +59,20 @@ def _accumulate(A, dofs_i, dofs_j, block):
 
 
 def naive_weighted_mass(space, weight_fn, qdeg):
+    return _weighted_mass(space, lambda c, xi, x: weight_fn(x), qdeg)
+
+
+def naive_field_weighted_mass(space, field, qdeg):
+    """(f u, v) with a real discrete field f evaluated cell by cell."""
+    return _weighted_mass(space, lambda c, xi, x: evaluate(field, c, xi).real, qdeg)
+
+
+def _weighted_mass(space, weight_at, qdeg):
     n = space.n_dofs
     dtype = complex if space.dtype is complex else float
     A = np.zeros((n, n), dtype=dtype)
-    for c, x, w, vals, _ in _cell_quad(space, qdeg):
-        wx = weight_fn(x)
+    for c, xi, x, w, vals, _ in _cell_quad(space, qdeg):
+        wx = weight_at(c, xi, x)
         block = w * wx * np.outer(vals, vals)
         if space.kind == "scalar":
             _accumulate(A, _dofs_scalar(space, c), _dofs_scalar(space, c), block)
@@ -68,7 +91,7 @@ def naive_stiffness(space, qdeg):
     n = space.n_dofs
     dtype = complex if space.dtype is complex else float
     A = np.zeros((n, n), dtype=dtype)
-    for c, x, w, _, gphys in _cell_quad(space, qdeg):
+    for c, xi, x, w, _, gphys in _cell_quad(space, qdeg):
         block = w * (gphys @ gphys.T)
         _accumulate(A, _dofs_scalar(space, c), _dofs_scalar(space, c), block)
     return A
@@ -79,7 +102,7 @@ def naive_D(space, qdeg):
     n = space.n_dofs
     A = np.zeros((n, n))
     nloc = reference_element(d, space.degree).node_count
-    for c, x, w, vals, gphys in _cell_quad(space, qdeg):
+    for c, xi, x, w, vals, gphys in _cell_quad(space, qdeg):
         div = np.zeros(nloc * d)
         for a in range(nloc):
             for comp in range(d):
@@ -157,7 +180,7 @@ def naive_current_load(space, psi_field, qdeg):
 def naive_source_load(space, fn, qdeg):
     dtype = complex if space.dtype is complex else float
     out = np.zeros(space.n_dofs, dtype=dtype)
-    for c, x, w, vals, _ in _cell_quad(space, qdeg):
+    for c, xi, x, w, vals, _ in _cell_quad(space, qdeg):
         s = fn(x)
         if space.kind == "scalar":
             dofs = _dofs_scalar(space, c)

@@ -103,7 +103,8 @@ def test_p1_gradients_match_vandermonde_solve():
     # off the lattice: vertices_int is a placeholder the table does not read
     mesh = Mesh(dim=3, subdivisions=1, vertices_int=np.zeros((4, 3), dtype=int),
                 vertices=verts, cells=np.array([[0, 1, 2, 3]]), h=1.0)
-    grads = forms.quadrature_table(mesh, 1).grads[0]   # (q, nloc, d)
+    tab = forms.quadrature_table(mesh, 1)
+    grads = tab.gref @ tab.JinvT[0].T   # (q, nloc, d)
     # oracle: linear nodal basis via the 4x4 Vandermonde system
     V = np.hstack([np.ones((4, 1)), verts])
     for i in range(4):

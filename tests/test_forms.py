@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from msfem import forms, mms
 from msfem.mesh import Mesh, build_structured
-from msfem.space import (FieldVector, build_scalar_space, build_vector_space,
-                         evaluate, interpolate, locate_points)
+from msfem.space import FieldVector, build_scalar_space, build_vector_space, interpolate
 
 
 def single_triangle_mesh():
@@ -61,7 +63,7 @@ def test_weighted_mass_psi0_density_3d():
                 * np.sin(2 * np.pi * x[..., 2])).astype(complex)
 
     psi = interpolate(space, psi0)
-    W = forms.assemble_weighted_mass(space, forms.Abs2(psi))
+    W = forms.assemble_weighted_mass(space, forms.QuadratureField(psi).abs2)
     one = np.ones(space.n_dofs)
     val = (one @ (W @ one)).real
     assert val == pytest.approx(1.0 / 8.0, rel=0.02)
@@ -188,7 +190,7 @@ def test_current_load_zero_for_real_psi():
     vspace = build_vector_space(mesh, 1)
     psi = interpolate(cspace, lambda x: (np.sin(2 * np.pi * x[..., 0])
                                          * np.sin(2 * np.pi * x[..., 1])).astype(complex))
-    load = forms.assemble_current_load(vspace, psi)
+    load = forms.assemble_current_load(vspace, forms.QuadratureField(psi))
     assert np.max(np.abs(load)) < 1e-14
 
 
@@ -210,7 +212,7 @@ def test_current_load_sign_convention():
 
     psi = interpolate(cspace, lambda x: np.exp(1j * np.pi * x[..., 0]) * bump_np(x))
     v = interpolate(vspace, lambda x: np.stack([bump_np(x) ** 2, 0 * x[..., 0]], axis=-1))
-    load = forms.assemble_current_load(vspace, psi)
+    load = forms.assemble_current_load(vspace, forms.QuadratureField(psi))
     assert load @ v.data == pytest.approx(exact, rel=0.05)
 
 
@@ -221,9 +223,9 @@ def test_current_load_quadratic_scaling():
     vspace = build_vector_space(mesh, 1)
     psi = FieldVector(cspace, rng.standard_normal(cspace.n_dofs)
                       + 1j * rng.standard_normal(cspace.n_dofs))
-    l1 = forms.assemble_current_load(vspace, psi)
+    l1 = forms.assemble_current_load(vspace, forms.QuadratureField(psi))
     psi2 = FieldVector(cspace, 2.0 * psi.data)
-    l2 = forms.assemble_current_load(vspace, psi2)
+    l2 = forms.assemble_current_load(vspace, forms.QuadratureField(psi2))
     assert np.allclose(l2, 4.0 * l1, rtol=1e-12, atol=1e-14)
 
 
@@ -242,6 +244,21 @@ CASES = [(2, 3, 1), (2, 2, 2), (3, 2, 1)]
 # A budget small enough that every form runs over several chunks of one or a
 # few cells each, with a shorter last chunk on most of the cases.
 SMALL_CHUNK_BUDGET = 100
+
+
+# The coefficient forms and loads map A and the current by J^{-T} per cell.
+# On the structured 3D M=2 mesh psi has one free dof, so those terms vanish
+# there; the jittered 3D M=3 case has unequal cells and sees the Jacobian.
+FIELD_CASES = ([pytest.param(*c, False, id="-".join(map(str, c))) for c in CASES]
+               + [pytest.param(3, 3, 1, True, id="3-3-1-jittered")])
+
+
+def case_mesh(dim, M, jittered):
+    if not jittered:
+        return build_structured(dim, M)
+    mesh = oracles.jittered_mesh(dim, M, seed=7)
+    assert np.all(mesh.jacobians()[2] > 0)
+    return mesh
 
 
 def chunk_budgets(monkeypatch):
@@ -275,24 +292,19 @@ def test_oracle_equivalence_D(dim, M, r, monkeypatch):
         assert np.max(np.abs(D1 - D2)) <= 1e-12
 
 
-@pytest.mark.parametrize("dim,M,r", CASES)
-def test_oracle_equivalence_B_and_weighted(dim, M, r, monkeypatch):
+@pytest.mark.parametrize("dim,M,r,jittered", FIELD_CASES)
+def test_oracle_equivalence_B_and_weighted(dim, M, r, jittered, monkeypatch):
     rng = np.random.default_rng(5)
-    mesh = build_structured(dim, M)
+    mesh = case_mesh(dim, M, jittered)
     cspace = build_scalar_space(mesh, r, complex_field=True)
     vspace = build_vector_space(mesh, r)
     a = FieldVector(vspace, rng.standard_normal(vspace.n_dofs))
     qdeg = 2 * r + 2
     # a real scalar field as the weight, as the potential term of the psi step
     phi = FieldVector(build_scalar_space(mesh, r), rng.standard_normal(cspace.n_dofs))
-
-    def phi_at(x):
-        cells, refs = locate_points(mesh, x)
-        return evaluate(phi, cells[0], refs[0])
-
     B2 = oracles.naive_B(cspace, a, qdeg)
     W2 = oracles.naive_weighted_mass(vspace, lambda x: np.cos(x[0]), qdeg)
-    P2 = oracles.naive_weighted_mass(cspace, phi_at, qdeg)
+    P2 = oracles.naive_field_weighted_mass(cspace, phi, qdeg)
     for _ in chunk_budgets(monkeypatch):
         B1 = forms.assemble_B(cspace, a, forms.assemble_stiffness(cspace)).toarray()
         assert np.max(np.abs(B1 - B2)) <= 1e-12
@@ -302,10 +314,10 @@ def test_oracle_equivalence_B_and_weighted(dim, M, r, monkeypatch):
         assert np.max(np.abs(P1 - P2)) <= 1e-12
 
 
-@pytest.mark.parametrize("dim,M,r", CASES)
-def test_oracle_equivalence_loads(dim, M, r, monkeypatch):
+@pytest.mark.parametrize("dim,M,r,jittered", FIELD_CASES)
+def test_oracle_equivalence_loads(dim, M, r, jittered, monkeypatch):
     rng = np.random.default_rng(6)
-    mesh = build_structured(dim, M)
+    mesh = case_mesh(dim, M, jittered)
     cspace = build_scalar_space(mesh, r, complex_field=True)
     vspace = build_vector_space(mesh, r)
     psi = FieldVector(cspace, rng.standard_normal(cspace.n_dofs)
@@ -318,10 +330,33 @@ def test_oracle_equivalence_loads(dim, M, r, monkeypatch):
     l2 = oracles.naive_current_load(vspace, psi, qdeg)
     f2 = oracles.naive_source_load(cspace, lambda x: s(np.asarray(x)[None, :])[0], qdeg)
     for _ in chunk_budgets(monkeypatch):
-        l1 = forms.assemble_current_load(vspace, psi)
+        l1 = forms.assemble_current_load(vspace, forms.QuadratureField(psi))
         assert np.max(np.abs(l1 - l2)) <= 1e-12
         f1 = forms.assemble_source_load(cspace, s)
         assert np.max(np.abs(f1 - f2)) <= 1e-12
+
+
+COEFFICIENTS = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_B_and_current_load_match_oracles_for_random_fields(data):
+    # random real A and complex psi on a jittered 2D P1 M=3 mesh
+    mesh = oracles.jittered_mesh(2, 3, seed=11)
+    cspace = build_scalar_space(mesh, 1, complex_field=True)
+    vspace = build_vector_space(mesh, 1)
+
+    def coefficients(n):
+        return data.draw(hnp.arrays(np.float64, n, elements=COEFFICIENTS))
+
+    a = FieldVector(vspace, coefficients(vspace.n_dofs))
+    psi = FieldVector(cspace, coefficients(cspace.n_dofs) + 1j * coefficients(cspace.n_dofs))
+    B = forms.assemble_B(cspace, a, forms.assemble_stiffness(cspace)).toarray()
+    assert np.max(np.abs(B - B.conj().T)) <= 1e-12
+    assert np.max(np.abs(B - oracles.naive_B(cspace, a, 4))) <= 1e-12
+    load = forms.assemble_current_load(vspace, forms.QuadratureField(psi))
+    assert np.max(np.abs(load - oracles.naive_current_load(vspace, psi, 4))) <= 1e-12
 
 
 def test_one_quadrature_table_per_degree_and_qdeg(monkeypatch):
@@ -336,12 +371,12 @@ def test_one_quadrature_table_per_degree_and_qdeg(monkeypatch):
     forms.assemble_mass(cspace)
     forms.assemble_stiffness(cspace)
     forms.assemble_D(vspace)
-    forms.assemble_weighted_mass(vspace, forms.Abs2(psi))
-    forms.assemble_current_load(vspace, psi)
+    forms.assemble_weighted_mass(vspace, forms.QuadratureField(psi).abs2)
+    forms.assemble_current_load(vspace, forms.QuadratureField(psi))
     forms.assemble_B(cspace, vspace.new_field(), forms.assemble_stiffness(cspace))
     forms.assemble_mass(p2space)
     forms.assemble_mass(cspace, qdeg=2)
-    forms.assemble_coefficient_load(cspace, forms.Abs2(psi), qdeg=2)
+    forms.assemble_coefficient_load(cspace, psi, qdeg=2)
     mms.error_norms(psi, mms.make_case(3), "psi", 0.0)
 
     tables = {k: v for k, v in mesh._geom.items() if isinstance(v, forms.QuadratureTable)}
@@ -349,7 +384,16 @@ def test_one_quadrature_table_per_degree_and_qdeg(monkeypatch):
     assert sorted(tables) == [("quadrature", 1, 0), ("quadrature", 1, 2),
                               ("quadrature", 1, 4), ("quadrature", 2, 6)]
     for t in tables.values():
-        assert t.wdet.shape[0] == t.grads.shape[0] == t.x.shape[0] == mesh.n_cells
+        assert t.wdet.shape[0] == t.JinvT.shape[0] == t.x.shape[0] == mesh.n_cells
+        # no array grows with n_cells * q * nloc: the per-cell arrays (wdet,
+        # JinvT, x) hold at most max(q d, d^2) entries per cell, the others
+        # are cell-independent reference tensors
+        nq, nloc, d = t.gref.shape
+        arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
+        per_cell = [v for v in arrays if v.shape[0] == mesh.n_cells]
+        assert len(per_cell) == 3
+        assert all(v.size <= mesh.n_cells * max(nq * d, d * d) for v in per_cell)
+        assert all(v.size <= nq * d * nloc ** 2 for v in arrays if v.shape[0] != mesh.n_cells)
     assert forms.quadrature_table(mesh, 1) is forms.quadrature_table(mesh, 1, 4)
 
 

@@ -54,7 +54,8 @@ def test_source_gate_catches_broken_case():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_source_decomposition_matches_sources(dim):
-    # every source is sum_j c_j(t) s_j(x) over the case's separable terms
+    # every source is sum_j c_j(t) s_j(x) over the case's separable terms,
+    # the shapes reading the shared factors of x
     case = mms.make_case(dim)
     rng = np.random.default_rng(3)
     x = rng.random((50, dim))
@@ -62,7 +63,7 @@ def test_source_decomposition_matches_sources(dim):
         for terms, source in ((case.f_terms, mms.source_f),
                               (case.g_terms, mms.source_g),
                               (case.l_terms, mms.source_l)):
-            got = sum(c(t) * s(x) for c, s in terms)
+            got = sum(c(t) * s(case.factors(x)) for c, s in terms)
             want = source(case, x, t)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

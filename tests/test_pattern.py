@@ -77,11 +77,11 @@ def test_forms_and_step_matrices_share_the_space_pattern(dim, r, monkeypatch):
     a = FieldVector(sp.A, rng.standard_normal(sp.A.n_dofs))
     for m in (st.mass_psi, st.stiff_psi, st.phi_system,
               forms.assemble_B(sp.psi, a, st.stiff_psi),
-              forms.assemble_weighted_mass(sp.psi, forms.Abs2(state.psi))):
+              forms.assemble_weighted_mass(sp.psi, forms.QuadratureField(state.psi).abs2)):
         assert on_pattern(m, sp.psi)
     for m in (st.mass_phi, st.stiff_phi):
         assert on_pattern(m, sp.phi)
-    for m in (st.mass_vec, st.D, forms.assemble_weighted_mass(sp.A, forms.Abs2(state.psi))):
+    for m in (st.mass_vec, st.D, forms.assemble_weighted_mass(sp.A, forms.QuadratureField(state.psi).abs2)):
         assert on_pattern(m, sp.A)
 
     seen = []

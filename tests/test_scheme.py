@@ -101,8 +101,8 @@ def wave_a_residual(st, state, a_new):
     sp = st.spaces
     Mv = forms.assemble_mass(sp.A)
     D = forms.assemble_D(sp.A)
-    W = forms.assemble_weighted_mass(sp.A, forms.Abs2(state.psi))
-    Fc = forms.assemble_current_load(sp.A, state.psi)
+    W = forms.assemble_weighted_mass(sp.A, forms.QuadratureField(state.psi).abs2)
+    Fc = forms.assemble_current_load(sp.A, forms.QuadratureField(state.psi))
     rhs = forms.assemble_source_load(sp.A, lambda x: mms.source_g(st.case, x, state.t)) \
         if cfg.mode == "mms" else 0.0
     lhs = (Mv @ (a_new.data - 2 * state.a.data + state.a_prev.data) / dt ** 2
@@ -128,7 +128,7 @@ def test_single_step_plugback_residuals_3d():
     phi_new = st.step_wave_phi(state)
     Mp = forms.assemble_mass(sp.phi)
     Kp = forms.assemble_stiffness(sp.phi)
-    dens = forms.assemble_coefficient_load(sp.phi, forms.Abs2(state.psi)).real
+    dens = forms.assemble_coefficient_load(sp.phi, forms.QuadratureField(state.psi).abs2)
     lsrc = forms.assemble_source_load(sp.phi, lambda x: mms.source_l(st.case, x, state.t)).real
     lhs = (Mp @ (phi_new.data - 2 * state.phi.data + state.phi_prev.data) / dt ** 2
            + 0.5 * (Kp @ (phi_new.data + state.phi_prev.data)))
@@ -191,12 +191,12 @@ def test_step_solutions_match_dense_solves():
     sp = st.spaces
 
     a_new = st.step_wave_a(state)
-    W = forms.assemble_weighted_mass(sp.A, forms.Abs2(state.psi))
+    W = forms.assemble_weighted_mass(sp.A, forms.QuadratureField(state.psi).abs2)
     sys_d = (st.mass_vec.toarray() / dt ** 2
              + 0.5 * (st.D.toarray() + W.toarray()))
     rhs = (st.mass_vec @ (2 * state.a.data - state.a_prev.data) / dt ** 2
            - 0.5 * (st.D.toarray() + W.toarray()) @ state.a_prev.data
-           - forms.assemble_current_load(sp.A, state.psi)
+           - forms.assemble_current_load(sp.A, forms.QuadratureField(state.psi))
            + forms.assemble_source_load(sp.A, lambda x: mms.source_g(st.case, x, state.t)))
     x = np.linalg.solve(sys_d, rhs)
     assert np.linalg.norm(a_new.data - x) / np.linalg.norm(x) <= 1e-10
@@ -205,7 +205,7 @@ def test_step_solutions_match_dense_solves():
     sys_d = st.mass_phi.toarray() / dt ** 2 + 0.5 * st.stiff_phi.toarray()
     rhs = (st.mass_phi @ (2 * state.phi.data - state.phi_prev.data) / dt ** 2
            - 0.5 * (st.stiff_phi @ state.phi_prev.data)
-           + forms.assemble_coefficient_load(sp.phi, forms.Abs2(state.psi)).real
+           + forms.assemble_coefficient_load(sp.phi, forms.QuadratureField(state.psi).abs2)
            + forms.assemble_source_load(sp.phi, lambda x: mms.source_l(st.case, x, state.t)).real)
     x = np.linalg.solve(sys_d, rhs)
     assert np.linalg.norm(phi_new.data - x) / np.linalg.norm(x) <= 1e-10
@@ -241,7 +241,7 @@ def test_first_phi_step_from_rest_matches_dense_formula():
     state = st.initialize(data)
     phi_new = st.step_wave_phi(state)
     sys_d = st.mass_phi.toarray() / dt ** 2 + 0.5 * st.stiff_phi.toarray()
-    load = forms.assemble_coefficient_load(st.spaces.phi, forms.Abs2(state.psi)).real
+    load = forms.assemble_coefficient_load(st.spaces.phi, forms.QuadratureField(state.psi).abs2)
     x = np.linalg.solve(sys_d, load)
     assert np.allclose(phi_new.data, x, rtol=1e-10)
     # nodally phi ~ c dt^2 up to the stiffness correction
@@ -255,7 +255,7 @@ def test_wave_system_matrices_spd():
     cfg = small_config(dim=2, M=4, dt=0.1)
     st = scheme.AlternatingStepper(cfg)
     state = st.initialize()
-    W = forms.assemble_weighted_mass(st.spaces.A, forms.Abs2(state.psi))
+    W = forms.assemble_weighted_mass(st.spaces.A, forms.QuadratureField(state.psi).abs2)
     sys_a = ((1 / cfg.dt ** 2) * st.mass_vec + 0.5 * (st.D + W)).toarray()
     assert np.max(np.abs(sys_a - sys_a.T)) <= 1e-12
     for _ in range(50):
@@ -337,8 +337,8 @@ def test_consistency_rate_of_interpolated_exact_solution():
         a_km1 = interpolate(sp.A, lambda x: case.A(x, tkm1))
         a_k = interpolate(sp.A, lambda x: case.A(x, tkm1 + dt))
         psi_km1 = interpolate(sp.psi, lambda x: case.psi(x, tkm1))
-        W = forms.assemble_weighted_mass(sp.A, forms.Abs2(psi_km1))
-        Fc = forms.assemble_current_load(sp.A, psi_km1)
+        W = forms.assemble_weighted_mass(sp.A, forms.QuadratureField(psi_km1).abs2)
+        Fc = forms.assemble_current_load(sp.A, forms.QuadratureField(psi_km1))
         G = forms.assemble_source_load(sp.A, lambda x: mms.source_g(case, x, tkm1))
         r = (st.mass_vec @ (a_k.data - 2 * a_km1.data + a_km2.data) / dt ** 2
              + 0.5 * (st.D @ (a_k.data + a_km2.data)
