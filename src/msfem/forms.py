@@ -214,10 +214,9 @@ def _on_pattern(space: FeSpace, loc: np.ndarray, componentwise: bool = False):
     """
     pat = space.pattern()
     if componentwise:
-        nc, nloc = loc.shape[:2]
-        d = space.ncomp
-        blocks = pat.cell_map.reshape(nc, nloc, d, nloc, d)
-        data = sum(pat.assemble(loc, blocks[:, :, k, :, k]) for k in range(d))
+        # the components' slots are disjoint: one bincount, in cell order
+        data = pat.assemble(np.broadcast_to(loc, (space.ncomp, *loc.shape)),
+                            pat.diagonal_blocks)
     else:
         data = pat.assemble(loc)
     return pat.matrix(data.astype(space.dtype, copy=False))

@@ -7,7 +7,8 @@ from the same dimension-generic constructor.  Every field is a time amplitude
 times a spatial shape, so each source is a short sum sum_j c_j(t) s_j(x)
 (``ManufacturedCase.f_terms``/``g_terms``/``l_terms``), from which the stepper
 precomputes one load per shape; the shapes are evaluated together from
-shared per-coordinate sin/cos factors (``ManufacturedCase.factors``).  The
+shared per-coordinate sin/cos factors and base shapes
+(``ManufacturedCase.factors``).  The
 pointwise sources ``source_f/g/l`` are cross-checked against a
 Richardson-extrapolated finite-difference oracle built from the value
 closures alone, and the convergence harness refuses to run when that gate
@@ -135,7 +136,8 @@ def _partials(factors, derivs):
 
 class _Factors:
     """The per-coordinate factors of the separable fields at points x, each
-    a list over the coordinates, evaluated on first use and then shared."""
+    a list over the coordinates, and the base shapes S, W, G, P built from
+    them; each is evaluated on first use and then shared."""
 
     def __init__(self, x):
         self.x = np.asarray(x, dtype=float)
@@ -163,6 +165,22 @@ class _Factors:
     def bubble(self):
         return self._each(lambda xi: xi * (1 - xi))
 
+    @cached_property
+    def S(self):
+        return _product(self.sin2)
+
+    @cached_property
+    def W(self):
+        return _partials(self.sin1, self.cos1)
+
+    @cached_property
+    def G(self):
+        return _product(self.sin1)
+
+    @cached_property
+    def P(self):
+        return _product(self.bubble)
+
 
 def _separable_case(d: int, v0: float) -> ManufacturedCase:
     """The verification triple on (0,1)^d: psi = amp(t) S(x), A = a(t) W(x)
@@ -170,26 +188,19 @@ def _separable_case(d: int, v0: float) -> ManufacturedCase:
 
     Lap S = -4 d pi^2 S, div W = -d pi G and Lap W = -d pi^2 W; W is a
     gradient, so curl A = 0, and the probability current of psi is zero.
-    The spatial shapes take the ``_Factors`` of the points; the closures of
-    x build them.
+    The spatial shapes take the ``_Factors`` of the points, which evaluate
+    the base shapes S, W, G, P once each; the closures of x build them.
     """
     two_pi = 2.0 * np.pi
     pi = np.pi
 
-    def S(F):
-        return _product(F.sin2)
+    S = lambda F: F.S
+    W = lambda F: F.W
+    G = lambda F: F.G
+    P = lambda F: F.P
 
     def grad_S(F):
         return two_pi * _partials(F.sin2, F.cos2)
-
-    def W(F):
-        return _partials(F.sin1, F.cos1)
-
-    def G(F):
-        return _product(F.sin1)
-
-    def P(F):
-        return _product(F.bubble)
 
     def grad_P(F):
         return _partials(F.bubble, [1 - 2 * F.x[..., i] for i in range(d)])

@@ -78,8 +78,7 @@ class FeSpace:
         key = ("pattern", self.degree, self.kind, self.constrained_space)
         store = self.mesh._geom
         if key not in store:
-            cd = self.cell_dof_index()
-            store[key] = Pattern(cd.reshape(cd.shape[0], -1), self.n_dofs)
+            store[key] = Pattern(self.cell_nodes, self.dof_index)
         return store[key]
 
     def gather_cells(self, field_vec: "FieldVector", cells=slice(None)) -> np.ndarray:
@@ -128,9 +127,13 @@ def _global_nodes(mesh: Mesh, degree: int):
         elem = reference_element(mesh.dim, degree)
         vints = mesh.vertices_int[mesh.cells]              # (nc, d+1, d)
         node_ints = np.einsum("lk,ckd->cld", elem.vertex_weights, vints)
-        flat = node_ints.reshape(-1, mesh.dim)
-        uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
-        mesh._geom[key] = uniq, inverse.reshape(mesh.n_cells, elem.node_count)
+        # one integer key per lattice point, in the lexicographic order of
+        # its coordinates: a 1D unique numbers the nodes as a row unique would
+        shape = (degree * mesh.subdivisions + 1,) * mesh.dim
+        keys = np.ravel_multi_index(tuple(np.moveaxis(node_ints, -1, 0)), shape)
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        nodes = np.stack(np.unravel_index(uniq, shape), axis=-1)
+        mesh._geom[key] = nodes, inverse.reshape(mesh.n_cells, elem.node_count)
     return mesh._geom[key]
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,40 +44,73 @@ ITERATIVE_SLACK = 10.0
 # up to this floor.
 DIRECT_RESIDUAL_FLOOR = 1e-8
 # Inner GMRES iterations, over all restart cycles, before the LU fallback;
-# also the restart length.  The benchmark's psi solves converge in 4-33.
+# also the restart length.  The benchmark's LU-preconditioned psi solves
+# converge in 2-7.
 GMRES_MAX_ITERATIONS = 200
 
 
 class Pattern:
     """CSR structure of the matrices assembled on one dof numbering.
 
-    ``cell_map[c, i, j]`` is the position in a data array of the entry that
-    couples local dofs i and j of cell c.  Pairs that touch a constrained dof
-    map to the extra slot ``nnz``, which ``assemble`` drops.  Column indices
-    are strictly increasing within each row.
+    Local dofs are (node, component) pairs, node-major.  ``cell_map[c, i, j]``
+    is the position in a data array of the entry that couples local dofs i
+    and j of cell c.  Pairs that touch a constrained dof map to the extra
+    slot ``nnz``, which ``assemble`` drops.  Column indices are strictly
+    increasing within each row.
     """
 
-    def __init__(self, cell_dofs: np.ndarray, n: int):
-        """``cell_dofs``: (cells, k) global dof per local dof, ``n`` where constrained."""
-        nc, k = cell_dofs.shape
-        pairs = cell_dofs[:, :, None] * (n + 1) + cell_dofs[:, None, :]   # row, col keys
-        keys, inverse = np.unique(pairs.ravel(), return_inverse=True)
-        key_rows, key_cols = np.divmod(keys, n + 1)
-        free = (key_rows < n) & (key_cols < n)
+    def __init__(self, cell_nodes: np.ndarray, dof_index: np.ndarray):
+        """``cell_nodes``: (cells, nloc) global node per local node;
+        ``dof_index``: (nodes, ncomp) global dof per (node, component), -1
+        where constrained, numbered in (node, component) order."""
+        nc, nloc = cell_nodes.shape
+        nn, e = dof_index.shape
+        n = int(dof_index.max(initial=-1)) + 1
+        # the coupled node pairs, sorted by (row node, column node); only
+        # they are sorted, then each expands to its e x e component pairs
+        node_pairs = cell_nodes[:, :, None] * nn + cell_nodes[:, None, :]
+        keys, inverse = np.unique(node_pairs.ravel(), return_inverse=True)
+        a, b = np.divmod(keys, nn)
+        row_len = np.bincount(a, minlength=nn)
+        row_start = np.concatenate([[0], np.cumsum(row_len)])[a]
+        # with dofs numbered in (node, component) order, the sorted position
+        # of component pair (ca, cb) of node pair p in row a is
+        # e^2 start(a) + ca e len(a) + e (p - start(a)) + cb
+        ca, cb = np.arange(e)[:, None], np.arange(e)[None, :]
+        pos = (e * e * row_start[:, None, None] + e * row_len[a][:, None, None] * ca
+               + e * (np.arange(keys.size) - row_start)[:, None, None] + cb)
+        rows = np.empty(pos.size, dtype=np.int64)
+        cols = np.empty(pos.size, dtype=np.int64)
+        rows[pos] = dof_index[a][:, :, None]     # the dof rows and columns,
+        cols[pos] = dof_index[b][:, None, :]     # sorted, -1 where constrained
+        free = (rows >= 0) & (cols >= 0)
         self.nnz = int(free.sum())
         self.shape = (n, n)
-        slot = np.where(free, np.cumsum(free) - 1, self.nnz)
-        self.cell_map = slot[inverse].reshape(nc, k, k)
+        self.ncomp = e
+        slot = np.where(free, np.cumsum(free) - 1, self.nnz)[pos]       # (pairs, e, e)
+        self.cell_map = (slot[inverse.reshape(nc, nloc, nloc)]
+                         .transpose(0, 1, 3, 2, 4).reshape(nc, nloc * e, nloc * e))
         # scipy keeps int32 index arrays as given; int64 ones it would copy
         # down to int32 every time a matrix is wrapped
         idx = np.int32 if max(n, self.nnz) < np.iinfo(np.int32).max else np.int64
-        self.indices = key_cols[free].astype(idx)
+        self.indices = cols[free].astype(idx)
         self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(key_rows[free], minlength=n))]).astype(idx)
+            [[0], np.cumsum(np.bincount(rows[free], minlength=n))]).astype(idx)
+
+    @cached_property
+    def diagonal_blocks(self) -> np.ndarray:
+        """(ncomp, cells, nloc, nloc) index of the diagonal component blocks,
+        contiguous so that one ``assemble`` places a scalar block, broadcast
+        over the components, on all of them; built on first use and kept."""
+        nc, k = self.cell_map.shape[:2]
+        e = self.ncomp
+        blocks = self.cell_map.reshape(nc, k // e, e, k // e, e)
+        return np.stack([blocks[:, :, c, :, c] for c in range(e)])
 
     def assemble(self, loc: np.ndarray, cell_map: np.ndarray | None = None) -> np.ndarray:
         """Data array of the local matrices ``loc`` summed through ``cell_map``
-        (default: the full map; a slice of it places ``loc`` on sub-blocks)."""
+        (default: the full map; ``diagonal_blocks`` places a ``loc``
+        broadcast over the components on the diagonal blocks)."""
         index = (self.cell_map if cell_map is None else cell_map).ravel()
         size = self.nnz + 1
         if np.iscomplexobj(loc):

@@ -28,22 +28,37 @@ def on_pattern(matrix, space):
             and np.shares_memory(matrix.indptr, pat.indptr))
 
 
-def test_pattern_assembly_matches_dense_accumulation():
-    # random connectivity with repeated pairs across cells; dof n is constrained
+def check_dense_accumulation(ncomp):
+    # random connectivity with repeated pairs across cells; random (node,
+    # component) pairs are constrained
     rng = np.random.default_rng(0)
-    n, k = 15, 4
-    cell_dofs = np.stack([rng.choice(n + 1, size=k, replace=False) for _ in range(40)])
-    loc = rng.standard_normal((40, k, k)) + 1j * rng.standard_normal((40, k, k))
-    pat = sparsela.Pattern(cell_dofs, n)
+    nn, k = 16, 4
+    cell_nodes = np.stack([rng.choice(nn, size=k, replace=False) for _ in range(40)])
+    constrained = rng.random((nn, ncomp)) < 0.2
+    dof_index = np.full((nn, ncomp), -1)
+    dof_index[~constrained] = np.arange((~constrained).sum())
+    n = int((~constrained).sum())
+    kl = k * ncomp
+    loc = rng.standard_normal((40, kl, kl)) + 1j * rng.standard_normal((40, kl, kl))
+    pat = sparsela.Pattern(cell_nodes, dof_index)
     dense = np.zeros((n + 1, n + 1), dtype=complex)
-    for dofs, block in zip(cell_dofs, loc):
+    for nodes, block in zip(cell_nodes, loc):
+        dofs = dof_index[nodes].ravel()      # node-major, component-minor
         for a, i in enumerate(dofs):
             for b, j in enumerate(dofs):
-                dense[i, j] += block[a, b]
+                dense[i, j] += block[a, b]   # -1 lands in the dropped last row/col
     A = pat.matrix(pat.assemble(loc))
     assert np.allclose(A.toarray(), dense[:n, :n], atol=1e-13)
     for row in range(n):
         assert np.all(np.diff(pat.indices[pat.indptr[row]:pat.indptr[row + 1]]) > 0)
+
+
+def test_pattern_assembly_matches_dense_accumulation():
+    check_dense_accumulation(ncomp=1)
+
+
+def test_vector_pattern_assembly_matches_dense_accumulation():
+    check_dense_accumulation(ncomp=2)
 
 
 @pytest.mark.parametrize("dim,r", CASES)
@@ -99,3 +114,19 @@ def test_forms_and_step_matrices_share_the_space_pattern(dim, r, monkeypatch):
     assert on_pattern(seen[0], sp.A)
     assert on_pattern(seen[1], sp.phi)
     assert on_pattern(seen[2], sp.psi)
+
+
+@pytest.mark.parametrize("dim,r", CASES)
+def test_componentwise_assembly_is_one_bincount_bit_identical_to_per_component(dim, r):
+    st = free_stepper(dim, r)
+    space = st.spaces.A
+    pat = space.pattern()
+    nloc, d = space.element.node_count, space.ncomp
+    rng = np.random.default_rng(1)
+    loc = rng.standard_normal((space.mesh.n_cells, nloc, nloc))
+    blocks = pat.cell_map.reshape(-1, nloc, d, nloc, d)
+    per_component = sum(pat.assemble(loc, blocks[:, :, k, :, k]) for k in range(d))
+    data = forms._on_pattern(space, loc, componentwise=True).data
+    assert np.array_equal(data, per_component)
+    assert pat.diagonal_blocks is pat.diagonal_blocks
+    assert pat.diagonal_blocks.flags.c_contiguous

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msfem import forms, mms, scheme
+from msfem import forms, mms, scheme, sparsela
 from msfem.mesh import build_structured
 from msfem.space import FieldVector, build_scalar_space, build_vector_space, interpolate
 
@@ -308,6 +308,33 @@ def test_norm_conservation_free_mode():
     norms = np.array(res.psi_norms)
     drift = np.max(np.abs(norms - norms[0])) / norms[0]
     assert drift <= 1e-9
+
+
+@pytest.mark.parametrize("dim,M,r", [(2, 32, 1), (3, 4, 2)])
+def test_psi_solve_is_lu_preconditioned_gmres(dim, M, r, monkeypatch):
+    """Every psi solve runs GMRES preconditioned by the LU of the
+    step-independent operator, at every system size, and converges in a few
+    iterations."""
+    reports = []
+    solve = sparsela.solve_complex
+
+    def recording(*args, **kwargs):
+        x, rep = solve(*args, **kwargs)
+        reports.append(rep)
+        return x, rep
+
+    monkeypatch.setattr(sparsela, "solve_complex", recording)
+    dt = 1.0 / 64
+    cfg = scheme.SchemeConfig(dim=dim, M=M, degree=r, t_final=3 * dt, dt=dt,
+                              n_steps=3, mode="free")
+    st = scheme.AlternatingStepper(cfg)
+    state = st.initialize()
+    for _ in range(3):
+        state = st.advance(state)
+    assert len(reports) == 3
+    for rep in reports:
+        assert rep.method == "gmres"
+        assert rep.iterations <= 3
 
 
 def test_mms_h1_errors_decrease_under_refinement():

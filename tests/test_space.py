@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from msfem import space as sp
+from msfem.elements import reference_element
 from msfem.mesh import build_structured
 
 
@@ -16,6 +17,19 @@ def test_scalar_free_dof_counts():
 def test_scalar_free_count_formula(dim, M, r):
     space = sp.build_scalar_space(build_structured(dim, M), r)
     assert space.n_dofs == (r * M - 1) ** dim
+
+
+@pytest.mark.parametrize("dim,M,r", [(2, 3, 1), (2, 3, 2), (3, 2, 1), (3, 2, 2)])
+def test_nodes_are_numbered_in_lexicographic_lattice_order(dim, M, r):
+    """The node numbering equals a row-wise unique of the per-cell lattice
+    coordinates: nodes sorted lexicographically, cells pointing into them."""
+    mesh = build_structured(dim, M)
+    elem = reference_element(dim, r)
+    node_ints = np.einsum("lk,ckd->cld", elem.vertex_weights, mesh.vertices_int[mesh.cells])
+    uniq, inverse = np.unique(node_ints.reshape(-1, dim), axis=0, return_inverse=True)
+    space = sp.build_scalar_space(mesh, r)
+    assert np.array_equal(space.nodes_int, uniq)
+    assert np.array_equal(space.cell_nodes, inverse.reshape(mesh.n_cells, -1))
 
 
 def test_vector_constraint_masks_3d():
