@@ -18,13 +18,14 @@ the table; the chunks bound the per-chunk transients (local matrices, field
 values and gradients).
 
 Every form on a space lands on that space's CSR pattern (``FeSpace.pattern``):
-the local matrices are summed into the pattern's data array by
-``np.bincount`` through its (cell, i, j) -> data index map, and the form is
-returned as a ``scipy.sparse.csr_array`` that shares the pattern's index
-arrays.  Forms on one space can therefore be combined by combining their
-``data`` arrays.  On a vector space the componentwise (block-diagonal) mass
-forms use the diagonal component blocks of the same pattern as the
-div-div + curl-curl form.
+one scalar local matrix per cell is summed into the pattern's data array by
+``np.bincount`` through its (component, cell, i, j) -> data index map, the
+same block in every component of a vector space, and the form is returned
+as a ``scipy.sparse.csr_array`` that shares the pattern's index arrays.
+Forms on one space can therefore be combined by combining their ``data``
+arrays.  Every vector form is componentwise: the masses by definition, and
+the div-div + curl-curl form ``D`` because on this space it equals the
+componentwise stiffness (see ``assemble_D``).
 
 Nonlinear coefficients (|psi_h|^2, |A_h|^2, the probability current) are
 evaluated pointwise at the quadrature nodes of the assembled form.  The
@@ -205,21 +206,11 @@ def _pairing(weighted_rows, rows):
     return np.matmul(weighted_rows.transpose(0, 2, 1), rows)
 
 
-def _on_pattern(space: FeSpace, loc: np.ndarray, componentwise: bool = False):
-    """csr_array of per-cell local matrices summed on the space's pattern.
-
-    ``loc`` is (cells, k, k) over the pattern's local dofs, or with
-    ``componentwise`` a scalar (cells, nloc, nloc) block placed on every
-    diagonal component block of a vector space.
-    """
+def _on_pattern(space: FeSpace, loc: np.ndarray):
+    """csr_array of the scalar local matrices ``loc`` (cells, nloc, nloc)
+    summed on the space's pattern, in every component of a vector space."""
     pat = space.pattern()
-    if componentwise:
-        # the components' slots are disjoint: one bincount, in cell order
-        data = pat.assemble(np.broadcast_to(loc, (space.ncomp, *loc.shape)),
-                            pat.diagonal_blocks)
-    else:
-        data = pat.assemble(loc)
-    return pat.matrix(data.astype(space.dtype, copy=False))
+    return pat.matrix(pat.assemble(loc).astype(space.dtype, copy=False))
 
 
 def _scatter_load(out: np.ndarray, dofs: np.ndarray, loc: np.ndarray):
@@ -242,16 +233,21 @@ def assemble_weighted_mass(space: FeSpace, weight, qdeg: int | None = None) -> s
     nloc = space.element.node_count
     loc = np.empty((space.mesh.n_cells, nloc * nloc))
     tab = quadrature_table(space.mesh, space.degree, qdeg)
-    for sl in _chunks(space.mesh.n_cells, (nloc * space.ncomp) ** 2):
+    for sl in _chunks(space.mesh.n_cells, nloc * nloc):
         loc[sl] = (tab.coefficient(weight, sl) * tab.wdet[sl]) @ tab.vv
-    return _on_pattern(space, loc.reshape(-1, nloc, nloc),
-                       componentwise=space.kind == "vector")
+    return _on_pattern(space, loc.reshape(-1, nloc, nloc))
 
 
 def assemble_stiffness(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
     """Scalar stiffness (grad u, grad v), by default at degree 2(r-1)."""
     if space.kind != "scalar":
         raise ValueError("stiffness is assembled on scalar spaces")
+    return _componentwise_stiffness(space, qdeg)
+
+
+def _componentwise_stiffness(space: FeSpace, qdeg: int | None) -> sp.csr_array:
+    """sum_c (grad u_c, grad v_c), by default at degree 2(r-1): the kernel of
+    both ``assemble_stiffness`` and ``assemble_D``."""
     nloc = space.element.node_count
     loc = np.empty((space.mesh.n_cells, nloc, nloc))
     tab = quadrature_table(space.mesh, space.degree, _gradient_degree(space.degree, qdeg))
@@ -268,48 +264,27 @@ def _grad_rows(grads: np.ndarray, wdet: np.ndarray):
     return gw.transpose(0, 2, 1), g.transpose(0, 2, 1)
 
 
-def _curl_rows(grads: np.ndarray, dim: int) -> np.ndarray:
-    """Curl of each (node, comp) vector basis function at quadrature points.
-
-    grads: (c, q, nloc, d).  Returns (c, q, nloc*d) for d=2 (scalar curl) or
-    (c, q, nloc*d, 3) for d=3.
-    """
-    c, q, nloc, d = grads.shape
-    if dim == 2:
-        out = np.empty((c, q, nloc, 2))
-        out[..., 0] = -grads[..., 1]   # comp x: -d/dy
-        out[..., 1] = grads[..., 0]    # comp y: +d/dx
-        return out.reshape(c, q, nloc * 2)
-    eps = np.zeros((3, 3, 3))
-    for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-        eps[i, j, k] = 1.0
-        eps[i, k, j] = -1.0
-    out = np.einsum("mnp,cqan->cqapm", eps, grads, optimize=True)
-    return out.reshape(c, q, nloc * 3, 3)
-
-
 def assemble_D(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
-    """Grad-div plus curl-curl form (div u, div v) + (curl u, curl v).
+    """Grad-div plus curl-curl form (div u, div v) + (curl u, curl v),
+    assembled as the componentwise stiffness sum_c (grad u_c, grad v_c).
 
+    For H^1 fields with vanishing tangential trace on a polyhedron with flat
+    faces the two forms are equal (Girault & Raviart, Finite Element Methods
+    for Navier-Stokes Equations, Springer 1986, Ch. I), and on this space the
+    discrete forms are equal too.  Per cell, the diagonal component blocks
+    of div-div + curl-curl are exactly grad phi_i . grad phi_j.  The
+    cross-component terms d_a phi_i d_b phi_j - d_b phi_i d_a phi_j are a
+    null Lagrangian: summed over the cells they are the flux of
+    phi_i (n_a d_b - n_b d_a) phi_j, a tangential derivative, which is
+    continuous across interior faces and vanishes on every boundary face:
+    on a face normal to e_a or e_b the other component is tangential, so its
+    dof is constrained, and on any other face n_a = n_b = 0.
     In 2D the curl is the scalar d1 u2 - d2 u1.  The default quadrature
     degree is 2(r-1), exact for this gradient-only integrand.
     """
     if space.kind != "vector":
         raise ValueError("the div-div + curl-curl form needs a vector space")
-    d = space.mesh.dim
-    nloc = space.element.node_count
-    loc = np.empty((space.mesh.n_cells, nloc * d, nloc * d))
-    tab = quadrature_table(space.mesh, space.degree, _gradient_degree(space.degree, qdeg))
-    for sl in _chunks(space.mesh.n_cells, (nloc * d) ** 2):
-        grads, wdet = tab.gradients(sl), tab.wdet[sl]
-        nc, nq = wdet.shape
-        div = grads.reshape(nc, nq, nloc * d)           # (c, q, nloc*d)
-        loc[sl] = _pairing(div * wdet[:, :, None], div)
-        curl = _curl_rows(grads, d)
-        # one curl component at a time: no flattened (c, q*3, nloc*d) copies
-        for cm in ([curl] if d == 2 else np.moveaxis(curl, -1, 0)):
-            loc[sl] += _pairing(cm * wdet[:, :, None], cm)
-    return _on_pattern(space, loc)
+    return _componentwise_stiffness(space, qdeg)
 
 
 def assemble_B(space: FeSpace, a_field: FieldVector, stiffness: sp.csr_array,

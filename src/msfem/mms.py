@@ -46,7 +46,6 @@ __all__ = [
     "source_gate",
     "error_norms",
     "scalar_error_norms",
-    "vector_error_norms",
     "observed_order",
     "gauge_residuals",
 ]
@@ -61,7 +60,9 @@ class ManufacturedCase:
     """Exact fields, their derivatives, problem constants and the source
     decomposition.
 
-    All closures are vectorized over points of shape (..., dim).  Every
+    All closures are vectorized over points of shape (..., dim); the field
+    closures also take the record ``factors(x)`` of such points in place of
+    x, so that several fields at the same points share it.  Every
     source is a sum of time amplitudes times spatial shapes: ``f_terms``,
     ``g_terms`` and ``l_terms`` hold the pairs ``(c_j, s_j)`` with
     ``source_*(x, t) = sum_j c_j(t) * s_j(factors(x))``.  The shapes are
@@ -182,6 +183,11 @@ class _Factors:
         return _product(self.bubble)
 
 
+def _at(x) -> _Factors:
+    """The factor record of points x; a record passes through unchanged."""
+    return x if isinstance(x, _Factors) else _Factors(x)
+
+
 def _separable_case(d: int, v0: float) -> ManufacturedCase:
     """The verification triple on (0,1)^d: psi = amp(t) S(x), A = a(t) W(x)
     with W = grad G / pi, phi = tau(t) P(x).
@@ -189,7 +195,8 @@ def _separable_case(d: int, v0: float) -> ManufacturedCase:
     Lap S = -4 d pi^2 S, div W = -d pi G and Lap W = -d pi^2 W; W is a
     gradient, so curl A = 0, and the probability current of psi is zero.
     The spatial shapes take the ``_Factors`` of the points, which evaluate
-    the base shapes S, W, G, P once each; the closures of x build them.
+    the base shapes S, W, G, P once each; the closures of x build them, or
+    take a record built once for several of them.
     """
     two_pi = 2.0 * np.pi
     pi = np.pi
@@ -228,22 +235,22 @@ def _separable_case(d: int, v0: float) -> ManufacturedCase:
         dim=d,
         v0=v0,
         factors=_Factors,
-        psi=lambda x, t: _amp(t) * S(_Factors(x)),
-        psi_t=lambda x, t: _amp_t(t) * S(_Factors(x)),
-        grad_psi=lambda x, t: _amp(t) * grad_S(_Factors(x)),
-        lap_psi=lambda x, t: -4.0 * d * pi ** 2 * _amp(t) * S(_Factors(x)),
-        A=lambda x, t: a(t) * W(_Factors(x)),
-        A_t=lambda x, t: a_t(t) * W(_Factors(x)),
-        A_tt=lambda x, t: -pi ** 2 * a(t) * W(_Factors(x)),
-        div_A=lambda x, t: -d * pi * a(t) * G(_Factors(x)),
-        div_A_t=lambda x, t: -d * pi * a_t(t) * G(_Factors(x)),
-        curl_A=lambda x, t: np.zeros(curl_shape(x)),
-        lap_A=lambda x, t: -d * pi ** 2 * a(t) * W(_Factors(x)),
-        phi=lambda x, t: tau(t) * P(_Factors(x)),
-        phi_t=lambda x, t: tau_t(t) * P(_Factors(x)),
-        phi_tt=lambda x, t: tau_tt(t) * P(_Factors(x)),
-        grad_phi=lambda x, t: tau(t) * grad_P(_Factors(x)),
-        lap_phi=lambda x, t: tau(t) * lap_P(_Factors(x)),
+        psi=lambda x, t: _amp(t) * S(_at(x)),
+        psi_t=lambda x, t: _amp_t(t) * S(_at(x)),
+        grad_psi=lambda x, t: _amp(t) * grad_S(_at(x)),
+        lap_psi=lambda x, t: -4.0 * d * pi ** 2 * _amp(t) * S(_at(x)),
+        A=lambda x, t: a(t) * W(_at(x)),
+        A_t=lambda x, t: a_t(t) * W(_at(x)),
+        A_tt=lambda x, t: -pi ** 2 * a(t) * W(_at(x)),
+        div_A=lambda x, t: -d * pi * a(t) * G(_at(x)),
+        div_A_t=lambda x, t: -d * pi * a_t(t) * G(_at(x)),
+        curl_A=lambda x, t: np.zeros(curl_shape(_at(x).x)),
+        lap_A=lambda x, t: -d * pi ** 2 * a(t) * W(_at(x)),
+        phi=lambda x, t: tau(t) * P(_at(x)),
+        phi_t=lambda x, t: tau_t(t) * P(_at(x)),
+        phi_tt=lambda x, t: tau_tt(t) * P(_at(x)),
+        grad_phi=lambda x, t: tau(t) * grad_P(_at(x)),
+        lap_phi=lambda x, t: tau(t) * lap_P(_at(x)),
         # f = -i psi_t + (1/2)(-Lap psi + i div A psi + 2i A.grad psi
         #     + |A|^2 psi) + v0 psi + phi psi
         f_terms=(
@@ -404,41 +411,48 @@ class ErrorEntry:
 def scalar_error_norms(field_vec: FieldVector, value_fn, grad_fn,
                        qdeg: int) -> ErrorEntry:
     """L2 and H1 errors of a scalar field against exact closures."""
+    return _scalar_errors(field_vec, lambda x: (value_fn(x), grad_fn(x)), qdeg)
+
+
+def _scalar_errors(field_vec: FieldVector, exact, qdeg: int) -> ErrorEntry:
+    """The same against exact(x) -> (value, gradient), one call per chunk."""
     space = field_vec.space
     tab = forms.quadrature_table(space.mesh, space.degree, qdeg)
     l2 = 0.0
     semi = 0.0
     for sl in forms._chunks(space.mesh.n_cells, 8 * space.element.node_count):
         x, wdet = tab.x[sl], tab.wdet[sl]
-        dv = tab.field_values(field_vec, sl) - value_fn(x)
-        dg = tab.field_gradients(field_vec, sl) - grad_fn(x)
+        value, grad = exact(x)
+        dv = tab.field_values(field_vec, sl) - value
+        dg = tab.field_gradients(field_vec, sl) - grad
         l2 += float(np.sum(wdet * np.abs(dv) ** 2))
         semi += float(np.sum(wdet * np.sum(np.abs(dg) ** 2, axis=-1)))
     return ErrorEntry(l2=math.sqrt(l2), h1=math.sqrt(l2 + semi),
                       parts={"grad": math.sqrt(semi)})
 
 
-def vector_error_norms(field_vec: FieldVector, value_fn, div_fn, curl_fn,
-                       qdeg: int) -> ErrorEntry:
-    """L2, div and curl errors of a vector field; the reported H1-equivalent
-    is the square root of their summed squares."""
+def _vector_errors(field_vec: FieldVector, exact, qdeg: int) -> ErrorEntry:
+    """L2, div and curl errors of a vector field against exact(x) -> (value,
+    div, curl), one call per chunk; the reported H1-equivalent is the square
+    root of their summed squares."""
     space = field_vec.space
     tab = forms.quadrature_table(space.mesh, space.degree, qdeg)
     d = space.mesh.dim
     l2 = div2 = curl2 = 0.0
     for sl in forms._chunks(space.mesh.n_cells, 8 * space.element.node_count * d):
         x, wdet = tab.x[sl], tab.wdet[sl]
-        dv = tab.field_values(field_vec, sl) - value_fn(x)
+        value, div, curl_exact = exact(x)
+        dv = tab.field_values(field_vec, sl) - value
         grad = tab.field_gradients(field_vec, sl)   # (c, q, comp, deriv)
-        ddiv = np.trace(grad, axis1=-2, axis2=-1) - div_fn(x)
+        ddiv = np.trace(grad, axis1=-2, axis2=-1) - div
         if d == 2:
-            dcurl = grad[..., 1, 0] - grad[..., 0, 1] - curl_fn(x)
+            dcurl = grad[..., 1, 0] - grad[..., 0, 1] - curl_exact
             curl2 += float(np.sum(wdet * dcurl ** 2))
         else:
             curl = np.stack([grad[..., 2, 1] - grad[..., 1, 2],
                              grad[..., 0, 2] - grad[..., 2, 0],
                              grad[..., 1, 0] - grad[..., 0, 1]], axis=-1)
-            dcurl = curl - curl_fn(x)
+            dcurl = curl - curl_exact
             curl2 += float(np.sum(wdet * np.sum(dcurl ** 2, axis=-1)))
         l2 += float(np.sum(wdet * np.sum(np.abs(dv) ** 2, axis=-1)))
         div2 += float(np.sum(wdet * ddiv ** 2))
@@ -448,19 +462,20 @@ def vector_error_norms(field_vec: FieldVector, value_fn, div_fn, curl_fn,
 
 def error_norms(field_vec: FieldVector, case: ManufacturedCase, which: str,
                 t: float, qdeg: int | None = None) -> ErrorEntry:
-    """Errors of a discrete field against the exact case field at time t."""
+    """Errors of a discrete field against the exact case field at time t;
+    per chunk, the exact value and derivatives share one ``case.factors``."""
     qdeg = forms.quadrature_degree(field_vec.space.degree, qdeg)
-    if which == "psi":
-        return scalar_error_norms(field_vec, lambda x: case.psi(x, t),
-                                  lambda x: case.grad_psi(x, t), qdeg)
-    if which == "phi":
-        return scalar_error_norms(field_vec, lambda x: case.phi(x, t),
-                                  lambda x: case.grad_phi(x, t), qdeg)
-    if which == "A":
-        return vector_error_norms(field_vec, lambda x: case.A(x, t),
-                                  lambda x: case.div_A(x, t),
-                                  lambda x: case.curl_A(x, t), qdeg)
-    raise ValueError(f"unknown field {which!r}")
+    fns = {"psi": (case.psi, case.grad_psi), "phi": (case.phi, case.grad_phi),
+           "A": (case.A, case.div_A, case.curl_A)}.get(which)
+    if fns is None:
+        raise ValueError(f"unknown field {which!r}")
+
+    def exact(x):
+        factors = case.factors(x)
+        return tuple(fn(factors, t) for fn in fns)
+
+    errors = _vector_errors if which == "A" else _scalar_errors
+    return errors(field_vec, exact, qdeg)
 
 
 def observed_order(e_coarse: float, e_fine: float) -> float:

@@ -7,6 +7,11 @@ against the time-averaged new potentials.  The wave-step matrices are SPD;
 the wave-function step is a Cayley-type map that conserves the discrete L2
 norm exactly when sources vanish.
 
+With n x A = 0 the vector Laplacian form D of the Lorentz gauge is the
+componentwise stiffness (``forms.assemble_D``), so the A system
+M/dt^2 + (D + W)/2 is d uncoupled scalar blocks on a pattern with no entry
+between two components; M/dt^2 + D/2 is combined once, a step adds W/2.
+
 The wave-function system is S0 plus step-dependent mass-scale terms, with
 S0 = (-i/dt + V0/2) M + K/4 fixed for the run.  The stepper factors S0 once,
 by a complete sparse LU, and every step solves by GMRES preconditioned with
@@ -163,6 +168,8 @@ class AlternatingStepper:
         self.stiff_phi = forms.assemble_stiffness(self.spaces.phi)
         self.stiff_psi = forms.assemble_stiffness(self.spaces.psi)
         dt = config.dt
+        self.a_system = self.spaces.A.pattern().matrix(
+            self.mass_vec.data / dt ** 2 + 0.5 * self.D.data)
         self.phi_system = self.spaces.phi.pattern().matrix(
             self.mass_phi.data / dt ** 2 + 0.5 * self.stiff_phi.data)
         self.solve_iterations = 0
@@ -253,10 +260,10 @@ class AlternatingStepper:
         pattern = self.spaces.A.pattern()
         psi = state.psi_points
         W = forms.assemble_weighted_mass(self.spaces.A, psi.abs2)
-        DW = pattern.matrix(self.D.data + W.data)
-        system = pattern.matrix(self.mass_vec.data / dt ** 2 + 0.5 * DW.data)
-        rhs = (self.mass_vec @ (2.0 * state.a.data - state.a_prev.data) / dt ** 2
-               - 0.5 * (DW @ state.a_prev.data)
+        system = pattern.matrix(self.a_system.data + 0.5 * W.data)
+        # M (2a - a_prev)/dt^2 - (D + W) a_prev / 2 = 2 M a/dt^2 - system a_prev
+        rhs = ((2.0 / dt ** 2) * (self.mass_vec @ state.a.data)
+               - system @ state.a_prev.data
                - forms.assemble_current_load(self.spaces.A, psi))
         if self.case is not None:
             rhs = rhs + self.source_load("g", state.t)

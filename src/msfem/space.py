@@ -1,12 +1,14 @@
 """Finite element spaces on the structured meshes.
 
 Scalar spaces (real or complex) carry homogeneous Dirichlet constraints on all
-boundary nodes; vector spaces constrain the tangential components node by node
-(A x n = 0), taking the union of the face rules on edges and corners.
-Constrained dofs are eliminated: coefficient vectors hold free dofs only and
-constrained entries evaluate as zero.  The lattice node numbering of each
-(mesh, degree) and the CSR pattern of each dof numbering are built once and
-cached on the mesh, so spaces that share a numbering share its pattern.
+boundary nodes unless built without them; vector spaces always constrain the
+tangential components node by node (n x A = 0), taking the union of the face
+rules on edges and corners, which makes their div-div + curl-curl form the
+componentwise stiffness (``forms.assemble_D``).  Constrained dofs are
+eliminated: coefficient vectors hold free dofs only and constrained entries
+evaluate as zero.  The lattice node numbering of each (mesh, degree) and the
+CSR pattern of each dof numbering are built once and cached on the mesh, so
+spaces that share a numbering share its pattern.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ class FeSpace:
         return self._cache["cell_dofs"]
 
     def pattern(self) -> Pattern:
-        """CSR pattern of the forms on this space, over (node, comp) local dofs.
+        """CSR pattern of the forms on this space, coupling the same component
+        of the nodes of each cell.
 
         The numbering is fixed by the mesh, degree, kind and constraint flag,
         so e.g. the real and complex Dirichlet scalar spaces share one pattern.
@@ -150,8 +153,8 @@ def build_scalar_space(mesh: Mesh, degree: int, *, complex_field: bool = False,
                          nodes_int, cell_nodes, constrained)
 
 
-def build_vector_space(mesh: Mesh, degree: int, *, constrained: bool = True) -> FeSpace:
-    """Componentwise degree-r vector space with tangential-trace constraints.
+def build_vector_space(mesh: Mesh, degree: int) -> FeSpace:
+    """Componentwise degree-r vector space with n x A = 0.
 
     On a face with normal +-e_a the components other than a are constrained;
     constraint masks are unioned where faces meet.
@@ -160,13 +163,12 @@ def build_vector_space(mesh: Mesh, degree: int, *, constrained: bool = True) -> 
     res = degree * mesh.subdivisions
     d = mesh.dim
     mask = np.zeros((nodes_int.shape[0], d), dtype=bool)
-    if constrained:
-        for a in range(d):
-            on_face = (nodes_int[:, a] == 0) | (nodes_int[:, a] == res)
-            for c in range(d):
-                if c != a:
-                    mask[on_face, c] = True
-    return _finish_space(mesh, degree, "vector", float, d, constrained,
+    for a in range(d):
+        on_face = (nodes_int[:, a] == 0) | (nodes_int[:, a] == res)
+        for c in range(d):
+            if c != a:
+                mask[on_face, c] = True
+    return _finish_space(mesh, degree, "vector", float, d, True,
                          nodes_int, cell_nodes, mask)
 
 

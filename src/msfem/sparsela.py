@@ -1,9 +1,10 @@
 """Sparse matrix structure and the linear solvers used by the time stepper.
 
 Every matrix the scheme assembles couples the dofs of one space through its
-cells, so each dof numbering gets one CSR ``Pattern``, built once: its
-``indptr``/``indices`` and a (cell, i, j) -> data index map.  A form is then
-the data array ``np.bincount(map, local values)`` on that pattern, a linear
+cells, component by component, so each dof numbering gets one CSR
+``Pattern``, built once: its ``indptr``/``indices`` and a
+(component, cell, i, j) -> data index map.  A form is then the data array
+``np.bincount(map, local values)`` on that pattern, a linear
 combination of forms is the same combination of data arrays, and each matrix
 a solver sees is a ``scipy.sparse.csr_array`` that shares the pattern's index
 arrays.
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,11 +52,14 @@ GMRES_MAX_ITERATIONS = 200
 class Pattern:
     """CSR structure of the matrices assembled on one dof numbering.
 
-    Local dofs are (node, component) pairs, node-major.  ``cell_map[c, i, j]``
-    is the position in a data array of the entry that couples local dofs i
-    and j of cell c.  Pairs that touch a constrained dof map to the extra
-    slot ``nnz``, which ``assemble`` drops.  Column indices are strictly
-    increasing within each row.
+    Dofs are (node, component) pairs, numbered node-major.  Every form on a
+    space is componentwise: it couples dof (a, c) only with the dofs (b, c)
+    of the same component, for nodes a and b of a common cell, so the pattern
+    holds no entry between two components.  ``cell_map[c, k, i, j]`` is the
+    position in a data array of the entry that couples local nodes i and j of
+    cell k in component c.  Pairs that touch a constrained dof map to the
+    extra slot ``nnz``, which ``assemble`` drops.  Column indices are
+    strictly increasing within each row.
     """
 
     def __init__(self, cell_nodes: np.ndarray, dof_index: np.ndarray):
@@ -67,29 +70,28 @@ class Pattern:
         nn, e = dof_index.shape
         n = int(dof_index.max(initial=-1)) + 1
         # the coupled node pairs, sorted by (row node, column node); only
-        # they are sorted, then each expands to its e x e component pairs
+        # they are sorted, then each expands to its e same-component pairs
         node_pairs = cell_nodes[:, :, None] * nn + cell_nodes[:, None, :]
         keys, inverse = np.unique(node_pairs.ravel(), return_inverse=True)
         a, b = np.divmod(keys, nn)
         row_len = np.bincount(a, minlength=nn)
         row_start = np.concatenate([[0], np.cumsum(row_len)])[a]
         # with dofs numbered in (node, component) order, the sorted position
-        # of component pair (ca, cb) of node pair p in row a is
-        # e^2 start(a) + ca e len(a) + e (p - start(a)) + cb
-        ca, cb = np.arange(e)[:, None], np.arange(e)[None, :]
-        pos = (e * e * row_start[:, None, None] + e * row_len[a][:, None, None] * ca
-               + e * (np.arange(keys.size) - row_start)[:, None, None] + cb)
+        # of component c of node pair p in row a is
+        # e start(a) + c len(a) + (p - start(a))
+        pos = (((e - 1) * row_start + np.arange(keys.size))[:, None]
+               + row_len[a][:, None] * np.arange(e))                      # (pairs, e)
         rows = np.empty(pos.size, dtype=np.int64)
         cols = np.empty(pos.size, dtype=np.int64)
-        rows[pos] = dof_index[a][:, :, None]     # the dof rows and columns,
-        cols[pos] = dof_index[b][:, None, :]     # sorted, -1 where constrained
+        rows[pos] = dof_index[a]     # the dof rows and columns, sorted,
+        cols[pos] = dof_index[b]     # -1 where constrained
         free = (rows >= 0) & (cols >= 0)
         self.nnz = int(free.sum())
         self.shape = (n, n)
-        self.ncomp = e
-        slot = np.where(free, np.cumsum(free) - 1, self.nnz)[pos]       # (pairs, e, e)
-        self.cell_map = (slot[inverse.reshape(nc, nloc, nloc)]
-                         .transpose(0, 1, 3, 2, 4).reshape(nc, nloc * e, nloc * e))
+        slot = np.where(free, np.cumsum(free) - 1, self.nnz)[pos]     # (pairs, e)
+        # np.take, not slot.T[:, ...]: the map must be C-ordered for
+        # ``assemble`` to read it as one flat index without a copy
+        self.cell_map = np.take(slot.T, inverse.reshape(nc, nloc, nloc), axis=1)
         # scipy keeps int32 index arrays as given; int64 ones it would copy
         # down to int32 every time a matrix is wrapped
         idx = np.int32 if max(n, self.nnz) < np.iinfo(np.int32).max else np.int64
@@ -97,26 +99,23 @@ class Pattern:
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(rows[free], minlength=n))]).astype(idx)
 
-    @cached_property
-    def diagonal_blocks(self) -> np.ndarray:
-        """(ncomp, cells, nloc, nloc) index of the diagonal component blocks,
-        contiguous so that one ``assemble`` places a scalar block, broadcast
-        over the components, on all of them; built on first use and kept."""
-        nc, k = self.cell_map.shape[:2]
-        e = self.ncomp
-        blocks = self.cell_map.reshape(nc, k // e, e, k // e, e)
-        return np.stack([blocks[:, :, c, :, c] for c in range(e)])
-
-    def assemble(self, loc: np.ndarray, cell_map: np.ndarray | None = None) -> np.ndarray:
-        """Data array of the local matrices ``loc`` summed through ``cell_map``
-        (default: the full map; ``diagonal_blocks`` places a ``loc``
-        broadcast over the components on the diagonal blocks)."""
-        index = (self.cell_map if cell_map is None else cell_map).ravel()
+    def assemble(self, loc: np.ndarray) -> np.ndarray:
+        """Data array of the scalar local matrices ``loc`` (cells, nloc, nloc)
+        summed through ``cell_map``, the same block in every component; the
+        components' slots are disjoint, so this is one bincount."""
+        index = self.cell_map.ravel()
         size = self.nnz + 1
+
+        def total(part):
+            # bincount copies read-only weights such as a broadcast view, so
+            # one component passes its block as is
+            weights = (part.ravel() if len(self.cell_map) == 1
+                       else np.broadcast_to(part, self.cell_map.shape).ravel())
+            return np.bincount(index, weights, size)[:-1]
+
         if np.iscomplexobj(loc):
-            return (np.bincount(index, loc.real.ravel(), size)[:-1]
-                    + 1j * np.bincount(index, loc.imag.ravel(), size)[:-1])
-        return np.bincount(index, loc.ravel(), size)[:-1]
+            return total(loc.real) + 1j * total(loc.imag)
+        return total(loc)
 
     def matrix(self, data: np.ndarray) -> sp.csr_array:
         """Wrap a data array on this pattern; the index arrays are shared."""

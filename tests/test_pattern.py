@@ -1,8 +1,8 @@
 """One CSR pattern per dof numbering.
 
 Every form and every step matrix on a space shares the space's pattern; the
-pattern is the structure COO->CSR gives for the cell connectivity, and no
-constrained dof gets an entry.
+pattern is the structure COO->CSR gives for the same-component pairs of the
+cell connectivity, and no constrained dof gets an entry.
 """
 
 import numpy as np
@@ -38,19 +38,25 @@ def check_dense_accumulation(ncomp):
     dof_index = np.full((nn, ncomp), -1)
     dof_index[~constrained] = np.arange((~constrained).sum())
     n = int((~constrained).sum())
-    kl = k * ncomp
-    loc = rng.standard_normal((40, kl, kl)) + 1j * rng.standard_normal((40, kl, kl))
+    loc = rng.standard_normal((40, k, k)) + 1j * rng.standard_normal((40, k, k))
     pat = sparsela.Pattern(cell_nodes, dof_index)
+    # the scalar block of each cell lands on the same-component pairs only
     dense = np.zeros((n + 1, n + 1), dtype=complex)
     for nodes, block in zip(cell_nodes, loc):
-        dofs = dof_index[nodes].ravel()      # node-major, component-minor
-        for a, i in enumerate(dofs):
-            for b, j in enumerate(dofs):
-                dense[i, j] += block[a, b]   # -1 lands in the dropped last row/col
+        for c in range(ncomp):
+            dofs = dof_index[nodes, c]
+            for a, i in enumerate(dofs):
+                for b, j in enumerate(dofs):
+                    dense[i, j] += block[a, b]   # -1 lands in the dropped last row/col
     A = pat.matrix(pat.assemble(loc))
     assert np.allclose(A.toarray(), dense[:n, :n], atol=1e-13)
     for row in range(n):
         assert np.all(np.diff(pat.indices[pat.indptr[row]:pat.indptr[row + 1]]) > 0)
+    # one bincount over the components equals one per component, bit for bit
+    total = pat.assemble(loc.real)
+    per_component = sum(np.bincount(pat.cell_map[c].ravel(), loc.real.ravel(),
+                                    pat.nnz + 1)[:-1] for c in range(ncomp))
+    assert np.array_equal(total, per_component)
 
 
 def test_pattern_assembly_matches_dense_accumulation():
@@ -61,15 +67,20 @@ def test_vector_pattern_assembly_matches_dense_accumulation():
     check_dense_accumulation(ncomp=2)
 
 
+def test_3d_vector_pattern_assembly_matches_dense_accumulation():
+    check_dense_accumulation(ncomp=3)
+
+
 @pytest.mark.parametrize("dim,r", CASES)
 def test_pattern_is_connectivity_structure_without_constrained_dofs(dim, r):
     st = free_stepper(dim, r)
     assert st.spaces.psi.pattern() is st.spaces.phi.pattern()
     for space in (st.spaces.psi, st.spaces.A):
         n = space.n_dofs
-        cd = space.cell_dof_index().reshape(space.mesh.n_cells, -1)
-        rows = np.repeat(cd, cd.shape[1], axis=1).ravel()
-        cols = np.tile(cd, (1, cd.shape[1])).ravel()
+        # the COO->CSR structure of the same-component pairs of each cell
+        cd = np.moveaxis(space.cell_dof_index(), -1, 0)     # (comp, cells, nloc)
+        rows = np.broadcast_to(cd[..., :, None], cd.shape + cd.shape[-1:]).ravel()
+        cols = np.broadcast_to(cd[..., None, :], cd.shape + cd.shape[-1:]).ravel()
         keep = (rows < n) & (cols < n)
         ref = coo_array((np.ones(keep.sum()), (rows[keep], cols[keep])),
                         shape=(n, n)).tocsr()
@@ -78,9 +89,17 @@ def test_pattern_is_connectivity_structure_without_constrained_dofs(dim, r):
         pat = space.pattern()
         assert np.array_equal(pat.indptr, ref.indptr)
         assert np.array_equal(pat.indices, ref.indices)
-        constrained_pair = (cd[:, :, None] == n) | (cd[:, None, :] == n)
+        assert pat.cell_map.shape == (space.ncomp, space.mesh.n_cells,
+                                      cd.shape[-1], cd.shape[-1])
+        assert pat.cell_map.flags.c_contiguous
+        constrained_pair = (cd[..., :, None] == n) | (cd[..., None, :] == n)
         assert constrained_pair.any()
         assert np.array_equal(pat.cell_map == pat.nnz, constrained_pair)
+        # no slot couples two components
+        comp = np.empty(n, dtype=int)
+        comp[space.dof_index[~space.constrained]] = np.nonzero(~space.constrained)[1]
+        row_of = np.repeat(np.arange(n), np.diff(pat.indptr))
+        assert np.array_equal(comp[row_of], comp[pat.indices])
 
 
 @pytest.mark.parametrize("dim,r", CASES)
@@ -124,9 +143,9 @@ def test_componentwise_assembly_is_one_bincount_bit_identical_to_per_component(d
     nloc, d = space.element.node_count, space.ncomp
     rng = np.random.default_rng(1)
     loc = rng.standard_normal((space.mesh.n_cells, nloc, nloc))
-    blocks = pat.cell_map.reshape(-1, nloc, d, nloc, d)
-    per_component = sum(pat.assemble(loc, blocks[:, :, k, :, k]) for k in range(d))
-    data = forms._on_pattern(space, loc, componentwise=True).data
+    per_component = sum(np.bincount(pat.cell_map[k].ravel(), loc.ravel(), pat.nnz + 1)[:-1]
+                        for k in range(d))
+    data = forms._on_pattern(space, loc).data
     assert np.array_equal(data, per_component)
-    assert pat.diagonal_blocks is pat.diagonal_blocks
-    assert pat.diagonal_blocks.flags.c_contiguous
+    assert space.pattern() is pat
+    assert pat.cell_map.flags.c_contiguous

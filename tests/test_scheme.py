@@ -12,10 +12,11 @@ def small_config(dim=2, M=4, r=1, dt=0.1, n=2, mode="mms", **kw):
 
 
 def unconstrained_spaces(dim, M, r):
+    # psi and phi without Dirichlet constraints; every vector space has n x A = 0
     mesh = build_structured(dim, M)
     return scheme.Spaces(
         psi=build_scalar_space(mesh, r, complex_field=True, dirichlet=False),
-        A=build_vector_space(mesh, r, constrained=False),
+        A=build_vector_space(mesh, r),
         phi=build_scalar_space(mesh, r, dirichlet=False),
     )
 

@@ -108,7 +108,7 @@ def test_interpolate_rejects_wrongly_shaped_target():
     scalar = sp.build_scalar_space(m, 1, dirichlet=False)
     with pytest.raises(ValueError, match=r"returned shape \(\), expected \(9,\)"):
         sp.interpolate(scalar, lambda x: 1.0)
-    vector = sp.build_vector_space(m, 1, constrained=False)
+    vector = sp.build_vector_space(m, 1)
     with pytest.raises(ValueError, match=r"returned shape \(9,\), expected \(9, 2\)"):
         sp.interpolate(vector, lambda x: x[..., 0])
 
