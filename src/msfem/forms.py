@@ -13,9 +13,7 @@ against a reference tensor: the weighted mass and the |A|^2 part of ``B``
 against values x values, the A . grad part of ``B`` (A mapped to reference
 coordinates) against values x reference gradients.  The current load
 contracts over the points in reference coordinates and maps the result once
-per cell.  Element loops run over chunks of cells and read slices (views) of
-the table; the chunks bound the per-chunk transients (local matrices, field
-values and gradients).
+per cell.  Every form, load and error norm is one pass over the whole mesh.
 
 Every form on a space lands on that space's CSR pattern (``FeSpace.pattern``):
 one scalar local matrix per cell is summed into the pattern's data array by
@@ -37,13 +35,15 @@ integrates exactly on affine cells: one point per P1 cell.  A weight or load
 coefficient is one of:
 None (the constant one), a callable of the points x, a ``FieldVector`` (its
 real part), or an array of point values at the form's quadrature nodes,
-(cells, q) or (cells, q, d) on vector spaces, which the chunk loops slice.
+(cells, q) or (cells, q, d) on vector spaces.
 The scheme evaluates psi_h once per step as a ``QuadratureField`` and passes
 its |psi_h|^2 point values to W and the |psi_h|^2 load, and the whole field to
 the current load.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,8 +67,6 @@ __all__ = [
     "quadrature_table",
 ]
 
-_CHUNK_ENTRY_BUDGET = 8_000_000
-
 
 def quadrature_degree(degree: int, qdeg: int | None = None) -> int:
     """Quadrature degree of the coefficient forms and loads for degree-r
@@ -83,12 +81,6 @@ def _gradient_degree(degree: int, qdeg: int | None = None) -> int:
     return 2 * (degree - 1) if qdeg is None else qdeg
 
 
-def _chunks(n_cells: int, per_cell_entries: int):
-    size = max(1, _CHUNK_ENTRY_BUDGET // max(per_cell_entries, 1))
-    for start in range(0, n_cells, size):
-        yield slice(start, min(start + size, n_cells))
-
-
 class QuadratureTable:
     """Reference tensors and cell geometry at the quadrature nodes of a mesh.
 
@@ -98,18 +90,18 @@ class QuadratureTable:
     ``vg`` (q d, nloc^2) with vg[q d + k, i nloc + j] = vals[q, i] gref[q, j, k].
     Per cell: ``wdet`` (c, q) the quadrature weights times det J, ``JinvT``
     (c, d, d) the inverse-transposed Jacobians (the array ``mesh.jacobians()``
-    caches, not a copy) and ``x`` (c, q, d) the physical points.  The physical
-    gradient of basis function l at point q of cell c is
-    ``JinvT[c] @ gref[q, l]``; no array holds it for every cell (Kirby & Logg,
-    ACM TOMS 32(3), 2006).  Built once per (mesh, degree, qdeg) by
-    ``quadrature_table``; chunk loops read slices of it, and the field and
-    coefficient evaluations take the cell slice.
+    caches, not a copy) and ``x`` (c, q, d) the physical points, built on
+    first use.  The physical gradient of basis function l at point q of cell
+    c is ``JinvT[c] @ gref[q, l]``; no array holds it for every cell (Kirby &
+    Logg, ACM TOMS 32(3), 2006).  Built once per (mesh, degree, qdeg) by
+    ``quadrature_table``; the field and coefficient evaluations cover the
+    whole mesh.
     """
 
     def __init__(self, mesh: Mesh, degree: int, qdeg: int):
         rule = quadrature_rule(mesh.dim, qdeg)
         vals, gref = reference_element(mesh.dim, degree).tabulate(rule.points_ref)
-        J, JinvT, det = mesh.jacobians()
+        _, JinvT, det = mesh.jacobians()
         nq, nloc, d = gref.shape
         self.vals = vals                                    # (q, nloc)
         self.gref = gref                                    # (q, nloc, d)
@@ -117,50 +109,60 @@ class QuadratureTable:
         self.vg = np.einsum("qi,qjk->qkij", vals, gref).reshape(nq * d, nloc * nloc)
         self.JinvT = JinvT                                  # (c, d, d)
         self.wdet = rule.weights[None, :] * det[:, None]    # (c, q)
-        v0 = mesh.vertices[mesh.cells[:, 0]]
-        self.x = v0[:, None, :] + np.einsum("cij,qj->cqi", J, rule.points_ref, optimize=True)
+        self._mesh = mesh
+        self._rule = rule
 
-    def gradients(self, sl: slice) -> np.ndarray:
-        """Physical basis gradients (c, q, nloc, d) of the cells ``sl``, built
-        for one chunk of the setup-time gradient forms (stiffness, ``D``)."""
-        return np.einsum("cij,qlj->cqli", self.JinvT[sl], self.gref, optimize=True)
+    @cached_property
+    def x(self) -> np.ndarray:
+        """Physical quadrature points (c, q, d), built on first use: the
+        manufactured sources, the error norms, the gauge residuals and
+        callable coefficients read them, a run without sources never does."""
+        J = self._mesh.jacobians()[0]
+        v0 = self._mesh.vertices[self._mesh.cells[:, 0]]
+        return v0[:, None, :] + np.einsum("cij,qj->cqi", J, self._rule.points_ref,
+                                          optimize=True)
 
-    def field_values(self, field_vec: FieldVector, sl: slice):
+    def gradients(self) -> np.ndarray:
+        """Physical basis gradients (c, q, nloc, d), built for the setup-time
+        gradient forms (stiffness, ``D``)."""
+        return np.einsum("cij,qlj->cqli", self.JinvT, self.gref, optimize=True)
+
+    def field_values(self, field_vec: FieldVector):
         space = field_vec.space
-        local = space.gather_cells(field_vec, sl)   # (c, nloc[, ncomp])
+        local = space.gather_cells(field_vec)   # (c, nloc[, ncomp])
         if space.kind == "scalar":
             return local @ self.vals.T
         return np.matmul(self.vals, local)
 
-    def field_gradients(self, field_vec: FieldVector, sl: slice):
-        """Physical gradients of a field at the nodes of the cells ``sl``:
-        (c, q, d), or (c, q, comp, d) on vector spaces.  The coefficients
-        are contracted with ``gref`` first, then mapped by J^{-T} per cell."""
+    def field_gradients(self, field_vec: FieldVector):
+        """Physical gradients of a field at the nodes: (c, q, d), or
+        (c, q, comp, d) on vector spaces.  The coefficients are contracted
+        with ``gref`` first, then mapped by J^{-T} per cell."""
         space = field_vec.space
-        local = space.gather_cells(field_vec, sl)
+        local = space.gather_cells(field_vec)
         nq, nloc, d = self.gref.shape
         gref = self.gref.transpose(1, 0, 2).reshape(nloc, nq * d)
-        JinvT = self.JinvT[sl].transpose(0, 2, 1)
+        JinvT = self.JinvT.transpose(0, 2, 1)
         if space.kind == "scalar":
             return np.matmul((local @ gref).reshape(-1, nq, d), JinvT)
         nc, e = local.shape[0], space.ncomp
         g = (local.transpose(0, 2, 1).reshape(nc * e, nloc) @ gref).reshape(nc, e * nq, d)
         return np.matmul(g, JinvT).reshape(nc, e, nq, d).transpose(0, 2, 1, 3)
 
-    def coefficient(self, coeff, sl: slice):
+    def coefficient(self, coeff):
         """Pointwise values of a coefficient (see the module docstring) at
-        the quadrature nodes of the cells ``sl``."""
+        the quadrature nodes."""
         if coeff is None:
-            return np.ones_like(self.wdet[sl])
+            return np.ones_like(self.wdet)
         if isinstance(coeff, np.ndarray):
             if coeff.shape[:2] != self.wdet.shape:
                 raise ValueError(
                     f"point values of shape {coeff.shape} are not at the "
                     f"{self.wdet.shape} quadrature nodes of this form")
-            return coeff[sl]
+            return coeff
         if isinstance(coeff, FieldVector):
-            return self.field_values(coeff, sl).real
-        return np.asarray(coeff(self.x[sl]))
+            return self.field_values(coeff).real
+        return np.asarray(coeff(self.x))
 
 
 def quadrature_table(mesh: Mesh, degree: int, qdeg: int | None = None) -> QuadratureTable:
@@ -217,8 +219,8 @@ def _scatter_load(out: np.ndarray, dofs: np.ndarray, loc: np.ndarray):
     np.add.at(out, dofs.reshape(-1), loc.reshape(dofs.size, *out.shape[1:]))
 
 
-def _cell_dofs(space: FeSpace, sl: slice) -> np.ndarray:
-    cd = space.cell_dof_index()[sl]      # (c, nloc, ncomp)
+def _cell_dofs(space: FeSpace) -> np.ndarray:
+    cd = space.cell_dof_index()          # (c, nloc, ncomp)
     return cd.reshape(cd.shape[0], -1)   # node-major, component-minor
 
 
@@ -231,10 +233,8 @@ def assemble_weighted_mass(space: FeSpace, weight, qdeg: int | None = None) -> s
     """(w u, v) with w a pointwise scalar weight (see module coefficients)."""
     _check_coeff_mesh(space, weight)
     nloc = space.element.node_count
-    loc = np.empty((space.mesh.n_cells, nloc * nloc))
     tab = quadrature_table(space.mesh, space.degree, qdeg)
-    for sl in _chunks(space.mesh.n_cells, nloc * nloc):
-        loc[sl] = (tab.coefficient(weight, sl) * tab.wdet[sl]) @ tab.vv
+    loc = (tab.coefficient(weight) * tab.wdet) @ tab.vv
     return _on_pattern(space, loc.reshape(-1, nloc, nloc))
 
 
@@ -248,12 +248,8 @@ def assemble_stiffness(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
 def _componentwise_stiffness(space: FeSpace, qdeg: int | None) -> sp.csr_array:
     """sum_c (grad u_c, grad v_c), by default at degree 2(r-1): the kernel of
     both ``assemble_stiffness`` and ``assemble_D``."""
-    nloc = space.element.node_count
-    loc = np.empty((space.mesh.n_cells, nloc, nloc))
     tab = quadrature_table(space.mesh, space.degree, _gradient_degree(space.degree, qdeg))
-    for sl in _chunks(space.mesh.n_cells, nloc * nloc):
-        loc[sl] = _pairing(*_grad_rows(tab.gradients(sl), tab.wdet[sl]))
-    return _on_pattern(space, loc)
+    return _on_pattern(space, _pairing(*_grad_rows(tab.gradients(), tab.wdet)))
 
 
 def _grad_rows(grads: np.ndarray, wdet: np.ndarray):
@@ -304,22 +300,27 @@ def assemble_B(space: FeSpace, a_field: FieldVector, stiffness: sp.csr_array,
     if not np.may_share_memory(stiffness.indices, pat.indices):
         raise ValueError("stiffness is not on the pattern of this space")
     nloc = space.element.node_count
-    loc = np.empty((space.mesh.n_cells, nloc, nloc), dtype=complex)
+    nc = space.mesh.n_cells
     tab = quadrature_table(space.mesh, space.degree, qdeg)
     nq, _, d = tab.gref.shape
-    for sl in _chunks(space.mesh.n_cells, nloc * nloc * 4):
-        wdet = tab.wdet[sl]
-        nc = wdet.shape[0]
-        local = a_field.space.gather_cells(a_field, sl)             # (c, nloc, d)
-        # |A|^2 at the points from the Gram matrix of the cell's coefficients
-        gram = np.matmul(local, local.transpose(0, 2, 1)).reshape(nc, nloc * nloc)
-        a2 = gram @ tab.vv.T
-        # A . grad phi_j = (A J^{-T}) . grad_ref phi_j: A in reference coordinates
-        a_ref = np.matmul(tab.vals, np.matmul(local, tab.JinvT[sl]))  # (c, q, d)
-        a_ref *= wdet[:, :, None]
-        t = (a_ref.reshape(nc, nq * d) @ tab.vg).reshape(nc, nloc, nloc)
-        loc[sl] = ((a2 * wdet) @ tab.vv).reshape(nc, nloc, nloc)
-        loc[sl] += 1j * (t - np.swapaxes(t, 1, 2))
+    local = a_field.space.gather_cells(a_field)                 # (c, nloc, d)
+    # |A|^2 at the points from the Gram matrix of the cell's coefficients
+    gram = np.matmul(local, local.transpose(0, 2, 1)).reshape(nc, nloc * nloc)
+    a2 = gram @ tab.vv.T
+    del gram
+    # A . grad phi_j = (A J^{-T}) . grad_ref phi_j: A in reference coordinates
+    a_ref = np.matmul(tab.vals, np.matmul(local, tab.JinvT))     # (c, q, d)
+    a_ref *= tab.wdet[:, :, None]
+    t = (a_ref.reshape(nc, nq * d) @ tab.vg).reshape(nc, nloc, nloc)
+    del a_ref
+    a2 *= tab.wdet
+    # the real and imaginary parts are written in place: the whole-mesh
+    # local matrices are the largest arrays of a step
+    loc = np.empty((nc, nloc, nloc), dtype=complex)
+    loc.real = (a2 @ tab.vv).reshape(nc, nloc, nloc)
+    del a2
+    np.subtract(t, np.swapaxes(t, 1, 2), out=loc.imag)
+    del t
     values = pat.assemble(loc)
     values += stiffness.data
     return pat.matrix(values)
@@ -345,15 +346,14 @@ def assemble_current_load(space: FeSpace, psi: QuadratureField,
     if psi.values.shape != tab.wdet.shape:
         raise ValueError("psi was not evaluated at the quadrature nodes of this load")
     nq = tab.vals.shape[0]
-    for sl in _chunks(space.mesh.n_cells, nloc * d * 4):
-        p = psi.values[sl][:, None, :]
-        g = psi.grad_ref[sl]
-        current = p.imag * g.real - p.real * g.imag      # -Im(psi* grad_ref psi), (c, k, q)
-        current *= tab.wdet[sl][:, None, :]
-        nc = current.shape[0]
-        ref = (current.reshape(nc * d, nq) @ tab.vals).reshape(nc, d, nloc)
-        loc = np.matmul(tab.JinvT[sl], ref)                                 # (c, m, a)
-        _scatter_load(out, _cell_dofs(space, sl), loc.transpose(0, 2, 1))
+    nc = space.mesh.n_cells
+    p = psi.values[:, None, :]
+    g = psi.grad_ref
+    current = p.imag * g.real - p.real * g.imag      # -Im(psi* grad_ref psi), (c, k, q)
+    current *= tab.wdet[:, None, :]
+    ref = (current.reshape(nc * d, nq) @ tab.vals).reshape(nc, d, nloc)
+    loc = np.matmul(tab.JinvT, ref)                                     # (c, m, a)
+    _scatter_load(out, _cell_dofs(space), loc.transpose(0, 2, 1))
     return out[:-1]
 
 
@@ -378,13 +378,11 @@ def assemble_coefficient_load(space: FeSpace, coeff,
     k = int(np.prod(batch))
     out = np.zeros((space.n_dofs + 1, k),
                    dtype=complex if space.dtype is complex else float)
-    nloc = space.element.node_count
     tab = quadrature_table(space.mesh, space.degree, qdeg)
-    for sl in _chunks(space.mesh.n_cells, nloc * space.ncomp * k * 4):
-        w = tab.wdet[sl]
-        s = tab.coefficient(coeff, sl).reshape(*w.shape, -1) * w[:, :, None]
-        loc = np.matmul(tab.vals.T, s)                     # (c, a, m), m = (comp, k)
-        _scatter_load(out, _cell_dofs(space, sl), loc)
+    w = tab.wdet
+    s = tab.coefficient(coeff).reshape(*w.shape, -1) * w[:, :, None]
+    loc = np.matmul(tab.vals.T, s)                         # (c, a, m), m = (comp, k)
+    _scatter_load(out, _cell_dofs(space), loc)
     return out[:-1].reshape(space.n_dofs, *batch)
 
 

@@ -415,47 +415,40 @@ def scalar_error_norms(field_vec: FieldVector, value_fn, grad_fn,
 
 
 def _scalar_errors(field_vec: FieldVector, exact, qdeg: int) -> ErrorEntry:
-    """The same against exact(x) -> (value, gradient), one call per chunk."""
+    """The same against exact(x) -> (value, gradient), called once."""
     space = field_vec.space
     tab = forms.quadrature_table(space.mesh, space.degree, qdeg)
-    l2 = 0.0
-    semi = 0.0
-    for sl in forms._chunks(space.mesh.n_cells, 8 * space.element.node_count):
-        x, wdet = tab.x[sl], tab.wdet[sl]
-        value, grad = exact(x)
-        dv = tab.field_values(field_vec, sl) - value
-        dg = tab.field_gradients(field_vec, sl) - grad
-        l2 += float(np.sum(wdet * np.abs(dv) ** 2))
-        semi += float(np.sum(wdet * np.sum(np.abs(dg) ** 2, axis=-1)))
+    value, grad = exact(tab.x)
+    dv = tab.field_values(field_vec) - value
+    dg = tab.field_gradients(field_vec) - grad
+    l2 = float(np.sum(tab.wdet * np.abs(dv) ** 2))
+    semi = float(np.sum(tab.wdet * np.sum(np.abs(dg) ** 2, axis=-1)))
     return ErrorEntry(l2=math.sqrt(l2), h1=math.sqrt(l2 + semi),
                       parts={"grad": math.sqrt(semi)})
 
 
 def _vector_errors(field_vec: FieldVector, exact, qdeg: int) -> ErrorEntry:
     """L2, div and curl errors of a vector field against exact(x) -> (value,
-    div, curl), one call per chunk; the reported H1-equivalent is the square
-    root of their summed squares."""
+    div, curl), called once; the reported H1-equivalent is the square root of
+    their summed squares."""
     space = field_vec.space
     tab = forms.quadrature_table(space.mesh, space.degree, qdeg)
-    d = space.mesh.dim
-    l2 = div2 = curl2 = 0.0
-    for sl in forms._chunks(space.mesh.n_cells, 8 * space.element.node_count * d):
-        x, wdet = tab.x[sl], tab.wdet[sl]
-        value, div, curl_exact = exact(x)
-        dv = tab.field_values(field_vec, sl) - value
-        grad = tab.field_gradients(field_vec, sl)   # (c, q, comp, deriv)
-        ddiv = np.trace(grad, axis1=-2, axis2=-1) - div
-        if d == 2:
-            dcurl = grad[..., 1, 0] - grad[..., 0, 1] - curl_exact
-            curl2 += float(np.sum(wdet * dcurl ** 2))
-        else:
-            curl = np.stack([grad[..., 2, 1] - grad[..., 1, 2],
-                             grad[..., 0, 2] - grad[..., 2, 0],
-                             grad[..., 1, 0] - grad[..., 0, 1]], axis=-1)
-            dcurl = curl - curl_exact
-            curl2 += float(np.sum(wdet * np.sum(dcurl ** 2, axis=-1)))
-        l2 += float(np.sum(wdet * np.sum(np.abs(dv) ** 2, axis=-1)))
-        div2 += float(np.sum(wdet * ddiv ** 2))
+    wdet = tab.wdet
+    value, div, curl_exact = exact(tab.x)
+    dv = tab.field_values(field_vec) - value
+    grad = tab.field_gradients(field_vec)   # (c, q, comp, deriv)
+    ddiv = np.trace(grad, axis1=-2, axis2=-1) - div
+    if space.mesh.dim == 2:
+        dcurl = grad[..., 1, 0] - grad[..., 0, 1] - curl_exact
+        curl2 = float(np.sum(wdet * dcurl ** 2))
+    else:
+        curl = np.stack([grad[..., 2, 1] - grad[..., 1, 2],
+                         grad[..., 0, 2] - grad[..., 2, 0],
+                         grad[..., 1, 0] - grad[..., 0, 1]], axis=-1)
+        dcurl = curl - curl_exact
+        curl2 = float(np.sum(wdet * np.sum(dcurl ** 2, axis=-1)))
+    l2 = float(np.sum(wdet * np.sum(np.abs(dv) ** 2, axis=-1)))
+    div2 = float(np.sum(wdet * ddiv ** 2))
     return ErrorEntry(l2=math.sqrt(l2), h1=math.sqrt(l2 + div2 + curl2),
                       parts={"div": math.sqrt(div2), "curl": math.sqrt(curl2)})
 
@@ -463,7 +456,7 @@ def _vector_errors(field_vec: FieldVector, exact, qdeg: int) -> ErrorEntry:
 def error_norms(field_vec: FieldVector, case: ManufacturedCase, which: str,
                 t: float, qdeg: int | None = None) -> ErrorEntry:
     """Errors of a discrete field against the exact case field at time t;
-    per chunk, the exact value and derivatives share one ``case.factors``."""
+    the exact value and derivatives share one ``case.factors``."""
     qdeg = forms.quadrature_degree(field_vec.space.degree, qdeg)
     fns = {"psi": (case.psi, case.grad_psi), "phi": (case.phi, case.grad_phi),
            "A": (case.A, case.div_A, case.curl_A)}.get(which)

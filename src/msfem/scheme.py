@@ -153,7 +153,10 @@ class AlternatingStepper:
     """Owns the spaces, the cached constant operators and the solver state.
 
     All matrices of one space share its CSR pattern, so each step matrix is
-    built as a linear combination of ``data`` arrays on that pattern.
+    built as a linear combination of ``data`` arrays on that pattern.  psi
+    and phi share one scalar P_r dof numbering (complex and real), so their
+    mass and stiffness have equal entries: ``mass`` and ``stiffness`` are
+    assembled once, real, and serve both.
     """
 
     def __init__(self, config: SchemeConfig, spaces: Spaces | None = None):
@@ -161,17 +164,17 @@ class AlternatingStepper:
         self.case = mms.make_case(config.dim, config.v0) if config.mode == "mms" else None
         self.spaces = spaces or build_spaces(config)
         self.mesh = self.spaces.psi.mesh
-        self.mass_psi = forms.assemble_mass(self.spaces.psi)
+        if self.spaces.psi.pattern() is not self.spaces.phi.pattern():
+            raise ValueError("psi and phi must share one scalar dof numbering")
         self.mass_vec = forms.assemble_mass(self.spaces.A)
         self.D = forms.assemble_D(self.spaces.A)
-        self.mass_phi = forms.assemble_mass(self.spaces.phi)
-        self.stiff_phi = forms.assemble_stiffness(self.spaces.phi)
-        self.stiff_psi = forms.assemble_stiffness(self.spaces.psi)
+        self.mass = forms.assemble_mass(self.spaces.phi)
+        self.stiffness = forms.assemble_stiffness(self.spaces.phi)
         dt = config.dt
         self.a_system = self.spaces.A.pattern().matrix(
             self.mass_vec.data / dt ** 2 + 0.5 * self.D.data)
         self.phi_system = self.spaces.phi.pattern().matrix(
-            self.mass_phi.data / dt ** 2 + 0.5 * self.stiff_phi.data)
+            self.mass.data / dt ** 2 + 0.5 * self.stiffness.data)
         self.solve_iterations = 0
         self._source_loads = self._precompute_source_loads() if self.case is not None else {}
         # last: the factor does not sit on top of the source precompute's peak
@@ -208,8 +211,8 @@ class AlternatingStepper:
 
         dt = self.config.dt
         S0 = self.spaces.psi.pattern().matrix(
-            (-1j / dt + 0.5 * self.config.v0) * self.mass_psi.data
-            + 0.25 * self.stiff_psi.data)
+            (-1j / dt + 0.5 * self.config.v0) * self.mass.data
+            + 0.25 * self.stiffness.data)
         return spla.splu(S0.tocsc()).solve
 
     # ---- sources -----------------------------------------------------------
@@ -278,8 +281,8 @@ class AlternatingStepper:
         """Advance the scalar potential: SPD solve with the cached system matrix."""
         cfg = self.config
         dt = cfg.dt
-        rhs = (self.mass_phi @ (2.0 * state.phi.data - state.phi_prev.data) / dt ** 2
-               - 0.5 * (self.stiff_phi @ state.phi_prev.data)
+        rhs = (self.mass @ (2.0 * state.phi.data - state.phi_prev.data) / dt ** 2
+               - 0.5 * (self.stiffness @ state.phi_prev.data)
                + forms.assemble_coefficient_load(self.spaces.phi, state.psi_points.abs2))
         if self.case is not None:
             rhs = rhs + self.source_load("l", state.t)
@@ -298,12 +301,12 @@ class AlternatingStepper:
         a_bar = FieldVector(self.spaces.A, 0.5 * (a_new.data + state.a.data))
         phi_bar = FieldVector(self.spaces.phi, 0.5 * (phi_new.data + state.phi.data))
         pattern = self.spaces.psi.pattern()
-        K_B = forms.assemble_B(self.spaces.psi, a_bar, self.stiff_psi)
+        K_B = forms.assemble_B(self.spaces.psi, a_bar, self.stiffness)
         M_w = forms.assemble_weighted_mass(self.spaces.psi, phi_bar)   # (phi_bar u, v)
         H_half = pattern.matrix(
-            0.25 * K_B.data + 0.5 * (M_w.data + cfg.v0 * self.mass_psi.data))
-        lhs = pattern.matrix(-1j / dt * self.mass_psi.data + H_half.data)
-        rhs = (-1j / dt) * (self.mass_psi @ state.psi.data) - H_half @ state.psi.data
+            0.25 * K_B.data + 0.5 * (M_w.data + cfg.v0 * self.mass.data))
+        lhs = pattern.matrix(-1j / dt * self.mass.data + H_half.data)
+        rhs = (-1j / dt) * (self.mass @ state.psi.data) - H_half @ state.psi.data
         if self.case is not None:
             rhs = rhs + self.source_load("f", state.t + 0.5 * dt)
         try:
@@ -326,7 +329,7 @@ class AlternatingStepper:
 
     def psi_l2_norm(self, state: FieldState) -> float:
         v = state.psi.data
-        return math.sqrt(abs(np.vdot(v, self.mass_psi @ v).real))
+        return math.sqrt(abs(np.vdot(v, self.mass @ v).real))
 
     def run(self, snapshot_steps=()) -> RunResult:
         """Execute all configured steps, recording norms, and at the snapshot
@@ -373,7 +376,7 @@ def _checksum(arr: np.ndarray) -> str:
 def snapshot_record(stepper: AlternatingStepper, state: FieldState) -> dict:
     """Text-stable snapshot: time, per-field L2 norm and coefficient checksum."""
     m_vec = stepper.mass_vec
-    m_phi = stepper.mass_phi
+    m_phi = stepper.mass
     a_norm = math.sqrt(abs(state.a.data @ (m_vec @ state.a.data)))
     phi_norm = math.sqrt(abs(state.phi.data @ (m_phi @ state.phi.data)))
     return {

@@ -61,9 +61,6 @@ class FeSpace:
     def element(self):
         return reference_element(self.mesh.dim, self.degree)
 
-    def new_field(self) -> "FieldVector":
-        return FieldVector(self, np.zeros(self.n_dofs, dtype=self.dtype))
-
     def cell_dof_index(self) -> np.ndarray:
         """Global dof per (cell, local node, comp); n_dofs marks constrained."""
         if "cell_dofs" not in self._cache:

@@ -206,8 +206,11 @@ def solve_spd(A: sp.csr_array, b: np.ndarray, tol: float = DEFAULT_TOL, *,
     residual.
 
     ``method``: "cg" (fail on non-convergence), "direct", or "auto" (CG with a
-    direct fallback).  CG runs at most max(200, 4n) iterations.
+    direct fallback); any other value raises ValueError.  CG runs at most
+    max(200, 4n) iterations.
     """
+    if method not in ("auto", "cg", "direct"):
+        raise ValueError(f"unknown SPD solve method {method!r}")
     b = np.asarray(b)
     _check_rhs(b)
     t0 = time.perf_counter()

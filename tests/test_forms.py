@@ -107,7 +107,7 @@ def test_B_reduces_to_stiffness_for_zero_A():
     cspace = build_scalar_space(mesh, 2, complex_field=True)
     vspace = build_vector_space(mesh, 2)
     K = forms.assemble_stiffness(cspace)
-    B = forms.assemble_B(cspace, vspace.new_field(), K).toarray()
+    B = forms.assemble_B(cspace, FieldVector(vspace, np.zeros(vspace.n_dofs)), K).toarray()
     assert np.max(np.abs(B - K.toarray())) <= 1e-13
 
 
@@ -233,9 +233,6 @@ def test_source_load_zero_and_partition_of_unity():
 # ---- oracle equivalence: vectorized assembly vs naive dense assembly ----
 
 CASES = [(2, 3, 1), (2, 2, 2), (3, 2, 1)]
-# A budget small enough that every form runs over several chunks of one or a
-# few cells each, with a shorter last chunk on most of the cases.
-SMALL_CHUNK_BUDGET = 100
 
 
 # The coefficient forms and loads map A and the current by J^{-T} per cell.
@@ -253,25 +250,17 @@ def case_mesh(dim, M, jittered):
     return mesh
 
 
-def chunk_budgets(monkeypatch):
-    """Run the assembly under test at the default and at a small chunk budget."""
-    for budget in (forms._CHUNK_ENTRY_BUDGET, SMALL_CHUNK_BUDGET):
-        monkeypatch.setattr(forms, "_CHUNK_ENTRY_BUDGET", budget)
-        yield budget
-
-
 @pytest.mark.parametrize("dim,M,r", CASES)
-def test_oracle_equivalence_mass_stiffness(dim, M, r, monkeypatch):
+def test_oracle_equivalence_mass_stiffness(dim, M, r):
     mesh = build_structured(dim, M)
     space = build_scalar_space(mesh, r)
     qdeg = 2 * r + 2
     M2 = oracles.naive_mass(space, qdeg)
     K2 = oracles.naive_stiffness(space, qdeg)
-    for _ in chunk_budgets(monkeypatch):
-        M1 = forms.assemble_mass(space).toarray()
-        assert np.max(np.abs(M1 - M2)) <= 1e-12
-        K1 = forms.assemble_stiffness(space).toarray()
-        assert np.max(np.abs(K1 - K2)) <= 1e-12
+    M1 = forms.assemble_mass(space).toarray()
+    assert np.max(np.abs(M1 - M2)) <= 1e-12
+    K1 = forms.assemble_stiffness(space).toarray()
+    assert np.max(np.abs(K1 - K2)) <= 1e-12
 
 
 # D is assembled as the componentwise stiffness and checked against the
@@ -283,17 +272,16 @@ D_CASES = ([pytest.param(*c, False, id="-".join(map(str, c))) for c in CASES]
 
 
 @pytest.mark.parametrize("dim,M,r,jittered", D_CASES)
-def test_oracle_equivalence_D(dim, M, r, jittered, monkeypatch):
+def test_oracle_equivalence_D(dim, M, r, jittered):
     mesh = case_mesh(dim, M, jittered)
     space = build_vector_space(mesh, r)
     D2 = oracles.naive_D(space, 2 * r + 2)
-    for _ in chunk_budgets(monkeypatch):
-        D1 = forms.assemble_D(space).toarray()
-        assert np.max(np.abs(D1 - D2)) <= 1e-12
+    D1 = forms.assemble_D(space).toarray()
+    assert np.max(np.abs(D1 - D2)) <= 1e-12
 
 
 @pytest.mark.parametrize("dim,M,r,jittered", FIELD_CASES)
-def test_oracle_equivalence_B_and_weighted(dim, M, r, jittered, monkeypatch):
+def test_oracle_equivalence_B_and_weighted(dim, M, r, jittered):
     rng = np.random.default_rng(5)
     mesh = case_mesh(dim, M, jittered)
     cspace = build_scalar_space(mesh, r, complex_field=True)
@@ -305,17 +293,16 @@ def test_oracle_equivalence_B_and_weighted(dim, M, r, jittered, monkeypatch):
     B2 = oracles.naive_B(cspace, a, qdeg)
     W2 = oracles.naive_weighted_mass(vspace, lambda x: np.cos(x[0]), qdeg)
     P2 = oracles.naive_field_weighted_mass(cspace, phi, qdeg)
-    for _ in chunk_budgets(monkeypatch):
-        B1 = forms.assemble_B(cspace, a, forms.assemble_stiffness(cspace)).toarray()
-        assert np.max(np.abs(B1 - B2)) <= 1e-12
-        W1 = forms.assemble_weighted_mass(vspace, lambda x: np.cos(x[..., 0])).toarray()
-        assert np.max(np.abs(W1 - W2)) <= 1e-12
-        P1 = forms.assemble_weighted_mass(cspace, phi).toarray()
-        assert np.max(np.abs(P1 - P2)) <= 1e-12
+    B1 = forms.assemble_B(cspace, a, forms.assemble_stiffness(cspace)).toarray()
+    assert np.max(np.abs(B1 - B2)) <= 1e-12
+    W1 = forms.assemble_weighted_mass(vspace, lambda x: np.cos(x[..., 0])).toarray()
+    assert np.max(np.abs(W1 - W2)) <= 1e-12
+    P1 = forms.assemble_weighted_mass(cspace, phi).toarray()
+    assert np.max(np.abs(P1 - P2)) <= 1e-12
 
 
 @pytest.mark.parametrize("dim,M,r,jittered", FIELD_CASES)
-def test_oracle_equivalence_loads(dim, M, r, jittered, monkeypatch):
+def test_oracle_equivalence_loads(dim, M, r, jittered):
     rng = np.random.default_rng(6)
     mesh = case_mesh(dim, M, jittered)
     cspace = build_scalar_space(mesh, r, complex_field=True)
@@ -329,11 +316,10 @@ def test_oracle_equivalence_loads(dim, M, r, jittered, monkeypatch):
 
     l2 = oracles.naive_current_load(vspace, psi, qdeg)
     f2 = oracles.naive_source_load(cspace, lambda x: s(np.asarray(x)[None, :])[0], qdeg)
-    for _ in chunk_budgets(monkeypatch):
-        l1 = forms.assemble_current_load(vspace, forms.QuadratureField(psi))
-        assert np.max(np.abs(l1 - l2)) <= 1e-12
-        f1 = forms.assemble_source_load(cspace, s)
-        assert np.max(np.abs(f1 - f2)) <= 1e-12
+    l1 = forms.assemble_current_load(vspace, forms.QuadratureField(psi))
+    assert np.max(np.abs(l1 - l2)) <= 1e-12
+    f1 = forms.assemble_source_load(cspace, s)
+    assert np.max(np.abs(f1 - f2)) <= 1e-12
 
 
 COEFFICIENTS = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
@@ -359,10 +345,9 @@ def test_B_and_current_load_match_oracles_for_random_fields(data):
     assert np.max(np.abs(load - oracles.naive_current_load(vspace, psi, 4))) <= 1e-12
 
 
-def test_one_quadrature_table_per_degree_and_qdeg(monkeypatch):
-    # forms with different per-cell sizes split the mesh into different
-    # chunks; they must all read the one whole-mesh table of their degree
-    monkeypatch.setattr(forms, "_CHUNK_ENTRY_BUDGET", 2000)
+def test_one_quadrature_table_per_degree_and_qdeg():
+    # every form, load and error norm reads the one whole-mesh table of its
+    # (degree, qdeg)
     mesh = build_structured(3, 2)
     cspace = build_scalar_space(mesh, 1, complex_field=True)
     vspace = build_vector_space(mesh, 1)
@@ -373,7 +358,8 @@ def test_one_quadrature_table_per_degree_and_qdeg(monkeypatch):
     forms.assemble_D(vspace)
     forms.assemble_weighted_mass(vspace, forms.QuadratureField(psi).abs2)
     forms.assemble_current_load(vspace, forms.QuadratureField(psi))
-    forms.assemble_B(cspace, vspace.new_field(), forms.assemble_stiffness(cspace))
+    forms.assemble_B(cspace, FieldVector(vspace, np.zeros(vspace.n_dofs)),
+                     forms.assemble_stiffness(cspace))
     forms.assemble_mass(p2space)
     forms.assemble_mass(cspace, qdeg=2)
     forms.assemble_coefficient_load(cspace, psi, qdeg=2)
@@ -403,4 +389,5 @@ def test_mesh_mismatch_rejected():
     cspace = build_scalar_space(mesh_a, 1, complex_field=True)
     vspace = build_vector_space(mesh_b, 1)
     with pytest.raises(ValueError):
-        forms.assemble_B(cspace, vspace.new_field(), forms.assemble_stiffness(cspace))
+        forms.assemble_B(cspace, FieldVector(vspace, np.zeros(vspace.n_dofs)),
+                         forms.assemble_stiffness(cspace))

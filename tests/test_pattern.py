@@ -109,11 +109,11 @@ def test_forms_and_step_matrices_share_the_space_pattern(dim, r, monkeypatch):
     state = st.initialize()
     rng = np.random.default_rng(0)
     a = FieldVector(sp.A, rng.standard_normal(sp.A.n_dofs))
-    for m in (st.mass_psi, st.stiff_psi, st.phi_system,
-              forms.assemble_B(sp.psi, a, st.stiff_psi),
+    for m in (st.mass, st.stiffness, st.phi_system,
+              forms.assemble_B(sp.psi, a, st.stiffness),
               forms.assemble_weighted_mass(sp.psi, forms.QuadratureField(state.psi).abs2)):
         assert on_pattern(m, sp.psi)
-    for m in (st.mass_phi, st.stiff_phi):
+    for m in (st.mass, st.stiffness):
         assert on_pattern(m, sp.phi)
     for m in (st.mass_vec, st.D, forms.assemble_weighted_mass(sp.A, forms.QuadratureField(state.psi).abs2)):
         assert on_pattern(m, sp.A)

@@ -181,6 +181,23 @@ def test_mms_step_evaluates_no_source_closure(monkeypatch):
         assert np.array_equal(g.data, w.data)
 
 
+def test_free_step_builds_no_quadrature_points():
+    # without sources nothing reads the physical points: no table holds them
+    st = scheme.AlternatingStepper(small_config(dim=2, M=4, mode="free"))
+    st.advance(st.initialize())
+    tables = [t for t in st.mesh._geom.values() if isinstance(t, forms.QuadratureTable)]
+    assert tables
+    assert not any("x" in vars(t) for t in tables)
+
+
+def test_psi_and_phi_spaces_must_share_a_pattern():
+    # the stepper assembles one scalar mass and stiffness for psi and phi
+    spaces = scheme.build_spaces(small_config(mode="free"))
+    spaces.phi = build_scalar_space(spaces.psi.mesh, 1, dirichlet=False)
+    with pytest.raises(ValueError, match="psi and phi"):
+        scheme.AlternatingStepper(small_config(mode="free"), spaces=spaces)
+
+
 # ---- dense-solve oracle on small meshes ------------------------------------
 
 def test_step_solutions_match_dense_solves():
@@ -203,9 +220,9 @@ def test_step_solutions_match_dense_solves():
     assert np.linalg.norm(a_new.data - x) / np.linalg.norm(x) <= 1e-10
 
     phi_new = st.step_wave_phi(state)
-    sys_d = st.mass_phi.toarray() / dt ** 2 + 0.5 * st.stiff_phi.toarray()
-    rhs = (st.mass_phi @ (2 * state.phi.data - state.phi_prev.data) / dt ** 2
-           - 0.5 * (st.stiff_phi @ state.phi_prev.data)
+    sys_d = st.mass.toarray() / dt ** 2 + 0.5 * st.stiffness.toarray()
+    rhs = (st.mass @ (2 * state.phi.data - state.phi_prev.data) / dt ** 2
+           - 0.5 * (st.stiffness @ state.phi_prev.data)
            + forms.assemble_coefficient_load(sp.phi, forms.QuadratureField(state.psi).abs2)
            + forms.assemble_source_load(sp.phi, lambda x: mms.source_l(st.case, x, state.t)).real)
     x = np.linalg.solve(sys_d, rhs)
@@ -214,8 +231,8 @@ def test_step_solutions_match_dense_solves():
     psi_new = st.step_schrodinger(state, a_new, phi_new)
     a_bar = FieldVector(sp.A, 0.5 * (a_new.data + state.a.data))
     phi_bar = FieldVector(sp.phi, 0.5 * (phi_new.data + state.phi.data))
-    KB = forms.assemble_B(sp.psi, a_bar, st.stiff_psi).toarray()
-    Mc = st.mass_psi.toarray()
+    KB = forms.assemble_B(sp.psi, a_bar, st.stiffness).toarray()
+    Mc = st.mass.toarray()
     Mw = forms.assemble_weighted_mass(sp.psi, phi_bar).toarray() + cfg.v0 * Mc
     S = -1j / dt * Mc + 0.25 * KB + 0.5 * Mw
     rhs = ((-1j / dt * Mc - 0.25 * KB - 0.5 * Mw) @ state.psi.data
@@ -241,7 +258,7 @@ def test_first_phi_step_from_rest_matches_dense_formula():
     )
     state = st.initialize(data)
     phi_new = st.step_wave_phi(state)
-    sys_d = st.mass_phi.toarray() / dt ** 2 + 0.5 * st.stiff_phi.toarray()
+    sys_d = st.mass.toarray() / dt ** 2 + 0.5 * st.stiffness.toarray()
     load = forms.assemble_coefficient_load(st.spaces.phi, forms.QuadratureField(state.psi).abs2)
     x = np.linalg.solve(sys_d, load)
     assert np.allclose(phi_new.data, x, rtol=1e-10)
@@ -278,10 +295,10 @@ def test_schrodinger_matrix_hermitian_part():
     phi_new = st.step_wave_phi(state)
     a_bar = FieldVector(st.spaces.A, 0.5 * (a_new.data + state.a.data))
     phi_bar = FieldVector(st.spaces.phi, 0.5 * (phi_new.data + state.phi.data))
-    KB = forms.assemble_B(st.spaces.psi, a_bar, st.stiff_psi).toarray()
+    KB = forms.assemble_B(st.spaces.psi, a_bar, st.stiffness).toarray()
     Mw = (forms.assemble_weighted_mass(st.spaces.psi, phi_bar).toarray()
-          + cfg.v0 * st.mass_psi.toarray())
-    S = -1j / cfg.dt * st.mass_psi.toarray() + 0.25 * KB + 0.5 * Mw
+          + cfg.v0 * st.mass.toarray())
+    S = -1j / cfg.dt * st.mass.toarray() + 0.25 * KB + 0.5 * Mw
     assert np.max(np.abs(S + S.conj().T - 2 * (0.25 * KB + 0.5 * Mw))) <= 1e-12
 
 

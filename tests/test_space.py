@@ -132,7 +132,7 @@ def test_paper_vector_potential_at_half_time_is_zero():
 
 def test_evaluate_zero_field():
     space = sp.build_scalar_space(build_structured(2, 2), 1)
-    f = space.new_field()
+    f = sp.FieldVector(space, np.zeros(space.n_dofs))
     assert sp.evaluate(f, 0, [0.3, 0.3]) == 0.0
 
 

@@ -40,6 +40,13 @@ def test_solve_spd_cg_failure_carries_report():
     assert exc.value.report.method == "cg-jacobi"
 
 
+def test_solve_spd_rejects_unknown_method():
+    # a misspelt method must not run the direct solve under another name
+    A = csr_array(np.eye(2))
+    with pytest.raises(ValueError, match="cgg"):
+        sla.solve_spd(A, np.ones(2), method="cgg")
+
+
 def test_solve_complex_identity_and_diagonal():
     I = csr_array(np.eye(2, dtype=complex))
     b = np.array([1.0 + 1j, -2.0])
