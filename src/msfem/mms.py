@@ -420,8 +420,9 @@ def _scalar_errors(field_vec: FieldVector, exact, qdeg: int) -> ErrorEntry:
     tab = forms.quadrature_table(space.mesh, space.degree, qdeg)
     value, grad = exact(tab.x)
     dv = tab.field_values(field_vec) - value
-    dg = tab.field_gradients(field_vec) - grad
     l2 = float(np.sum(tab.wdet * np.abs(dv) ** 2))
+    del value, dv
+    dg = tab.field_gradients(field_vec) - grad
     semi = float(np.sum(tab.wdet * np.sum(np.abs(dg) ** 2, axis=-1)))
     return ErrorEntry(l2=math.sqrt(l2), h1=math.sqrt(l2 + semi),
                       parts={"grad": math.sqrt(semi)})
@@ -436,18 +437,20 @@ def _vector_errors(field_vec: FieldVector, exact, qdeg: int) -> ErrorEntry:
     wdet = tab.wdet
     value, div, curl_exact = exact(tab.x)
     dv = tab.field_values(field_vec) - value
+    l2 = float(np.sum(wdet * np.sum(np.abs(dv) ** 2, axis=-1)))
+    del value, dv    # the point arrays set the peak of a large mesh's norms
     grad = tab.field_gradients(field_vec)   # (c, q, comp, deriv)
     ddiv = np.trace(grad, axis1=-2, axis2=-1) - div
     if space.mesh.dim == 2:
         dcurl = grad[..., 1, 0] - grad[..., 0, 1] - curl_exact
+        del grad
         curl2 = float(np.sum(wdet * dcurl ** 2))
     else:
-        curl = np.stack([grad[..., 2, 1] - grad[..., 1, 2],
-                         grad[..., 0, 2] - grad[..., 2, 0],
-                         grad[..., 1, 0] - grad[..., 0, 1]], axis=-1)
-        dcurl = curl - curl_exact
+        dcurl = np.stack([grad[..., 2, 1] - grad[..., 1, 2],
+                          grad[..., 0, 2] - grad[..., 2, 0],
+                          grad[..., 1, 0] - grad[..., 0, 1]], axis=-1) - curl_exact
+        del grad
         curl2 = float(np.sum(wdet * np.sum(dcurl ** 2, axis=-1)))
-    l2 = float(np.sum(wdet * np.sum(np.abs(dv) ** 2, axis=-1)))
     div2 = float(np.sum(wdet * ddiv ** 2))
     return ErrorEntry(l2=math.sqrt(l2), h1=math.sqrt(l2 + div2 + curl2),
                       parts={"div": math.sqrt(div2), "curl": math.sqrt(curl2)})

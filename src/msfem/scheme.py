@@ -14,10 +14,10 @@ between two components; M/dt^2 + D/2 is combined once, a step adds W/2.
 
 The wave-function system is S0 plus step-dependent mass-scale terms, with
 S0 = (-i/dt + V0/2) M + K/4 fixed for the run.  The stepper factors S0 once,
-by a complete sparse LU, and every step solves by GMRES preconditioned with
-that exact inverse: the complex shifted-Laplacian preconditioner applied
-exactly (Erlangga, Vuik & Oosterlee, Appl. Numer. Math. 50 (2004) 409-425),
-which converges in a few iterations at every system size.
+by a complete sparse LU, and every step solves by defect correction against
+that factor, x <- x + S0^{-1}(b - S x) (Stetter, Numer. Math. 29 (1978)
+425-443): the step terms are O(dt) against the -i/dt M of S0, so a solve
+takes a few LU applies at every system size.
 
 The wave steps read psi from the previous level three times: in W(|psi|^2),
 the current load and the |psi|^2 load.  A state evaluates psi at the
@@ -201,10 +201,10 @@ class AlternatingStepper:
         """Complete sparse LU of the step-independent part of the
         wave-function system, S0 = (-i/dt + V0/2) M + K/4.
 
-        A step's matrix is S0 plus mass-scale terms in A and phi, so the exact
-        inverse of S0 (the complex shifted-Laplacian preconditioner applied
-        exactly; Erlangga, Vuik & Oosterlee, Appl. Numer. Math. 50 (2004)
-        409-425) leaves GMRES a few iterations per step.  Built once per
+        A step's matrix is S0 plus terms in A and phi that are O(dt) against
+        the -i/dt M of S0, so defect correction with the exact inverse of S0
+        (Stetter, Numer. Math. 29 (1978) 425-443) contracts the residual by
+        O(dt) per LU apply and needs a few applies per step.  Built once per
         stepper.
         """
         import scipy.sparse.linalg as spla

@@ -328,11 +328,8 @@ def test_norm_conservation_free_mode():
     assert drift <= 1e-9
 
 
-@pytest.mark.parametrize("dim,M,r", [(2, 32, 1), (3, 4, 2)])
-def test_psi_solve_is_lu_preconditioned_gmres(dim, M, r, monkeypatch):
-    """Every psi solve runs GMRES preconditioned by the LU of the
-    step-independent operator, at every system size, and converges in a few
-    iterations."""
+def _record_psi_reports(monkeypatch):
+    """The list that receives the report of every later psi solve."""
     reports = []
     solve = sparsela.solve_complex
 
@@ -342,6 +339,15 @@ def test_psi_solve_is_lu_preconditioned_gmres(dim, M, r, monkeypatch):
         return x, rep
 
     monkeypatch.setattr(sparsela, "solve_complex", recording)
+    return reports
+
+
+@pytest.mark.parametrize("dim,M,r", [(2, 32, 1), (3, 4, 2)])
+def test_psi_solve_is_lu_defect_correction(dim, M, r, monkeypatch):
+    """Every psi solve runs defect correction against the LU of the
+    step-independent operator, at every system size, and converges in a few
+    LU applies."""
+    reports = _record_psi_reports(monkeypatch)
     dt = 1.0 / 64
     cfg = scheme.SchemeConfig(dim=dim, M=M, degree=r, t_final=3 * dt, dt=dt,
                               n_steps=3, mode="free")
@@ -351,8 +357,22 @@ def test_psi_solve_is_lu_preconditioned_gmres(dim, M, r, monkeypatch):
         state = st.advance(state)
     assert len(reports) == 3
     for rep in reports:
-        assert rep.method == "gmres"
+        assert rep.method == "defect-correction"
         assert rep.iterations <= 3
+
+
+@pytest.mark.parametrize("r,M,dt", [(1, 8, 1 / 4), (2, 8, 1 / 16)])
+def test_psi_defect_correction_converges_at_large_dt(r, M, dt, monkeypatch):
+    """The contraction of defect correction grows with dt.  At the largest dt
+    the tests run (2D P1, dt = 1/4) and on the 2D P2 rate mesh (dt = h/2),
+    every manufactured-case psi solve still converges without the LU
+    fallback."""
+    reports = _record_psi_reports(monkeypatch)
+    scheme.AlternatingStepper(small_config(M=M, r=r, dt=dt, n=4)).run()
+    assert len(reports) == 4
+    for rep in reports:
+        assert rep.method == "defect-correction"
+        assert rep.iterations <= 12
 
 
 def test_mms_h1_errors_decrease_under_refinement():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
+from scipy.sparse.linalg import splu
 
 from msfem import sparsela as sla
 from msfem.forms import assemble_mass, assemble_stiffness
@@ -71,6 +72,15 @@ def test_solve_complex_fem_system_residual():
     res = np.linalg.norm(S @ x - b) / np.linalg.norm(b)
     assert res <= 1e-10
 
+    # a mass-scale perturbation of S, like the step's phi_bar term,
+    # corrected against the exact inverse of S
+    A = S + 0.5 * M
+    x, rep = sla.solve_complex(A, b, tol=1e-12, precond=splu(S.tocsc()).solve)
+    assert rep.method == "defect-correction"
+    assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
+    x_direct = splu(A.tocsc()).solve(b)
+    assert np.linalg.norm(x - x_direct) <= 1e-10 * np.linalg.norm(x_direct)
+
 
 # ---- failures are typed: SolveError with a report, never a raw RuntimeError ----
 
@@ -114,30 +124,29 @@ def test_solve_complex_singular_and_nan_raise_solve_error():
 
     A = (-1j / 0.1) * _fem_spd().astype(complex)
     nan = float("nan") * A
-    identity = lambda r: r  # noqa: E731 - GMRES path, then the direct fallback
+    identity = lambda r: r  # noqa: E731 - defect correction, then the direct fallback
     for precond in (None, identity):
         with pytest.raises(sla.SolveError):
             sla.solve_complex(nan, np.ones(A.shape[0], dtype=complex), precond=precond)
 
 
-def test_stalled_gmres_falls_back_to_lu_after_one_restart_cycle():
-    # indefinite Helmholtz-like system on which unpreconditioned GMRES stalls
+def test_stalled_defect_correction_falls_back_to_lu_at_the_cap():
+    # indefinite Helmholtz-like system on which defect correction with the
+    # identity as approximate inverse diverges
     space = build_scalar_space(build_structured(2, 32), 1, complex_field=True)
     M = assemble_mass(space)
     A = 0.25 * assemble_stiffness(space) - 2000.0 * M - 1e-3j * M
     b = np.random.default_rng(0).standard_normal(A.shape[0]).astype(complex)
-    # GMRES_MAX_ITERATIONS inner iterations apply the preconditioner that
-    # many times, plus twice on the right-hand side and the initial residual
-    limit = sla.GMRES_MAX_ITERATIONS + 2
+    limit = sla.DEFECT_CORRECTION_MAX_APPLIES
     applied = []
 
     def counting(r):
         applied.append(1)
-        assert len(applied) <= limit, "GMRES ran past one restart cycle"
+        assert len(applied) <= limit, "defect correction ran past its cap"
         return r
 
     x, rep = sla.solve_complex(A, b, precond=counting)
-    assert len(applied) <= limit
+    assert len(applied) == limit
     assert rep.method == "direct-lu"
     assert rep.residual <= sla.DIRECT_RESIDUAL_FLOOR
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= sla.DIRECT_RESIDUAL_FLOOR
