@@ -15,15 +15,17 @@ coordinates) against values x reference gradients.  The current load
 contracts over the points in reference coordinates and maps the result once
 per cell.  Every form, load and error norm is one pass over the whole mesh.
 
-Every form on a space lands on that space's CSR pattern (``FeSpace.pattern``):
-one scalar local matrix per cell is summed into the pattern's data array by
-``np.bincount`` through its (component, cell, i, j) -> data index map, the
-same block in every component of a vector space, and the form is returned
-as a ``scipy.sparse.csr_array`` that shares the pattern's index arrays.
-Forms on one space can therefore be combined by combining their ``data``
-arrays.  Every vector form is componentwise: the masses by definition, and
-the div-div + curl-curl form ``D`` because on this space it equals the
-componentwise stiffness (see ``assemble_D``).
+Every form and load on a space is summed by that space's CSR pattern
+(``FeSpace.pattern``, a ``sparsela.Pattern``).  A form hands it one scalar
+local matrix per cell; ``Pattern.assemble`` sums the entries of each node
+pair once and puts the sum in every component's slot of a vector space, and
+the form is returned as a ``scipy.sparse.csr_array`` that shares the
+pattern's index arrays.  A load hands it the local loads (cells, nloc,
+comp); ``Pattern.assemble_load`` sums them per node and keeps the free
+dofs.  Forms on one space can therefore be combined by combining their
+``data`` arrays.  Every vector form is componentwise: the masses by
+definition, and the div-div + curl-curl form ``D`` because on this space it
+equals the componentwise stiffness (see ``assemble_D``).
 
 Nonlinear coefficients (|psi_h|^2, |A_h|^2, the probability current) are
 evaluated pointwise at the quadrature nodes of the assembled form.  The
@@ -215,15 +217,6 @@ def _on_pattern(space: FeSpace, loc: np.ndarray):
     return pat.matrix(pat.assemble(loc).astype(space.dtype, copy=False))
 
 
-def _scatter_load(out: np.ndarray, dofs: np.ndarray, loc: np.ndarray):
-    np.add.at(out, dofs.reshape(-1), loc.reshape(dofs.size, *out.shape[1:]))
-
-
-def _cell_dofs(space: FeSpace) -> np.ndarray:
-    cd = space.cell_dof_index()          # (c, nloc, ncomp)
-    return cd.reshape(cd.shape[0], -1)   # node-major, component-minor
-
-
 def assemble_mass(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
     """Mass matrix (u, v); block-diagonal per component for vector spaces."""
     return assemble_weighted_mass(space, None, qdeg=qdeg)
@@ -339,7 +332,6 @@ def assemble_current_load(space: FeSpace, psi: QuadratureField,
         raise ValueError("the current load is assembled on a vector space")
     if psi.mesh is not space.mesh:
         raise ValueError("psi lives on a different mesh")
-    out = np.zeros(space.n_dofs + 1)
     nloc = space.element.node_count
     d = space.mesh.dim
     tab = quadrature_table(space.mesh, space.degree, qdeg)
@@ -353,37 +345,31 @@ def assemble_current_load(space: FeSpace, psi: QuadratureField,
     current *= tab.wdet[:, None, :]
     ref = (current.reshape(nc * d, nq) @ tab.vals).reshape(nc, d, nloc)
     loc = np.matmul(tab.JinvT, ref)                                     # (c, m, a)
-    _scatter_load(out, _cell_dofs(space), loc.transpose(0, 2, 1))
-    return out[:-1]
+    return space.pattern().assemble_load(loc.transpose(0, 2, 1))
 
 
 def assemble_source_load(space: FeSpace, source, qdeg: int | None = None) -> np.ndarray:
-    """Load vector (s, v) for a source s(x), or the (n_dofs, k) loads of k
-    sources given as point values stacked on a last axis."""
+    """Load vector (s, v) for a source s given as in
+    ``assemble_coefficient_load``."""
     return assemble_coefficient_load(space, source, qdeg=qdeg)
 
 
 def assemble_coefficient_load(space: FeSpace, coeff,
                               qdeg: int | None = None) -> np.ndarray:
-    """Load vector of a pointwise coefficient against the space's test basis.
+    """Load vector of a pointwise coefficient against the space's test basis,
+    real where the coefficient is real.
 
     Scalar spaces take the coefficients of the module docstring, vector
     spaces callables of x that return d-vectors or (c, q, d) point values.
-    Point values with one more last axis hold k coefficients; their k loads
-    are contracted in one pass and returned as the columns of (n_dofs, k).
+    A complex coefficient on a real space raises ValueError.
     """
     _check_coeff_mesh(space, coeff)
-    value_ndim = 2 if space.kind == "scalar" else 3
-    batch = coeff.shape[value_ndim:] if isinstance(coeff, np.ndarray) else ()
-    k = int(np.prod(batch))
-    out = np.zeros((space.n_dofs + 1, k),
-                   dtype=complex if space.dtype is complex else float)
     tab = quadrature_table(space.mesh, space.degree, qdeg)
     w = tab.wdet
     s = tab.coefficient(coeff).reshape(*w.shape, -1) * w[:, :, None]
-    loc = np.matmul(tab.vals.T, s)                         # (c, a, m), m = (comp, k)
-    _scatter_load(out, _cell_dofs(space), loc)
-    return out[:-1].reshape(space.n_dofs, *batch)
+    if np.iscomplexobj(s) and space.dtype is not complex:
+        raise ValueError("complex coefficient for a load on a real space")
+    return space.pattern().assemble_load(np.matmul(tab.vals.T, s))   # (c, a, comp)
 
 
 def _check_coeff_mesh(space: FeSpace, coeff):

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -130,14 +129,9 @@ class FieldState:
 
 @dataclass
 class RunResult:
-    config: SchemeConfig
-    h: float
-    times: list
     psi_norms: list
     report: "mms.ErrorReport | None"
     snapshots: list
-    wall_time: float
-    solve_iterations: int
 
 
 def build_spaces(config: SchemeConfig) -> Spaces:
@@ -175,7 +169,6 @@ class AlternatingStepper:
             self.mass_vec.data / dt ** 2 + 0.5 * self.D.data)
         self.phi_system = self.spaces.phi.pattern().matrix(
             self.mass.data / dt ** 2 + 0.5 * self.stiffness.data)
-        self.solve_iterations = 0
         self._source_loads = self._precompute_source_loads() if self.case is not None else {}
         # last: the factor does not sit on top of the source precompute's peak
         self._psi_precond = self._build_psi_preconditioner()
@@ -184,18 +177,16 @@ class AlternatingStepper:
         """The loads (s_j, v) of every manufactured source shape, paired with
         their time amplitudes c_j, per source name."""
         # every source shape is a product of the same few sin/cos factors:
-        # evaluate them once at the quadrature points all the loads share
+        # evaluate them once at the quadrature points all the loads share;
+        # the loads are assembled one shape at a time, so the point values
+        # of only one shape are alive at once
         factors = self.case.factors(
             forms.quadrature_table(self.mesh, self.config.degree).x)
-        loads = {}
-        for name, space, terms in (("f", self.spaces.psi, self.case.f_terms),
-                                   ("g", self.spaces.A, self.case.g_terms),
-                                   ("l", self.spaces.phi, self.case.l_terms)):
-            shapes = np.stack([s(factors) for _, s in terms], axis=-1)
-            columns = forms.assemble_source_load(space, shapes)
-            loads[name] = [(c, np.ascontiguousarray(load))
-                           for (c, _), load in zip(terms, columns.T)]
-        return loads
+        return {name: [(c, forms.assemble_source_load(space, s(factors)))
+                       for c, s in terms]
+                for name, space, terms in (("f", self.spaces.psi, self.case.f_terms),
+                                           ("g", self.spaces.A, self.case.g_terms),
+                                           ("l", self.spaces.phi, self.case.l_terms))}
 
     def _build_psi_preconditioner(self):
         """Complete sparse LU of the step-independent part of the
@@ -271,10 +262,9 @@ class AlternatingStepper:
         if self.case is not None:
             rhs = rhs + self.source_load("g", state.t)
         try:
-            x, rep = sparsela.solve_spd(system, rhs, cfg.tol)
+            x, _ = sparsela.solve_spd(system, rhs, cfg.tol)
         except sparsela.SolveError as err:
             raise SchemeError(f"vector-potential solve failed at step {state.k + 1}") from err
-        self.solve_iterations += rep.iterations
         return FieldVector(self.spaces.A, x)
 
     def step_wave_phi(self, state: FieldState) -> FieldVector:
@@ -287,10 +277,9 @@ class AlternatingStepper:
         if self.case is not None:
             rhs = rhs + self.source_load("l", state.t)
         try:
-            x, rep = sparsela.solve_spd(self.phi_system, rhs, cfg.tol)
+            x, _ = sparsela.solve_spd(self.phi_system, rhs, cfg.tol)
         except sparsela.SolveError as err:
             raise SchemeError(f"scalar-potential solve failed at step {state.k + 1}") from err
-        self.solve_iterations += rep.iterations
         return FieldVector(self.spaces.phi, x)
 
     def step_schrodinger(self, state: FieldState, a_new: FieldVector,
@@ -310,10 +299,9 @@ class AlternatingStepper:
         if self.case is not None:
             rhs = rhs + self.source_load("f", state.t + 0.5 * dt)
         try:
-            x, rep = sparsela.solve_complex(lhs, rhs, cfg.tol, precond=self._psi_precond)
+            x, _ = sparsela.solve_complex(lhs, rhs, cfg.tol, precond=self._psi_precond)
         except sparsela.SolveError as err:
             raise SchemeError(f"wave-function solve failed at step {state.k + 1}") from err
-        self.solve_iterations += rep.iterations
         return FieldVector(self.spaces.psi, x)
 
     def advance(self, state: FieldState) -> FieldState:
@@ -336,13 +324,11 @@ class AlternatingStepper:
         steps the snapshot records and, in verification mode, the errors."""
         cfg = self.config
         collect = cfg.mode == "mms"
-        t0 = time.perf_counter()
         state = self.initialize()
         snap_at = set(int(s) for s in snapshot_steps)
         report = mms.ErrorReport(h=self.mesh.h, dt=cfg.dt, M=cfg.M,
                                  degree=cfg.degree) if collect else None
         norms = [self.psi_l2_norm(state)]
-        times = [0.0]
         snapshots = []
         if 0 in snap_at:
             snapshots.append(snapshot_record(self, state))
@@ -351,15 +337,11 @@ class AlternatingStepper:
         for _ in range(cfg.n_steps):
             state = self.advance(state)
             norms.append(self.psi_l2_norm(state))
-            times.append(state.t)
             if state.k in snap_at:
                 snapshots.append(snapshot_record(self, state))
                 if collect:
                     self._record_errors(report, state)
-        return RunResult(config=cfg, h=self.mesh.h, times=times, psi_norms=norms,
-                         report=report, snapshots=snapshots,
-                         wall_time=time.perf_counter() - t0,
-                         solve_iterations=self.solve_iterations)
+        return RunResult(psi_norms=norms, report=report, snapshots=snapshots)
 
     def _record_errors(self, report: "mms.ErrorReport", state: FieldState):
         t = state.t

@@ -195,14 +195,22 @@ def interpolate(space: FeSpace, fn) -> FieldVector:
 
     ``fn`` is vectorised: it maps the (nodes, d) array of node coordinates to
     (nodes,) values on scalar spaces and (nodes, d) on vector ones; any other
-    shape raises ValueError.  A nonzero value (beyond 1e-10) at a constrained
-    (node, component) raises BoundaryValueError instead of being dropped.
+    shape raises ValueError, and so do complex values with an imaginary part
+    beyond 1e-10 on a real space.  A nonzero value (beyond 1e-10) at a
+    constrained (node, component) raises BoundaryValueError instead of being
+    dropped.
     """
     vals = np.asarray(fn(space.nodes))
     expected = (space.n_nodes,) if space.kind == "scalar" else (space.n_nodes, space.ncomp)
     if vals.shape != expected:
         raise ValueError(f"interpolation target returned shape {vals.shape}, "
                          f"expected {expected}")
+    if np.iscomplexobj(vals) and space.dtype is not complex:
+        worst = np.abs(vals.imag).max(initial=0.0)
+        if worst > 1e-10:
+            raise ValueError(f"complex interpolation target on a real space: "
+                             f"|imaginary part| reaches {worst:.3e}")
+        vals = vals.real
     vals = vals.reshape(space.n_nodes, space.ncomp)
     if space.constrained.any():
         bad = np.abs(vals) * space.constrained

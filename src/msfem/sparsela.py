@@ -2,12 +2,14 @@
 
 Every matrix the scheme assembles couples the dofs of one space through its
 cells, component by component, so each dof numbering gets one CSR
-``Pattern``, built once: its ``indptr``/``indices`` and a
-(component, cell, i, j) -> data index map.  A form is then the data array
-``np.bincount(map, local values)`` on that pattern, a linear
-combination of forms is the same combination of data arrays, and each matrix
-a solver sees is a ``scipy.sparse.csr_array`` that shares the pattern's index
-arrays.
+``Pattern``, built once: its ``indptr``/``indices`` and two 0/1 summation
+matrices, one row per coupled node pair and one per node.  A form's data
+array is the pair sums of its local matrices, taken at the free slots; a
+load is the node sums of its local loads, taken at the free dofs.  The
+pattern is the only code that sums cell contributions.  A linear
+combination of forms is the same combination of data arrays, and each
+matrix a solver sees is a ``scipy.sparse.csr_array`` that shares the
+pattern's index arrays.
 
 The solver contract is the relative residual bound, not the method: SPD
 systems go through Jacobi-preconditioned CG with a sparse-LU fallback, general
@@ -51,29 +53,38 @@ DEFECT_CORRECTION_MAX_APPLIES = 30
 
 
 class Pattern:
-    """CSR structure of the matrices assembled on one dof numbering.
+    """CSR structure of the matrices assembled on one dof numbering, and the
+    one place where the cells' local matrices and loads are summed.
 
     Dofs are (node, component) pairs, numbered node-major.  Every form on a
     space is componentwise: it couples dof (a, c) only with the dofs (b, c)
     of the same component, for nodes a and b of a common cell, so the pattern
-    holds no entry between two components.  ``cell_map[c, k, i, j]`` is the
-    position in a data array of the entry that couples local nodes i and j of
-    cell k in component c.  Pairs that touch a constrained dof map to the
-    extra slot ``nnz``, which ``assemble`` drops.  Column indices are
-    strictly increasing within each row.
+    holds no entry between two components.  Column indices are strictly
+    increasing within each row.
+
+    Two 0/1 CSR matrices do the summation.  ``_pair_sum`` has one row per
+    coupled node pair and ``_node_sum`` one per node; each row adds up the
+    local entries of its pair or node, in cell order, from a stable sort of
+    the pairs or nodes.  A matrix's data array takes every free (pair,
+    component) slot from the pair sums (``_slot_pair``), and a load takes
+    every free (node, component) dof from the node sums.  A vector form thus
+    sums its scalar block once, and a constrained dof is never summed into.
     """
 
     def __init__(self, cell_nodes: np.ndarray, dof_index: np.ndarray):
         """``cell_nodes``: (cells, nloc) global node per local node;
         ``dof_index``: (nodes, ncomp) global dof per (node, component), -1
         where constrained, numbered in (node, component) order."""
-        nc, nloc = cell_nodes.shape
         nn, e = dof_index.shape
         n = int(dof_index.max(initial=-1)) + 1
-        # the coupled node pairs, sorted by (row node, column node); only
-        # they are sorted, then each expands to its e same-component pairs
-        node_pairs = cell_nodes[:, :, None] * nn + cell_nodes[:, None, :]
-        keys, inverse = np.unique(node_pairs.ravel(), return_inverse=True)
+        # the node pair of every local entry (cell, i, j), sorted by (row
+        # node, column node) and stably, so each pair's entries stay in cell
+        # order
+        node_pairs = (cell_nodes[:, :, None] * nn + cell_nodes[:, None, :]).ravel()
+        order = np.argsort(node_pairs, kind="stable")
+        sorted_pairs = node_pairs[order]
+        starts = np.flatnonzero(np.diff(sorted_pairs, prepend=-1))
+        keys = sorted_pairs[starts]
         a, b = np.divmod(keys, nn)
         row_len = np.bincount(a, minlength=nn)
         row_start = np.concatenate([[0], np.cumsum(row_len)])[a]
@@ -84,43 +95,50 @@ class Pattern:
                + row_len[a][:, None] * np.arange(e))                      # (pairs, e)
         rows = np.empty(pos.size, dtype=np.int64)
         cols = np.empty(pos.size, dtype=np.int64)
+        pair = np.empty(pos.size, dtype=np.int64)
         rows[pos] = dof_index[a]     # the dof rows and columns, sorted,
         cols[pos] = dof_index[b]     # -1 where constrained
+        pair[pos] = np.arange(keys.size)[:, None]
         free = (rows >= 0) & (cols >= 0)
         self.nnz = int(free.sum())
         self.shape = (n, n)
-        slot = np.where(free, np.cumsum(free) - 1, self.nnz)[pos]     # (pairs, e)
-        # np.take, not slot.T[:, ...]: the map must be C-ordered for
-        # ``assemble`` to read it as one flat index without a copy
-        self.cell_map = np.take(slot.T, inverse.reshape(nc, nloc, nloc), axis=1)
         # scipy keeps int32 index arrays as given; int64 ones it would copy
         # down to int32 every time a matrix is wrapped
-        idx = np.int32 if max(n, self.nnz) < np.iinfo(np.int32).max else np.int64
+        idx = (np.int32 if max(n, self.nnz, node_pairs.size) < np.iinfo(np.int32).max
+               else np.int64)
+        self._slot_pair = pair[free].astype(idx)
         self.indices = cols[free].astype(idx)
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(rows[free], minlength=n))]).astype(idx)
+        self._pair_sum = _summation(order, np.append(starts, order.size), idx)
+        nodes = cell_nodes.ravel()
+        self._node_sum = _summation(
+            np.argsort(nodes, kind="stable"),
+            np.concatenate([[0], np.cumsum(np.bincount(nodes, minlength=nn))]), idx)
+        self._free_dofs = np.flatnonzero(dof_index.ravel() >= 0)
 
     def assemble(self, loc: np.ndarray) -> np.ndarray:
-        """Data array of the scalar local matrices ``loc`` (cells, nloc, nloc)
-        summed through ``cell_map``, the same block in every component; the
-        components' slots are disjoint, so this is one bincount."""
-        index = self.cell_map.ravel()
-        size = self.nnz + 1
+        """Data array of the scalar local matrices ``loc`` (cells, nloc,
+        nloc), real or complex: each node pair's entries summed in cell
+        order, the same sum in every component's slot."""
+        return (self._pair_sum @ loc.reshape(-1))[self._slot_pair]
 
-        def total(part):
-            # bincount copies read-only weights such as a broadcast view, so
-            # one component passes its block as is
-            weights = (part.ravel() if len(self.cell_map) == 1
-                       else np.broadcast_to(part, self.cell_map.shape).ravel())
-            return np.bincount(index, weights, size)[:-1]
-
-        if np.iscomplexobj(loc):
-            return total(loc.real) + 1j * total(loc.imag)
-        return total(loc)
+    def assemble_load(self, loc: np.ndarray) -> np.ndarray:
+        """Load vector of the local loads ``loc`` (cells, nloc, ncomp): each
+        node's entries summed in cell order, taken at the free dofs."""
+        sums = self._node_sum @ loc.reshape(self._node_sum.shape[1], -1)  # (nodes, ncomp)
+        return sums.ravel()[self._free_dofs]
 
     def matrix(self, data: np.ndarray) -> sp.csr_array:
         """Wrap a data array on this pattern; the index arrays are shared."""
         return sp.csr_array((data, self.indices, self.indptr), shape=self.shape)
+
+
+def _summation(order: np.ndarray, indptr: np.ndarray, idx) -> sp.csr_array:
+    """0/1 CSR matrix whose row r adds up the entries ``order[indptr[r]:
+    indptr[r + 1]]`` of a flat array, in that order."""
+    return sp.csr_array((np.ones(order.size), order.astype(idx), indptr.astype(idx)),
+                        shape=(indptr.size - 1, order.size))
 
 
 @dataclass

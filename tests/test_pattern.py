@@ -28,16 +28,47 @@ def on_pattern(matrix, space):
             and np.shares_memory(matrix.indptr, pat.indptr))
 
 
-def check_dense_accumulation(ncomp):
+def reference_slots(pat, cell_dofs):
+    """(comp, cells, nloc, nloc) data index of the entry that couples local
+    nodes i and j of a cell in component c, found by searching the CSR
+    structure; ``pat.nnz`` where either dof is constrained (dof >= n)."""
+    n = pat.shape[0]
+    cd = np.moveaxis(cell_dofs, -1, 0)                      # (comp, cells, nloc)
+    rows, cols = cd[..., :, None], cd[..., None, :]
+    slot_keys = np.repeat(np.arange(n), np.diff(pat.indptr)) * n + pat.indices
+    keys = rows * n + cols
+    slots = np.minimum(np.searchsorted(slot_keys, keys), pat.nnz - 1)
+    free = (rows < n) & (cols < n)
+    assert np.array_equal(slot_keys[slots][free], keys[free])
+    return np.where(free, slots, pat.nnz)
+
+
+def bincount_reference(slots, loc, nnz):
+    """The local matrices summed by one np.bincount per component."""
+    def total(part):
+        return sum(np.bincount(s.ravel(), part.ravel(), nnz + 1)[:-1] for s in slots)
+    if np.iscomplexobj(loc):
+        return total(loc.real) + 1j * total(loc.imag)
+    return total(loc)
+
+
+def random_connectivity(ncomp):
     # random connectivity with repeated pairs across cells; random (node,
-    # component) pairs are constrained
+    # component) pairs are constrained; the last node is in no cell and free
     rng = np.random.default_rng(0)
     nn, k = 16, 4
-    cell_nodes = np.stack([rng.choice(nn, size=k, replace=False) for _ in range(40)])
+    cell_nodes = np.stack([rng.choice(nn - 1, size=k, replace=False) for _ in range(40)])
     constrained = rng.random((nn, ncomp)) < 0.2
+    constrained[-1] = False
     dof_index = np.full((nn, ncomp), -1)
     dof_index[~constrained] = np.arange((~constrained).sum())
-    n = int((~constrained).sum())
+    return rng, cell_nodes, dof_index
+
+
+def check_dense_accumulation(ncomp):
+    rng, cell_nodes, dof_index = random_connectivity(ncomp)
+    n = int(dof_index.max()) + 1
+    k = cell_nodes.shape[1]
     loc = rng.standard_normal((40, k, k)) + 1j * rng.standard_normal((40, k, k))
     pat = sparsela.Pattern(cell_nodes, dof_index)
     # the scalar block of each cell lands on the same-component pairs only
@@ -52,11 +83,14 @@ def check_dense_accumulation(ncomp):
     assert np.allclose(A.toarray(), dense[:n, :n], atol=1e-13)
     for row in range(n):
         assert np.all(np.diff(pat.indices[pat.indptr[row]:pat.indptr[row + 1]]) > 0)
-    # one bincount over the components equals one per component, bit for bit
-    total = pat.assemble(loc.real)
-    per_component = sum(np.bincount(pat.cell_map[c].ravel(), loc.real.ravel(),
-                                    pat.nnz + 1)[:-1] for c in range(ncomp))
-    assert np.array_equal(total, per_component)
+    # the one summation equals one bincount per component, bit for bit, for
+    # real and complex blocks
+    slots = reference_slots(pat, np.where(dof_index < 0, n, dof_index)[cell_nodes])
+    for block in (loc.real.copy(), loc):
+        total = pat.assemble(block)
+        assert total.dtype == block.dtype
+        assert np.array_equal(total.view(float),
+                              bincount_reference(slots, block, pat.nnz).view(float))
 
 
 def test_pattern_assembly_matches_dense_accumulation():
@@ -71,6 +105,46 @@ def test_3d_vector_pattern_assembly_matches_dense_accumulation():
     check_dense_accumulation(ncomp=3)
 
 
+@pytest.mark.parametrize("ncomp", [1, 2, 3])
+def test_load_assembly_matches_dense_loop_and_add_at(ncomp):
+    rng, cell_nodes, dof_index = random_connectivity(ncomp)
+    n = int(dof_index.max()) + 1
+    pat = sparsela.Pattern(cell_nodes, dof_index)
+    loc = rng.standard_normal(cell_nodes.shape + (ncomp,))
+    dense = np.zeros(n + 1)
+    for nodes, block in zip(cell_nodes, loc):
+        for a, node in enumerate(nodes):
+            for c in range(ncomp):
+                dense[dof_index[node, c]] += block[a, c]   # -1 lands in the dropped last entry
+    load = pat.assemble_load(loc)
+    assert load.shape == (n,) and load.dtype == np.float64
+    assert np.allclose(load, dense[:n], atol=1e-13)
+    # bit-identical to np.add.at over the padded cell dofs, in cell order
+    padded = np.where(dof_index < 0, n, dof_index)[cell_nodes]
+    ref = np.zeros(n + 1)
+    np.add.at(ref, padded.ravel(), loc.ravel())
+    assert np.array_equal(load, ref[:n])
+    # the free dofs of the node that no cell touches receive zero
+    assert np.all(load[dof_index[-1]] == 0.0)
+    cload = pat.assemble_load(loc + 1j * loc[::-1])
+    assert np.array_equal(cload.real, load)
+
+
+def test_loads_on_real_spaces_are_float():
+    st = free_stepper(2, 1)
+    psi = st.initialize().psi_points
+    for load in (forms.assemble_current_load(st.spaces.A, psi),
+                 forms.assemble_coefficient_load(st.spaces.phi, psi.abs2),
+                 forms.assemble_source_load(st.spaces.phi, lambda x: x[..., 0]),
+                 forms.assemble_source_load(st.spaces.A, lambda x: x)):
+        assert load.dtype == np.float64
+    f = forms.assemble_source_load(st.spaces.psi, lambda x: (1.0 + 1j) * x[..., 0])
+    assert f.dtype == np.complex128
+    assert np.array_equal(f.real, f.imag)
+    with pytest.raises(ValueError, match="complex coefficient for a load on a real space"):
+        forms.assemble_source_load(st.spaces.phi, lambda x: (1.0 + 1j) * x[..., 0])
+
+
 @pytest.mark.parametrize("dim,r", CASES)
 def test_pattern_is_connectivity_structure_without_constrained_dofs(dim, r):
     st = free_stepper(dim, r)
@@ -82,6 +156,7 @@ def test_pattern_is_connectivity_structure_without_constrained_dofs(dim, r):
         rows = np.broadcast_to(cd[..., :, None], cd.shape + cd.shape[-1:]).ravel()
         cols = np.broadcast_to(cd[..., None, :], cd.shape + cd.shape[-1:]).ravel()
         keep = (rows < n) & (cols < n)
+        assert not keep.all()                               # some pairs are constrained
         ref = coo_array((np.ones(keep.sum()), (rows[keep], cols[keep])),
                         shape=(n, n)).tocsr()
         ref.sum_duplicates()
@@ -89,12 +164,11 @@ def test_pattern_is_connectivity_structure_without_constrained_dofs(dim, r):
         pat = space.pattern()
         assert np.array_equal(pat.indptr, ref.indptr)
         assert np.array_equal(pat.indices, ref.indices)
-        assert pat.cell_map.shape == (space.ncomp, space.mesh.n_cells,
-                                      cd.shape[-1], cd.shape[-1])
-        assert pat.cell_map.flags.c_contiguous
-        constrained_pair = (cd[..., :, None] == n) | (cd[..., None, :] == n)
-        assert constrained_pair.any()
-        assert np.array_equal(pat.cell_map == pat.nnz, constrained_pair)
+        # every slot sums exactly the cells that couple its free pair, in each
+        # component, and nothing of a constrained pair
+        nloc = cd.shape[-1]
+        ones = np.ones((space.mesh.n_cells, nloc, nloc))
+        assert np.array_equal(pat.assemble(ones), ref.data)
         # no slot couples two components
         comp = np.empty(n, dtype=int)
         comp[space.dof_index[~space.constrained]] = np.nonzero(~space.constrained)[1]
@@ -137,15 +211,18 @@ def test_forms_and_step_matrices_share_the_space_pattern(dim, r, monkeypatch):
 
 @pytest.mark.parametrize("dim,r", CASES)
 def test_componentwise_assembly_is_one_bincount_bit_identical_to_per_component(dim, r):
+    # the vector space's form, summed once per node pair, equals one
+    # np.bincount per component through a reference (comp, cell, i, j) map
     st = free_stepper(dim, r)
     space = st.spaces.A
     pat = space.pattern()
-    nloc, d = space.element.node_count, space.ncomp
+    nloc = space.element.node_count
     rng = np.random.default_rng(1)
     loc = rng.standard_normal((space.mesh.n_cells, nloc, nloc))
-    per_component = sum(np.bincount(pat.cell_map[k].ravel(), loc.ravel(), pat.nnz + 1)[:-1]
-                        for k in range(d))
-    data = forms._on_pattern(space, loc).data
-    assert np.array_equal(data, per_component)
+    slots = reference_slots(pat, space.cell_dof_index())
+    assert np.array_equal(forms._on_pattern(space, loc).data,
+                          bincount_reference(slots, loc, pat.nnz))
+    cloc = loc + 1j * rng.standard_normal(loc.shape)
+    assert np.array_equal(pat.assemble(cloc).view(float),
+                          bincount_reference(slots, cloc, pat.nnz).view(float))
     assert space.pattern() is pat
-    assert pat.cell_map.flags.c_contiguous

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,26 @@ def test_complex_scalar_space_dtype():
     f = sp.interpolate(space, lambda x: 1j * np.sin(2 * np.pi * x[..., 0])
                        * np.sin(2 * np.pi * x[..., 1]))
     assert f.data.dtype == np.complex128
+
+
+def test_interpolate_rejects_complex_values_on_a_real_space():
+    m = build_structured(2, 2)
+    real = sp.build_scalar_space(m, 1, dirichlet=False)
+    with pytest.raises(ValueError, match="complex interpolation target on a real space"):
+        sp.interpolate(real, lambda x: x[..., 0] + 1e-6j * x[..., 1])
+    vector = sp.build_vector_space(m, 1)
+    with pytest.raises(ValueError, match="complex interpolation target on a real space"):
+        sp.interpolate(vector, lambda x: 1j * x)
+
+
+def test_interpolate_accepts_complex_values_with_zero_imaginary_part():
+    m = build_structured(2, 2)
+    real = sp.build_scalar_space(m, 1, dirichlet=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")       # no ComplexWarning either
+        f = sp.interpolate(real, lambda x: (x[..., 0] + 0j) * x[..., 1])
+    assert f.data.dtype == np.float64
+    assert np.array_equal(f.data, sp.interpolate(real, lambda x: x[..., 0] * x[..., 1]).data)
+    cplx = sp.build_scalar_space(m, 1, complex_field=True, dirichlet=False)
+    g = sp.interpolate(cplx, lambda x: x[..., 0] + 1j * x[..., 1])
+    assert np.array_equal(g.nodal_values(), cplx.nodes[:, 0] + 1j * cplx.nodes[:, 1])
