@@ -1,19 +1,25 @@
 """Assembly of the bilinear forms and load vectors used by the scheme.
 
-Every form, load and error norm on a mesh samples one quadrature table per
-(mesh, degree, qdeg) (``quadrature_table``), built once on the whole mesh and
-cached on it.  The table keeps no basis data per cell.  Physical basis
-gradients factor through the reference ones, grad phi_l(x_q) =
+Every form, load and error norm of a run samples one quadrature table, of
+the default degree 2r+2 (``quadrature_degree``), which keeps the quadrature
+error of the coefficient forms and loads below the scheme's spatial order;
+``quadrature_table`` builds it once per (mesh, degree, qdeg) on the whole
+mesh and caches it there.  The table keeps no basis data per cell.  Physical
+basis gradients factor through the reference ones, grad phi_l(x_q) =
 J^{-T} grad_ref phi_l(xi_q), so every contraction runs in reference
 coordinates against small cell-independent reference tensors, and the cell
 geometry enters only as det J in the point weights and as one d x d map
 J^{-T} per cell: the reference-tensor factorisation of Kirby & Logg, ACM TOMS
-32(3), 2006.  Each per-step form is then one GEMM of per-cell point weights
-against a reference tensor: the weighted mass and the |A|^2 part of ``B``
-against values x values, the A . grad part of ``B`` (A mapped to reference
-coordinates) against values x reference gradients.  The current load
-contracts over the points in reference coordinates and maps the result once
-per cell.  Every form, load and error norm is one pass over the whole mesh.
+32(3), 2006.  Each form is then one GEMM of per-cell weights against a
+reference tensor: the weighted mass and the |A|^2 part of ``B`` (point
+weights) against values x values, the A . grad part of ``B`` (A mapped to
+reference coordinates) against values x reference gradients, the stiffness
+and ``D`` (one d x d geometry per cell) against the integrals ``gg`` of
+reference gradients x reference gradients, each of degree r-1, which any
+rule of degree 2(r-1) or more gives exactly on affine cells.  The current
+load contracts over the points in reference coordinates and maps the result
+once per cell.  Every form, load and error norm is one pass over the whole
+mesh.
 
 Every form and load on a space is summed by that space's CSR pattern
 (``FeSpace.pattern``, a ``sparsela.Pattern``).  A form hands it one scalar
@@ -28,19 +34,16 @@ definition, and the div-div + curl-curl form ``D`` because on this space it
 equals the componentwise stiffness (see ``assemble_D``).
 
 Nonlinear coefficients (|psi_h|^2, |A_h|^2, the probability current) are
-evaluated pointwise at the quadrature nodes of the assembled form.  The
-coefficient forms (mass, ``B``, weighted mass) and the loads share the default
-degree 2r+2 (``quadrature_degree``), which keeps the quadrature error below
-the scheme's spatial order.  The gradient-only forms (stiffness, ``D``)
-integrate products of two gradients of degree r-1, which degree 2(r-1)
-integrates exactly on affine cells: one point per P1 cell.  A weight or load
-coefficient is one of:
+evaluated pointwise at the quadrature nodes of the assembled form.  A weight
+or load coefficient is one of:
 None (the constant one), a callable of the points x, a ``FieldVector`` (its
 real part), or an array of point values at the form's quadrature nodes,
 (cells, q) or (cells, q, d) on vector spaces.
+A ``QuadratureField`` is the one evaluator of a discrete field at the nodes.
 The scheme evaluates psi_h once per step as a ``QuadratureField`` and passes
 its |psi_h|^2 point values to W and the |psi_h|^2 load, and the whole field to
-the current load.
+the current load; only ``assemble_B`` reads A_h through its own kernel, in
+coefficient space.
 """
 
 from __future__ import annotations
@@ -71,16 +74,9 @@ __all__ = [
 
 
 def quadrature_degree(degree: int, qdeg: int | None = None) -> int:
-    """Quadrature degree of the coefficient forms and loads for degree-r
-    elements: ``qdeg`` if given, else 2r+2.  The gradient-only forms use
-    ``_gradient_degree`` (2(r-1)) instead."""
+    """Quadrature degree of every form, load and error norm for degree-r
+    elements: ``qdeg`` if given, else 2r+2."""
     return 2 * degree + 2 if qdeg is None else qdeg
-
-
-def _gradient_degree(degree: int, qdeg: int | None = None) -> int:
-    """Quadrature degree of the gradient-only forms: ``qdeg`` if given, else
-    2(r-1), exact for a product of two degree-(r-1) gradients on affine cells."""
-    return 2 * (degree - 1) if qdeg is None else qdeg
 
 
 class QuadratureTable:
@@ -88,16 +84,18 @@ class QuadratureTable:
 
     Cell-independent: ``vals`` (q, nloc) the reference basis values, ``gref``
     (q, nloc, d) the reference basis gradients, and the reference tensors
-    ``vv`` (q, nloc^2) with vv[q, i nloc + j] = vals[q, i] vals[q, j] and
-    ``vg`` (q d, nloc^2) with vg[q d + k, i nloc + j] = vals[q, i] gref[q, j, k].
-    Per cell: ``wdet`` (c, q) the quadrature weights times det J, ``JinvT``
-    (c, d, d) the inverse-transposed Jacobians (the array ``mesh.jacobians()``
-    caches, not a copy) and ``x`` (c, q, d) the physical points, built on
-    first use.  The physical gradient of basis function l at point q of cell
-    c is ``JinvT[c] @ gref[q, l]``; no array holds it for every cell (Kirby &
-    Logg, ACM TOMS 32(3), 2006).  Built once per (mesh, degree, qdeg) by
-    ``quadrature_table``; the field and coefficient evaluations cover the
-    whole mesh.
+    ``vv`` (q, nloc^2) with vv[q, i nloc + j] = vals[q, i] vals[q, j],
+    ``vg`` (q d, nloc^2) with vg[q d + k, i nloc + j] = vals[q, i] gref[q, j, k]
+    and ``gg`` (d^2, nloc^2) with gg[k d + l, i nloc + j] =
+    sum_q w_q gref[q, i, k] gref[q, j, l], exact on any rule of degree
+    2(r-1) or more.  Per cell: ``wdet`` (c, q) the quadrature weights times
+    det J, ``JinvT`` (c, d, d) the inverse-transposed Jacobians (the array
+    ``mesh.jacobians()`` caches, not a copy) and ``x`` (c, q, d) the physical
+    points, built on first use.  The physical gradient of basis function l at
+    point q of cell c is ``JinvT[c] @ gref[q, l]``; no array holds it for
+    every cell (Kirby & Logg, ACM TOMS 32(3), 2006).  Built once per (mesh,
+    degree, qdeg) by ``quadrature_table``; a ``QuadratureField`` evaluates a
+    field at its nodes.
     """
 
     def __init__(self, mesh: Mesh, degree: int, qdeg: int):
@@ -109,6 +107,8 @@ class QuadratureTable:
         self.gref = gref                                    # (q, nloc, d)
         self.vv = np.einsum("qi,qj->qij", vals, vals).reshape(nq, nloc * nloc)
         self.vg = np.einsum("qi,qjk->qkij", vals, gref).reshape(nq * d, nloc * nloc)
+        self.gg = np.einsum("q,qik,qjl->klij", rule.weights, gref, gref
+                            ).reshape(d * d, nloc * nloc)
         self.JinvT = JinvT                                  # (c, d, d)
         self.wdet = rule.weights[None, :] * det[:, None]    # (c, q)
         self._mesh = mesh
@@ -124,33 +124,6 @@ class QuadratureTable:
         return v0[:, None, :] + np.einsum("cij,qj->cqi", J, self._rule.points_ref,
                                           optimize=True)
 
-    def gradients(self) -> np.ndarray:
-        """Physical basis gradients (c, q, nloc, d), built for the setup-time
-        gradient forms (stiffness, ``D``)."""
-        return np.einsum("cij,qlj->cqli", self.JinvT, self.gref, optimize=True)
-
-    def field_values(self, field_vec: FieldVector):
-        space = field_vec.space
-        local = space.gather_cells(field_vec)   # (c, nloc[, ncomp])
-        if space.kind == "scalar":
-            return local @ self.vals.T
-        return np.matmul(self.vals, local)
-
-    def field_gradients(self, field_vec: FieldVector):
-        """Physical gradients of a field at the nodes: (c, q, d), or
-        (c, q, comp, d) on vector spaces.  The coefficients are contracted
-        with ``gref`` first, then mapped by J^{-T} per cell."""
-        space = field_vec.space
-        local = space.gather_cells(field_vec)
-        nq, nloc, d = self.gref.shape
-        gref = self.gref.transpose(1, 0, 2).reshape(nloc, nq * d)
-        JinvT = self.JinvT.transpose(0, 2, 1)
-        if space.kind == "scalar":
-            return np.matmul((local @ gref).reshape(-1, nq, d), JinvT)
-        nc, e = local.shape[0], space.ncomp
-        g = (local.transpose(0, 2, 1).reshape(nc * e, nloc) @ gref).reshape(nc, e * nq, d)
-        return np.matmul(g, JinvT).reshape(nc, e, nq, d).transpose(0, 2, 1, 3)
-
     def coefficient(self, coeff):
         """Pointwise values of a coefficient (see the module docstring) at
         the quadrature nodes."""
@@ -163,7 +136,7 @@ class QuadratureTable:
                     f"{self.wdet.shape} quadrature nodes of this form")
             return coeff
         if isinstance(coeff, FieldVector):
-            return self.field_values(coeff).real
+            return QuadratureField(coeff, self).values.real
         return np.asarray(coeff(self.x))
 
 
@@ -178,36 +151,59 @@ def quadrature_table(mesh: Mesh, degree: int, qdeg: int | None = None) -> Quadra
 
 
 class QuadratureField:
-    """A scalar field evaluated once at the default quadrature nodes of its
-    space: ``values`` (c, q), the reference-coordinate gradients ``grad_ref``
-    (c, d, q), direction before point, and ``abs2`` = |values|^2 (c, q).
+    """A scalar or vector field at the quadrature nodes of ``table``, by
+    default the default table of its space; each array is computed on first
+    read and then kept.
+
+    ``values`` is (c, q), or (c, q, comp) on vector spaces; ``grad_ref`` the
+    reference-coordinate gradients (c, d, q), or (c, comp, d, q), direction
+    before point; ``abs2`` the squared modulus (c, q), summed over the
+    components.  ``gradients()`` maps the reference gradients by J^{-T} per
+    cell to the physical ones, (c, q, d) or (c, q, comp, d), and keeps
+    nothing.
 
     The scheme evaluates psi_h this way once per step: ``abs2`` is the point
     coefficient of W(|psi_h|^2) and of the |psi_h|^2 load, and the current
-    load reads the values and gradients.
+    load reads the values and gradients.  A ``FieldVector`` coefficient and
+    the error norms read a field through it too.
     """
 
-    def __init__(self, field_vec: FieldVector):
+    def __init__(self, field_vec: FieldVector, table: QuadratureTable | None = None):
         space = field_vec.space
-        if space.kind != "scalar":
-            raise ValueError("a quadrature field is a scalar field")
-        tab = quadrature_table(space.mesh, space.degree)
-        nq, nloc, d = tab.gref.shape
-        local = space.gather_cells(field_vec)                       # (c, nloc)
+        tab = quadrature_table(space.mesh, space.degree) if table is None else table
+        nloc = space.element.node_count
+        if tab._mesh is not space.mesh or tab.vals.shape[1] != nloc:
+            raise ValueError("the quadrature table is not on this field's mesh and degree")
+        local = space.gather_cells(field_vec)               # (c, nloc[, comp])
+        if space.kind == "vector":
+            local = local.transpose(0, 2, 1)
         self.mesh = space.mesh
-        self.values = local @ tab.vals.T
-        self.grad_ref = (local @ tab.gref.transpose(1, 2, 0).reshape(nloc, d * nq)
-                         ).reshape(-1, d, nq)
-        self.abs2 = (self.values * self.values.conj()).real
+        self.table = tab
+        self._lead = local.shape[:-1]                        # (c,) or (c, comp)
+        self._rows = local.reshape(-1, nloc)                 # (c [comp], nloc)
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        v = (self._rows @ self.table.vals.T).reshape(*self._lead, -1)
+        return v if len(self._lead) == 1 else v.transpose(0, 2, 1)
 
-def _pairing(weighted_rows, rows):
-    """Batched local Gram matrices: (c, q', i), (c, q', j) -> (c, i, j).
+    @cached_property
+    def grad_ref(self) -> np.ndarray:
+        nq, nloc, d = self.table.gref.shape
+        g = self._rows @ self.table.gref.transpose(1, 2, 0).reshape(nloc, d * nq)
+        return g.reshape(*self._lead, d, nq)
 
-    The quadrature weights must already be folded into ``weighted_rows``;
-    q' may be a flattened (point, component) axis.
-    """
-    return np.matmul(weighted_rows.transpose(0, 2, 1), rows)
+    @cached_property
+    def abs2(self) -> np.ndarray:
+        v = self.values
+        a = (v * v.conj()).real
+        return a if a.ndim == 2 else a.sum(axis=-1)
+
+    def gradients(self) -> np.ndarray:
+        JinvT = self.table.JinvT
+        if len(self._lead) == 2:
+            JinvT = JinvT[:, None]
+        return np.moveaxis(np.matmul(JinvT, self.grad_ref), -1, 1)
 
 
 def _on_pattern(space: FeSpace, loc: np.ndarray):
@@ -232,25 +228,24 @@ def assemble_weighted_mass(space: FeSpace, weight, qdeg: int | None = None) -> s
 
 
 def assemble_stiffness(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
-    """Scalar stiffness (grad u, grad v), by default at degree 2(r-1)."""
+    """Scalar stiffness (grad u, grad v)."""
     if space.kind != "scalar":
         raise ValueError("stiffness is assembled on scalar spaces")
     return _componentwise_stiffness(space, qdeg)
 
 
 def _componentwise_stiffness(space: FeSpace, qdeg: int | None) -> sp.csr_array:
-    """sum_c (grad u_c, grad v_c), by default at degree 2(r-1): the kernel of
-    both ``assemble_stiffness`` and ``assemble_D``."""
-    tab = quadrature_table(space.mesh, space.degree, _gradient_degree(space.degree, qdeg))
-    return _on_pattern(space, _pairing(*_grad_rows(tab.gradients(), tab.wdet)))
-
-
-def _grad_rows(grads: np.ndarray, wdet: np.ndarray):
-    """Weighted and plain gradient rows flattened over (point, direction)."""
-    c, q, nloc, d = grads.shape
-    g = grads.transpose(0, 2, 1, 3).reshape(c, nloc, q * d)
-    gw = (grads * wdet[:, :, None, None]).transpose(0, 2, 1, 3).reshape(c, nloc, q * d)
-    return gw.transpose(0, 2, 1), g.transpose(0, 2, 1)
+    """sum_c (grad u_c, grad v_c), the kernel of both ``assemble_stiffness``
+    and ``assemble_D``: the per-cell geometry det J J^{-1} J^{-T} (c, d, d)
+    against the table's ``gg``."""
+    tab = quadrature_table(space.mesh, space.degree, qdeg)
+    _, JinvT, det = space.mesh.jacobians()
+    nloc, d = tab.gref.shape[1:]
+    # (k, l, c), cells last: every product runs over the cells, none over d
+    rows = np.ascontiguousarray(JinvT.transpose(1, 2, 0))
+    geometry = (rows[:, :, None] * rows[:, None, :]).sum(axis=0) * det
+    loc = geometry.reshape(d * d, -1).T @ tab.gg
+    return _on_pattern(space, loc.reshape(-1, nloc, nloc))
 
 
 def assemble_D(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
@@ -268,8 +263,7 @@ def assemble_D(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
     continuous across interior faces and vanishes on every boundary face:
     on a face normal to e_a or e_b the other component is tangential, so its
     dof is constrained, and on any other face n_a = n_b = 0.
-    In 2D the curl is the scalar d1 u2 - d2 u1.  The default quadrature
-    degree is 2(r-1), exact for this gradient-only integrand.
+    In 2D the curl is the scalar d1 u2 - d2 u1.
     """
     if space.kind != "vector":
         raise ValueError("the div-div + curl-curl form needs a vector space")
@@ -335,7 +329,7 @@ def assemble_current_load(space: FeSpace, psi: QuadratureField,
     nloc = space.element.node_count
     d = space.mesh.dim
     tab = quadrature_table(space.mesh, space.degree, qdeg)
-    if psi.values.shape != tab.wdet.shape:
+    if psi.table is not tab:
         raise ValueError("psi was not evaluated at the quadrature nodes of this load")
     nq = tab.vals.shape[0]
     nc = space.mesh.n_cells

@@ -419,10 +419,10 @@ def _scalar_errors(field_vec: FieldVector, exact, qdeg: int) -> ErrorEntry:
     space = field_vec.space
     tab = forms.quadrature_table(space.mesh, space.degree, qdeg)
     value, grad = exact(tab.x)
-    dv = tab.field_values(field_vec) - value
+    dv = forms.QuadratureField(field_vec, tab).values - value
     l2 = float(np.sum(tab.wdet * np.abs(dv) ** 2))
-    del value, dv
-    dg = tab.field_gradients(field_vec) - grad
+    del value, dv    # a fresh field for the gradients holds no values
+    dg = forms.QuadratureField(field_vec, tab).gradients() - grad
     semi = float(np.sum(tab.wdet * np.sum(np.abs(dg) ** 2, axis=-1)))
     return ErrorEntry(l2=math.sqrt(l2), h1=math.sqrt(l2 + semi),
                       parts={"grad": math.sqrt(semi)})
@@ -436,10 +436,10 @@ def _vector_errors(field_vec: FieldVector, exact, qdeg: int) -> ErrorEntry:
     tab = forms.quadrature_table(space.mesh, space.degree, qdeg)
     wdet = tab.wdet
     value, div, curl_exact = exact(tab.x)
-    dv = tab.field_values(field_vec) - value
+    dv = forms.QuadratureField(field_vec, tab).values - value
     l2 = float(np.sum(wdet * np.sum(np.abs(dv) ** 2, axis=-1)))
     del value, dv    # the point arrays set the peak of a large mesh's norms
-    grad = tab.field_gradients(field_vec)   # (c, q, comp, deriv)
+    grad = forms.QuadratureField(field_vec, tab).gradients()   # (c, q, comp, deriv)
     ddiv = np.trace(grad, axis1=-2, axis2=-1) - div
     if space.mesh.dim == 2:
         dcurl = grad[..., 1, 0] - grad[..., 0, 1] - curl_exact

@@ -80,8 +80,10 @@ class SchemeConfig:
     def __post_init__(self):
         if self.degree not in (1, 2):
             raise ValueError(f"element degree must be 1 or 2, got {self.degree}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        for name in ("dt", "tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.mode not in ("mms", "free"):
             raise ValueError(f"mode must be 'mms' or 'free', got {self.mode!r}")
         if abs(self.n_steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):

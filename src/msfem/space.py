@@ -6,9 +6,10 @@ tangential components node by node (n x A = 0), taking the union of the face
 rules on edges and corners, which makes their div-div + curl-curl form the
 componentwise stiffness (``forms.assemble_D``).  Constrained dofs are
 eliminated: coefficient vectors hold free dofs only and constrained entries
-evaluate as zero.  The lattice node numbering of each (mesh, degree) and the
-CSR pattern of each dof numbering are built once and cached on the mesh, so
-spaces that share a numbering share its pattern.
+evaluate as zero.  The lattice node numbering of each (mesh, degree), its
+summation matrices and the CSR pattern of each dof numbering are built once
+and cached on the mesh, so spaces that share a numbering share its pattern,
+and the scalar and vector patterns of one degree share the summation.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .elements import reference_element
 from .mesh import Mesh
-from .sparsela import Pattern
+from .sparsela import CellSums, Pattern
 
 __all__ = [
     "FeSpace",
@@ -78,7 +79,7 @@ class FeSpace:
         key = ("pattern", self.degree, self.kind, self.constrained_space)
         store = self.mesh._geom
         if key not in store:
-            store[key] = Pattern(self.cell_nodes, self.dof_index)
+            store[key] = Pattern(_cell_sums(self.mesh, self.degree), self.dof_index)
         return store[key]
 
     def gather_cells(self, field_vec: "FieldVector", cells=slice(None)) -> np.ndarray:
@@ -134,6 +135,16 @@ def _global_nodes(mesh: Mesh, degree: int):
         uniq, inverse = np.unique(keys, return_inverse=True)
         nodes = np.stack(np.unravel_index(uniq, shape), axis=-1)
         mesh._geom[key] = nodes, inverse.reshape(mesh.n_cells, elem.node_count)
+    return mesh._geom[key]
+
+
+def _cell_sums(mesh: Mesh, degree: int) -> CellSums:
+    """The summation matrices of the degree-``degree`` node numbering,
+    cached on the mesh: every pattern on that numbering shares them."""
+    key = ("sums", degree)
+    if key not in mesh._geom:
+        nodes, cell_nodes = _global_nodes(mesh, degree)
+        mesh._geom[key] = CellSums(cell_nodes, nodes.shape[0])
     return mesh._geom[key]
 
 

@@ -2,11 +2,12 @@
 
 Every matrix the scheme assembles couples the dofs of one space through its
 cells, component by component, so each dof numbering gets one CSR
-``Pattern``, built once: its ``indptr``/``indices`` and two 0/1 summation
-matrices, one row per coupled node pair and one per node.  A form's data
-array is the pair sums of its local matrices, taken at the free slots; a
-load is the node sums of its local loads, taken at the free dofs.  The
-pattern is the only code that sums cell contributions.  A linear
+``Pattern``, built once: its ``indptr``/``indices`` and the slots it takes
+from two 0/1 summation matrices (``CellSums``), one row per coupled node
+pair and one per node, which every numbering on the same cells shares.  A
+form's data array is the pair sums of its local matrices, taken at the free
+slots; a load is the node sums of its local loads, taken at the free dofs.
+The pattern is the only code that sums cell contributions.  A linear
 combination of forms is the same combination of data arrays, and each
 matrix a solver sees is a ``scipy.sparse.csr_array`` that shares the
 pattern's index arrays.
@@ -32,6 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
+    "CellSums",
     "Pattern",
     "SolveReport",
     "SolveError",
@@ -52,6 +54,35 @@ DIRECT_RESIDUAL_FLOOR = 1e-8
 DEFECT_CORRECTION_MAX_APPLIES = 30
 
 
+class CellSums:
+    """The two 0/1 summation matrices of one cell-to-node map, shared by
+    every ``Pattern`` on it.
+
+    ``pair_sum`` has one row per coupled node pair and ``node_sum`` one per
+    node; each row adds up the local entries of its pair or node, in cell
+    order, from a stable sort of the pairs or nodes.  ``pairs`` holds the
+    sorted keys a n_nodes + b of the coupled node pairs (a, b).
+    """
+
+    def __init__(self, cell_nodes: np.ndarray, n_nodes: int):
+        """``cell_nodes``: (cells, nloc) global node per local node, each
+        below ``n_nodes``."""
+        # the node pair of every local entry (cell, i, j), sorted by (row
+        # node, column node) and stably, so each pair's entries stay in cell
+        # order
+        node_pairs = (cell_nodes[:, :, None] * n_nodes + cell_nodes[:, None, :]).ravel()
+        order = np.argsort(node_pairs, kind="stable")
+        sorted_pairs = node_pairs[order]
+        starts = np.flatnonzero(np.diff(sorted_pairs, prepend=-1))
+        idx = np.int32 if node_pairs.size < np.iinfo(np.int32).max else np.int64
+        self.pairs = sorted_pairs[starts]
+        self.pair_sum = _summation(order, np.append(starts, order.size), idx)
+        nodes = cell_nodes.ravel()
+        self.node_sum = _summation(
+            np.argsort(nodes, kind="stable"),
+            np.concatenate([[0], np.cumsum(np.bincount(nodes, minlength=n_nodes))]), idx)
+
+
 class Pattern:
     """CSR structure of the matrices assembled on one dof numbering, and the
     one place where the cells' local matrices and loads are summed.
@@ -62,29 +93,21 @@ class Pattern:
     holds no entry between two components.  Column indices are strictly
     increasing within each row.
 
-    Two 0/1 CSR matrices do the summation.  ``_pair_sum`` has one row per
-    coupled node pair and ``_node_sum`` one per node; each row adds up the
-    local entries of its pair or node, in cell order, from a stable sort of
-    the pairs or nodes.  A matrix's data array takes every free (pair,
-    component) slot from the pair sums (``_slot_pair``), and a load takes
-    every free (node, component) dof from the node sums.  A vector form thus
-    sums its scalar block once, and a constrained dof is never summed into.
+    The summation matrices of the cell-to-node map (``CellSums``) are shared
+    with every other pattern on the same map; a pattern keeps only its slots.
+    A matrix's data array takes every free (pair, component) slot from the
+    pair sums (``_slot_pair``), and a load takes every free (node,
+    component) dof from the node sums.  A vector form thus sums its scalar
+    block once, and a constrained dof is never summed into.
     """
 
-    def __init__(self, cell_nodes: np.ndarray, dof_index: np.ndarray):
-        """``cell_nodes``: (cells, nloc) global node per local node;
+    def __init__(self, sums: CellSums, dof_index: np.ndarray):
+        """``sums``: the summation matrices of the cells' nodes;
         ``dof_index``: (nodes, ncomp) global dof per (node, component), -1
         where constrained, numbered in (node, component) order."""
         nn, e = dof_index.shape
         n = int(dof_index.max(initial=-1)) + 1
-        # the node pair of every local entry (cell, i, j), sorted by (row
-        # node, column node) and stably, so each pair's entries stay in cell
-        # order
-        node_pairs = (cell_nodes[:, :, None] * nn + cell_nodes[:, None, :]).ravel()
-        order = np.argsort(node_pairs, kind="stable")
-        sorted_pairs = node_pairs[order]
-        starts = np.flatnonzero(np.diff(sorted_pairs, prepend=-1))
-        keys = sorted_pairs[starts]
+        keys = sums.pairs
         a, b = np.divmod(keys, nn)
         row_len = np.bincount(a, minlength=nn)
         row_start = np.concatenate([[0], np.cumsum(row_len)])[a]
@@ -104,30 +127,27 @@ class Pattern:
         self.shape = (n, n)
         # scipy keeps int32 index arrays as given; int64 ones it would copy
         # down to int32 every time a matrix is wrapped
-        idx = (np.int32 if max(n, self.nnz, node_pairs.size) < np.iinfo(np.int32).max
+        idx = (np.int32 if max(n, self.nnz, keys.size) < np.iinfo(np.int32).max
                else np.int64)
+        self.sums = sums
         self._slot_pair = pair[free].astype(idx)
         self.indices = cols[free].astype(idx)
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(rows[free], minlength=n))]).astype(idx)
-        self._pair_sum = _summation(order, np.append(starts, order.size), idx)
-        nodes = cell_nodes.ravel()
-        self._node_sum = _summation(
-            np.argsort(nodes, kind="stable"),
-            np.concatenate([[0], np.cumsum(np.bincount(nodes, minlength=nn))]), idx)
         self._free_dofs = np.flatnonzero(dof_index.ravel() >= 0)
 
     def assemble(self, loc: np.ndarray) -> np.ndarray:
         """Data array of the scalar local matrices ``loc`` (cells, nloc,
         nloc), real or complex: each node pair's entries summed in cell
         order, the same sum in every component's slot."""
-        return (self._pair_sum @ loc.reshape(-1))[self._slot_pair]
+        return (self.sums.pair_sum @ loc.reshape(-1))[self._slot_pair]
 
     def assemble_load(self, loc: np.ndarray) -> np.ndarray:
         """Load vector of the local loads ``loc`` (cells, nloc, ncomp): each
         node's entries summed in cell order, taken at the free dofs."""
-        sums = self._node_sum @ loc.reshape(self._node_sum.shape[1], -1)  # (nodes, ncomp)
-        return sums.ravel()[self._free_dofs]
+        node_sum = self.sums.node_sum
+        totals = node_sum @ loc.reshape(node_sum.shape[1], -1)  # (nodes, ncomp)
+        return totals.ravel()[self._free_dofs]
 
     def matrix(self, data: np.ndarray) -> sp.csr_array:
         """Wrap a data array on this pattern; the index arrays are shared."""

@@ -250,9 +250,18 @@ def case_mesh(dim, M, jittered):
     return mesh
 
 
-@pytest.mark.parametrize("dim,M,r", CASES)
-def test_oracle_equivalence_mass_stiffness(dim, M, r):
-    mesh = build_structured(dim, M)
+# The stiffness and D read the Jacobian of every cell: the jittered meshes
+# keep flat boundary faces but have unequal cells.  D is assembled as the
+# componentwise stiffness and checked against the div-div + curl-curl
+# oracle, whose cross-component terms cancel only in the sum over the cells.
+D_CASES = ([pytest.param(*c, False, id="-".join(map(str, c))) for c in CASES]
+           + [pytest.param(*c, True, id="-".join(map(str, c)) + "-jittered")
+              for c in ((2, 3, 1), (2, 3, 2), (3, 3, 1))])
+
+
+@pytest.mark.parametrize("dim,M,r,jittered", D_CASES)
+def test_oracle_equivalence_mass_stiffness(dim, M, r, jittered):
+    mesh = case_mesh(dim, M, jittered)
     space = build_scalar_space(mesh, r)
     qdeg = 2 * r + 2
     M2 = oracles.naive_mass(space, qdeg)
@@ -261,14 +270,6 @@ def test_oracle_equivalence_mass_stiffness(dim, M, r):
     assert np.max(np.abs(M1 - M2)) <= 1e-12
     K1 = forms.assemble_stiffness(space).toarray()
     assert np.max(np.abs(K1 - K2)) <= 1e-12
-
-
-# D is assembled as the componentwise stiffness and checked against the
-# div-div + curl-curl oracle; the jittered meshes keep flat boundary faces
-# but have unequal cells, whose cross-component terms cancel only in the sum.
-D_CASES = ([pytest.param(*c, False, id="-".join(map(str, c))) for c in CASES]
-           + [pytest.param(*c, True, id="-".join(map(str, c)) + "-jittered")
-              for c in ((2, 3, 1), (2, 3, 2), (3, 3, 1))])
 
 
 @pytest.mark.parametrize("dim,M,r,jittered", D_CASES)
@@ -345,6 +346,36 @@ def test_B_and_current_load_match_oracles_for_random_fields(data):
     assert np.max(np.abs(load - oracles.naive_current_load(vspace, psi, 4))) <= 1e-12
 
 
+@pytest.mark.parametrize("r", [1, 2])
+def test_quadrature_field_matches_evaluate_on_jittered_mesh(r):
+    # values and physical gradients at every point of the default table
+    # against the cell-by-cell evaluate(), for a complex scalar field and a
+    # real vector field
+    from msfem.elements import quadrature_rule
+    from msfem.space import evaluate
+
+    mesh = oracles.jittered_mesh(2, 3, seed=9)
+    rng = np.random.default_rng(10)
+    cspace = build_scalar_space(mesh, r, complex_field=True)
+    vspace = build_vector_space(mesh, r)
+    psi = FieldVector(cspace, rng.standard_normal(cspace.n_dofs)
+                      + 1j * rng.standard_normal(cspace.n_dofs))
+    a = FieldVector(vspace, rng.standard_normal(vspace.n_dofs))
+    points = quadrature_rule(2, forms.quadrature_degree(r)).points_ref
+    for fv in (psi, a):
+        field = forms.QuadratureField(fv)
+        grads = field.gradients()
+        for c in range(mesh.n_cells):
+            for q, xi in enumerate(points):
+                value, grad = evaluate(fv, c, xi, gradient=True)
+                assert np.allclose(field.values[c, q], value, rtol=0, atol=1e-12)
+                assert np.allclose(grads[c, q], grad, rtol=0, atol=1e-11)
+        abs2 = np.abs(field.values) ** 2
+        assert np.allclose(field.abs2, abs2 if fv is psi else abs2.sum(axis=-1))
+    with pytest.raises(ValueError, match="mesh and degree"):
+        forms.QuadratureField(psi, forms.quadrature_table(mesh, 3 - r))
+
+
 def test_one_quadrature_table_per_degree_and_qdeg():
     # every form, load and error norm reads the one whole-mesh table of its
     # (degree, qdeg)
@@ -366,9 +397,9 @@ def test_one_quadrature_table_per_degree_and_qdeg():
     mms.error_norms(psi, mms.make_case(3), "psi", 0.0)
 
     tables = {k: v for k, v in mesh._geom.items() if isinstance(v, forms.QuadratureTable)}
-    # stiffness and D read the one-point table of their exact degree 2(r-1)
-    assert sorted(tables) == [("quadrature", 1, 0), ("quadrature", 1, 2),
-                              ("quadrature", 1, 4), ("quadrature", 2, 6)]
+    # stiffness and D read the default table too, through its gg
+    assert sorted(tables) == [("quadrature", 1, 2), ("quadrature", 1, 4),
+                              ("quadrature", 2, 6)]
     for t in tables.values():
         assert t.wdet.shape[0] == t.JinvT.shape[0] == t.x.shape[0] == mesh.n_cells
         # no array grows with n_cells * q * nloc: the per-cell arrays (wdet,

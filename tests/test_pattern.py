@@ -7,7 +7,7 @@ cell connectivity, and no constrained dof gets an entry.
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_array
+from scipy.sparse import coo_array, issparse
 
 from msfem import forms, scheme, sparsela
 from msfem.space import FieldVector
@@ -70,7 +70,7 @@ def check_dense_accumulation(ncomp):
     n = int(dof_index.max()) + 1
     k = cell_nodes.shape[1]
     loc = rng.standard_normal((40, k, k)) + 1j * rng.standard_normal((40, k, k))
-    pat = sparsela.Pattern(cell_nodes, dof_index)
+    pat = sparsela.Pattern(sparsela.CellSums(cell_nodes, len(dof_index)), dof_index)
     # the scalar block of each cell lands on the same-component pairs only
     dense = np.zeros((n + 1, n + 1), dtype=complex)
     for nodes, block in zip(cell_nodes, loc):
@@ -109,7 +109,7 @@ def test_3d_vector_pattern_assembly_matches_dense_accumulation():
 def test_load_assembly_matches_dense_loop_and_add_at(ncomp):
     rng, cell_nodes, dof_index = random_connectivity(ncomp)
     n = int(dof_index.max()) + 1
-    pat = sparsela.Pattern(cell_nodes, dof_index)
+    pat = sparsela.Pattern(sparsela.CellSums(cell_nodes, len(dof_index)), dof_index)
     loc = rng.standard_normal(cell_nodes.shape + (ncomp,))
     dense = np.zeros(n + 1)
     for nodes, block in zip(cell_nodes, loc):
@@ -207,6 +207,18 @@ def test_forms_and_step_matrices_share_the_space_pattern(dim, r, monkeypatch):
     assert on_pattern(seen[0], sp.A)
     assert on_pattern(seen[1], sp.phi)
     assert on_pattern(seen[2], sp.psi)
+
+
+@pytest.mark.parametrize("dim,r", CASES)
+def test_scalar_and_vector_patterns_share_the_cell_sums(dim, r):
+    # the summation matrices are built once per (mesh, degree); each pattern
+    # keeps only its own slots
+    sp = free_stepper(dim, r).spaces
+    psi, A = sp.psi.pattern(), sp.A.pattern()
+    assert psi is not A
+    assert psi.sums is A.sums is sp.phi.pattern().sums
+    for pat in (psi, A):
+        assert not any(issparse(v) for v in vars(pat).values())
 
 
 @pytest.mark.parametrize("dim,r", CASES)
