@@ -6,20 +6,29 @@ error of the coefficient forms and loads below the scheme's spatial order;
 ``quadrature_table`` builds it once per (mesh, degree, qdeg) on the whole
 mesh and caches it there.  The table keeps no basis data per cell.  Physical
 basis gradients factor through the reference ones, grad phi_l(x_q) =
-J^{-T} grad_ref phi_l(xi_q), so every contraction runs in reference
-coordinates against small cell-independent reference tensors, and the cell
-geometry enters only as det J in the point weights and as one d x d map
-J^{-T} per cell: the reference-tensor factorisation of Kirby & Logg, ACM TOMS
-32(3), 2006.  Each form is then one GEMM of per-cell weights against a
-reference tensor: the weighted mass and the |A|^2 part of ``B`` (point
-weights) against values x values, the A . grad part of ``B`` (A mapped to
-reference coordinates) against values x reference gradients, the stiffness
-and ``D`` (one d x d geometry per cell) against the integrals ``gg`` of
-reference gradients x reference gradients, each of degree r-1, which any
-rule of degree 2(r-1) or more gives exactly on affine cells.  The current
-load contracts over the points in reference coordinates and maps the result
-once per cell.  Every form, load and error norm is one pass over the whole
-mesh.
+J^{-T} grad_ref phi_l(xi_q), and on affine cells w_q det J is w_q times a
+per-cell constant, so every contraction runs in reference coordinates
+against small cell-independent reference tensors, and the cell geometry
+enters only as det J and as one d x d map J^{-T} per cell: the
+reference-tensor factorisation of Kirby & Logg, ACM TOMS 32(3), 2006.  Each
+form is one GEMM of per-cell coefficients, scaled by det J, against a
+reference tensor of the table (see ``QuadratureTable``):
+
+- the mass: det J against ``mass_row``;
+- the stiffness and ``D``: the geometry J^{-1} J^{-T} against ``gg``;
+- (phi u, v) for a discrete phi: phi's cell coefficients against ``vvv``;
+- W(|psi|^2) and the |A|^2 part of ``B``: the coefficient products
+  Re(conj(u_k) u_l) (``FieldProducts``), or A_k . A_l, against ``vvvv``;
+- the |psi|^2 load: the same products against ``vvv`` read as (k l, a);
+- the current load: the products Im(conj(u_i) u_j) against ``vgv``, mapped
+  by J^{-T} once per cell;
+- the A . grad part of ``B``: A mapped to reference coordinates against
+  ``vgv`` read as (k a, i j).
+
+The tensors sum over the table's own rule, so these forms compute the same
+quadrature sums as a pass over the points would, reassociated.  No step
+form visits a quadrature point.  Every form, load and error norm is one
+pass over the whole mesh.
 
 Every form and load on a space is summed by that space's CSR pattern
 (``FeSpace.pattern``, a ``sparsela.Pattern``).  A form hands it one scalar
@@ -33,17 +42,14 @@ dofs.  Forms on one space can therefore be combined by combining their
 definition, and the div-div + curl-curl form ``D`` because on this space it
 equals the componentwise stiffness (see ``assemble_D``).
 
-Nonlinear coefficients (|psi_h|^2, |A_h|^2, the probability current) are
-evaluated pointwise at the quadrature nodes of the assembled form.  A weight
-or load coefficient is one of:
-None (the constant one), a callable of the points x, a ``FieldVector`` (its
-real part), or an array of point values at the form's quadrature nodes,
-(cells, q) or (cells, q, d) on vector spaces.
-A ``QuadratureField`` is the one evaluator of a discrete field at the nodes.
-The scheme evaluates psi_h once per step as a ``QuadratureField`` and passes
-its |psi_h|^2 point values to W and the |psi_h|^2 load, and the whole field to
-the current load; only ``assemble_B`` reads A_h through its own kernel, in
-coefficient space.
+A weight or load coefficient is one of: None (the constant one, weights
+only), a scalar ``FieldVector`` of the space's degree (its real part;
+weights only), ``FieldProducts`` of a scalar field of the space's degree (|u|^2), a
+callable of the points x, or an array of point values at the form's
+quadrature nodes, (cells, q) or (cells, q, d) on vector spaces.  Only the
+last two are evaluated at the points: the manufactured sources take that
+path, and a ``QuadratureField``, the one evaluator of a discrete field at
+the nodes, serves the error norms.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ from .space import FeSpace, FieldVector
 __all__ = [
     "QuadratureTable",
     "QuadratureField",
+    "FieldProducts",
     "assemble_mass",
     "assemble_stiffness",
     "assemble_D",
@@ -83,13 +90,23 @@ class QuadratureTable:
     """Reference tensors and cell geometry at the quadrature nodes of a mesh.
 
     Cell-independent: ``vals`` (q, nloc) the reference basis values, ``gref``
-    (q, nloc, d) the reference basis gradients, and the reference tensors
-    ``vv`` (q, nloc^2) with vv[q, i nloc + j] = vals[q, i] vals[q, j],
-    ``vg`` (q d, nloc^2) with vg[q d + k, i nloc + j] = vals[q, i] gref[q, j, k]
-    and ``gg`` (d^2, nloc^2) with gg[k d + l, i nloc + j] =
-    sum_q w_q gref[q, i, k] gref[q, j, l], exact on any rule of degree
-    2(r-1) or more.  Per cell: ``wdet`` (c, q) the quadrature weights times
-    det J, ``JinvT`` (c, d, d) the inverse-transposed Jacobians (the array
+    (q, nloc, d) the reference basis gradients, ``vv`` (q, nloc^2) with
+    vv[q, i nloc + j] = vals[q, i] vals[q, j], and the integrals over the
+    reference cell of products of basis values and gradients:
+
+    - ``mass_row`` (nloc^2,) = w @ vv, the reference mass matrix;
+    - ``vvv`` (nloc, nloc^2), vvv[k, i nloc + j] = sum_q w_q v_k v_i v_j;
+    - ``vvvv`` (nloc^2, nloc^2) = vv^T diag(w) vv;
+    - ``vgv`` (nloc^2, d nloc), vgv[i nloc + j, k nloc + a] =
+      sum_q w_q v_i d_k v_j v_a, the gradient in reference coordinates;
+    - ``gg`` (d^2, nloc^2), gg[k d + l, i nloc + j] =
+      sum_q w_q gref[q, i, k] gref[q, j, l].
+
+    Every tensor sums over this table's own rule, so a form that contracts
+    per-cell coefficients against it computes the same quadrature sum as one
+    that visits the points, reassociated; its results move by rounding only.
+    Per cell: ``wdet`` (c, q) the quadrature weights times det J, ``JinvT``
+    (c, d, d) the inverse-transposed Jacobians (the array
     ``mesh.jacobians()`` caches, not a copy) and ``x`` (c, q, d) the physical
     points, built on first use.  The physical gradient of basis function l at
     point q of cell c is ``JinvT[c] @ gref[q, l]``; no array holds it for
@@ -103,14 +120,20 @@ class QuadratureTable:
         vals, gref = reference_element(mesh.dim, degree).tabulate(rule.points_ref)
         _, JinvT, det = mesh.jacobians()
         nq, nloc, d = gref.shape
+        w = rule.weights
         self.vals = vals                                    # (q, nloc)
         self.gref = gref                                    # (q, nloc, d)
         self.vv = np.einsum("qi,qj->qij", vals, vals).reshape(nq, nloc * nloc)
-        self.vg = np.einsum("qi,qjk->qkij", vals, gref).reshape(nq * d, nloc * nloc)
-        self.gg = np.einsum("q,qik,qjl->klij", rule.weights, gref, gref
+        wvv = w[:, None] * self.vv
+        self.mass_row = w @ self.vv
+        self.vvv = vals.T @ wvv
+        self.vvvv = self.vv.T @ wvv
+        self.vgv = np.einsum("q,qi,qjk,qa->ijka", w, vals, gref, vals
+                             ).reshape(nloc * nloc, d * nloc)
+        self.gg = np.einsum("q,qik,qjl->klij", w, gref, gref
                             ).reshape(d * d, nloc * nloc)
         self.JinvT = JinvT                                  # (c, d, d)
-        self.wdet = rule.weights[None, :] * det[:, None]    # (c, q)
+        self.wdet = w[None, :] * det[:, None]               # (c, q)
         self._mesh = mesh
         self._rule = rule
 
@@ -125,18 +148,14 @@ class QuadratureTable:
                                           optimize=True)
 
     def coefficient(self, coeff):
-        """Pointwise values of a coefficient (see the module docstring) at
-        the quadrature nodes."""
-        if coeff is None:
-            return np.ones_like(self.wdet)
+        """Values of a callable or point-array coefficient (see the module
+        docstring) at the quadrature nodes."""
         if isinstance(coeff, np.ndarray):
             if coeff.shape[:2] != self.wdet.shape:
                 raise ValueError(
                     f"point values of shape {coeff.shape} are not at the "
                     f"{self.wdet.shape} quadrature nodes of this form")
             return coeff
-        if isinstance(coeff, FieldVector):
-            return QuadratureField(coeff, self).values.real
         return np.asarray(coeff(self.x))
 
 
@@ -157,15 +176,9 @@ class QuadratureField:
 
     ``values`` is (c, q), or (c, q, comp) on vector spaces; ``grad_ref`` the
     reference-coordinate gradients (c, d, q), or (c, comp, d, q), direction
-    before point; ``abs2`` the squared modulus (c, q), summed over the
-    components.  ``gradients()`` maps the reference gradients by J^{-T} per
+    before point.  ``gradients()`` maps the reference gradients by J^{-T} per
     cell to the physical ones, (c, q, d) or (c, q, comp, d), and keeps
-    nothing.
-
-    The scheme evaluates psi_h this way once per step: ``abs2`` is the point
-    coefficient of W(|psi_h|^2) and of the |psi_h|^2 load, and the current
-    load reads the values and gradients.  A ``FieldVector`` coefficient and
-    the error norms read a field through it too.
+    nothing.  The error norms read a field this way; no step form does.
     """
 
     def __init__(self, field_vec: FieldVector, table: QuadratureTable | None = None):
@@ -177,7 +190,6 @@ class QuadratureField:
         local = space.gather_cells(field_vec)               # (c, nloc[, comp])
         if space.kind == "vector":
             local = local.transpose(0, 2, 1)
-        self.mesh = space.mesh
         self.table = tab
         self._lead = local.shape[:-1]                        # (c,) or (c, comp)
         self._rows = local.reshape(-1, nloc)                 # (c [comp], nloc)
@@ -193,17 +205,38 @@ class QuadratureField:
         g = self._rows @ self.table.gref.transpose(1, 2, 0).reshape(nloc, d * nq)
         return g.reshape(*self._lead, d, nq)
 
-    @cached_property
-    def abs2(self) -> np.ndarray:
-        v = self.values
-        a = (v * v.conj()).real
-        return a if a.ndim == 2 else a.sum(axis=-1)
-
     def gradients(self) -> np.ndarray:
         JinvT = self.table.JinvT
         if len(self._lead) == 2:
             JinvT = JinvT[:, None]
         return np.moveaxis(np.matmul(JinvT, self.grad_ref), -1, 1)
+
+
+class FieldProducts:
+    """The products of a scalar field's cell coefficients, times det J:
+    ``re`` Re(conj(u_i) u_j) and ``im`` Im(conj(u_i) u_j), each (cells,
+    nloc^2) with column i nloc + j.
+
+    They expand |u|^2 = sum_ij Re(conj(u_i) u_j) phi_i phi_j and
+    -Im(conj(u) grad u) = -sum_ij Im(conj(u_i) u_j) phi_i grad phi_j on
+    every cell, so W(|psi_h|^2), the |psi_h|^2 load and the current load
+    contract them against reference tensors of any table of the field's
+    degree, and none of them visits a quadrature point.  The scheme builds
+    them once per state.
+    """
+
+    def __init__(self, field_vec: FieldVector):
+        space = field_vec.space
+        if space.kind != "scalar":
+            raise ValueError("products are formed of a scalar field")
+        nloc = space.element.node_count
+        det = space.mesh.jacobians()[2]
+        # (nloc, c), cells last: every product runs over the cells
+        u = np.ascontiguousarray(space.gather_cells(field_vec).T)
+        p = (u.conj()[:, None] * (u * det)[None]).reshape(nloc * nloc, -1)
+        self.space = space
+        self.re = np.ascontiguousarray(p.real).T
+        self.im = np.ascontiguousarray(p.imag).T
 
 
 def _on_pattern(space: FeSpace, loc: np.ndarray):
@@ -213,17 +246,30 @@ def _on_pattern(space: FeSpace, loc: np.ndarray):
     return pat.matrix(pat.assemble(loc).astype(space.dtype, copy=False))
 
 
+def _cells_last(a: np.ndarray) -> np.ndarray:
+    """A per-cell array with its axes reversed, cells last, contiguous."""
+    return np.ascontiguousarray(a.T)
+
+
 def assemble_mass(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
     """Mass matrix (u, v); block-diagonal per component for vector spaces."""
     return assemble_weighted_mass(space, None, qdeg=qdeg)
 
 
 def assemble_weighted_mass(space: FeSpace, weight, qdeg: int | None = None) -> sp.csr_array:
-    """(w u, v) with w a pointwise scalar weight (see module coefficients)."""
-    _check_coeff_mesh(space, weight)
+    """(w u, v) with w a scalar weight (see module coefficients)."""
+    _check_coeff_space(space, weight)
     nloc = space.element.node_count
     tab = quadrature_table(space.mesh, space.degree, qdeg)
-    loc = (tab.coefficient(weight) * tab.wdet) @ tab.vv
+    det = space.mesh.jacobians()[2][:, None]
+    if weight is None:
+        loc = det * tab.mass_row
+    elif isinstance(weight, FieldVector):
+        loc = (weight.space.gather_cells(weight).real * det) @ tab.vvv
+    elif isinstance(weight, FieldProducts):
+        loc = weight.re @ tab.vvvv
+    else:
+        loc = (tab.coefficient(weight) * tab.wdet) @ tab.vv
     return _on_pattern(space, loc.reshape(-1, nloc, nloc))
 
 
@@ -289,57 +335,54 @@ def assemble_B(space: FeSpace, a_field: FieldVector, stiffness: sp.csr_array,
     nloc = space.element.node_count
     nc = space.mesh.n_cells
     tab = quadrature_table(space.mesh, space.degree, qdeg)
-    nq, _, d = tab.gref.shape
-    local = a_field.space.gather_cells(a_field)                 # (c, nloc, d)
-    # |A|^2 at the points from the Gram matrix of the cell's coefficients
-    gram = np.matmul(local, local.transpose(0, 2, 1)).reshape(nc, nloc * nloc)
-    a2 = gram @ tab.vv.T
-    del gram
-    # A . grad phi_j = (A J^{-T}) . grad_ref phi_j: A in reference coordinates
-    a_ref = np.matmul(tab.vals, np.matmul(local, tab.JinvT))     # (c, q, d)
-    a_ref *= tab.wdet[:, :, None]
-    t = (a_ref.reshape(nc, nq * d) @ tab.vg).reshape(nc, nloc, nloc)
-    del a_ref
-    a2 *= tab.wdet
-    # the real and imaginary parts are written in place: the whole-mesh
-    # local matrices are the largest arrays of a step
-    loc = np.empty((nc, nloc, nloc), dtype=complex)
-    loc.real = (a2 @ tab.vv).reshape(nc, nloc, nloc)
-    del a2
-    np.subtract(t, np.swapaxes(t, 1, 2), out=loc.imag)
-    del t
-    values = pat.assemble(loc)
+    _, JinvT, det = space.mesh.jacobians()
+    d = space.mesh.dim
+    # (component m, node a, cell) and (reference direction k, m, cell)
+    a = _cells_last(a_field.space.gather_cells(a_field))
+    J = _cells_last(JinvT)
+    # |A|^2 = sum_kl (A_k . A_l) phi_k phi_l, against vvvv
+    gram = a[0][:, None] * a[0][None]
+    for m in range(1, d):
+        gram += a[m][:, None] * a[m][None]
+    gram *= det
+    # A . grad phi_j = sum_ak (A_a J^{-T})_k phi_a d_k phi_j, with A in
+    # reference coordinates, against vgv read as (k a, i j); the imaginary
+    # part v grad u - u grad v takes its part antisymmetric in (i, j)
+    a_ref = J[:, 0, None] * a[0][None]
+    for m in range(1, d):
+        a_ref += J[:, m, None] * a[m][None]
+    a_ref *= det
+    vgv = tab.vgv.reshape(nloc, nloc, d * nloc)
+    skew = (vgv - vgv.transpose(1, 0, 2)).reshape(nloc * nloc, d * nloc)
+    values = pat.assemble(gram.reshape(nloc * nloc, nc).T @ tab.vvvv)
+    values = values + 1j * pat.assemble(a_ref.reshape(d * nloc, nc).T @ skew.T)
     values += stiffness.data
     return pat.matrix(values)
 
 
-def assemble_current_load(space: FeSpace, psi: QuadratureField,
+def assemble_current_load(space: FeSpace, psi: FieldProducts,
                           qdeg: int | None = None) -> np.ndarray:
     """Load vector of the probability current (i/2)(psi* grad psi - c.c.)
     against the vector test functions; real-valued.
 
-    The current -Im(psi* grad psi) is linear in the gradient, so it is
-    contracted over the points in reference coordinates and mapped by J^{-T}
-    once per cell.
+    The current -Im(psi* grad psi) is the products ``psi.im`` against the
+    table's ``vgv``, in reference coordinates, mapped by J^{-T} once per
+    cell.
     """
     if space.kind != "vector":
         raise ValueError("the current load is assembled on a vector space")
-    if psi.mesh is not space.mesh:
-        raise ValueError("psi lives on a different mesh")
+    _check_coeff_space(space, psi)
     nloc = space.element.node_count
     d = space.mesh.dim
-    tab = quadrature_table(space.mesh, space.degree, qdeg)
-    if psi.table is not tab:
-        raise ValueError("psi was not evaluated at the quadrature nodes of this load")
-    nq = tab.vals.shape[0]
     nc = space.mesh.n_cells
-    p = psi.values[:, None, :]
-    g = psi.grad_ref
-    current = p.imag * g.real - p.real * g.imag      # -Im(psi* grad_ref psi), (c, k, q)
-    current *= tab.wdet[:, None, :]
-    ref = (current.reshape(nc * d, nq) @ tab.vals).reshape(nc, d, nloc)
-    loc = np.matmul(tab.JinvT, ref)                                     # (c, m, a)
-    return space.pattern().assemble_load(loc.transpose(0, 2, 1))
+    tab = quadrature_table(space.mesh, space.degree, qdeg)
+    # (k a, c): reference direction k, test node a, cells last
+    ref = (tab.vgv.T @ psi.im.T).reshape(d, nloc, nc)
+    J = _cells_last(tab.JinvT)                         # (k, m, c)
+    loc = J[0][None] * ref[0][:, None]                 # (a, m, c)
+    for k in range(1, d):
+        loc += J[k][None] * ref[k][:, None]
+    return space.pattern().assemble_load(-loc.transpose(2, 0, 1))
 
 
 def assemble_source_load(space: FeSpace, source, qdeg: int | None = None) -> np.ndarray:
@@ -350,15 +393,22 @@ def assemble_source_load(space: FeSpace, source, qdeg: int | None = None) -> np.
 
 def assemble_coefficient_load(space: FeSpace, coeff,
                               qdeg: int | None = None) -> np.ndarray:
-    """Load vector of a pointwise coefficient against the space's test basis,
-    real where the coefficient is real.
+    """Load vector of a coefficient against the space's test basis, real
+    where the coefficient is real.
 
-    Scalar spaces take the coefficients of the module docstring, vector
-    spaces callables of x that return d-vectors or (c, q, d) point values.
-    A complex coefficient on a real space raises ValueError.
+    Scalar spaces take a callable of x, (c, q) point values, or
+    ``FieldProducts`` for the load of |u|^2; vector spaces take callables of
+    x that return d-vectors or (c, q, d) point values.  A complex
+    coefficient on a real space raises ValueError.
     """
-    _check_coeff_mesh(space, coeff)
+    _check_coeff_space(space, coeff)
     tab = quadrature_table(space.mesh, space.degree, qdeg)
+    if isinstance(coeff, FieldProducts):
+        if space.kind != "scalar":
+            raise ValueError("the |u|^2 load is assembled on a scalar space")
+        nloc = space.element.node_count
+        loc = coeff.re @ tab.vvv.reshape(nloc * nloc, nloc)
+        return space.pattern().assemble_load(loc[:, :, None])
     w = tab.wdet
     s = tab.coefficient(coeff).reshape(*w.shape, -1) * w[:, :, None]
     if np.iscomplexobj(s) and space.dtype is not complex:
@@ -366,6 +416,14 @@ def assemble_coefficient_load(space: FeSpace, coeff,
     return space.pattern().assemble_load(np.matmul(tab.vals.T, s))   # (c, a, comp)
 
 
-def _check_coeff_mesh(space: FeSpace, coeff):
-    if isinstance(coeff, FieldVector) and coeff.space.mesh is not space.mesh:
+def _check_coeff_space(space: FeSpace, coeff):
+    """A field or products coefficient lives on the space's mesh and degree."""
+    if not isinstance(coeff, (FieldVector, FieldProducts)):
+        return
+    other = coeff.space
+    if other.mesh is not space.mesh:
         raise ValueError("coefficient field lives on a different mesh")
+    if other.kind != "scalar":
+        raise ValueError("a coefficient field is scalar")
+    if other.degree != space.degree:
+        raise ValueError("coefficient field has another degree than the space")

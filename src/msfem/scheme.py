@@ -20,9 +20,12 @@ that factor, x <- x + S0^{-1}(b - S x) (Stetter, Numer. Math. 29 (1978)
 takes a few LU applies at every system size.
 
 The wave steps read psi from the previous level three times: in W(|psi|^2),
-the current load and the |psi|^2 load.  A state evaluates psi at the
-quadrature nodes once (``FieldState.psi_points``) and the three forms share
-it.
+the current load and the |psi|^2 load.  All three are bilinear in psi's
+cell coefficients, so a state forms the products conj(u_i) u_j once
+(``FieldState.psi_products``, a ``forms.FieldProducts``), on first use
+inside the first step phase that reads them, and the three forms contract
+them against reference tensors; no step form evaluates psi at a quadrature
+point.
 
 Sources in verification mode: every manufactured source is a sum of time
 amplitudes times spatial shapes, sum_j c_j(t) s_j(x) (``mms.ManufacturedCase``
@@ -84,6 +87,10 @@ class SchemeConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not math.isfinite(self.t_final):
+            raise ValueError(f"t_final must be finite, got {self.t_final}")
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
         if self.mode not in ("mms", "free"):
             raise ValueError(f"mode must be 'mms' or 'free', got {self.mode!r}")
         if abs(self.n_steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
@@ -122,11 +129,11 @@ class FieldState:
     phi_prev: FieldVector
 
     @cached_property
-    def psi_points(self) -> forms.QuadratureField:
-        """psi at the quadrature nodes of the step forms, evaluated once per
-        state, on first use inside the step phase that reads it: W, the
-        current load and the |psi|^2 load all share it."""
-        return forms.QuadratureField(self.psi)
+    def psi_products(self) -> forms.FieldProducts:
+        """The products of psi's cell coefficients, formed once per state, on
+        first use inside the step phase that reads them: W, the current load
+        and the |psi|^2 load all share them."""
+        return forms.FieldProducts(self.psi)
 
 
 @dataclass
@@ -254,8 +261,8 @@ class AlternatingStepper:
         cfg = self.config
         dt = cfg.dt
         pattern = self.spaces.A.pattern()
-        psi = state.psi_points
-        W = forms.assemble_weighted_mass(self.spaces.A, psi.abs2)
+        psi = state.psi_products
+        W = forms.assemble_weighted_mass(self.spaces.A, psi)
         system = pattern.matrix(self.a_system.data + 0.5 * W.data)
         # M (2a - a_prev)/dt^2 - (D + W) a_prev / 2 = 2 M a/dt^2 - system a_prev
         rhs = ((2.0 / dt ** 2) * (self.mass_vec @ state.a.data)
@@ -275,7 +282,7 @@ class AlternatingStepper:
         dt = cfg.dt
         rhs = (self.mass @ (2.0 * state.phi.data - state.phi_prev.data) / dt ** 2
                - 0.5 * (self.stiffness @ state.phi_prev.data)
-               + forms.assemble_coefficient_load(self.spaces.phi, state.psi_points.abs2))
+               + forms.assemble_coefficient_load(self.spaces.phi, state.psi_products))
         if self.case is not None:
             rhs = rhs + self.source_load("l", state.t)
         try:

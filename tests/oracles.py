@@ -67,6 +67,11 @@ def naive_field_weighted_mass(space, field, qdeg):
     return _weighted_mass(space, lambda c, xi, x: evaluate(field, c, xi).real, qdeg)
 
 
+def naive_abs2_weighted_mass(space, field, qdeg):
+    """(|f|^2 u, v) with a scalar discrete field f evaluated cell by cell."""
+    return _weighted_mass(space, lambda c, xi, x: abs(evaluate(field, c, xi)) ** 2, qdeg)
+
+
 def _weighted_mass(space, weight_at, qdeg):
     n = space.n_dofs
     dtype = complex if space.dtype is complex else float
@@ -178,10 +183,19 @@ def naive_current_load(space, psi_field, qdeg):
 
 
 def naive_source_load(space, fn, qdeg):
+    return _load(space, lambda c, xi, x: fn(x), qdeg)
+
+
+def naive_abs2_load(space, field, qdeg):
+    """(|f|^2, v) with a scalar discrete field f evaluated cell by cell."""
+    return _load(space, lambda c, xi, x: abs(evaluate(field, c, xi)) ** 2, qdeg)
+
+
+def _load(space, value_at, qdeg):
     dtype = complex if space.dtype is complex else float
     out = np.zeros(space.n_dofs, dtype=dtype)
     for c, xi, x, w, vals, _ in _cell_quad(space, qdeg):
-        s = fn(x)
+        s = value_at(c, xi, x)
         if space.kind == "scalar":
             dofs = _dofs_scalar(space, c)
             for a, i in enumerate(dofs):

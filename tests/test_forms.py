@@ -63,7 +63,7 @@ def test_weighted_mass_psi0_density_3d():
                 * np.sin(2 * np.pi * x[..., 2])).astype(complex)
 
     psi = interpolate(space, psi0)
-    W = forms.assemble_weighted_mass(space, forms.QuadratureField(psi).abs2)
+    W = forms.assemble_weighted_mass(space, forms.FieldProducts(psi))
     one = np.ones(space.n_dofs)
     val = (one @ (W @ one)).real
     assert val == pytest.approx(1.0 / 8.0, rel=0.02)
@@ -182,7 +182,7 @@ def test_current_load_zero_for_real_psi():
     vspace = build_vector_space(mesh, 1)
     psi = interpolate(cspace, lambda x: (np.sin(2 * np.pi * x[..., 0])
                                          * np.sin(2 * np.pi * x[..., 1])).astype(complex))
-    load = forms.assemble_current_load(vspace, forms.QuadratureField(psi))
+    load = forms.assemble_current_load(vspace, forms.FieldProducts(psi))
     assert np.max(np.abs(load)) < 1e-14
 
 
@@ -204,7 +204,7 @@ def test_current_load_sign_convention():
 
     psi = interpolate(cspace, lambda x: np.exp(1j * np.pi * x[..., 0]) * bump_np(x))
     v = interpolate(vspace, lambda x: np.stack([bump_np(x) ** 2, 0 * x[..., 0]], axis=-1))
-    load = forms.assemble_current_load(vspace, forms.QuadratureField(psi))
+    load = forms.assemble_current_load(vspace, forms.FieldProducts(psi))
     assert load @ v.data == pytest.approx(exact, rel=0.05)
 
 
@@ -215,9 +215,9 @@ def test_current_load_quadratic_scaling():
     vspace = build_vector_space(mesh, 1)
     psi = FieldVector(cspace, rng.standard_normal(cspace.n_dofs)
                       + 1j * rng.standard_normal(cspace.n_dofs))
-    l1 = forms.assemble_current_load(vspace, forms.QuadratureField(psi))
+    l1 = forms.assemble_current_load(vspace, forms.FieldProducts(psi))
     psi2 = FieldVector(cspace, 2.0 * psi.data)
-    l2 = forms.assemble_current_load(vspace, forms.QuadratureField(psi2))
+    l2 = forms.assemble_current_load(vspace, forms.FieldProducts(psi2))
     assert np.allclose(l2, 4.0 * l1, rtol=1e-12, atol=1e-14)
 
 
@@ -317,10 +317,34 @@ def test_oracle_equivalence_loads(dim, M, r, jittered):
 
     l2 = oracles.naive_current_load(vspace, psi, qdeg)
     f2 = oracles.naive_source_load(cspace, lambda x: s(np.asarray(x)[None, :])[0], qdeg)
-    l1 = forms.assemble_current_load(vspace, forms.QuadratureField(psi))
+    l1 = forms.assemble_current_load(vspace, forms.FieldProducts(psi))
     assert np.max(np.abs(l1 - l2)) <= 1e-12
     f1 = forms.assemble_source_load(cspace, s)
     assert np.max(np.abs(f1 - f2)) <= 1e-12
+
+
+# 3D P2 as well: there the products' degree 4r = 8 exceeds the rule's 2r+2
+@pytest.mark.parametrize("dim,M,r,jittered", FIELD_CASES + [
+    pytest.param(3, 2, 2, True, id="3-2-2-jittered")])
+def test_oracle_equivalence_abs2_forms(dim, M, r, jittered):
+    # W(|psi|^2) on the vector space and the |psi|^2 load contract the
+    # products of psi's coefficients against tensors of the same rule; the
+    # oracles evaluate |psi|^2 point by point
+    rng = np.random.default_rng(8)
+    mesh = case_mesh(dim, M, jittered)
+    cspace = build_scalar_space(mesh, r, complex_field=True)
+    vspace = build_vector_space(mesh, r)
+    phispace = build_scalar_space(mesh, r)
+    psi = FieldVector(cspace, rng.standard_normal(cspace.n_dofs)
+                      + 1j * rng.standard_normal(cspace.n_dofs))
+    qdeg = 2 * r + 2
+    products = forms.FieldProducts(psi)
+    W2 = oracles.naive_abs2_weighted_mass(vspace, psi, qdeg)
+    W1 = forms.assemble_weighted_mass(vspace, products).toarray()
+    assert np.max(np.abs(W1 - W2)) <= 1e-12
+    l2 = oracles.naive_abs2_load(phispace, psi, qdeg)
+    l1 = forms.assemble_coefficient_load(phispace, products)
+    assert np.max(np.abs(l1 - l2)) <= 1e-12
 
 
 COEFFICIENTS = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
@@ -342,7 +366,7 @@ def test_B_and_current_load_match_oracles_for_random_fields(data):
     B = forms.assemble_B(cspace, a, forms.assemble_stiffness(cspace)).toarray()
     assert np.max(np.abs(B - B.conj().T)) <= 1e-12
     assert np.max(np.abs(B - oracles.naive_B(cspace, a, 4))) <= 1e-12
-    load = forms.assemble_current_load(vspace, forms.QuadratureField(psi))
+    load = forms.assemble_current_load(vspace, forms.FieldProducts(psi))
     assert np.max(np.abs(load - oracles.naive_current_load(vspace, psi, 4))) <= 1e-12
 
 
@@ -370,8 +394,6 @@ def test_quadrature_field_matches_evaluate_on_jittered_mesh(r):
                 value, grad = evaluate(fv, c, xi, gradient=True)
                 assert np.allclose(field.values[c, q], value, rtol=0, atol=1e-12)
                 assert np.allclose(grads[c, q], grad, rtol=0, atol=1e-11)
-        abs2 = np.abs(field.values) ** 2
-        assert np.allclose(field.abs2, abs2 if fv is psi else abs2.sum(axis=-1))
     with pytest.raises(ValueError, match="mesh and degree"):
         forms.QuadratureField(psi, forms.quadrature_table(mesh, 3 - r))
 
@@ -387,13 +409,13 @@ def test_one_quadrature_table_per_degree_and_qdeg():
     forms.assemble_mass(cspace)
     forms.assemble_stiffness(cspace)
     forms.assemble_D(vspace)
-    forms.assemble_weighted_mass(vspace, forms.QuadratureField(psi).abs2)
-    forms.assemble_current_load(vspace, forms.QuadratureField(psi))
+    forms.assemble_weighted_mass(vspace, forms.FieldProducts(psi))
+    forms.assemble_current_load(vspace, forms.FieldProducts(psi))
     forms.assemble_B(cspace, FieldVector(vspace, np.zeros(vspace.n_dofs)),
                      forms.assemble_stiffness(cspace))
     forms.assemble_mass(p2space)
     forms.assemble_mass(cspace, qdeg=2)
-    forms.assemble_coefficient_load(cspace, psi, qdeg=2)
+    forms.assemble_coefficient_load(cspace, forms.FieldProducts(psi), qdeg=2)
     mms.error_norms(psi, mms.make_case(3), "psi", 0.0)
 
     tables = {k: v for k, v in mesh._geom.items() if isinstance(v, forms.QuadratureTable)}

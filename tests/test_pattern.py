@@ -132,9 +132,9 @@ def test_load_assembly_matches_dense_loop_and_add_at(ncomp):
 
 def test_loads_on_real_spaces_are_float():
     st = free_stepper(2, 1)
-    psi = st.initialize().psi_points
+    psi = st.initialize().psi_products
     for load in (forms.assemble_current_load(st.spaces.A, psi),
-                 forms.assemble_coefficient_load(st.spaces.phi, psi.abs2),
+                 forms.assemble_coefficient_load(st.spaces.phi, psi),
                  forms.assemble_source_load(st.spaces.phi, lambda x: x[..., 0]),
                  forms.assemble_source_load(st.spaces.A, lambda x: x)):
         assert load.dtype == np.float64
@@ -185,11 +185,11 @@ def test_forms_and_step_matrices_share_the_space_pattern(dim, r, monkeypatch):
     a = FieldVector(sp.A, rng.standard_normal(sp.A.n_dofs))
     for m in (st.mass, st.stiffness, st.phi_system,
               forms.assemble_B(sp.psi, a, st.stiffness),
-              forms.assemble_weighted_mass(sp.psi, forms.QuadratureField(state.psi).abs2)):
+              forms.assemble_weighted_mass(sp.psi, forms.FieldProducts(state.psi))):
         assert on_pattern(m, sp.psi)
     for m in (st.mass, st.stiffness):
         assert on_pattern(m, sp.phi)
-    for m in (st.mass_vec, st.D, forms.assemble_weighted_mass(sp.A, forms.QuadratureField(state.psi).abs2)):
+    for m in (st.mass_vec, st.D, forms.assemble_weighted_mass(sp.A, forms.FieldProducts(state.psi))):
         assert on_pattern(m, sp.A)
 
     seen = []

@@ -96,14 +96,28 @@ def test_wave_step_zero_equilibrium_regression():
 
 # ---- plug-back residuals of single steps (independent reassembly) ----------
 
+def abs2_at_points(psi):
+    """|psi|^2 at the quadrature nodes: the point path, independent of the
+    products the step forms contract."""
+    return np.abs(forms.QuadratureField(psi).values) ** 2
+
+
+def current_load_at_points(space, psi):
+    """The current load through the point path: -Im(psi* grad psi) at the
+    quadrature nodes as a (c, q, d) vector coefficient."""
+    field = forms.QuadratureField(psi)
+    current = -(field.values.conj()[..., None] * field.gradients()).imag
+    return forms.assemble_coefficient_load(space, current)
+
+
 def wave_a_residual(st, state, a_new):
     cfg = st.config
     dt = cfg.dt
     sp = st.spaces
     Mv = forms.assemble_mass(sp.A)
     D = forms.assemble_D(sp.A)
-    W = forms.assemble_weighted_mass(sp.A, forms.QuadratureField(state.psi).abs2)
-    Fc = forms.assemble_current_load(sp.A, forms.QuadratureField(state.psi))
+    W = forms.assemble_weighted_mass(sp.A, abs2_at_points(state.psi))
+    Fc = current_load_at_points(sp.A, state.psi)
     rhs = forms.assemble_source_load(sp.A, lambda x: mms.source_g(st.case, x, state.t)) \
         if cfg.mode == "mms" else 0.0
     lhs = (Mv @ (a_new.data - 2 * state.a.data + state.a_prev.data) / dt ** 2
@@ -129,7 +143,7 @@ def test_single_step_plugback_residuals_3d():
     phi_new = st.step_wave_phi(state)
     Mp = forms.assemble_mass(sp.phi)
     Kp = forms.assemble_stiffness(sp.phi)
-    dens = forms.assemble_coefficient_load(sp.phi, forms.QuadratureField(state.psi).abs2)
+    dens = forms.assemble_coefficient_load(sp.phi, abs2_at_points(state.psi))
     lsrc = forms.assemble_source_load(sp.phi, lambda x: mms.source_l(st.case, x, state.t)).real
     lhs = (Mp @ (phi_new.data - 2 * state.phi.data + state.phi_prev.data) / dt ** 2
            + 0.5 * (Kp @ (phi_new.data + state.phi_prev.data)))
@@ -203,9 +217,10 @@ def test_a_run_builds_one_quadrature_table(mode):
 
 @pytest.mark.parametrize("mode", ["free", "mms"])
 def test_advance_works_only_inside_the_step_phases(mode, monkeypatch):
-    # every assembly, field evaluation and solve of advance() runs inside
-    # step_wave_a, step_wave_phi or step_schrodinger: the traced benchmark
-    # requires the phases to cover 95% of a step
+    # every assembly, product of psi's coefficients and solve of advance()
+    # runs inside step_wave_a, step_wave_phi or step_schrodinger: the traced
+    # benchmark requires the phases to cover 95% of a step; and no step form
+    # evaluates a field at the quadrature points
     st = scheme.AlternatingStepper(small_config(dim=2, M=4, mode=mode))
     state = st.initialize()
     phases = []
@@ -236,11 +251,20 @@ def test_advance_works_only_inside_the_step_phases(mode, monkeypatch):
             recorded(forms, name)
     for name in ("solve_spd", "solve_complex"):
         recorded(sparsela, name)
+    # the class itself stays in place: the forms dispatch on isinstance
+    init = forms.FieldProducts.__init__
+
+    def recorded_init(self, *args, **kwargs):
+        calls.append(("FieldProducts", bool(phases)))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(forms.FieldProducts, "__init__", recorded_init)
     for _ in range(2):
         state = st.advance(state)
-    assert {"QuadratureField", "assemble_weighted_mass", "assemble_current_load",
+    names = {name for name, _ in calls}
+    assert {"FieldProducts", "assemble_weighted_mass", "assemble_current_load",
             "assemble_coefficient_load", "assemble_B", "solve_spd",
-            "solve_complex"} <= {name for name, _ in calls}
+            "solve_complex"} <= names
+    assert "QuadratureField" not in names
     assert [name for name, inside in calls if not inside] == []
 
 
@@ -252,6 +276,17 @@ def test_config_rejects_non_finite_or_non_positive_dt_and_tol(name, value):
     kwargs[name] = value
     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
         scheme.SchemeConfig(**kwargs)
+
+
+@pytest.mark.parametrize("t_final,n_steps,match", [
+    (float("nan"), 4, "t_final must be finite"),
+    (float("inf"), 4, "t_final must be finite"),
+    (-1.0, -4, "n_steps must be at least 1"),
+    (0.0, 0, "n_steps must be at least 1")])
+def test_config_rejects_non_finite_t_final_and_no_steps(t_final, n_steps, match):
+    with pytest.raises(ValueError, match=match):
+        scheme.SchemeConfig(dim=2, M=4, degree=1, t_final=t_final, dt=0.25,
+                            n_steps=n_steps)
 
 
 def test_psi_and_phi_spaces_must_share_a_pattern():
@@ -273,12 +308,12 @@ def test_step_solutions_match_dense_solves():
     sp = st.spaces
 
     a_new = st.step_wave_a(state)
-    W = forms.assemble_weighted_mass(sp.A, forms.QuadratureField(state.psi).abs2)
+    W = forms.assemble_weighted_mass(sp.A, abs2_at_points(state.psi))
     sys_d = (st.mass_vec.toarray() / dt ** 2
              + 0.5 * (st.D.toarray() + W.toarray()))
     rhs = (st.mass_vec @ (2 * state.a.data - state.a_prev.data) / dt ** 2
            - 0.5 * (st.D.toarray() + W.toarray()) @ state.a_prev.data
-           - forms.assemble_current_load(sp.A, forms.QuadratureField(state.psi))
+           - current_load_at_points(sp.A, state.psi)
            + forms.assemble_source_load(sp.A, lambda x: mms.source_g(st.case, x, state.t)))
     x = np.linalg.solve(sys_d, rhs)
     assert np.linalg.norm(a_new.data - x) / np.linalg.norm(x) <= 1e-10
@@ -287,7 +322,7 @@ def test_step_solutions_match_dense_solves():
     sys_d = st.mass.toarray() / dt ** 2 + 0.5 * st.stiffness.toarray()
     rhs = (st.mass @ (2 * state.phi.data - state.phi_prev.data) / dt ** 2
            - 0.5 * (st.stiffness @ state.phi_prev.data)
-           + forms.assemble_coefficient_load(sp.phi, forms.QuadratureField(state.psi).abs2)
+           + forms.assemble_coefficient_load(sp.phi, abs2_at_points(state.psi))
            + forms.assemble_source_load(sp.phi, lambda x: mms.source_l(st.case, x, state.t)).real)
     x = np.linalg.solve(sys_d, rhs)
     assert np.linalg.norm(phi_new.data - x) / np.linalg.norm(x) <= 1e-10
@@ -323,7 +358,7 @@ def test_first_phi_step_from_rest_matches_dense_formula():
     state = st.initialize(data)
     phi_new = st.step_wave_phi(state)
     sys_d = st.mass.toarray() / dt ** 2 + 0.5 * st.stiffness.toarray()
-    load = forms.assemble_coefficient_load(st.spaces.phi, forms.QuadratureField(state.psi).abs2)
+    load = forms.assemble_coefficient_load(st.spaces.phi, abs2_at_points(state.psi))
     x = np.linalg.solve(sys_d, load)
     assert np.allclose(phi_new.data, x, rtol=1e-10)
     # nodally phi ~ c dt^2 up to the stiffness correction
@@ -337,7 +372,7 @@ def test_wave_system_matrices_spd():
     cfg = small_config(dim=2, M=4, dt=0.1)
     st = scheme.AlternatingStepper(cfg)
     state = st.initialize()
-    W = forms.assemble_weighted_mass(st.spaces.A, forms.QuadratureField(state.psi).abs2)
+    W = forms.assemble_weighted_mass(st.spaces.A, forms.FieldProducts(state.psi))
     sys_a = ((1 / cfg.dt ** 2) * st.mass_vec + 0.5 * (st.D + W)).toarray()
     assert np.max(np.abs(sys_a - sys_a.T)) <= 1e-12
     for _ in range(50):
@@ -475,8 +510,8 @@ def test_consistency_rate_of_interpolated_exact_solution():
         a_km1 = interpolate(sp.A, lambda x: case.A(x, tkm1))
         a_k = interpolate(sp.A, lambda x: case.A(x, tkm1 + dt))
         psi_km1 = interpolate(sp.psi, lambda x: case.psi(x, tkm1))
-        W = forms.assemble_weighted_mass(sp.A, forms.QuadratureField(psi_km1).abs2)
-        Fc = forms.assemble_current_load(sp.A, forms.QuadratureField(psi_km1))
+        W = forms.assemble_weighted_mass(sp.A, forms.FieldProducts(psi_km1))
+        Fc = forms.assemble_current_load(sp.A, forms.FieldProducts(psi_km1))
         G = forms.assemble_source_load(sp.A, lambda x: mms.source_g(case, x, tkm1))
         r = (st.mass_vec @ (a_k.data - 2 * a_km1.data + a_km2.data) / dt ** 2
              + 0.5 * (st.D @ (a_k.data + a_km2.data)
