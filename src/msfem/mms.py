@@ -1,18 +1,16 @@
 """Manufactured solutions, their source terms, and error measurement.
 
-The 3D case is the standard verification triple on the unit cube (wave
+The verification case is one triple on the unit square or cube (wave
 function with a growing modulated amplitude, a curl-free oscillating vector
-potential, a polynomial scalar potential); the 2D analogue for fast runs comes
-from the same dimension-generic constructor.  Every field is a time amplitude
-times a spatial shape, so each source is a short sum sum_j c_j(t) s_j(x)
-(``ManufacturedCase.f_terms``/``g_terms``/``l_terms``), from which the stepper
-precomputes one load per shape; the shapes are evaluated together from
-shared per-coordinate sin/cos factors and base shapes
-(``ManufacturedCase.factors``).  The
-pointwise sources ``source_f/g/l`` are cross-checked against a
-Richardson-extrapolated finite-difference oracle built from the value
-closures alone, and the convergence harness refuses to run when that gate
-fails.
+potential, a polynomial scalar potential), built by ``make_case(dim)``.
+Every field is a time amplitude times a spatial shape, so each source is a
+short sum sum_j c_j(t) s_j(x) (``ManufacturedCase.f_terms``/``g_terms``/
+``l_terms``).  These terms are the one source truth: the stepper precomputes
+one load per shape, ``source_f/g/l`` evaluate the sums pointwise, and
+``source_gate`` checks those sums directly against a Richardson-extrapolated
+finite-difference oracle (``fd_sources``) built from the value closures
+alone.  The shapes are evaluated together from shared per-coordinate sin/cos
+factors and base shapes (``ManufacturedCase.factors``).
 """
 
 from __future__ import annotations
@@ -34,18 +32,13 @@ __all__ = [
     "ErrorEntry",
     "ErrorReport",
     "SourceGateError",
-    "paper_case",
-    "analogue_2d",
     "make_case",
-    "current_density",
     "source_f",
     "source_g",
     "source_l",
-    "sources",
     "fd_sources",
     "source_gate",
     "error_norms",
-    "scalar_error_norms",
     "observed_order",
     "gauge_residuals",
 ]
@@ -57,36 +50,36 @@ class SourceGateError(RuntimeError):
 
 @dataclass
 class ManufacturedCase:
-    """Exact fields, their derivatives, problem constants and the source
-    decomposition.
+    """Exact fields, the derivatives the run reads, problem constants and
+    the source terms.
 
     All closures are vectorized over points of shape (..., dim); the field
     closures also take the record ``factors(x)`` of such points in place of
-    x, so that several fields at the same points share it.  Every
-    source is a sum of time amplitudes times spatial shapes: ``f_terms``,
-    ``g_terms`` and ``l_terms`` hold the pairs ``(c_j, s_j)`` with
-    ``source_*(x, t) = sum_j c_j(t) * s_j(factors(x))``.  The shapes are
-    products of a few per-coordinate factors (sin/cos of pi x_i and 2 pi x_i,
-    x_i (1 - x_i)); ``factors(x)`` evaluates each of them at most once for
-    all the shapes that read it.
+    x, so that several fields at the same points share it.  Every source is
+    a sum of time amplitudes times spatial shapes: ``f_terms``, ``g_terms``
+    and ``l_terms`` hold the pairs ``(c_j, s_j)`` with
+    ``source_*(x, t) = sum_j c_j(t) * s_j(factors(x))``, and are the only
+    definition of the sources.  The shapes are products of a few
+    per-coordinate factors (sin/cos of pi x_i and 2 pi x_i, x_i (1 - x_i));
+    ``factors(x)`` evaluates each of them at most once for all the shapes
+    that read it.
+
+    Of the derivatives, ``A_t`` and ``phi_t`` give the initial data;
+    ``grad_psi``, ``div_A``, ``curl_A`` and ``grad_phi`` the error norms;
+    ``lap_phi`` and ``div_A_t`` the gauge residuals.
     """
 
     dim: int
     v0: float
     psi: callable
-    psi_t: callable
     grad_psi: callable
-    lap_psi: callable
     A: callable
     A_t: callable
-    A_tt: callable
     div_A: callable
     div_A_t: callable
     curl_A: callable
-    lap_A: callable
     phi: callable
     phi_t: callable
-    phi_tt: callable
     grad_phi: callable
     lap_phi: callable
     factors: callable
@@ -96,21 +89,10 @@ class ManufacturedCase:
 
 
 def make_case(dim: int, v0: float = 5.0) -> ManufacturedCase:
-    if dim == 3:
-        return paper_case(v0)
-    if dim == 2:
-        return analogue_2d(v0)
-    raise ValueError(f"dim must be 2 or 3, got {dim}")
-
-
-def paper_case(v0: float = 5.0) -> ManufacturedCase:
-    """The 3D verification triple on (0,1)^3."""
-    return _separable_case(3, v0)
-
-
-def analogue_2d(v0: float = 5.0) -> ManufacturedCase:
-    """2D analogue with the same structure, for fast convergence runs."""
-    return _separable_case(2, v0)
+    """The verification triple on (0,1)^dim, for dim 2 or 3."""
+    if dim not in (2, 3):
+        raise ValueError(f"dim must be 2 or 3, got {dim}")
+    return _separable_case(dim, v0)
 
 
 def _amp(t):
@@ -236,19 +218,14 @@ def _separable_case(d: int, v0: float) -> ManufacturedCase:
         v0=v0,
         factors=_Factors,
         psi=lambda x, t: _amp(t) * S(_at(x)),
-        psi_t=lambda x, t: _amp_t(t) * S(_at(x)),
         grad_psi=lambda x, t: _amp(t) * grad_S(_at(x)),
-        lap_psi=lambda x, t: -4.0 * d * pi ** 2 * _amp(t) * S(_at(x)),
         A=lambda x, t: a(t) * W(_at(x)),
         A_t=lambda x, t: a_t(t) * W(_at(x)),
-        A_tt=lambda x, t: -pi ** 2 * a(t) * W(_at(x)),
         div_A=lambda x, t: -d * pi * a(t) * G(_at(x)),
         div_A_t=lambda x, t: -d * pi * a_t(t) * G(_at(x)),
         curl_A=lambda x, t: np.zeros(curl_shape(_at(x).x)),
-        lap_A=lambda x, t: -d * pi ** 2 * a(t) * W(_at(x)),
         phi=lambda x, t: tau(t) * P(_at(x)),
         phi_t=lambda x, t: tau_t(t) * P(_at(x)),
-        phi_tt=lambda x, t: tau_tt(t) * P(_at(x)),
         grad_phi=lambda x, t: tau(t) * grad_P(_at(x)),
         lap_phi=lambda x, t: tau(t) * lap_P(_at(x)),
         # f = -i psi_t + (1/2)(-Lap psi + i div A psi + 2i A.grad psi
@@ -274,49 +251,26 @@ def _separable_case(d: int, v0: float) -> ManufacturedCase:
     )
 
 
-def current_density(case: ManufacturedCase, x, t):
-    """Probability current (i/2)(psi* grad psi - psi grad psi*); real d-vector."""
-    psi = case.psi(x, t)
-    grad = case.grad_psi(x, t)
-    return -np.imag(np.conj(psi)[..., None] * grad)
+def _source(case: ManufacturedCase, terms, x, t):
+    """sum_j c_j(t) s_j(x) over separable terms, the shapes sharing one
+    factor record of the points x."""
+    factors = case.factors(x)
+    return sum(c(t) * s(factors) for c, s in terms)
 
 
 def source_f(case: ManufacturedCase, x, t):
     """Right-hand side closing the wave-function equation."""
-    x = np.asarray(x, dtype=float)
-    psi = case.psi(x, t)
-    grad_psi = case.grad_psi(x, t)
-    A = case.A(x, t)
-    kinetic = (-case.lap_psi(x, t)
-               + 1j * case.div_A(x, t) * psi
-               + 2j * np.einsum("...d,...d->...", A, grad_psi)
-               + np.einsum("...d,...d->...", A, A) * psi)
-    return (-1j * case.psi_t(x, t) + 0.5 * kinetic + case.v0 * psi
-            + case.phi(x, t) * psi)
+    return _source(case, case.f_terms, x, t)
 
 
 def source_g(case: ManufacturedCase, x, t):
-    """Right-hand side closing the vector-potential wave equation.
-
-    Uses curl curl - grad div = -(vector Laplacian).
-    """
-    x = np.asarray(x, dtype=float)
-    psi = case.psi(x, t)
-    abs2 = (psi * np.conj(psi)).real
-    return (case.A_tt(x, t) - case.lap_A(x, t)
-            + current_density(case, x, t) + abs2[..., None] * case.A(x, t))
+    """Right-hand side closing the vector-potential wave equation."""
+    return _source(case, case.g_terms, x, t)
 
 
 def source_l(case: ManufacturedCase, x, t):
     """Right-hand side closing the scalar-potential wave equation."""
-    x = np.asarray(x, dtype=float)
-    psi = case.psi(x, t)
-    return (case.phi_tt(x, t) - case.lap_phi(x, t) - (psi * np.conj(psi)).real)
-
-
-def sources(case: ManufacturedCase, x, t):
-    """All three analytic right-hand sides (f, g, l) at once."""
-    return source_f(case, x, t), source_g(case, x, t), source_l(case, x, t)
+    return _source(case, case.l_terms, x, t)
 
 
 # ---- finite-difference oracle -------------------------------------------
@@ -380,19 +334,25 @@ def fd_sources(case: ManufacturedCase, x, t, h: float = 1e-4):
 
 def source_gate(case: ManufacturedCase, n: int = 1000, seed: int = 20240501,
                 tol: float = 1e-6, t_max: float = 4.0) -> float:
-    """Compare analytic and finite-difference sources at seeded random (x, t).
+    """Compare the term sums ``source_f/g/l`` with the finite-difference
+    oracle at seeded random (x, t).
 
-    Returns the max absolute deviation; raises SourceGateError beyond tol.
+    Returns the max absolute deviation; raises SourceGateError beyond tol
+    or on a non-finite deviation.
     """
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.05, 0.95, size=(n, case.dim))
     t = rng.uniform(0.05, t_max - 0.05, size=n)
     worst = 0.0
-    for i in range(n):
-        fa, ga, la = sources(case, x[i], float(t[i]))
-        fb, gb, lb = fd_sources(case, x[i], float(t[i]))
-        dev = max(abs(fa - fb), np.max(np.abs(ga - gb)), abs(la - lb))
-        worst = max(worst, float(dev))
+    for xi, ti in zip(x, t.tolist()):
+        analytic = (source_f(case, xi, ti), source_g(case, xi, ti),
+                    source_l(case, xi, ti))
+        dev = float(np.max([np.max(np.abs(a - b)) for a, b in
+                            zip(analytic, fd_sources(case, xi, ti))]))
+        if not math.isfinite(dev):
+            raise SourceGateError(
+                f"non-finite source deviation at x={xi}, t={ti}")
+        worst = max(worst, dev)
     if worst > tol:
         raise SourceGateError(
             f"analytic sources deviate from FD oracle by {worst:.3e} > {tol:.1e}")
@@ -408,14 +368,9 @@ class ErrorEntry:
     parts: dict
 
 
-def scalar_error_norms(field_vec: FieldVector, value_fn, grad_fn,
-                       qdeg: int) -> ErrorEntry:
-    """L2 and H1 errors of a scalar field against exact closures."""
-    return _scalar_errors(field_vec, lambda x: (value_fn(x), grad_fn(x)), qdeg)
-
-
 def _scalar_errors(field_vec: FieldVector, exact, qdeg: int) -> ErrorEntry:
-    """The same against exact(x) -> (value, gradient), called once."""
+    """L2 and H1 errors of a scalar field against exact(x) -> (value,
+    gradient), called once."""
     space = field_vec.space
     tab = forms.quadrature_table(space.mesh, space.degree, qdeg)
     value, grad = exact(tab.x)
@@ -476,8 +431,8 @@ def error_norms(field_vec: FieldVector, case: ManufacturedCase, which: str,
 
 def observed_order(e_coarse: float, e_fine: float) -> float:
     """Per-halving convergence order log2(e_coarse / e_fine)."""
-    if e_coarse <= 0.0 or e_fine <= 0.0:
-        raise ValueError("observed order needs positive errors")
+    if not (0.0 < e_coarse < math.inf and 0.0 < e_fine < math.inf):
+        raise ValueError("observed order needs finite positive errors")
     return math.log2(e_coarse / e_fine)
 
 

@@ -87,8 +87,10 @@ class SchemeConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not math.isfinite(self.t_final):
-            raise ValueError(f"t_final must be finite, got {self.t_final}")
+        for name in ("t_final", "v0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
         if self.mode not in ("mms", "free"):

@@ -7,7 +7,7 @@ from msfem.space import FieldVector, build_scalar_space, build_vector_space, int
 
 
 def test_paper_case_point_values():
-    case = mms.paper_case()
+    case = mms.make_case(3)
     x = np.array([0.25, 0.25, 0.25])
     assert case.psi(x, 0.0) == pytest.approx(1.0, abs=1e-14)  # sin(pi/2)^3
     # the vector potential vanishes identically at t = 1/2
@@ -44,40 +44,30 @@ def test_source_gate(dim):
     assert worst <= 1e-6
 
 
-def test_source_gate_catches_broken_case():
-    case = mms.paper_case()
-    broken = mms.ManufacturedCase(**{**case.__dict__})
-    broken.lap_psi = lambda x, t: case.lap_psi(x, t) * 1.001
+def _with(case, **fields):
+    return mms.ManufacturedCase(**{**case.__dict__, **fields})
+
+
+@pytest.mark.parametrize("terms", ["f_terms", "g_terms", "l_terms"])
+def test_source_gate_catches_broken_term(terms):
+    # the stepper's own terms meet the oracle: a 0.1% error in one is caught
+    case = mms.make_case(3)
+    (c, s), *rest = getattr(case, terms)
+    broken = _with(case, **{terms: ((lambda t: 1.001 * c(t), s), *rest)})
     with pytest.raises(mms.SourceGateError):
         mms.source_gate(broken, n=50)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_source_decomposition_matches_sources(dim):
-    # every source is sum_j c_j(t) s_j(x) over the case's separable terms,
-    # the shapes reading the shared factors of x
-    case = mms.make_case(dim)
-    rng = np.random.default_rng(3)
-    x = rng.random((50, dim))
-    for t in rng.uniform(0.0, 4.0, size=8):
-        for terms, source in ((case.f_terms, mms.source_f),
-                              (case.g_terms, mms.source_g),
-                              (case.l_terms, mms.source_l)):
-            got = sum(c(t) * s(case.factors(x)) for c, s in terms)
-            want = source(case, x, t)
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_g_source_at_half_time_reduces_to_wave_terms():
-    # at t=1/2: A and its spatial derivatives vanish, the current of the
-    # separable psi is identically zero, so g = A_tt alone
-    case = mms.paper_case()
-    rng = np.random.default_rng(2)
-    x = rng.random((20, 3))
-    _, g, _ = mms.sources(case, x, 0.5)
-    assert np.allclose(g, case.A_tt(x, 0.5), atol=1e-12)
-    assert np.max(np.abs(mms.current_density(case, x, 0.5))) < 1e-12
+def test_source_gate_catches_broken_case():
+    # a NaN deviation must fail the gate, whether it comes from a term or
+    # from a value closure the oracle differentiates
+    case = mms.make_case(3)
+    (c, s), *rest = case.l_terms
+    nan_term = _with(case, l_terms=((c, lambda F: np.nan * s(F)), *rest))
+    nan_psi = _with(case, psi=lambda x, t: np.nan * case.psi(x, t))
+    for broken in (nan_term, nan_psi):
+        with pytest.raises(mms.SourceGateError, match="non-finite"):
+            mms.source_gate(broken, n=50)
 
 
 def test_error_norm_zero_for_interpolated_polynomial():
@@ -92,14 +82,14 @@ def test_error_norm_zero_for_interpolated_polynomial():
                          0.5 * x[..., 0]], axis=-1)
 
     f = interpolate(space, p)
-    e = mms.scalar_error_norms(f, p, gp, qdeg=6)
+    e = mms._scalar_errors(f, lambda x: (p(x), gp(x)), qdeg=6)
     assert e.l2 <= 1e-12
     assert e.h1 <= 1e-12
 
 
 def test_error_norm_of_zero_field_is_exact_norm():
     # || psi0 ||_L2 = (1/2)^{3/2} by separability of sin^2
-    case = mms.paper_case()
+    case = mms.make_case(3)
     mesh = build_structured(3, 4)
     space = build_scalar_space(mesh, 1, complex_field=True)
     zero = FieldVector(space, np.zeros(space.n_dofs, dtype=complex))
@@ -108,7 +98,7 @@ def test_error_norm_of_zero_field_is_exact_norm():
 
 
 def test_error_quadrature_stability():
-    case = mms.paper_case()
+    case = mms.make_case(3)
     mesh = build_structured(3, 8)
     space = build_scalar_space(mesh, 1, complex_field=True)
     f = interpolate(space, lambda x: case.psi(x, 0.0))
@@ -119,7 +109,7 @@ def test_error_quadrature_stability():
 
 
 def test_vector_error_norm_interpolant_converges():
-    case = mms.paper_case()
+    case = mms.make_case(3)
     errs = []
     for M in (2, 4):
         mesh = build_structured(3, M)
@@ -131,8 +121,10 @@ def test_vector_error_norm_interpolant_converges():
 
 def test_observed_order_basics():
     assert mms.observed_order(0.4, 0.1) == pytest.approx(2.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        mms.observed_order(0.0, 0.1)
+    for bad in ((0.0, 0.1), (0.4, -0.1), (float("nan"), 0.1),
+                (0.4, float("nan")), (float("inf"), 0.1)):
+        with pytest.raises(ValueError):
+            mms.observed_order(*bad)
 
 
 def test_observed_order_reference_tables():
@@ -145,7 +137,7 @@ def test_observed_order_reference_tables():
 
 def test_interpolation_orders_match_element_degree():
     # L2 ~ h^{r+1}, H1 ~ h^r for the smooth exact fields
-    case = mms.paper_case()
+    case = mms.make_case(3)
     for r, dim in ((1, 3), (2, 3)):
         h1_errs, l2_errs = [], []
         for M in (4, 8, 16):
@@ -162,7 +154,7 @@ def test_interpolation_orders_match_element_degree():
 
 
 def test_gauge_residuals_reported_nonzero():
-    case = mms.paper_case()
+    case = mms.make_case(3)
     g1, g2 = mms.gauge_residuals(case, M=4)
     # the verification data intentionally violates the gauge constraints
     assert g1 > 0.1

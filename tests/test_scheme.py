@@ -289,6 +289,16 @@ def test_config_rejects_non_finite_t_final_and_no_steps(t_final, n_steps, match)
                             n_steps=n_steps)
 
 
+@pytest.mark.parametrize("v0", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_v0(v0):
+    # a non-finite v0 would otherwise reach the psi LU as a singular matrix
+    with pytest.raises(ValueError, match="v0 must be finite"):
+        scheme.SchemeConfig(dim=2, M=4, degree=1, t_final=1.0, dt=0.25,
+                            n_steps=4, v0=v0)
+    # any finite real stays allowed
+    scheme.SchemeConfig(dim=2, M=4, degree=1, t_final=1.0, dt=0.25, n_steps=4, v0=-3.0)
+
+
 def test_psi_and_phi_spaces_must_share_a_pattern():
     # the stepper assembles one scalar mass and stiffness for psi and phi
     spaces = scheme.build_spaces(small_config(mode="free"))
