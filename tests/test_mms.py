@@ -44,6 +44,25 @@ def test_source_gate(dim):
     assert worst <= 1e-6
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_source_gate_matches_a_per_point_loop(dim):
+    # the gate evaluates its seeded draws in one call; evaluating them one
+    # point and one scalar t at a time gives the same worst deviation
+    case = mms.make_case(dim)
+    n, seed, t_max = 100, 7, 4.0
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.05, 0.95, size=(n, dim))
+    t = rng.uniform(0.05, t_max - 0.05, size=n)
+    worst = 0.0
+    for xi, ti in zip(x, t.tolist()):
+        analytic = (mms.source_f(case, xi, ti), mms.source_g(case, xi, ti),
+                    mms.source_l(case, xi, ti))
+        worst = max([worst] + [float(np.max(np.abs(a - b))) for a, b in
+                               zip(analytic, mms.fd_sources(case, xi, ti))])
+    gate = mms.source_gate(case, n=n, seed=seed, tol=1e-6, t_max=t_max)
+    assert abs(gate - worst) <= 1e-12
+
+
 def _with(case, **fields):
     return mms.ManufacturedCase(**{**case.__dict__, **fields})
 

@@ -460,6 +460,68 @@ def _record_psi_reports(monkeypatch):
     return reports
 
 
+# psi free dofs: 49, 121, 125 and 125, all above the nested-dissection leaf
+ORDERING_MESHES = [(2, 8, 1), (2, 6, 2), (3, 6, 1), (3, 3, 2)]
+
+
+def _free_lattice(space):
+    """Lattice coordinates of the free nodes, in dof order."""
+    return space.nodes_int[~space.constrained[:, 0]]
+
+
+@pytest.mark.parametrize("dim,M,r", ORDERING_MESHES)
+def test_nested_dissection_orders_every_psi_dof(dim, M, r):
+    space = scheme.build_spaces(small_config(dim=dim, M=M, r=r, mode="free")).psi
+    lattice = _free_lattice(space)
+    perm = sparsela.nested_dissection(lattice, r)
+    assert lattice.shape[0] > sparsela.ND_LEAF
+    np.testing.assert_array_equal(np.sort(perm), np.arange(space.n_dofs))
+    # the top split: its lower half first, its separator last
+    below, above, on = sparsela._bisect(lattice, r)
+    np.testing.assert_array_equal(perm[-on.size:], on)
+    assert set(perm[:below.size]) == set(below)
+
+
+@pytest.mark.parametrize("dim,M,r", ORDERING_MESHES)
+def test_nested_dissection_splits_are_separators(dim, M, r):
+    """Every plane the bisection cuts on, down to the smallest blocks, is a
+    cell-face plane: no entry of the psi pattern couples its two halves."""
+    space = scheme.build_spaces(small_config(dim=dim, M=M, r=r, mode="free")).psi
+    lattice = _free_lattice(space)
+    pattern = space.pattern().matrix(np.ones(space.pattern().nnz)).tocsr()
+    blocks, splits = [np.arange(space.n_dofs)], 0
+    while blocks:
+        idx = blocks.pop()
+        parts = sparsela._bisect(lattice[idx], r)
+        if parts is None:
+            assert idx.size <= 2 ** dim
+            continue
+        below, above, on = (idx[p] for p in parts)
+        assert below.size and above.size
+        np.testing.assert_array_equal(np.sort(np.concatenate([below, above, on])),
+                                      np.sort(idx))
+        assert pattern[below][:, above].nnz == 0
+        blocks += [below, above]
+        splits += 1
+    assert splits > 1
+
+
+@pytest.mark.parametrize("dim,M,r", ORDERING_MESHES)
+def test_psi_preconditioner_is_the_exact_s0_solve(dim, M, r):
+    # the reordered factor solves S0 as an unordered LU does
+    from scipy.sparse.linalg import splu
+
+    dt = 1.0 / 64
+    st = scheme.AlternatingStepper(small_config(dim=dim, M=M, r=r, dt=dt, mode="free"))
+    S0 = st.spaces.psi.pattern().matrix(
+        (-1j / dt + 0.5 * st.config.v0) * st.mass.data + 0.25 * st.stiffness.data)
+    rng = np.random.default_rng(dim * 10 + r)
+    rhs = rng.standard_normal(S0.shape[0]) + 1j * rng.standard_normal(S0.shape[0])
+    expected = splu(S0.tocsc()).solve(rhs)
+    got = st._psi_precond(rhs)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 @pytest.mark.parametrize("dim,M,r", [(2, 32, 1), (3, 4, 2)])
 def test_psi_solve_is_lu_defect_correction(dim, M, r, monkeypatch):
     """Every psi solve runs defect correction against the LU of the

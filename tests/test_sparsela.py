@@ -150,3 +150,14 @@ def test_stalled_defect_correction_falls_back_to_lu_at_the_cap():
     assert rep.method == "direct-lu"
     assert rep.residual <= sla.DIRECT_RESIDUAL_FLOOR
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= sla.DIRECT_RESIDUAL_FLOOR
+
+
+def test_bisection_needs_a_plane_strictly_inside():
+    # no multiple of the step lies strictly inside the extent: no split
+    assert sla._bisect(np.array([[1, 1], [2, 1], [2, 2]]), 2) is None
+    below, above, on = sla._bisect(np.array([[1, 0], [2, 0], [4, 0], [5, 0], [6, 0]]), 2)
+    # the multiple of 2 nearest the middle of [1, 6]
+    assert (below.tolist(), above.tolist(), on.tolist()) == ([0, 1], [3, 4], [2])
+    # a block that cannot be split stays whole, whatever its size
+    column = np.stack([np.ones(100, dtype=int), np.arange(100) % 2], axis=1)
+    assert sla.nested_dissection(column, 2).tolist() == list(range(100))
