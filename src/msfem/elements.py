@@ -1,17 +1,24 @@
 """Reference simplex Lagrange elements (degrees 1 and 2) and quadrature.
 
-Quadrature rules are built by collapsing tensor Gauss/Gauss-Jacobi rules onto
-the simplex, which makes them exact to the requested degree by construction
-instead of relying on hard-coded point tables.
+P2 places one node per vertex and one per edge, the edges (a, b), a < b, in
+lexicographic order.  Quadrature rules collapse a tensor rule on the unit
+cube onto the simplex, one construction in every dimension (Stroud,
+Approximate Calculation of Multiple Integrals, 1971): coordinate k takes the
+n-point Gauss-Jacobi rule with weight (1 - c_k)^k on [0, 1], and the point is
+x_k = c_k (1 - c_{k+1}) ... (1 - c_{d-1}).  The collapse has Jacobian
+determinant prod_k (1 - c_k)^k, which those weights carry, so with
+n = ceil((q + 1) / 2) points per coordinate the rule is exact to total
+degree q by construction, with no hard-coded point tables.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_jacobi
 
 __all__ = [
     "ReferenceElement",
@@ -23,8 +30,6 @@ __all__ = [
 ]
 
 MAX_QUADRATURE_DEGREE = 30
-
-_EDGES = {2: [(0, 1), (0, 2), (1, 2)], 3: [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]}
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,7 @@ class ReferenceElement:
             for i in range(nv):
                 vals[:, i] = lam[:, i] * (2.0 * lam[:, i] - 1.0)
                 grads[:, i, :] = (4.0 * lam[:, i] - 1.0)[:, None] * dlam[i]
-            for e, (a, b) in enumerate(_EDGES[self.dim]):
+            for e, (a, b) in enumerate(itertools.combinations(range(nv), 2)):
                 j = nv + e
                 vals[:, j] = 4.0 * lam[:, a] * lam[:, b]
                 grads[:, j, :] = 4.0 * (
@@ -89,7 +94,7 @@ def reference_element(dim: int, degree: int) -> ReferenceElement:
         weights = np.eye(nv, dtype=int)
     else:
         rows = [2 * np.eye(nv, dtype=int)[i] for i in range(nv)]
-        for a, b in _EDGES[dim]:
+        for a, b in itertools.combinations(range(nv), 2):
             w = np.zeros(nv, dtype=int)
             w[a] = w[b] = 1
             rows.append(w)
@@ -113,19 +118,14 @@ class QuadratureRule:
     weights: np.ndarray      # (npts,), sum = 1/d!
 
 
-def _gauss01(n: int):
-    x, w = roots_legendre(n)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
 def _jacobi01(n: int, alpha: int):
-    # weight (1-x)^alpha on [0,1]
+    """n-point Gauss-Jacobi rule for the weight (1-x)^alpha on [0,1]."""
     x, w = roots_jacobi(n, alpha, 0.0)
     return (x + 1.0) / 2.0, w / 2.0 ** (alpha + 1)
 
 
 def quadrature_rule(dim: int, degree: int) -> QuadratureRule:
-    """Collapsed Gauss-Jacobi rule on the reference triangle/tetrahedron."""
+    """Collapsed Gauss-Jacobi rule on the reference simplex."""
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     if not 0 <= degree <= MAX_QUADRATURE_DEGREE:
@@ -133,24 +133,19 @@ def quadrature_rule(dim: int, degree: int) -> QuadratureRule:
             f"quadrature degree {degree} unsupported (max {MAX_QUADRATURE_DEGREE})"
         )
     n = max(1, math.ceil((degree + 1) / 2))
-    if dim == 2:
-        u, wu = _gauss01(n)
-        v, wv = _jacobi01(n, 1)
-        U, V = np.meshgrid(u, v, indexing="ij")
-        W = np.outer(wu, wv)
-        x = U * (1.0 - V)
-        pts = np.column_stack([x.ravel(), V.ravel()])
-    else:
-        u, wu = _gauss01(n)
-        v, wv = _jacobi01(n, 1)
-        w, ww = _jacobi01(n, 2)
-        U, V, Wc = np.meshgrid(u, v, w, indexing="ij")
-        Wt = wu[:, None, None] * wv[None, :, None] * ww[None, None, :]
-        x = U * (1.0 - V) * (1.0 - Wc)
-        y = V * (1.0 - Wc)
-        pts = np.column_stack([x.ravel(), y.ravel(), Wc.ravel()])
-        W = Wt
-    return QuadratureRule(dim=dim, degree=degree, points_ref=pts, weights=W.ravel())
+    rules = [_jacobi01(n, k) for k in range(dim)]
+    cube = np.meshgrid(*(c for c, _ in rules), indexing="ij")
+    weights = rules[0][1]
+    for _, w in rules[1:]:
+        weights = np.multiply.outer(weights, w)
+    coords = []
+    for k in range(dim):
+        x = cube[k]
+        for c in cube[k + 1:]:
+            x = x * (1.0 - c)
+        coords.append(x.ravel())
+    return QuadratureRule(dim=dim, degree=degree, points_ref=np.column_stack(coords),
+                          weights=weights.ravel())
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,18 @@
 """Structured simplicial meshes of the unit square/cube.
 
-The generator subdivides (0,1)^d into a uniform grid of M^d squares/cubes and
-splits each into 2 triangles (d=2) or 6 tetrahedra (d=3, Kuhn split).  All
-vertices sit exactly on the lattice i/M, so boundary detection is an integer
-comparison and never drifts.
+The generator subdivides (0,1)^d into a uniform grid of M^d cubes and splits
+each into d! simplices, one per order of the axes (the Kuhn/Freudenthal
+split; Freudenthal, Ann. of Math. 43 (1942) 580-582): the simplex of the
+permutation p walks from the cube's low corner one unit step along each axis
+p[0], p[1], ..., so 2 triangles for d = 2 and 6 tetrahedra for d = 3 come
+out of one construction.  All vertices sit exactly on the lattice i/M, so
+boundary detection is an integer comparison and never drifts.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,10 +20,15 @@ import numpy as np
 __all__ = [
     "Mesh",
     "build_structured",
+    "lattice_points",
 ]
 
-# Permutations defining the Kuhn (Freudenthal) split of a cube into 6 tets.
-_KUHN_PERMS = list(itertools.permutations(range(3)))
+
+def lattice_points(n: int, dim: int) -> np.ndarray:
+    """The (n^dim, dim) points of {0, ..., n-1}^dim in lexicographic order,
+    so a point's row is its key in base n."""
+    axes = np.meshgrid(*[np.arange(n)] * dim, indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, dim)
 
 
 @dataclass
@@ -68,64 +77,60 @@ class Mesh:
 
     def cell_volumes(self) -> np.ndarray:
         _, _, det = self.jacobians()
-        fact = 2.0 if self.dim == 2 else 6.0
-        return det / fact
+        return det / math.factorial(self.dim)
+
+    def containing_cells(self, points: np.ndarray) -> np.ndarray:
+        """Index of a cell containing each of the (n, d) points of [0,1]^d.
+
+        The point's cube, and in it the Kuhn walk along the axes in
+        descending order of the point's fractional coordinates, ties in axis
+        order.  Read as base-d numbers the permutations increase in the
+        order that ``build_structured`` lists a cube's simplices, so a sorted
+        search ranks the walk.
+        """
+        M, d = self.subdivisions, self.dim
+        scaled = points * M
+        base = np.clip(np.floor(scaled).astype(int), 0, M - 1)
+        order = np.argsort(-(scaled - base), axis=1, kind="stable")
+        digits = d ** np.arange(d - 1, -1, -1)
+        codes = np.array(list(itertools.permutations(range(d)))) @ digits
+        cube = base @ M ** np.arange(d - 1, -1, -1)
+        return cube * math.factorial(d) + np.searchsorted(codes, order @ digits)
 
 
 def build_structured(dim: int, M: int) -> Mesh:
     """Mesh (0,1)^d with M subdivisions per direction.
 
-    Produces 2*M^2 triangles or 6*M^3 tetrahedra, all positively oriented.
+    Produces d! M^d simplices, all positively oriented: cube by cube in
+    lexicographic order, and within a cube by permutation.
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     if M < 1:
         raise ValueError(f"M must be a positive integer, got {M}")
 
-    axes = [np.arange(M + 1)] * dim
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vertices_int = grid.reshape(-1, dim)
-    vertices = vertices_int / float(M)
+    vertices_int = lattice_points(M + 1, dim)
+    base = lattice_points(M, dim)  # the low corner of each cube
+    strides = (M + 1) ** np.arange(dim - 1, -1, -1)
 
-    strides = np.array([(M + 1) ** (dim - 1 - a) for a in range(dim)])
-
-    def vid(corner_int):
-        return corner_int @ strides
-
-    base = np.stack(
-        np.meshgrid(*([np.arange(M)] * dim), indexing="ij"), axis=-1
-    ).reshape(-1, dim)
-
-    cells = []
-    if dim == 2:
-        v00 = vid(base)
-        v10 = vid(base + [1, 0])
-        v01 = vid(base + [0, 1])
-        v11 = vid(base + [1, 1])
-        cells.append(np.stack([v00, v10, v11], axis=1))
-        cells.append(np.stack([v00, v11, v01], axis=1))
-        cells = np.concatenate(cells).reshape(2, -1, 3)
-        # interleave so both triangles of a square are adjacent in cell order
-        cells = np.stack([cells[0], cells[1]], axis=1).reshape(-1, 3)
-    else:
-        per_perm = []
-        for perm in _KUHN_PERMS:
-            steps = np.zeros((4, dim), dtype=int)
-            for i, a in enumerate(perm):
-                steps[i + 1] = steps[i]
-                steps[i + 1, a] += 1
-            tet = np.stack([vid(base + steps[i]) for i in range(4)], axis=1)
-            sgn = _perm_sign(perm)
-            if sgn < 0:
-                tet = tet[:, [0, 1, 3, 2]]
-            per_perm.append(tet)
-        cells = np.stack(per_perm, axis=1).reshape(-1, 4)
+    # one simplex per axis order, in the order of itertools.permutations: its
+    # corners are the low corner and one unit step per axis in that order; an
+    # odd order swaps its last two corners to keep det J > 0
+    per_perm = []
+    for perm in itertools.permutations(range(dim)):
+        steps = np.eye(dim, dtype=int)[list(perm)]
+        corners = np.cumsum(np.vstack([np.zeros(dim, dtype=int), steps]), axis=0)
+        if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2:
+            corners[[-2, -1]] = corners[[-1, -2]]
+        per_perm.append((base[:, None] + corners) @ strides)
+    # the d! simplices of a cube are adjacent in cell order
+    cells = np.stack(per_perm, axis=1).reshape(-1, dim + 1)
 
     mesh = Mesh(
         dim=dim,
         subdivisions=M,
         vertices_int=vertices_int,
-        vertices=vertices,
+        vertices=vertices_int / float(M),
         cells=np.ascontiguousarray(cells),
         h=float(np.sqrt(dim)) / M,
     )
@@ -133,13 +138,3 @@ def build_structured(dim: int, M: int) -> Mesh:
     if np.any(vols <= 0):
         raise AssertionError("structured mesh produced a non-positive cell volume")
     return mesh
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    p = list(perm)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign

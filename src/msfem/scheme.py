@@ -69,7 +69,12 @@ __all__ = [
 
 
 class SchemeError(RuntimeError):
-    """A step of the scheme failed; carries the step index in the message."""
+    """The stepper's setup or a step of the scheme failed.
+
+    A step failure carries the step index in its message, a setup failure
+    names the operator it factors and its dof count; both chain the
+    solver's error.
+    """
 
 
 @dataclass
@@ -233,8 +238,12 @@ class AlternatingStepper:
         # the free nodes' lattice coordinates, in dof order
         perm = sparsela.nested_dissection(space.nodes_int[~space.constrained[:, 0]],
                                           space.degree)
-        lu = spla.splu(S0[perm][:, perm].tocsc(), permc_spec="NATURAL",
-                       options={"SymmetricMode": True})
+        try:
+            lu = spla.splu(S0[perm][:, perm].tocsc(), permc_spec="NATURAL",
+                           options={"SymmetricMode": True})
+        except sparsela.LU_ERRORS as err:
+            raise SchemeError(f"setup factor of the wave-function operator S0 "
+                              f"({perm.size} dofs) failed: {err}") from err
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(perm.size)
         return lambda r: lu.solve(r[perm])[inverse]

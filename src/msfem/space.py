@@ -6,7 +6,10 @@ tangential components node by node (n x A = 0), taking the union of the face
 rules on edges and corners, which makes their div-div + curl-curl form the
 componentwise stiffness (``forms.assemble_D``).  Constrained dofs are
 eliminated: coefficient vectors hold free dofs only and constrained entries
-evaluate as zero.  The lattice node numbering of each (mesh, degree), its
+evaluate as zero.  The nodes of degree r are the whole lattice of
+resolution rM (each point is a vertex or an edge midpoint of the Kuhn
+split), so a node's number is its lattice key, the lexicographic rank of its
+integer coordinates.  The node numbering of each (mesh, degree), its
 summation matrices and the CSR pattern of each dof numbering are built once
 and cached on the mesh, so spaces that share a numbering share its pattern,
 and the scalar and vector patterns of one degree share the summation.
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import reference_element
-from .mesh import Mesh
+from .mesh import Mesh, lattice_points
 from .sparsela import CellSums, Pattern
 
 __all__ = [
@@ -122,19 +125,23 @@ class FieldVector:
 
 def _global_nodes(mesh: Mesh, degree: int):
     """Lattice nodes of degree ``degree`` and their per-cell numbering, cached
-    on the mesh."""
+    on the mesh.
+
+    For degree r <= 2 every point of the resolution-rM lattice is a node:
+    for r = 2 the point 2v + e, e in {0, 1}^d, is the midpoint of vertices
+    v and v + e, two corners of one cube ordered componentwise, and some
+    Kuhn walk through that cube passes both, so they span a cell edge.  The
+    nodes are therefore the whole lattice in lexicographic order, and a
+    node's number is its lattice key.
+    """
     key = ("nodes", degree)
     if key not in mesh._geom:
         elem = reference_element(mesh.dim, degree)
         vints = mesh.vertices_int[mesh.cells]              # (nc, d+1, d)
         node_ints = np.einsum("lk,ckd->cld", elem.vertex_weights, vints)
-        # one integer key per lattice point, in the lexicographic order of
-        # its coordinates: a 1D unique numbers the nodes as a row unique would
         shape = (degree * mesh.subdivisions + 1,) * mesh.dim
         keys = np.ravel_multi_index(tuple(np.moveaxis(node_ints, -1, 0)), shape)
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        nodes = np.stack(np.unravel_index(uniq, shape), axis=-1)
-        mesh._geom[key] = nodes, inverse.reshape(mesh.n_cells, elem.node_count)
+        mesh._geom[key] = lattice_points(shape[0], mesh.dim), keys
     return mesh._geom[key]
 
 
@@ -254,30 +261,9 @@ def evaluate(field_vec: FieldVector, cell: int, point_ref, *, gradient: bool = F
 
 
 def locate_points(mesh: Mesh, points: np.ndarray):
-    """Find (cell index, reference coords) for physical points.
-
-    Relies on the structured cell ordering: the simplex within each grid cube
-    is selected by the descending order of the fractional coordinates.
-    """
-    from .mesh import _KUHN_PERMS
-
+    """Find (cell index, reference coords) for physical points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    M = mesh.subdivisions
-    d = mesh.dim
-    scaled = pts * M
-    base = np.clip(np.floor(scaled).astype(int), 0, M - 1)
-    frac = scaled - base
-    nper = 2 if d == 2 else 6
-    strides = np.array([M ** (d - 1 - a) for a in range(d)])
-    cube = base @ strides
-    cells = np.empty(pts.shape[0], dtype=int)
-    if d == 2:
-        cells[:] = cube * nper + (frac[:, 0] < frac[:, 1])
-    else:
-        perm_index = {p: i for i, p in enumerate(_KUHN_PERMS)}
-        order = np.argsort(-frac, axis=1, kind="stable")
-        for i in range(pts.shape[0]):
-            cells[i] = cube[i] * nper + perm_index[tuple(order[i])]
+    cells = mesh.containing_cells(pts)
     _, JinvT, _ = mesh.jacobians()
     v0 = mesh.vertices[mesh.cells[cells, 0]]
     ref = np.einsum("nij,nj->ni", np.moveaxis(JinvT[cells], 1, 2), pts - v0)

@@ -22,8 +22,8 @@ iteration x <- x + P(b - A x) with an approximate inverse P, which stops on
 the true residual and hands the solve to sparse LU after
 ``DEFECT_CORRECTION_MAX_APPLIES`` (30) applies of P or on a non-finite
 residual.  Every solve re-checks its own residual, and every failure (no
-convergence, a non-finite input, a singular factor) raises ``SolveError``
-with a ``SolveReport``.
+convergence, a non-finite input, a singular factor, a factor out of memory)
+raises ``SolveError`` with a ``SolveReport``.
 """
 
 from __future__ import annotations
@@ -62,6 +62,10 @@ DEFECT_CORRECTION_MAX_APPLIES = 30
 # on 3D P2 M=8, 9.0 / 10.5 / 15.1 on 2D P1 M=128 and 25.6 / 27.5 / 52.4 on
 # 3D P1 M=24; leaf 8 gains at most 3% fill and costs ordering time.
 ND_LEAF = 16
+# What a failed SuperLU factor raises: RuntimeError "Factor is exactly
+# singular", ...; out of memory as MemoryError, or as SystemError "gstrf was
+# called with invalid arguments" when SuperLU reports it as a bad argument.
+LU_ERRORS = (RuntimeError, SystemError, MemoryError)
 
 
 class CellSums:
@@ -270,11 +274,11 @@ def _jacobi_cg(A: sp.csr_array, b: np.ndarray, tol: float, maxiter: int):
 
 
 def _direct(A: sp.csr_array, b: np.ndarray, tol: float, t0: float, what: str):
-    """Sparse-LU solve; a singular factor or a residual above the direct
+    """Sparse-LU solve; a failed factor or a residual above the direct
     bound raises SolveError."""
     try:
         x = spla.splu(A.tocsc()).solve(b)
-    except RuntimeError as err:  # SuperLU: "Factor is exactly singular", ...
+    except LU_ERRORS as err:
         report = SolveReport(0, float("inf"), time.perf_counter() - t0, "direct-lu")
         raise SolveError(f"{what} failed: {err}", report) from err
     res = _relative_residual(A, x, b)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,24 @@ def test_h_is_longest_cell_edge(dim):
         longest = max(np.linalg.norm(coords[:, i] - coords[:, j], axis=1).max()
                       for i in range(dim + 1) for j in range(i + 1, dim + 1))
         assert m.h == pytest.approx(longest, rel=1e-14)
+
+
+@pytest.mark.parametrize("dim,M", [(2, 1), (2, 3), (3, 1), (3, 2)])
+def test_cells_are_kuhn_walks_in_permutation_order(dim, M):
+    # cube by cube in lexicographic order, and within a cube one walk per
+    # axis order, in the order of itertools.permutations: from the cube's
+    # low corner one unit step along each axis of the permutation, the last
+    # two vertices swapped when the permutation is odd
+    m = mmesh.build_structured(dim, M)
+    perms = list(itertools.permutations(range(dim)))
+    assert m.n_cells == len(perms) * M ** dim
+    for c, walk in enumerate(m.vertices_int[m.cells]):
+        cube, k = divmod(c, len(perms))
+        perm = list(perms[k])
+        if np.linalg.det(np.eye(dim)[perm]) < 0:
+            walk = walk[[*range(dim - 1), dim, dim - 1]]
+        assert np.array_equal(walk[0], np.unravel_index(cube, (M,) * dim))
+        assert np.array_equal(np.diff(walk, axis=0), np.eye(dim, dtype=int)[perm])
 
 
 def test_vertices_exact_lattice_multiples():

@@ -612,3 +612,14 @@ def test_solver_failure_carries_step_index():
     st.phi_system = float("nan") * st.phi_system
     with pytest.raises(scheme.SchemeError, match="step 1"):
         st.step_wave_phi(state)
+
+
+def test_psi_factor_failure_raises_scheme_error_at_setup(monkeypatch):
+    def gstrf_out_of_memory(*args, **kwargs):
+        raise SystemError("gstrf was called with invalid arguments")
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", gstrf_out_of_memory)
+    cfg = small_config(dim=2, M=4, dt=0.1, n=1, mode="free")
+    with pytest.raises(scheme.SchemeError, match=r"S0 \(9 dofs\)") as exc:
+        scheme.AlternatingStepper(cfg)
+    assert isinstance(exc.value.__cause__, SystemError)

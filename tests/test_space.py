@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -21,7 +22,8 @@ def test_scalar_free_count_formula(dim, M, r):
     assert space.n_dofs == (r * M - 1) ** dim
 
 
-@pytest.mark.parametrize("dim,M,r", [(2, 3, 1), (2, 3, 2), (3, 2, 1), (3, 2, 2)])
+@pytest.mark.parametrize("dim,M,r", [(2, 1, 2), (2, 3, 1), (2, 3, 2), (3, 2, 1),
+                                     (3, 2, 2), (3, 3, 2)])
 def test_nodes_are_numbered_in_lexicographic_lattice_order(dim, M, r):
     """The node numbering equals a row-wise unique of the per-cell lattice
     coordinates: nodes sorted lexicographically, cells pointing into them."""
@@ -32,6 +34,37 @@ def test_nodes_are_numbered_in_lexicographic_lattice_order(dim, M, r):
     space = sp.build_scalar_space(mesh, r)
     assert np.array_equal(space.nodes_int, uniq)
     assert np.array_equal(space.cell_nodes, inverse.reshape(mesh.n_cells, -1))
+
+
+@pytest.mark.parametrize("dim,M", [(2, 1), (2, 3), (3, 1), (3, 3)])
+def test_locate_points_finds_a_cell_containing_each_point(dim, M):
+    rng = np.random.default_rng(dim * 10 + M)
+    inside = rng.uniform(0.0, 1.0, size=(300, dim))
+    # lattice points of resolution 4M: cube faces, corners, the boundary and
+    # points whose fractional coordinates tie
+    lattice = rng.integers(0, 4 * M + 1, size=(300, dim)) / (4 * M)
+    # ties of generic fractional coordinates inside one cube
+    cube = rng.integers(0, M, size=(300, 1))
+    ties = (cube + rng.uniform(0.0, 1.0, size=(300, 1))) / M * np.ones(dim)
+    ties[::2, -1] = rng.uniform(0.0, 1.0, size=150)
+    pts = np.vstack([inside, lattice, ties])
+    mesh = build_structured(dim, M)
+    cells, refs = sp.locate_points(mesh, pts)
+    # barycentric coordinates from the cell's vertices, not from the
+    # mesh's inverse Jacobians that locate_points reads
+    verts = mesh.vertices[mesh.cells[cells]]                   # (n, d+1, d)
+    system = np.concatenate([np.moveaxis(verts, 1, 2), np.ones((len(pts), 1, dim + 1))],
+                            axis=1)
+    rhs = np.concatenate([pts, np.ones((len(pts), 1))], axis=1)
+    lam = np.linalg.solve(system, rhs[..., None])[..., 0]
+    assert lam.min() >= -1e-12 and lam.max() <= 1 + 1e-12
+    assert np.allclose(refs, lam[:, 1:], rtol=0.0, atol=1e-12)
+    # the same cells as a per-point lookup of the descending-order permutation
+    perms = list(itertools.permutations(range(dim)))
+    for p, cell in zip(pts, cells):
+        base = np.minimum(np.floor(p * M).astype(int), M - 1)
+        order = tuple(np.argsort(-(p * M - base), kind="stable"))
+        assert cell == np.ravel_multi_index(base, (M,) * dim) * len(perms) + perms.index(order)
 
 
 def test_vector_constraint_masks_3d():

@@ -104,6 +104,21 @@ def test_solve_spd_singular_matrix_raises_solve_error():
     assert exc.value.report.method == "direct-lu"
 
 
+@pytest.mark.parametrize("solve,dtype,kwargs", [(sla.solve_spd, float, {"method": "direct"}),
+                                                 (sla.solve_complex, complex, {})])
+def test_lu_out_of_memory_raises_solve_error(solve, dtype, kwargs, monkeypatch):
+    def gstrf_out_of_memory(*args, **kw):
+        # what SuperLU raises when its factor runs out of memory
+        raise SystemError("gstrf was called with invalid arguments")
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", gstrf_out_of_memory)
+    A = _fem_spd().astype(dtype)
+    with pytest.raises(sla.SolveError, match="gstrf") as exc:
+        solve(A, np.ones(A.shape[0], dtype=dtype), **kwargs)
+    assert exc.value.report.method == "direct-lu"
+    assert isinstance(exc.value.__cause__, SystemError)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_rhs_rejected(bad):
     A = _fem_spd()
