@@ -44,29 +44,37 @@ equals the componentwise stiffness (see ``assemble_D``).
 
 A weight or load coefficient is one of: None (the constant one, weights
 only), a scalar ``FieldVector`` of the space's degree (its real part;
-weights only), ``FieldProducts`` of a scalar field of the space's degree (|u|^2), a
-callable of the points x, or an array of point values at the form's
-quadrature nodes, (cells, q) or (cells, q, d) on vector spaces.  Only the
-last two are evaluated at the points: the manufactured sources take that
-path, and a ``QuadratureField``, the one evaluator of a discrete field at
-the nodes, serves the error norms.
+weights only), ``FieldProducts`` of a scalar field of the space's degree
+(|u|^2), a ``Separable`` sum of products of one-coordinate functions (loads
+only; a tuple of one per component on vector spaces), a callable of the
+points x, or an array of point values at the form's quadrature nodes,
+(cells, q) or (cells, q, d) on vector spaces.  Only the last two are
+evaluated at the points: the tests take that path as the reference, and a
+``QuadratureField``, the one evaluator of a discrete field at the nodes,
+serves the error norms.  The manufactured sources are ``Separable``: their
+loads factor over the Kuhn lattice into per-axis tables and one GEMM per
+simplex template (sum factorisation; see ``assemble_coefficient_load``),
+so no (cells, q) array is built for them.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .elements import quadrature_rule, reference_element
-from .mesh import Mesh
+from .mesh import Mesh, kuhn_corners
 from .space import FeSpace, FieldVector
 
 __all__ = [
     "QuadratureTable",
     "QuadratureField",
     "FieldProducts",
+    "Separable",
     "assemble_mass",
     "assemble_stiffness",
     "assemble_D",
@@ -140,8 +148,8 @@ class QuadratureTable:
     @cached_property
     def x(self) -> np.ndarray:
         """Physical quadrature points (c, q, d), built on first use: the
-        manufactured sources, the error norms, the gauge residuals and
-        callable coefficients read them, a run without sources never does."""
+        error norms, the gauge residuals and callable coefficients read
+        them; a run builds them only for its error norms."""
         J = self._mesh.jacobians()[0]
         v0 = self._mesh.vertices[self._mesh.cells[:, 0]]
         return v0[:, None, :] + np.einsum("cij,qj->cqi", J, self._rule.points_ref,
@@ -237,6 +245,26 @@ class FieldProducts:
         self.space = space
         self.re = np.ascontiguousarray(p.real).T
         self.im = np.ascontiguousarray(p.imag).T
+
+
+@dataclass(frozen=True)
+class Separable:
+    """A coefficient that is a sum of products of functions of one
+    coordinate each: sum_j scale_j prod_k f_jk(x_k).
+
+    ``terms`` holds the pairs ``(scale_j, (f_j0, ..., f_j(d-1)))``, each f a
+    vectorised callable of one coordinate array.  A vector coefficient is a
+    tuple of one ``Separable`` per component.  Calling it evaluates the sum
+    at points (..., d); its load on the Kuhn lattice never does (see
+    ``assemble_coefficient_load``).
+    """
+
+    terms: tuple
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return sum(scale * math.prod(f(x[..., k]) for k, f in enumerate(fs))
+                   for scale, fs in self.terms)
 
 
 def _on_pattern(space: FeSpace, loc: np.ndarray):
@@ -396,10 +424,11 @@ def assemble_coefficient_load(space: FeSpace, coeff,
     """Load vector of a coefficient against the space's test basis, real
     where the coefficient is real.
 
-    Scalar spaces take a callable of x, (c, q) point values, or
-    ``FieldProducts`` for the load of |u|^2; vector spaces take callables of
-    x that return d-vectors or (c, q, d) point values.  A complex
-    coefficient on a real space raises ValueError.
+    Scalar spaces take a ``Separable``, a callable of x, (c, q) point
+    values, or ``FieldProducts`` for the load of |u|^2; vector spaces take
+    a tuple of one ``Separable`` per component, callables of x that return
+    d-vectors or (c, q, d) point values.  A complex coefficient on a real
+    space raises ValueError.
     """
     _check_coeff_space(space, coeff)
     tab = quadrature_table(space.mesh, space.degree, qdeg)
@@ -409,11 +438,56 @@ def assemble_coefficient_load(space: FeSpace, coeff,
         nloc = space.element.node_count
         loc = coeff.re @ tab.vvv.reshape(nloc * nloc, nloc)
         return space.pattern().assemble_load(loc[:, :, None])
-    w = tab.wdet
-    s = tab.coefficient(coeff).reshape(*w.shape, -1) * w[:, :, None]
-    if np.iscomplexobj(s) and space.dtype is not complex:
+    if isinstance(coeff, (Separable, tuple)):
+        comps = (coeff,) if isinstance(coeff, Separable) else coeff
+        if len(comps) != space.ncomp or not all(isinstance(c, Separable) for c in comps):
+            raise ValueError(f"a separable coefficient on this space is "
+                             f"{space.ncomp} Separable component(s)")
+        loc = np.stack([_lattice_load(space.mesh, c, tab) for c in comps], axis=-1)
+    else:
+        w = tab.wdet
+        s = tab.coefficient(coeff).reshape(*w.shape, -1) * w[:, :, None]
+        loc = np.matmul(tab.vals.T, s)                              # (c, a, comp)
+    if np.iscomplexobj(loc) and space.dtype is not complex:
         raise ValueError("complex coefficient for a load on a real space")
-    return space.pattern().assemble_load(np.matmul(tab.vals.T, s))   # (c, a, comp)
+    return space.pattern().assemble_load(loc)
+
+
+def _lattice_load(mesh: Mesh, coeff: Separable, tab: QuadratureTable) -> np.ndarray:
+    """Local loads (cells, nloc) of a ``Separable`` on the Kuhn lattice of
+    ``build_structured``, by sum factorisation (Orszag, J. Comput. Phys. 37
+    (1980) 70-92) on the Freudenthal split; no array over (cells, q).
+
+    Rule point q of the simplex of template p in the cube with low corner
+    i has coordinates x_k = (i_k + xi[p, q, k]) / M, with xi the rule's
+    points mapped into the unit cube by the template's corners.  So a
+    factor f_k of a term is one (d!, M, q) table.  Per template, the
+    product of the first d - 1 tables is an (M^(d-1), q) matrix, the last
+    table times w_q det J vals[q, a] a (q, M nloc) one, and their product
+    holds the template's local loads in cube order.
+    """
+    d, M = mesh.dim, mesh.subdivisions
+    nperm = math.factorial(d)
+    if mesh.n_cells != nperm * M ** d or mesh.n_vertices != (M + 1) ** d:
+        raise ValueError("a separable load needs the full Kuhn lattice of build_structured")
+    corners = kuhn_corners(d)
+    xi = corners[:, :1] + tab._rule.points_ref @ (corners[:, 1:] - corners[:, :1])
+    x = (np.arange(M)[None, :, None, None] + xi[:, None]) / M      # (p, M, q, d)
+    nq, nloc = tab.vals.shape
+    det = mesh.jacobians()[2][:nperm]          # the first cube holds one cell per template
+    B = (tab._rule.weights * det[:, None])[:, :, None] * tab.vals   # (p, q, nloc)
+    loc = 0.0
+    for scale, fs in coeff.terms:
+        if len(fs) != d:
+            raise ValueError(f"a separable term on a {d}D mesh has {d} factors, not {len(fs)}")
+        tables = [np.broadcast_to(f(x[..., k]), x.shape[:-1]) for k, f in enumerate(fs)]
+        rows = tables[0]
+        for table in tables[1:-1]:
+            rows = (rows[:, :, None] * table[:, None]).reshape(nperm, -1, nq)
+        cols = (scale * tables[-1][..., None] * B[:, None]).transpose(0, 2, 1, 3)
+        loc = loc + np.matmul(rows, cols.reshape(nperm, nq, M * nloc))
+    # (p, cube, a) -> cell = cube d! + p
+    return np.reshape(loc, (nperm, M ** d, nloc)).transpose(1, 0, 2).reshape(-1, nloc)
 
 
 def _check_coeff_space(space: FeSpace, coeff):

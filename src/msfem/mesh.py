@@ -20,8 +20,30 @@ import numpy as np
 __all__ = [
     "Mesh",
     "build_structured",
+    "kuhn_corners",
     "lattice_points",
 ]
+
+# slack of ``containing_cells`` for points on the boundary of [0,1]^d
+DOMAIN_SLACK = 1e-12
+
+
+def kuhn_corners(dim: int) -> np.ndarray:
+    """The (d!, d+1, d) integer corners, in the unit cube, of the d!
+    simplices of the Kuhn split, in the order of ``itertools.permutations``.
+
+    The simplex of the permutation p starts at the cube's low corner and
+    takes one unit step along each axis p[0], p[1], ...; an odd permutation
+    swaps its last two corners, so that every simplex has det J > 0.
+    """
+    corners = []
+    for perm in itertools.permutations(range(dim)):
+        steps = np.eye(dim, dtype=int)[list(perm)]
+        walk = np.cumsum(np.vstack([np.zeros(dim, dtype=int), steps]), axis=0)
+        if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2:
+            walk[[-2, -1]] = walk[[-1, -2]]
+        corners.append(walk)
+    return np.array(corners)
 
 
 def lattice_points(n: int, dim: int) -> np.ndarray:
@@ -65,6 +87,8 @@ class Mesh:
         """Affine map data per cell: (J, inverse-transpose of J, det J).
 
         J columns are edge vectors v_i - v_0; det J = d! * volume > 0.
+        ``build_structured`` fills them from its d! templates; any other
+        mesh computes them here, cell by cell.
         """
         if "jac" not in self._geom:
             coords = self.cell_vertex_coords()
@@ -86,9 +110,13 @@ class Mesh:
         descending order of the point's fractional coordinates, ties in axis
         order.  Read as base-d numbers the permutations increase in the
         order that ``build_structured`` lists a cube's simplices, so a sorted
-        search ranks the walk.
+        search ranks the walk.  A point outside [0,1]^d by more than
+        ``DOMAIN_SLACK`` in some coordinate raises ValueError.
         """
         M, d = self.subdivisions, self.dim
+        outside = np.any((points < -DOMAIN_SLACK) | (points > 1 + DOMAIN_SLACK), axis=1)
+        if np.any(outside):
+            raise ValueError(f"point {points[np.argmax(outside)]} lies outside [0, 1]^{d}")
         scaled = points * M
         base = np.clip(np.floor(scaled).astype(int), 0, M - 1)
         order = np.argsort(-(scaled - base), axis=1, kind="stable")
@@ -102,7 +130,11 @@ def build_structured(dim: int, M: int) -> Mesh:
     """Mesh (0,1)^d with M subdivisions per direction.
 
     Produces d! M^d simplices, all positively oriented: cube by cube in
-    lexicographic order, and within a cube by permutation.
+    lexicographic order, and within a cube by permutation (``kuhn_corners``).
+    The d! simplices of every cube are translates of the same d!
+    templates, so the Jacobians J = C_p / M, with C_p the edge vectors of
+    template p, their inverses and determinants are computed once per
+    template and repeated cube by cube.
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
@@ -112,19 +144,9 @@ def build_structured(dim: int, M: int) -> Mesh:
     vertices_int = lattice_points(M + 1, dim)
     base = lattice_points(M, dim)  # the low corner of each cube
     strides = (M + 1) ** np.arange(dim - 1, -1, -1)
-
-    # one simplex per axis order, in the order of itertools.permutations: its
-    # corners are the low corner and one unit step per axis in that order; an
-    # odd order swaps its last two corners to keep det J > 0
-    per_perm = []
-    for perm in itertools.permutations(range(dim)):
-        steps = np.eye(dim, dtype=int)[list(perm)]
-        corners = np.cumsum(np.vstack([np.zeros(dim, dtype=int), steps]), axis=0)
-        if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2:
-            corners[[-2, -1]] = corners[[-1, -2]]
-        per_perm.append((base[:, None] + corners) @ strides)
-    # the d! simplices of a cube are adjacent in cell order
-    cells = np.stack(per_perm, axis=1).reshape(-1, dim + 1)
+    corners = kuhn_corners(dim)
+    # cube-major, permutation-minor: the d! simplices of a cube are adjacent
+    cells = ((base[:, None, None] + corners) @ strides).reshape(-1, dim + 1)
 
     mesh = Mesh(
         dim=dim,
@@ -134,7 +156,13 @@ def build_structured(dim: int, M: int) -> Mesh:
         cells=np.ascontiguousarray(cells),
         h=float(np.sqrt(dim)) / M,
     )
-    vols = mesh.cell_volumes()
-    if np.any(vols <= 0):
+    # J's columns are the edge vectors v_i - v_0 of each template
+    J = np.ascontiguousarray(np.swapaxes(corners[:, 1:] - corners[:, :1], 1, 2)) / M
+    det = np.linalg.det(J)
+    if np.any(det <= 0):
         raise AssertionError("structured mesh produced a non-positive cell volume")
+    JinvT = np.ascontiguousarray(np.swapaxes(np.linalg.inv(J), 1, 2))
+    n_cubes = M ** dim
+    mesh._geom["jac"] = (np.tile(J, (n_cubes, 1, 1)), np.tile(JinvT, (n_cubes, 1, 1)),
+                         np.tile(det, n_cubes))
     return mesh

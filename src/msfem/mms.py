@@ -5,12 +5,16 @@ function with a growing modulated amplitude, a curl-free oscillating vector
 potential, a polynomial scalar potential), built by ``make_case(dim)``.
 Every field is a time amplitude times a spatial shape, so each source is a
 short sum sum_j c_j(t) s_j(x) (``ManufacturedCase.f_terms``/``g_terms``/
-``l_terms``).  These terms are the one source truth: the stepper precomputes
-one load per shape, ``source_f/g/l`` evaluate the sums pointwise, and
-``source_gate`` checks those sums directly against a Richardson-extrapolated
-finite-difference oracle (``fd_sources``) built from the value closures
-alone.  The shapes are evaluated together from shared per-coordinate sin/cos
-factors and base shapes (``ManufacturedCase.factors``).
+``l_terms``), and every shape s_j is a ``forms.Separable``, a sum of
+products of one-coordinate functions (a tuple of one per component for g).
+These terms are the one source truth: the stepper assembles one load per
+shape by the Kuhn-lattice contraction of ``forms``, ``source_f/g/l``
+evaluate the same objects pointwise, and ``source_gate`` checks those sums
+directly against a Richardson-extrapolated finite-difference oracle
+(``fd_sources``) built from the value closures alone.  The field closures
+share per-coordinate sin/cos factors and base shapes
+(``ManufacturedCase.factors``); the source shapes are coded apart from
+them.
 """
 
 from __future__ import annotations
@@ -56,14 +60,14 @@ class ManufacturedCase:
     All closures are vectorized over points of shape (..., dim), at a scalar
     t or at one t per point, of the points' shape; the field closures also
     take the record ``factors(x)`` of such points in place of x, so that
-    several fields at the same points share it.  Every source is
-    a sum of time amplitudes times spatial shapes: ``f_terms``, ``g_terms``
-    and ``l_terms`` hold the pairs ``(c_j, s_j)`` with
-    ``source_*(x, t) = sum_j c_j(t) * s_j(factors(x))``, and are the only
-    definition of the sources.  The shapes are products of a few
-    per-coordinate factors (sin/cos of pi x_i and 2 pi x_i, x_i (1 - x_i));
-    ``factors(x)`` evaluates each of them at most once for all the shapes
-    that read it.
+    several fields at the same points share it.  Every source is a sum of
+    time amplitudes times spatial shapes: ``f_terms``, ``g_terms`` and
+    ``l_terms`` hold the pairs ``(c_j, s_j)`` with ``source_*(x, t) =
+    sum_j c_j(t) * s_j(x)``, and are the only definition of the sources.
+    Each shape s_j is a ``forms.Separable`` (a tuple of one per component
+    in ``g_terms``): a sum of products of per-coordinate factors (sin/cos of
+    pi x_k and 2 pi x_k, x_k (1 - x_k)), which the stepper's loads
+    tabulate per axis.
 
     Of the derivatives, ``A_t`` and ``phi_t`` give the initial data;
     ``grad_psi``, ``div_A``, ``curl_A`` and ``grad_phi`` the error norms;
@@ -178,15 +182,59 @@ def _at(x) -> _Factors:
     return x if isinstance(x, _Factors) else _Factors(x)
 
 
+def _sin1(x):
+    return np.sin(np.pi * x)
+
+
+def _cos1(x):
+    return np.cos(np.pi * x)
+
+
+def _sin2(x):
+    return np.sin(2.0 * np.pi * x)
+
+
+def _cos2(x):
+    return np.cos(2.0 * np.pi * x)
+
+
+def _bubble(x):
+    return x * (1 - x)
+
+
+def _times(*fns):
+    """The one-coordinate function x -> prod_i fns[i](x)."""
+    return lambda x: math.prod(f(x) for f in fns)
+
+
+def _uniform(d, f, scale=1.0):
+    """The separable shape scale * prod_k f(x_k)."""
+    return forms.Separable(((scale, (f,) * d),))
+
+
+def _walk(d, on, off, scale=1.0):
+    """The separable shape scale * sum_a on(x_a) prod_{k != a} off(x_k)."""
+    return forms.Separable(tuple(
+        (scale, tuple(on if k == a else off for k in range(d))) for a in range(d)))
+
+
+def _components(walk):
+    """The vector shape whose component a is term a of ``walk``."""
+    return tuple(forms.Separable((term,)) for term in walk.terms)
+
+
 def _separable_case(d: int, v0: float) -> ManufacturedCase:
     """The verification triple on (0,1)^d: psi = amp(t) S(x), A = a(t) W(x)
-    with W = grad G / pi, phi = tau(t) P(x).
+    with W = grad G / pi, phi = tau(t) P(x), where S = prod_k sin(2 pi x_k),
+    G = prod_k sin(pi x_k) and P = prod_k x_k (1 - x_k).
 
     Lap S = -4 d pi^2 S, div W = -d pi G and Lap W = -d pi^2 W; W is a
     gradient, so curl A = 0, and the probability current of psi is zero.
-    The spatial shapes take the ``_Factors`` of the points, which evaluate
+    The field closures take the ``_Factors`` of the points, which evaluate
     the base shapes S, W, G, P once each; the closures of x build them, or
-    take a record built once for several of them.
+    take a record built once for several of them.  The source shapes are
+    ``forms.Separable`` sums of products of the same one-coordinate
+    factors, coded apart from the field closures.
     """
     two_pi = 2.0 * np.pi
     pi = np.pi
@@ -205,13 +253,6 @@ def _separable_case(d: int, v0: float) -> ManufacturedCase:
     def lap_P(F):
         return -2.0 * sum(_product(F.bubble, i, 1.0) for i in range(d))
 
-    def W_dot_grad_S(F):
-        return np.einsum("...d,...d->...", W(F), grad_S(F))
-
-    def W2_S(F):
-        w = W(F)
-        return np.einsum("...d,...d->...", w, w) * S(F)
-
     curl_shape = (lambda x: x.shape) if d == 3 else (lambda x: x.shape[:-1])
 
     tau = lambda t: t + np.sin(pi * t)
@@ -220,6 +261,11 @@ def _separable_case(d: int, v0: float) -> ManufacturedCase:
     a = lambda t: np.cos(pi * t)
     a_t = lambda t: -pi * np.sin(pi * t)
     abs2_amp = lambda t: abs(_amp(t)) ** 2
+
+    # component m of W and of S^2 W: term m of the walk cos(pi x_m) prod sin(pi x_k)
+    sin2_sq = _times(_sin2, _sin2)
+    W_shape = _components(_walk(d, _cos1, _sin1))
+    S2W_shape = _components(_walk(d, _times(sin2_sq, _cos1), _times(sin2_sq, _sin1)))
 
     return ManufacturedCase(
         dim=d,
@@ -239,47 +285,62 @@ def _separable_case(d: int, v0: float) -> ManufacturedCase:
         # f = -i psi_t + (1/2)(-Lap psi + i div A psi + 2i A.grad psi
         #     + |A|^2 psi) + v0 psi + phi psi
         f_terms=(
-            (lambda t: -1j * _amp_t(t) + (2.0 * d * pi ** 2 + v0) * _amp(t), S),
-            (lambda t: -0.5j * d * pi * a(t) * _amp(t), lambda F: G(F) * S(F)),
-            (lambda t: 1j * a(t) * _amp(t), W_dot_grad_S),
-            (lambda t: 0.5 * a(t) ** 2 * _amp(t), W2_S),
-            (lambda t: tau(t) * _amp(t), lambda F: P(F) * S(F)),
+            (lambda t: -1j * _amp_t(t) + (2.0 * d * pi ** 2 + v0) * _amp(t),
+             _uniform(d, _sin2)),
+            # G S
+            (lambda t: -0.5j * d * pi * a(t) * _amp(t), _uniform(d, _times(_sin1, _sin2))),
+            # W . grad S
+            (lambda t: 1j * a(t) * _amp(t),
+             _walk(d, _times(_cos1, _cos2), _times(_sin1, _sin2), scale=two_pi)),
+            # |W|^2 S
+            (lambda t: 0.5 * a(t) ** 2 * _amp(t),
+             _walk(d, _times(_cos1, _cos1, _sin2), _times(_sin1, _sin1, _sin2))),
+            # P S
+            (lambda t: tau(t) * _amp(t), _uniform(d, _times(_bubble, _sin2))),
         ),
         # g = A_tt - Lap A + |psi|^2 A (the current is zero)
         g_terms=(
-            (lambda t: (d - 1) * pi ** 2 * a(t), W),
-            (lambda t: abs2_amp(t) * a(t), lambda F: S(F)[..., None] ** 2 * W(F)),
+            (lambda t: (d - 1) * pi ** 2 * a(t), W_shape),
+            (lambda t: abs2_amp(t) * a(t), S2W_shape),
         ),
         # l = phi_tt - Lap phi - |psi|^2
         l_terms=(
-            (tau_tt, P),
-            (lambda t: -tau(t), lap_P),
-            (lambda t: -abs2_amp(t), lambda F: S(F) ** 2),
+            (tau_tt, _uniform(d, _bubble)),
+            # Lap P = -2 sum_a prod_{k != a} x_k (1 - x_k)
+            (lambda t: -tau(t), _walk(d, np.ones_like, _bubble, scale=-2.0)),
+            (lambda t: -abs2_amp(t), _uniform(d, sin2_sq)),
         ),
     )
 
 
-def _source(case: ManufacturedCase, terms, x, t, vector=False):
-    """sum_j c_j(t) s_j(x) over separable terms, the shapes sharing one
-    factor record of the points x; t is a scalar or one time per point."""
-    factors = case.factors(x)
+def _values(shape, x):
+    """A source shape at points x: a ``forms.Separable``, or a tuple of one
+    per component stacked on a trailing axis."""
+    if isinstance(shape, forms.Separable):
+        return shape(x)
+    return np.stack([component(x) for component in shape], axis=-1)
+
+
+def _source(terms, x, t, vector=False):
+    """sum_j c_j(t) s_j(x) over separable terms; t is a scalar or one time
+    per point."""
     amp = _per_point if vector else (lambda c: c)
-    return sum(amp(c(t)) * s(factors) for c, s in terms)
+    return sum(amp(c(t)) * _values(s, x) for c, s in terms)
 
 
 def source_f(case: ManufacturedCase, x, t):
     """Right-hand side closing the wave-function equation."""
-    return _source(case, case.f_terms, x, t)
+    return _source(case.f_terms, x, t)
 
 
 def source_g(case: ManufacturedCase, x, t):
     """Right-hand side closing the vector-potential wave equation."""
-    return _source(case, case.g_terms, x, t, vector=True)
+    return _source(case.g_terms, x, t, vector=True)
 
 
 def source_l(case: ManufacturedCase, x, t):
     """Right-hand side closing the scalar-potential wave equation."""
-    return _source(case, case.l_terms, x, t)
+    return _source(case.l_terms, x, t)
 
 
 # ---- finite-difference oracle -------------------------------------------

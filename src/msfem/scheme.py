@@ -33,13 +33,14 @@ point.
 
 Sources in verification mode: every manufactured source is a sum of time
 amplitudes times spatial shapes, sum_j c_j(t) s_j(x) (``mms.ManufacturedCase``
-``f_terms``/``g_terms``/``l_terms``).  The stepper evaluates all shapes at
-the quadrature points from one set of shared factors, assembles each load
-(s_j, v) once, and a step's source load is sum_j c_j(t) (s_j, v).  The wave
-equations are centered at the previous time level (their second differences
-and two-level averages are), so their sources are sampled at t_{k-1}; the
-wave-function step is centered at the half level and takes its source at
-t_{k-1/2}.
+``f_terms``/``g_terms``/``l_terms``), and every shape is a
+``forms.Separable``, a sum of products of one-coordinate functions.  The
+stepper assembles each load (s_j, v) once, by a contraction over the Kuhn
+lattice that tabulates the factors per axis and visits no quadrature point,
+and a step's source load is sum_j c_j(t) (s_j, v).  The wave equations are
+centered at the previous time level (their second differences and two-level
+averages are), so their sources are sampled at t_{k-1}; the wave-function
+step is centered at the half level and takes its source at t_{k-1/2}.
 """
 
 from __future__ import annotations
@@ -90,6 +91,14 @@ class SchemeConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
+        for name in ("dim", "M", "degree", "n_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.dim not in (2, 3):
+            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+        if self.M < 1:
+            raise ValueError(f"M must be at least 1, got {self.M}")
         if self.degree not in (1, 2):
             raise ValueError(f"element degree must be 1 or 2, got {self.degree}")
         for name in ("dt", "tol"):
@@ -190,20 +199,13 @@ class AlternatingStepper:
         self.phi_system = self.spaces.phi.pattern().matrix(
             self.mass.data / dt ** 2 + 0.5 * self.stiffness.data)
         self._source_loads = self._precompute_source_loads() if self.case is not None else {}
-        # last: the factor does not sit on top of the source precompute's peak
         self._psi_precond = self._build_psi_preconditioner()
 
     def _precompute_source_loads(self) -> dict:
         """The loads (s_j, v) of every manufactured source shape, paired with
-        their time amplitudes c_j, per source name."""
-        # every source shape is a product of the same few sin/cos factors:
-        # evaluate them once at the quadrature points all the loads share;
-        # the loads are assembled one shape at a time, so the point values
-        # of only one shape are alive at once
-        factors = self.case.factors(
-            forms.quadrature_table(self.mesh, self.config.degree).x)
-        return {name: [(c, forms.assemble_source_load(space, s(factors)))
-                       for c, s in terms]
+        their time amplitudes c_j, per source name; each shape is a
+        ``forms.Separable``, so no load visits a quadrature point."""
+        return {name: [(c, forms.assemble_source_load(space, s)) for c, s in terms]
                 for name, space, terms in (("f", self.spaces.psi, self.case.f_terms),
                                            ("g", self.spaces.A, self.case.g_terms),
                                            ("l", self.spaces.phi, self.case.l_terms))}

@@ -230,6 +230,52 @@ def test_source_load_zero_and_partition_of_unity():
     assert ones.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def _source_shapes(case):
+    """Every source shape of the case, named by source and term index."""
+    for name, terms in (("f", case.f_terms), ("g", case.g_terms), ("l", case.l_terms)):
+        for j, (_, shape) in enumerate(terms):
+            yield f"{name}{j}", shape
+
+
+@pytest.mark.parametrize("qdeg", [None, 3])
+@pytest.mark.parametrize("M", [1, 2, 3])
+@pytest.mark.parametrize("dim,r", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_separable_load_matches_its_point_values(dim, r, M, qdeg):
+    # each manufactured source shape alone: the lattice contraction against
+    # the point path fed the shape's own pointwise values
+    mesh = build_structured(dim, M)
+    scalar = build_scalar_space(mesh, r, dirichlet=False)
+    vector = build_vector_space(mesh, r)
+    for name, shape in _source_shapes(mms.make_case(dim)):
+        if isinstance(shape, tuple):
+            space, points = vector, lambda x: np.stack([s(x) for s in shape], axis=-1)
+        else:
+            space, points = scalar, shape
+        got = forms.assemble_coefficient_load(space, shape, qdeg=qdeg)
+        want = forms.assemble_coefficient_load(space, points, qdeg=qdeg)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
+
+
+def test_separable_load_rejections():
+    mesh = build_structured(2, 2)
+    scalar = build_scalar_space(mesh, 1)
+    vector = build_vector_space(mesh, 1)
+    shape = forms.Separable(((1.0, (np.sin, np.cos)),))
+    with pytest.raises(ValueError, match="Separable component"):
+        forms.assemble_coefficient_load(vector, shape)
+    with pytest.raises(ValueError, match="Separable component"):
+        forms.assemble_coefficient_load(scalar, (shape, shape))
+    with pytest.raises(ValueError, match="factors"):
+        forms.assemble_coefficient_load(scalar, forms.Separable(((1.0, (np.sin,)),)))
+    with pytest.raises(ValueError, match="complex"):
+        forms.assemble_coefficient_load(scalar, forms.Separable(((1j, (np.sin, np.cos)),)))
+    # one cube of the lattice is not the lattice
+    part = Mesh(dim=2, subdivisions=2, vertices_int=mesh.vertices_int,
+                vertices=mesh.vertices, cells=mesh.cells[:2], h=mesh.h)
+    with pytest.raises(ValueError, match="Kuhn lattice"):
+        forms.assemble_coefficient_load(build_scalar_space(part, 1, dirichlet=False), shape)
+
+
 # ---- oracle equivalence: vectorized assembly vs naive dense assembly ----
 
 CASES = [(2, 3, 1), (2, 2, 2), (3, 2, 1)]

@@ -95,3 +95,37 @@ def test_rejections():
         mmesh.build_structured(2, 0)
     with pytest.raises(ValueError):
         mmesh.build_structured(4, 2)
+
+
+@pytest.mark.parametrize("dim,M", [(2, 1), (2, 8), (3, 2), (3, 5)])
+def test_template_jacobians_match_per_cell_ones(dim, M):
+    # build_structured repeats its d! template Jacobians cube by cube; the
+    # same mesh without that cache computes them cell by cell from the float
+    # vertices i/M, which agree exactly when M is a power of two
+    m = mmesh.build_structured(dim, M)
+    plain = mmesh.Mesh(dim=dim, subdivisions=M, vertices_int=m.vertices_int,
+                       vertices=m.vertices, cells=m.cells, h=m.h)
+    exact = M & (M - 1) == 0
+    for got, want in zip(m.jacobians(), plain.jacobians()):
+        assert got.shape == want.shape
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_containing_cells_rejects_points_outside_the_domain(dim):
+    m = mmesh.build_structured(dim, 4)
+    for bad in (1.5, -0.3, 1 + 1e-9, -1e-9):
+        pts = np.full((2, dim), 0.2)
+        pts[1, -1] = bad
+        with pytest.raises(ValueError, match="outside"):
+            m.containing_cells(pts)
+    # boundary points, and points off it by rounding, still find a cell
+    edge = np.array([[0.0] * dim, [1.0] * dim, [1 + 1e-13] + [0.5] * (dim - 1),
+                     [-1e-13] * dim])
+    cells = m.containing_cells(edge)
+    # the first and the last cube
+    assert list(cells[:2] // len(list(itertools.permutations(range(dim))))) == [0, 4 ** dim - 1]
+    assert np.all((cells >= 0) & (cells < m.n_cells))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msfem import mms
+from msfem import forms, mms
 from msfem.mesh import build_structured
 from msfem.space import FieldVector, build_scalar_space, build_vector_space, interpolate
 
@@ -67,14 +67,23 @@ def _with(case, **fields):
     return mms.ManufacturedCase(**{**case.__dict__, **fields})
 
 
+def _scaled(shape, factor):
+    """A source shape, a Separable or a tuple of them, with every term's
+    scale multiplied by factor."""
+    if isinstance(shape, tuple):
+        return tuple(_scaled(s, factor) for s in shape)
+    return forms.Separable(tuple((factor * scale, fs) for scale, fs in shape.terms))
+
+
 @pytest.mark.parametrize("terms", ["f_terms", "g_terms", "l_terms"])
 def test_source_gate_catches_broken_term(terms):
-    # the stepper's own terms meet the oracle: a 0.1% error in one is caught
+    # the stepper's own terms meet the oracle: a 0.1% error in one is
+    # caught, in its time amplitude or in its separable shape
     case = mms.make_case(3)
     (c, s), *rest = getattr(case, terms)
-    broken = _with(case, **{terms: ((lambda t: 1.001 * c(t), s), *rest)})
-    with pytest.raises(mms.SourceGateError):
-        mms.source_gate(broken, n=50)
+    for broken in ((lambda t: 1.001 * c(t), s), (c, _scaled(s, 1.001))):
+        with pytest.raises(mms.SourceGateError):
+            mms.source_gate(_with(case, **{terms: (broken, *rest)}), n=50)
 
 
 def test_source_gate_catches_broken_case():
@@ -82,7 +91,7 @@ def test_source_gate_catches_broken_case():
     # from a value closure the oracle differentiates
     case = mms.make_case(3)
     (c, s), *rest = case.l_terms
-    nan_term = _with(case, l_terms=((c, lambda F: np.nan * s(F)), *rest))
+    nan_term = _with(case, l_terms=((c, _scaled(s, np.nan)), *rest))
     nan_psi = _with(case, psi=lambda x, t: np.nan * case.psi(x, t))
     for broken in (nan_term, nan_psi):
         with pytest.raises(mms.SourceGateError, match="non-finite"):

@@ -204,6 +204,14 @@ def test_free_step_builds_no_quadrature_points():
     assert not any("x" in vars(t) for t in tables)
 
 
+def test_mms_setup_builds_no_quadrature_points():
+    # the source loads contract separable shapes over the lattice: building
+    # an mms stepper evaluates nothing at the physical quadrature points
+    st = scheme.AlternatingStepper(small_config(dim=3, M=2, r=2))
+    assert st._source_loads
+    assert "x" not in vars(forms.quadrature_table(st.mesh, 2))
+
+
 @pytest.mark.parametrize("mode", ["free", "mms"])
 def test_a_run_builds_one_quadrature_table(mode):
     # setup, a step and (in mms mode) the error norms all read the one
@@ -287,6 +295,28 @@ def test_config_rejects_non_finite_t_final_and_no_steps(t_final, n_steps, match)
     with pytest.raises(ValueError, match=match):
         scheme.SchemeConfig(dim=2, M=4, degree=1, t_final=t_final, dt=0.25,
                             n_steps=n_steps)
+
+
+@pytest.mark.parametrize("name,value,match", [
+    ("M", 4.0, "M must be an integer"), ("M", True, "M must be an integer"),
+    ("M", 0, "M must be at least 1"), ("M", -2, "M must be at least 1"),
+    ("dim", 4, "dim must be 2 or 3"), ("dim", 1, "dim must be 2 or 3"),
+    ("dim", 2.0, "dim must be an integer"), ("degree", True, "degree must be an integer"),
+    ("degree", 1.0, "degree must be an integer"), ("n_steps", 4.0, "n_steps must be an integer"),
+    ("n_steps", "4", "n_steps must be an integer")])
+def test_config_rejects_bad_integers(name, value, match):
+    # input from the command line reaches the config directly: a float,
+    # bool or string where an integer belongs fails here, not deep in setup
+    kwargs = dict(dim=2, M=4, degree=1, t_final=1.0, dt=0.25, n_steps=4)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=match):
+        scheme.SchemeConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = scheme.SchemeConfig(dim=np.int64(3), M=np.int32(4), degree=np.int64(2),
+                              t_final=1.0, dt=0.25, n_steps=np.int64(4))
+    assert cfg.M == 4
 
 
 @pytest.mark.parametrize("v0", [float("nan"), float("inf"), float("-inf")])
