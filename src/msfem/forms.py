@@ -468,7 +468,7 @@ def _lattice_load(mesh: Mesh, coeff: Separable, tab: QuadratureTable) -> np.ndar
     """
     d, M = mesh.dim, mesh.subdivisions
     nperm = math.factorial(d)
-    if mesh.n_cells != nperm * M ** d or mesh.n_vertices != (M + 1) ** d:
+    if not mesh.is_kuhn_lattice():
         raise ValueError("a separable load needs the full Kuhn lattice of build_structured")
     corners = kuhn_corners(d)
     xi = corners[:, :1] + tab._rule.points_ref @ (corners[:, 1:] - corners[:, :1])

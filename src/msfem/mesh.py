@@ -103,6 +103,20 @@ class Mesh:
         _, _, det = self.jacobians()
         return det / math.factorial(self.dim)
 
+    def is_kuhn_lattice(self) -> bool:
+        """Whether this is the mesh of ``build_structured``: the vertices are
+        the lattice {0, ..., M}^d in lexicographic order, at exactly
+        ``vertices_int`` / M, and the cells are its Kuhn simplices in its
+        order.  Everything that reads the mesh off its lattice coordinates
+        requires it.  Checked once per mesh."""
+        if "kuhn_lattice" not in self._geom:
+            M, d = self.subdivisions, self.dim
+            self._geom["kuhn_lattice"] = bool(
+                np.array_equal(self.vertices_int, lattice_points(M + 1, d))
+                and np.array_equal(self.vertices, self.vertices_int / float(M))
+                and np.array_equal(self.cells, _kuhn_cells(d, M)))
+        return self._geom["kuhn_lattice"]
+
     def containing_cells(self, points: np.ndarray) -> np.ndarray:
         """Index of a cell containing each of the (n, d) points of [0,1]^d.
 
@@ -110,10 +124,13 @@ class Mesh:
         descending order of the point's fractional coordinates, ties in axis
         order.  Read as base-d numbers the permutations increase in the
         order that ``build_structured`` lists a cube's simplices, so a sorted
-        search ranks the walk.  A point outside [0,1]^d by more than
+        search ranks the walk.  A mesh that is not the Kuhn lattice
+        (``is_kuhn_lattice``) or a point outside [0,1]^d by more than
         ``DOMAIN_SLACK`` in some coordinate raises ValueError.
         """
         M, d = self.subdivisions, self.dim
+        if not self.is_kuhn_lattice():
+            raise ValueError("the point locator needs the Kuhn lattice of build_structured")
         outside = np.any((points < -DOMAIN_SLACK) | (points > 1 + DOMAIN_SLACK), axis=1)
         if np.any(outside):
             raise ValueError(f"point {points[np.argmax(outside)]} lies outside [0, 1]^{d}")
@@ -124,6 +141,16 @@ class Mesh:
         codes = np.array(list(itertools.permutations(range(d)))) @ digits
         cube = base @ M ** np.arange(d - 1, -1, -1)
         return cube * math.factorial(d) + np.searchsorted(codes, order @ digits)
+
+
+def _kuhn_cells(dim: int, M: int) -> np.ndarray:
+    """The (d! M^d, d+1) vertex keys of the Kuhn simplices of {0, ..., M}^d,
+    cube-major and permutation-minor: the d! simplices of a cube are
+    adjacent."""
+    base = lattice_points(M, dim)  # the low corner of each cube
+    strides = (M + 1) ** np.arange(dim - 1, -1, -1)
+    cells = (base[:, None, None] + kuhn_corners(dim)) @ strides
+    return np.ascontiguousarray(cells.reshape(-1, dim + 1))
 
 
 def build_structured(dim: int, M: int) -> Mesh:
@@ -142,20 +169,15 @@ def build_structured(dim: int, M: int) -> Mesh:
         raise ValueError(f"M must be a positive integer, got {M}")
 
     vertices_int = lattice_points(M + 1, dim)
-    base = lattice_points(M, dim)  # the low corner of each cube
-    strides = (M + 1) ** np.arange(dim - 1, -1, -1)
-    corners = kuhn_corners(dim)
-    # cube-major, permutation-minor: the d! simplices of a cube are adjacent
-    cells = ((base[:, None, None] + corners) @ strides).reshape(-1, dim + 1)
-
     mesh = Mesh(
         dim=dim,
         subdivisions=M,
         vertices_int=vertices_int,
         vertices=vertices_int / float(M),
-        cells=np.ascontiguousarray(cells),
+        cells=_kuhn_cells(dim, M),
         h=float(np.sqrt(dim)) / M,
     )
+    corners = kuhn_corners(dim)
     # J's columns are the edge vectors v_i - v_0 of each template
     J = np.ascontiguousarray(np.swapaxes(corners[:, 1:] - corners[:, :1], 1, 2)) / M
     det = np.linalg.det(J)

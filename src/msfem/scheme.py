@@ -13,11 +13,15 @@ M/dt^2 + (D + W)/2 is d uncoupled scalar blocks on a pattern with no entry
 between two components; M/dt^2 + D/2 is combined once, a step adds W/2.
 
 The wave-function system is S0 plus step-dependent mass-scale terms, with
-S0 = (-i/dt + V0/2) M + K/4 fixed for the run.  The stepper factors S0 once,
-by a complete sparse LU, and every step solves by defect correction against
-that factor, x <- x + S0^{-1}(b - S x) (Stetter, Numer. Math. 29 (1978)
-425-443): the step terms are O(dt) against the -i/dt M of S0, so a solve
-takes a few LU applies at every system size.  The factor is taken in
+S0 = (-i/dt + V0/2) M + K/4 fixed for the run.  Every step solves it by
+defect correction, x <- x + P(b - S x) (Stetter, Numer. Math. 29 (1978)
+425-443), against an inverse P of S0, exact or approximate, built once:
+the step terms are O(dt) against the -i/dt M of S0, so a solve takes a few
+applies of P at every system size.  For P1 with Dirichlet constraints P is
+the sine-transform solve of S0's stencil averaged over the axis sign flips
+(Hockney, J. ACM 12 (1965) 95-113; T. Chan, SIAM J. Sci. Stat. Comput. 9
+(1988) 766-771), O(N log N) per apply and no factor.  For P2, and for a psi
+without constraints, P is the complete sparse LU of S0, taken in
 nested-dissection order on the lattice's cell-face planes (George, SIAM J.
 Numer. Anal. 10 (1973) 345-363): no cell straddles such a plane, so its
 nodes separate the two halves, fill enters only at the separators, and the
@@ -211,24 +215,35 @@ class AlternatingStepper:
                                            ("l", self.spaces.phi, self.case.l_terms))}
 
     def _build_psi_preconditioner(self):
-        """Complete sparse LU of the step-independent part of the
-        wave-function system, S0 = (-i/dt + V0/2) M + K/4, in nested-dissection
-        order; returns its solve.
+        """An inverse, exact or approximate, of the step-independent part of
+        the wave-function system, S0 = (-i/dt + V0/2) M + K/4; returns its
+        solve.
 
         A step's matrix is S0 plus terms in A and phi that are O(dt) against
-        the -i/dt M of S0, so defect correction with the exact inverse of S0
+        the -i/dt M of S0, so defect correction against an inverse of S0
         (Stetter, Numer. Math. 29 (1978) 425-443) contracts the residual by
-        O(dt) per LU apply and needs a few applies per step.  Built once per
-        stepper.
+        O(dt) per apply and needs a few applies per step.  Built once per
+        stepper; which inverse depends on the space:
 
-        The free dofs are ordered by recursive bisection of their lattice
-        coordinates on cell-face planes, each separator after its two halves
-        (George, SIAM J. Numer. Anal. 10 (1973) 345-363): no cell straddles
-        a face plane, so the halves eliminate independently and fill enters
-        only at the separators.  S0 is complex symmetric, so SuperLU keeps
-        that order on both sides (no column ordering, symmetric mode).  The
-        order cuts the factor's fill against COLAMD by 1.5-2x at the
-        benchmark sizes and its setup time and peak memory at scale.
+        - P1 with Dirichlet constraints: the sine-transform solve of S0's
+          stencil averaged over the sign flips of the axes
+          (``sparsela.sine_transform_solve``), O(N log N) per apply and no
+          factor.  The free nodes are the interior of the Kuhn lattice in C
+          order; a mesh that is not that lattice raises ValueError.  The Kuhn
+          stencil couples one diagonal of each cube and the average all of
+          them, so the two differ in the mass as well, by a bounded
+          fraction: a solve takes more applies than with the exact inverse
+          (4-24 in the tests), each far cheaper than an LU apply.
+        - P2, and psi without constraints: the complete sparse LU of S0.
+          The free dofs are ordered by recursive bisection of their lattice
+          coordinates on cell-face planes, each separator after its two
+          halves (George, SIAM J. Numer. Anal. 10 (1973) 345-363): no cell
+          straddles a face plane, so the halves eliminate independently and
+          fill enters only at the separators.  S0 is complex symmetric, so
+          SuperLU keeps that order on both sides (no column ordering,
+          symmetric mode).  The order cuts the factor's fill against COLAMD
+          by 1.5-2x at the benchmark sizes, and its setup time and peak
+          memory at scale.
         """
         import scipy.sparse.linalg as spla
 
@@ -238,8 +253,13 @@ class AlternatingStepper:
             (-1j / dt + 0.5 * self.config.v0) * self.mass.data
             + 0.25 * self.stiffness.data)
         # the free nodes' lattice coordinates, in dof order
-        perm = sparsela.nested_dissection(space.nodes_int[~space.constrained[:, 0]],
-                                          space.degree)
+        lattice = space.nodes_int[~space.constrained[:, 0]]
+        if space.degree == 1 and space.constrained_space:
+            if not self.mesh.is_kuhn_lattice():
+                raise ValueError("the P1 wave-function solve needs the Kuhn lattice "
+                                 "of build_structured")
+            return sparsela.sine_transform_solve(S0, lattice, self.mesh.subdivisions)
+        perm = sparsela.nested_dissection(lattice, space.degree)
         try:
             lu = spla.splu(S0[perm][:, perm].tocsc(), permc_spec="NATURAL",
                            options={"SymmetricMode": True})

@@ -12,8 +12,13 @@ combination of forms is the same combination of data arrays, and each
 matrix a solver sees is a ``scipy.sparse.csr_array`` that shares the
 pattern's index arrays.
 
+Two inverses of a lattice operator serve the stepper's psi solve.
+``sine_transform_solve`` inverts the sign-flip average of a nearest-neighbour
+stencil on the interior lattice by the type-I sine transform, with no
+factor; the stepper uses it for P1 psi with Dirichlet constraints.
 ``nested_dissection`` orders the points of a lattice for a sparse LU with
-little fill: the stepper factors the psi operator in that order.
+little fill; the stepper factors the P2 and the unconstrained psi operator
+in that order.
 
 The solver contract is the relative residual bound, not the method: SPD
 systems go through Jacobi-preconditioned CG with a sparse-LU fallback, general
@@ -34,6 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.fft import dstn, idstn
+
+from .mesh import lattice_points
 
 __all__ = [
     "CellSums",
@@ -43,6 +51,7 @@ __all__ = [
     "solve_spd",
     "solve_complex",
     "nested_dissection",
+    "sine_transform_solve",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -53,8 +62,11 @@ ITERATIVE_SLACK = 10.0
 # up to this floor.
 DIRECT_RESIDUAL_FLOOR = 1e-8
 # Applies of the approximate inverse in a defect-correction solve before the
-# LU fallback.  The psi solves against the S0 factor take 2-8 at the
-# benchmark's dt = 1/64 and at most 10 at the largest dt the tests run.
+# LU fallback.  The P2 psi solves against the S0 factor take 2-9 at dt =
+# 1/64 and at most 10 at the largest dt the tests run.  The P1 psi solves
+# against the sine transform take 4 (2D M=128) and 10 (3D M=16) at dt =
+# 1/64, and 4-24 over dt in [1/256, 1/4] on the tests' meshes; the count
+# grows as dt/h^2 falls and reached 27 at 3D M=8, dt = 1/4096.
 DEFECT_CORRECTION_MAX_APPLIES = 30
 # Largest block that nested dissection leaves unsplit.  Fill nnz(L + U) /
 # nnz(S0) of the psi operator at dt = 1/64, leaf 16 / leaf 64 / COLAMD: 5.5 /
@@ -201,6 +213,48 @@ def nested_dissection(lattice: np.ndarray, step: int) -> np.ndarray:
         return order(idx[below]) + order(idx[above]) + [idx[on]]
 
     return np.concatenate(order(np.arange(lattice.shape[0])))
+
+
+def sine_transform_solve(A: sp.csr_array, lattice: np.ndarray, n: int):
+    """Fast solve with the sign-flip average of the lattice stencil of ``A``.
+
+    ``A`` acts on the points ``lattice`` (N, d), which must be the interior
+    {1, ..., n-1}^d of the lattice in C order, and couples a point only to
+    its neighbours at offsets o in {-1, 0, 1}^d, with an entry s_o that
+    depends on o alone (Dirichlet truncation at the boundary).  Averaged
+    over the 2^d sign flips of the axes, the stencil is even in every axis,
+    so the type-I sine transform diagonalises it (Hockney, J. ACM 12 (1965)
+    95-113; Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7 (1970)
+    627-656), with the symbol lambda(theta) = sum_o s_o prod_k cos(o_k
+    theta_k) at theta_j = j pi / n: a trigonometric preconditioner for
+    ``A`` in the sense of T. Chan (SIAM J. Sci. Stat. Comput. 9 (1988)
+    766-771).  Returns the solve r -> idst(dst(r) / lambda), O(N log N) per
+    apply, with no factor.
+
+    The stencil is read off the stored entries of ``A``; a lattice other
+    than the interior in C order, or an offset outside {-1, 0, 1}^d, raises
+    ValueError.
+    """
+    d = lattice.shape[1]
+    shape = (n - 1,) * d
+    if not np.array_equal(lattice, 1 + lattice_points(n - 1, d)):
+        raise ValueError("a sine-transform solve needs the interior lattice points in C order")
+    A = A.tocoo()
+    key = np.zeros(A.nnz, dtype=np.int64)
+    for k in range(d):                   # base-3 key of the offset, axis by axis
+        off = lattice[A.col, k] - lattice[A.row, k]
+        if np.any(np.abs(off) > 1):
+            raise ValueError("a sine-transform solve needs a nearest-neighbour stencil")
+        key = 3 * key + off + 1
+    stencil = np.zeros(3 ** d, dtype=A.dtype)
+    stencil[key] = A.data
+    # lambda(theta) = sum_o s_o prod_k cos(o_k theta_k), one axis at a time
+    cosines = np.cos(np.outer([-1, 0, 1], np.pi * np.arange(1, n) / n))   # (3, n - 1)
+    symbol = stencil.reshape((3,) * d)
+    for _ in range(d):
+        symbol = np.tensordot(symbol, cosines, axes=(0, 0))
+    return lambda r: idstn(dstn(r.reshape(shape), type=1, norm="ortho") / symbol,
+                           type=1, norm="ortho").reshape(-1)
 
 
 def _summation(order: np.ndarray, indptr: np.ndarray, idx) -> sp.csr_array:

@@ -276,6 +276,14 @@ def test_separable_load_rejections():
         forms.assemble_coefficient_load(build_scalar_space(part, 1, dirichlet=False), shape)
 
 
+def test_separable_load_refuses_a_mesh_off_the_lattice():
+    # same vertex count, cell count and lattice coordinates as the lattice
+    mesh = oracles.jittered_mesh(2, 4, seed=7)
+    shape = forms.Separable(((1.0, (np.sin, np.cos)),))
+    with pytest.raises(ValueError, match="Kuhn lattice"):
+        forms.assemble_coefficient_load(build_scalar_space(mesh, 1), shape)
+
+
 # ---- oracle equivalence: vectorized assembly vs naive dense assembly ----
 
 CASES = [(2, 3, 1), (2, 2, 2), (3, 2, 1)]

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from msfem import mesh as mmesh
 
 
@@ -129,3 +130,28 @@ def test_containing_cells_rejects_points_outside_the_domain(dim):
     # the first and the last cube
     assert list(cells[:2] // len(list(itertools.permutations(range(dim))))) == [0, 4 ** dim - 1]
     assert np.all((cells >= 0) & (cells < m.n_cells))
+
+
+@pytest.mark.parametrize("dim,M", [(2, 1), (2, 5), (3, 3)])
+def test_kuhn_lattice_predicate(dim, M):
+    m = mmesh.build_structured(dim, M)
+    assert m.is_kuhn_lattice()
+
+    def variant(**kw):
+        fields = dict(dim=dim, subdivisions=M, vertices_int=m.vertices_int,
+                      vertices=m.vertices, cells=m.cells, h=m.h)
+        return mmesh.Mesh(**(fields | kw))
+
+    assert variant().is_kuhn_lattice()
+    # the same cells in another order, vertices off i/M, another M
+    assert not variant(cells=m.cells[::-1]).is_kuhn_lattice()
+    assert not variant(vertices=m.vertices * (1 - 1e-15)).is_kuhn_lattice()
+    assert not variant(subdivisions=M + 1).is_kuhn_lattice()
+    assert not oracles.jittered_mesh(dim, max(M, 2), seed=7).is_kuhn_lattice()
+
+
+def test_containing_cells_refuses_a_mesh_off_the_lattice():
+    # the Kuhn walk would rank cells of the lattice, not of this mesh
+    m = oracles.jittered_mesh(2, 4, seed=7)
+    with pytest.raises(ValueError, match="Kuhn lattice"):
+        m.containing_cells(np.full((1, 2), 0.3))

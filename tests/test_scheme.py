@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import oracles
 from msfem import forms, mms, scheme, sparsela
 from msfem.mesh import build_structured
 from msfem.space import FieldVector, build_scalar_space, build_vector_space, interpolate
@@ -536,15 +539,19 @@ def test_nested_dissection_splits_are_separators(dim, M, r):
     assert splits > 1
 
 
-@pytest.mark.parametrize("dim,M,r", ORDERING_MESHES)
+def _s0(st):
+    dt = st.config.dt
+    return st.spaces.psi.pattern().matrix(
+        (-1j / dt + 0.5 * st.config.v0) * st.mass.data + 0.25 * st.stiffness.data)
+
+
+@pytest.mark.parametrize("dim,M,r", [m for m in ORDERING_MESHES if m[2] == 2])
 def test_psi_preconditioner_is_the_exact_s0_solve(dim, M, r):
-    # the reordered factor solves S0 as an unordered LU does
+    # P2: the reordered factor solves S0 as an unordered LU does
     from scipy.sparse.linalg import splu
 
-    dt = 1.0 / 64
-    st = scheme.AlternatingStepper(small_config(dim=dim, M=M, r=r, dt=dt, mode="free"))
-    S0 = st.spaces.psi.pattern().matrix(
-        (-1j / dt + 0.5 * st.config.v0) * st.mass.data + 0.25 * st.stiffness.data)
+    st = scheme.AlternatingStepper(small_config(dim=dim, M=M, r=r, dt=1 / 64, mode="free"))
+    S0 = _s0(st)
     rng = np.random.default_rng(dim * 10 + r)
     rhs = rng.standard_normal(S0.shape[0]) + 1j * rng.standard_normal(S0.shape[0])
     expected = splu(S0.tocsc()).solve(rhs)
@@ -552,11 +559,70 @@ def test_psi_preconditioner_is_the_exact_s0_solve(dim, M, r):
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("dim,M,r", [(2, 32, 1), (3, 4, 2)])
+@pytest.mark.parametrize("dim,M", [(2, 6), (2, 9), (3, 4), (3, 5)])
+def test_p1_psi_preconditioner_solves_the_sign_flip_averaged_s0(dim, M):
+    # the average over the 2^d axis reflections of the interior lattice of
+    # S0, dense, against the sine-transform solve
+    st = scheme.AlternatingStepper(small_config(dim=dim, M=M, dt=1 / 64, mode="free"))
+    S0 = _s0(st).toarray()
+    lattice = _free_lattice(st.spaces.psi)
+    averaged = np.zeros_like(S0)
+    for flips in itertools.product((False, True), repeat=dim):
+        reflected = np.where(flips, M - lattice, lattice)
+        p = np.ravel_multi_index(tuple((reflected - 1).T), (M - 1,) * dim)
+        averaged += S0[np.ix_(p, p)] / 2 ** dim
+    rng = np.random.default_rng(dim * 10 + M)
+    rhs = rng.standard_normal(S0.shape[0]) + 1j * rng.standard_normal(S0.shape[0])
+    expected = np.linalg.solve(averaged, rhs)
+    got = st._psi_precond(rhs)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def _refusing_splu(monkeypatch):
+    """Make every later SuperLU factor raise, as out of memory does."""
+    def gstrf_out_of_memory(*args, **kwargs):
+        raise SystemError("gstrf was called with invalid arguments")
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", gstrf_out_of_memory)
+
+
+def test_dirichlet_p1_psi_builds_no_lu_factor(monkeypatch):
+    _refusing_splu(monkeypatch)
+    reports = _record_psi_reports(monkeypatch)
+    scheme.AlternatingStepper(small_config(dim=3, M=4, dt=1 / 64, mode="free")).run()
+    assert [rep.method for rep in reports] == ["defect-correction"] * 2
+
+
+def test_unconstrained_p1_psi_takes_the_lu_path(monkeypatch):
+    from scipy.sparse.linalg import splu
+
+    factors = []
+
+    def recording_splu(*args, **kwargs):
+        factors.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", recording_splu)
+    st = scheme.AlternatingStepper(small_config(dim=2, M=4, dt=1 / 64, mode="free"),
+                                   spaces=unconstrained_spaces(2, 4, 1))
+    assert factors == [(25, 25)]
+    S0 = _s0(st)
+    rhs = np.arange(25) * (1.0 - 0.5j)
+    assert np.linalg.norm(S0 @ st._psi_precond(rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_p1_psi_transform_refuses_a_mesh_off_the_lattice():
+    mesh = oracles.jittered_mesh(2, 4, seed=7)
+    spaces = scheme.Spaces(psi=build_scalar_space(mesh, 1, complex_field=True),
+                           A=build_vector_space(mesh, 1), phi=build_scalar_space(mesh, 1))
+    with pytest.raises(ValueError, match="Kuhn lattice"):
+        scheme.AlternatingStepper(small_config(M=4, mode="free"), spaces=spaces)
+
+
+@pytest.mark.parametrize("dim,M,r", [(3, 4, 2)])
 def test_psi_solve_is_lu_defect_correction(dim, M, r, monkeypatch):
-    """Every psi solve runs defect correction against the LU of the
-    step-independent operator, at every system size, and converges in a few
-    LU applies."""
+    """Every P2 psi solve runs defect correction against the LU of the
+    step-independent operator and converges in a few LU applies."""
     reports = _record_psi_reports(monkeypatch)
     dt = 1.0 / 64
     cfg = scheme.SchemeConfig(dim=dim, M=M, degree=r, t_final=3 * dt, dt=dt,
@@ -569,6 +635,27 @@ def test_psi_solve_is_lu_defect_correction(dim, M, r, monkeypatch):
     for rep in reports:
         assert rep.method == "defect-correction"
         assert rep.iterations <= 3
+
+
+# Most transform applies per psi solve in the sweep below, measured: 16 in
+# 2D (M=8, dt=1/256) and 24 in 3D (M=6, dt=1/256).  The count grows as dt/h^2
+# falls, where the mass part of S0, whose Kuhn and averaged stencils differ,
+# dominates.
+TRANSFORM_APPLIES = {2: 16, 3: 24}
+
+
+@pytest.mark.parametrize("mode", ["free", "mms"])
+@pytest.mark.parametrize("dt", [1 / 4, 1 / 16, 1 / 64, 1 / 256])
+@pytest.mark.parametrize("dim,M", [(2, 8), (2, 32), (3, 4), (3, 6)])
+def test_p1_psi_transform_defect_correction_over_dt(dim, M, dt, mode, monkeypatch):
+    """Every P1 psi solve converges by defect correction against the sine
+    transform, without the LU fallback, in a bounded number of applies."""
+    reports = _record_psi_reports(monkeypatch)
+    scheme.AlternatingStepper(small_config(dim=dim, M=M, dt=dt, n=2, mode=mode)).run()
+    assert len(reports) == 2
+    for rep in reports:
+        assert rep.method == "defect-correction"
+        assert rep.iterations <= TRANSFORM_APPLIES[dim]
 
 
 @pytest.mark.parametrize("r,M,dt", [(1, 8, 1 / 4), (2, 8, 1 / 16)])
@@ -645,11 +732,9 @@ def test_solver_failure_carries_step_index():
 
 
 def test_psi_factor_failure_raises_scheme_error_at_setup(monkeypatch):
-    def gstrf_out_of_memory(*args, **kwargs):
-        raise SystemError("gstrf was called with invalid arguments")
-
-    monkeypatch.setattr("scipy.sparse.linalg.splu", gstrf_out_of_memory)
-    cfg = small_config(dim=2, M=4, dt=0.1, n=1, mode="free")
+    # P2 factors S0; on M=2 its interior lattice has 3 x 3 nodes
+    _refusing_splu(monkeypatch)
+    cfg = small_config(dim=2, M=2, r=2, dt=0.1, n=1, mode="free")
     with pytest.raises(scheme.SchemeError, match=r"S0 \(9 dofs\)") as exc:
         scheme.AlternatingStepper(cfg)
     assert isinstance(exc.value.__cause__, SystemError)

@@ -176,3 +176,17 @@ def test_bisection_needs_a_plane_strictly_inside():
     # a block that cannot be split stays whole, whatever its size
     column = np.stack([np.ones(100, dtype=int), np.arange(100) % 2], axis=1)
     assert sla.nested_dissection(column, 2).tolist() == list(range(100))
+
+
+def test_sine_transform_solve_rejections():
+    space = build_scalar_space(build_structured(2, 4), 1)
+    lattice = space.nodes_int[~space.constrained[:, 0]]
+    K = assemble_stiffness(space)
+    with pytest.raises(ValueError, match="interior lattice"):
+        sla.sine_transform_solve(K, lattice[::-1], 4)
+    with pytest.raises(ValueError, match="interior lattice"):
+        sla.sine_transform_solve(K, lattice, 5)
+    # P2 couples the two vertices of a cell edge, two lattice steps apart
+    p2 = build_scalar_space(build_structured(2, 3), 2)
+    with pytest.raises(ValueError, match="nearest-neighbour"):
+        sla.sine_transform_solve(assemble_mass(p2), p2.nodes_int[~p2.constrained[:, 0]], 6)
