@@ -1,12 +1,12 @@
 """Assembly of the bilinear forms and load vectors used by the scheme.
 
-Every form, load and error norm of a run samples one quadrature table, of
-the default degree 2r+2 (``quadrature_degree``), which keeps the quadrature
+Every form, load and error norm of a run sums one quadrature rule, of the
+default degree 2r+2 (``quadrature_degree``), which keeps the quadrature
 error of the coefficient forms and loads below the scheme's spatial order;
-``quadrature_table`` builds it once per (mesh, degree, qdeg) on the whole
-mesh and caches it there.  The table keeps no basis data per cell.  Physical
-basis gradients factor through the reference ones, grad phi_l(x_q) =
-J^{-T} grad_ref phi_l(xi_q), and on affine cells w_q det J is w_q times a
+``quadrature_table`` builds its table once per (mesh, degree, qdeg) on the
+whole mesh and caches it there.  The table keeps no basis data per cell.
+Physical basis gradients factor through the reference ones, grad phi_l(x_q)
+= J^{-T} grad_ref phi_l(xi_q), and on affine cells w_q det J is w_q times a
 per-cell constant, so every contraction runs in reference coordinates
 against small cell-independent reference tensors, and the cell geometry
 enters only as det J and as one d x d map J^{-T} per cell: the
@@ -27,8 +27,10 @@ reference tensor of the table (see ``QuadratureTable``):
 
 The tensors sum over the table's own rule, so these forms compute the same
 quadrature sums as a pass over the points would, reassociated.  No step
-form visits a quadrature point.  Every form, load and error norm is one
-pass over the whole mesh.
+form visits a quadrature point.  Every form and load is one pass over the
+whole mesh.  The error norms of ``mms`` sum the same rule block by block on
+the Kuhn lattice (``lattice_rule``); they too build no array over the
+points.
 
 Every form and load on a space is summed by that space's CSR pattern
 (``FeSpace.pattern``, a ``sparsela.Pattern``).  A form hands it one scalar
@@ -49,12 +51,13 @@ weights only), ``FieldProducts`` of a scalar field of the space's degree
 only; a tuple of one per component on vector spaces), a callable of the
 points x, or an array of point values at the form's quadrature nodes,
 (cells, q) or (cells, q, d) on vector spaces.  Only the last two are
-evaluated at the points: the tests take that path as the reference, and a
-``QuadratureField``, the one evaluator of a discrete field at the nodes,
-serves the error norms.  The manufactured sources are ``Separable``: their
-loads factor over the Kuhn lattice into per-axis tables and one GEMM per
-simplex template (sum factorisation; see ``assemble_coefficient_load``),
-so no (cells, q) array is built for them.
+evaluated at the points, and so is a ``QuadratureField``, the evaluator of
+a discrete field at every node of a table: no run takes this point path,
+which the tests keep as the independent reference.  The manufactured
+sources are ``Separable``: their loads factor over the Kuhn lattice into
+per-axis tables and one GEMM per simplex template (sum factorisation; see
+``assemble_coefficient_load`` and ``lattice_rule``), so no (cells, q)
+array is built for them.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ __all__ = [
     "assemble_coefficient_load",
     "quadrature_degree",
     "quadrature_table",
+    "lattice_rule",
 ]
 
 
@@ -113,20 +117,21 @@ class QuadratureTable:
     Every tensor sums over this table's own rule, so a form that contracts
     per-cell coefficients against it computes the same quadrature sum as one
     that visits the points, reassociated; its results move by rounding only.
-    Per cell: ``wdet`` (c, q) the quadrature weights times det J, ``JinvT``
-    (c, d, d) the inverse-transposed Jacobians (the array
-    ``mesh.jacobians()`` caches, not a copy) and ``x`` (c, q, d) the physical
-    points, built on first use.  The physical gradient of basis function l at
-    point q of cell c is ``JinvT[c] @ gref[q, l]``; no array holds it for
-    every cell (Kirby & Logg, ACM TOMS 32(3), 2006).  Built once per (mesh,
-    degree, qdeg) by ``quadrature_table``; a ``QuadratureField`` evaluates a
-    field at its nodes.
+    Per cell: ``JinvT`` (c, d, d) the inverse-transposed Jacobians (the
+    array ``mesh.jacobians()`` caches, not a copy).  The physical gradient
+    of basis function l at point q of cell c is ``JinvT[c] @ gref[q, l]``;
+    no array holds it for every cell (Kirby & Logg, ACM TOMS 32(3), 2006).
+    The point path alone reads ``wdet`` (c, q), the quadrature weights times
+    det J, and ``x`` (c, q, d), the physical points; each is built on first
+    use, and no step form, load or error norm of a run builds either.
+    Built once per (mesh, degree, qdeg) by ``quadrature_table``; a
+    ``QuadratureField`` evaluates a field at its nodes.
     """
 
     def __init__(self, mesh: Mesh, degree: int, qdeg: int):
         rule = quadrature_rule(mesh.dim, qdeg)
         vals, gref = reference_element(mesh.dim, degree).tabulate(rule.points_ref)
-        _, JinvT, det = mesh.jacobians()
+        JinvT = mesh.jacobians()[1]
         nq, nloc, d = gref.shape
         w = rule.weights
         self.vals = vals                                    # (q, nloc)
@@ -141,15 +146,19 @@ class QuadratureTable:
         self.gg = np.einsum("q,qik,qjl->klij", w, gref, gref
                             ).reshape(d * d, nloc * nloc)
         self.JinvT = JinvT                                  # (c, d, d)
-        self.wdet = w[None, :] * det[:, None]               # (c, q)
         self._mesh = mesh
         self._rule = rule
 
     @cached_property
+    def wdet(self) -> np.ndarray:
+        """Quadrature weights times det J per cell (c, q), built on first
+        use: only the point path reads them."""
+        return self._rule.weights[None, :] * self._mesh.jacobians()[2][:, None]
+
+    @cached_property
     def x(self) -> np.ndarray:
-        """Physical quadrature points (c, q, d), built on first use: the
-        error norms, the gauge residuals and callable coefficients read
-        them; a run builds them only for its error norms."""
+        """Physical quadrature points (c, q, d), built on first use: only
+        the point path reads them."""
         J = self._mesh.jacobians()[0]
         v0 = self._mesh.vertices[self._mesh.cells[:, 0]]
         return v0[:, None, :] + np.einsum("cij,qj->cqi", J, self._rule.points_ref,
@@ -159,10 +168,11 @@ class QuadratureTable:
         """Values of a callable or point-array coefficient (see the module
         docstring) at the quadrature nodes."""
         if isinstance(coeff, np.ndarray):
-            if coeff.shape[:2] != self.wdet.shape:
+            nodes = (self._mesh.n_cells, self._rule.weights.size)
+            if coeff.shape[:2] != nodes:
                 raise ValueError(
                     f"point values of shape {coeff.shape} are not at the "
-                    f"{self.wdet.shape} quadrature nodes of this form")
+                    f"{nodes} quadrature nodes of this form")
             return coeff
         return np.asarray(coeff(self.x))
 
@@ -186,7 +196,8 @@ class QuadratureField:
     reference-coordinate gradients (c, d, q), or (c, comp, d, q), direction
     before point.  ``gradients()`` maps the reference gradients by J^{-T} per
     cell to the physical ones, (c, q, d) or (c, q, comp, d), and keeps
-    nothing.  The error norms read a field this way; no step form does.
+    nothing.  The tests' point-path references read a field this way; no
+    step form and no error norm does.
     """
 
     def __init__(self, field_vec: FieldVector, table: QuadratureTable | None = None):
@@ -453,29 +464,45 @@ def assemble_coefficient_load(space: FeSpace, coeff,
     return space.pattern().assemble_load(loc)
 
 
+def lattice_rule(mesh: Mesh, tab: QuadratureTable) -> tuple[np.ndarray, np.ndarray]:
+    """The table's rule on the Kuhn lattice of ``build_structured``, per
+    simplex template: the (d!, M, q, d) per-axis coordinates and the
+    (d!, q) weights w_q det J_p.
+
+    Rule point q of the simplex of template p in the cube with low corner
+    i has coordinates x_k = (i_k + xi[p, q, k]) / M, with xi the rule's
+    points mapped into the unit cube by the template's corners, so its
+    coordinate k is entry [p, i_k, q, k] of the table.  A function of one
+    coordinate is thus one (d!, M, q) table, and the separable loads and
+    the error norms evaluate nothing per cell.  A mesh that is not the Kuhn
+    lattice raises ValueError.
+    """
+    d, M = mesh.dim, mesh.subdivisions
+    if not mesh.is_kuhn_lattice():
+        raise ValueError("the lattice rule needs the full Kuhn lattice of build_structured")
+    corners = kuhn_corners(d)
+    xi = corners[:, :1] + tab._rule.points_ref @ (corners[:, 1:] - corners[:, :1])
+    x = (np.arange(M)[None, :, None, None] + xi[:, None]) / M      # (p, M, q, d)
+    det = mesh.jacobians()[2][:math.factorial(d)]   # the first cube holds one cell per template
+    return x, tab._rule.weights * det[:, None]
+
+
 def _lattice_load(mesh: Mesh, coeff: Separable, tab: QuadratureTable) -> np.ndarray:
     """Local loads (cells, nloc) of a ``Separable`` on the Kuhn lattice of
     ``build_structured``, by sum factorisation (Orszag, J. Comput. Phys. 37
     (1980) 70-92) on the Freudenthal split; no array over (cells, q).
 
-    Rule point q of the simplex of template p in the cube with low corner
-    i has coordinates x_k = (i_k + xi[p, q, k]) / M, with xi the rule's
-    points mapped into the unit cube by the template's corners.  So a
-    factor f_k of a term is one (d!, M, q) table.  Per template, the
-    product of the first d - 1 tables is an (M^(d-1), q) matrix, the last
-    table times w_q det J vals[q, a] a (q, M nloc) one, and their product
-    holds the template's local loads in cube order.
+    A factor f_k of a term is one (d!, M, q) table of ``lattice_rule``'s
+    coordinates.  Per template, the product of the first d - 1 tables is an
+    (M^(d-1), q) matrix, the last table times w_q det J vals[q, a] a
+    (q, M nloc) one, and their product holds the template's local loads in
+    cube order.
     """
     d, M = mesh.dim, mesh.subdivisions
     nperm = math.factorial(d)
-    if not mesh.is_kuhn_lattice():
-        raise ValueError("a separable load needs the full Kuhn lattice of build_structured")
-    corners = kuhn_corners(d)
-    xi = corners[:, :1] + tab._rule.points_ref @ (corners[:, 1:] - corners[:, :1])
-    x = (np.arange(M)[None, :, None, None] + xi[:, None]) / M      # (p, M, q, d)
+    x, weights = lattice_rule(mesh, tab)
     nq, nloc = tab.vals.shape
-    det = mesh.jacobians()[2][:nperm]          # the first cube holds one cell per template
-    B = (tab._rule.weights * det[:, None])[:, :, None] * tab.vals   # (p, q, nloc)
+    B = weights[:, :, None] * tab.vals                              # (p, q, nloc)
     loc = 0.0
     for scale, fs in coeff.terms:
         if len(fs) != d:

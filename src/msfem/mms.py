@@ -14,7 +14,11 @@ directly against a Richardson-extrapolated finite-difference oracle
 (``fd_sources``) built from the value closures alone.  The field closures
 share per-coordinate sin/cos factors and base shapes
 (``ManufacturedCase.factors``); the source shapes are coded apart from
-them.
+them.  The error norms (``error_norms``, ``gauge_residuals``) run the
+quadrature of ``forms`` block by block on the Kuhn lattice: one simplex
+template and one cube layer at a time, with the exact fields evaluated from
+per-axis coordinate tables, so they build no array over all quadrature
+points.
 """
 
 from __future__ import annotations
@@ -59,10 +63,11 @@ class ManufacturedCase:
 
     All closures are vectorized over points of shape (..., dim), at a scalar
     t or at one t per point, of the points' shape; the field closures also
-    take the record ``factors(x)`` of such points in place of x, so that
-    several fields at the same points share it.  Every source is a sum of
-    time amplitudes times spatial shapes: ``f_terms``, ``g_terms`` and
-    ``l_terms`` hold the pairs ``(c_j, s_j)`` with ``source_*(x, t) =
+    take the record ``factors(coords)`` in place of x, with ``coords[k]``
+    coordinate k of the points (arrays that broadcast against each other),
+    so that several fields at the same points share it.  Every source is a
+    sum of time amplitudes times spatial shapes: ``f_terms``, ``g_terms``
+    and ``l_terms`` hold the pairs ``(c_j, s_j)`` with ``source_*(x, t) =
     sum_j c_j(t) * s_j(x)``, and are the only definition of the sources.
     Each shape s_j is a ``forms.Separable`` (a tuple of one per component
     in ``g_terms``): a sum of products of per-coordinate factors (sin/cos of
@@ -130,15 +135,27 @@ def _partials(factors, derivs):
 
 
 class _Factors:
-    """The per-coordinate factors of the separable fields at points x, each
-    a list over the coordinates, and the base shapes S, W, G, P built from
-    them; each is evaluated on first use and then shared."""
+    """The per-coordinate factors of the separable fields, each a list over
+    the coordinates, and the base shapes S, W, G, P built from them; each is
+    evaluated on first use and then shared.
 
-    def __init__(self, x):
-        self.x = np.asarray(x, dtype=float)
+    ``coords[k]`` holds coordinate k of the points.  The arrays only need to
+    broadcast against each other: at points x (..., d) they are the columns
+    of x, and the error norms pass one small per-axis table each, so every
+    one-coordinate factor is evaluated on its table and only the products
+    span the points.
+    """
+
+    def __init__(self, coords):
+        self.coords = [np.asarray(c, dtype=float) for c in coords]
+
+    @cached_property
+    def shape(self):
+        """The shape of the points, that of every product of all axes."""
+        return np.broadcast_shapes(*(c.shape for c in self.coords))
 
     def _each(self, fn):
-        return [fn(self.x[..., i]) for i in range(self.x.shape[-1])]
+        return [fn(c) for c in self.coords]
 
     @cached_property
     def sin1(self):
@@ -178,8 +195,9 @@ class _Factors:
 
 
 def _at(x) -> _Factors:
-    """The factor record of points x; a record passes through unchanged."""
-    return x if isinstance(x, _Factors) else _Factors(x)
+    """The factor record of points x (..., d); a record passes through
+    unchanged."""
+    return x if isinstance(x, _Factors) else _Factors(np.moveaxis(np.asarray(x), -1, 0))
 
 
 def _sin1(x):
@@ -232,7 +250,8 @@ def _separable_case(d: int, v0: float) -> ManufacturedCase:
     gradient, so curl A = 0, and the probability current of psi is zero.
     The field closures take the ``_Factors`` of the points, which evaluate
     the base shapes S, W, G, P once each; the closures of x build them, or
-    take a record built once for several of them.  The source shapes are
+    take a record built once for several of them, as the error norms do
+    from per-axis coordinate tables.  The source shapes are
     ``forms.Separable`` sums of products of the same one-coordinate
     factors, coded apart from the field closures.
     """
@@ -248,12 +267,12 @@ def _separable_case(d: int, v0: float) -> ManufacturedCase:
         return two_pi * _partials(F.sin2, F.cos2)
 
     def grad_P(F):
-        return _partials(F.bubble, [1 - 2 * F.x[..., i] for i in range(d)])
+        return _partials(F.bubble, [1 - 2 * c for c in F.coords])
 
     def lap_P(F):
         return -2.0 * sum(_product(F.bubble, i, 1.0) for i in range(d))
 
-    curl_shape = (lambda x: x.shape) if d == 3 else (lambda x: x.shape[:-1])
+    curl_shape = (lambda F: F.shape + (3,)) if d == 3 else (lambda F: F.shape)
 
     tau = lambda t: t + np.sin(pi * t)
     tau_t = lambda t: 1.0 + pi * np.cos(pi * t)
@@ -277,7 +296,7 @@ def _separable_case(d: int, v0: float) -> ManufacturedCase:
         A_t=lambda x, t: _per_point(a_t(t)) * W(_at(x)),
         div_A=lambda x, t: -d * pi * a(t) * G(_at(x)),
         div_A_t=lambda x, t: -d * pi * a_t(t) * G(_at(x)),
-        curl_A=lambda x, t: np.zeros(curl_shape(_at(x).x)),
+        curl_A=lambda x, t: np.zeros(curl_shape(_at(x))),
         phi=lambda x, t: tau(t) * P(_at(x)),
         phi_t=lambda x, t: tau_t(t) * P(_at(x)),
         grad_phi=lambda x, t: _per_point(tau(t)) * grad_P(_at(x)),
@@ -437,61 +456,114 @@ class ErrorEntry:
     parts: dict
 
 
-def _scalar_errors(field_vec: FieldVector, exact, qdeg: int) -> ErrorEntry:
-    """L2 and H1 errors of a scalar field against exact(x) -> (value,
-    gradient), called once."""
+def _blocks(mesh, tab):
+    """The quadrature of ``tab`` on the Kuhn lattice in blocks of one simplex
+    template p and one cube layer i along axis 0: yields (p, cells, w,
+    coords) with ``cells`` the slice of the block's M^(d-1) cells, in cube
+    order, ``w`` the (q,) weights w_q det J_p and ``coords`` the per-axis
+    coordinates of its points (``forms.lattice_rule``).
+
+    A block's points form the array (M,) * (d-1) + (q,): axis 0 is one (q,)
+    row of the table, and axis k >= 1 its (M, q) table on dimension k - 1,
+    so a one-coordinate factor costs O(M q) per block.  A mesh that is not
+    the Kuhn lattice raises ValueError.
+    """
+    d, M = mesh.dim, mesh.subdivisions
+    nperm = math.factorial(d)
+    x, weights = forms.lattice_rule(mesh, tab)              # (p, M, q, d), (p, q)
+    nq = weights.shape[1]
+    layer = nperm * M ** (d - 1)                            # cells per cube layer
+    for p in range(nperm):
+        across = [x[p, :, :, k].reshape((1,) * (k - 1) + (M,) + (1,) * (d - 1 - k) + (nq,))
+                  for k in range(1, d)]
+        for i in range(M):
+            yield (p, slice(i * layer + p, (i + 1) * layer, nperm), weights[p],
+                   [x[p, i, :, 0], *across])
+
+
+def _field_blocks(field_vec: FieldVector, qdeg: int):
+    """A discrete field block by block (``_blocks``): yields (w, coords,
+    values, grads), the values (M,) * (d-1) + (q,) and the physical
+    gradients with a trailing (d,), a vector field's component axis after
+    the points.  Per block the values are the cell coefficients against the
+    reference basis values, and the gradients against the reference
+    gradients mapped once by the template's J^{-T}."""
     space = field_vec.space
-    tab = forms.quadrature_table(space.mesh, space.degree, qdeg)
-    value, grad = exact(tab.x)
-    dv = forms.QuadratureField(field_vec, tab).values - value
-    l2 = float(np.sum(tab.wdet * np.abs(dv) ** 2))
-    del value, dv    # a fresh field for the gradients holds no values
-    dg = forms.QuadratureField(field_vec, tab).gradients() - grad
-    semi = float(np.sum(tab.wdet * np.sum(np.abs(dg) ** 2, axis=-1)))
+    mesh = space.mesh
+    tab = forms.quadrature_table(mesh, space.degree, qdeg)
+    nq, nloc, d = tab.gref.shape
+    # (nloc, q d) physical basis gradients per template; the first cube
+    # holds one cell of each
+    gphys = [(tab.gref @ JinvT.T).transpose(1, 0, 2).reshape(nloc, nq * d)
+             for JinvT in mesh.jacobians()[1][:math.factorial(d)]]
+    block = (mesh.subdivisions,) * (d - 1) + (nq,)
+    for p, cells, w, coords in _blocks(mesh, tab):
+        # (n[, comp], nloc): one row of coefficients per cell and component
+        u = np.moveaxis(space.gather_cells(field_vec, cells), 1, -1)
+        rows, lead = u.reshape(-1, nloc), u.shape[1:-1]
+        values = np.moveaxis((rows @ tab.vals.T).reshape(-1, *lead, nq), -1, 1)
+        grads = np.moveaxis((rows @ gphys[p]).reshape(-1, *lead, nq, d), -2, 1)
+        yield (w, coords, values.reshape(block + lead),
+               grads.reshape(block + lead + (d,)))
+
+
+def _scalar_errors(field_vec: FieldVector, exact, qdeg: int) -> ErrorEntry:
+    """L2 and H1 errors of a scalar field against exact(coords) -> (value,
+    gradient), called once per block of ``_blocks`` with the per-axis
+    coordinates of its points."""
+    l2 = semi = 0.0
+    for w, coords, values, grads in _field_blocks(field_vec, qdeg):
+        value, grad = exact(coords)
+        l2 += float(np.sum(w * np.abs(values - value) ** 2))
+        semi += float(np.sum(w * np.sum(np.abs(grads - grad) ** 2, axis=-1)))
     return ErrorEntry(l2=math.sqrt(l2), h1=math.sqrt(l2 + semi),
                       parts={"grad": math.sqrt(semi)})
 
 
 def _vector_errors(field_vec: FieldVector, exact, qdeg: int) -> ErrorEntry:
-    """L2, div and curl errors of a vector field against exact(x) -> (value,
-    div, curl), called once; the reported H1-equivalent is the square root of
-    their summed squares."""
-    space = field_vec.space
-    tab = forms.quadrature_table(space.mesh, space.degree, qdeg)
-    wdet = tab.wdet
-    value, div, curl_exact = exact(tab.x)
-    dv = forms.QuadratureField(field_vec, tab).values - value
-    l2 = float(np.sum(wdet * np.sum(np.abs(dv) ** 2, axis=-1)))
-    del value, dv    # the point arrays set the peak of a large mesh's norms
-    grad = forms.QuadratureField(field_vec, tab).gradients()   # (c, q, comp, deriv)
-    ddiv = np.trace(grad, axis1=-2, axis2=-1) - div
-    if space.mesh.dim == 2:
-        dcurl = grad[..., 1, 0] - grad[..., 0, 1] - curl_exact
-        del grad
-        curl2 = float(np.sum(wdet * dcurl ** 2))
-    else:
-        dcurl = np.stack([grad[..., 2, 1] - grad[..., 1, 2],
-                          grad[..., 0, 2] - grad[..., 2, 0],
-                          grad[..., 1, 0] - grad[..., 0, 1]], axis=-1) - curl_exact
-        del grad
-        curl2 = float(np.sum(wdet * np.sum(dcurl ** 2, axis=-1)))
-    div2 = float(np.sum(wdet * ddiv ** 2))
+    """L2, div and curl errors of a vector field against exact(coords) ->
+    (value, div, curl), called once per block of ``_blocks`` with the
+    per-axis coordinates of its points; the reported H1-equivalent is the
+    square root of their summed squares."""
+    l2 = div2 = curl2 = 0.0
+    for w, coords, values, grads in _field_blocks(field_vec, qdeg):
+        value, div, curl = exact(coords)                 # grads (..., comp, deriv)
+        l2 += float(np.sum(w * np.sum(np.abs(values - value) ** 2, axis=-1)))
+        ddiv = np.trace(grads, axis1=-2, axis2=-1) - div
+        div2 += float(np.sum(w * ddiv ** 2))
+        if field_vec.space.mesh.dim == 2:
+            dcurl = grads[..., 1, 0] - grads[..., 0, 1] - curl
+            curl2 += float(np.sum(w * dcurl ** 2))
+        else:
+            dcurl = np.stack([grads[..., 2, 1] - grads[..., 1, 2],
+                              grads[..., 0, 2] - grads[..., 2, 0],
+                              grads[..., 1, 0] - grads[..., 0, 1]], axis=-1) - curl
+            curl2 += float(np.sum(w * np.sum(dcurl ** 2, axis=-1)))
     return ErrorEntry(l2=math.sqrt(l2), h1=math.sqrt(l2 + div2 + curl2),
                       parts={"div": math.sqrt(div2), "curl": math.sqrt(curl2)})
 
 
 def error_norms(field_vec: FieldVector, case: ManufacturedCase, which: str,
                 t: float, qdeg: int | None = None) -> ErrorEntry:
-    """Errors of a discrete field against the exact case field at time t;
-    the exact value and derivatives share one ``case.factors``."""
+    """Errors of a discrete field against the exact case field at time t.
+
+    The quadrature is the forms' rule of degree ``qdeg`` (default
+    ``forms.quadrature_degree``), summed block by block over the Kuhn
+    lattice (one simplex template and one cube layer per block), so no
+    array spans every quadrature point: per block the field is its cell
+    coefficients against the reference tables, and the exact value and
+    derivatives share one ``case.factors`` of the block's per-axis
+    coordinate tables.  A mesh that is not the Kuhn lattice raises
+    ValueError.
+    """
     qdeg = forms.quadrature_degree(field_vec.space.degree, qdeg)
     fns = {"psi": (case.psi, case.grad_psi), "phi": (case.phi, case.grad_phi),
            "A": (case.A, case.div_A, case.curl_A)}.get(which)
     if fns is None:
         raise ValueError(f"unknown field {which!r}")
 
-    def exact(x):
-        factors = case.factors(x)
+    def exact(coords):
+        factors = case.factors(coords)
         return tuple(fn(factors, t) for fn in fns)
 
     errors = _vector_errors if which == "A" else _scalar_errors
@@ -548,16 +620,20 @@ def gauge_residuals(case: ManufacturedCase, M: int = 8,
 
     Returns (|| div A0 + phi1 ||, || div A1 + lap phi0 + |psi0|^2 ||); the
     verification cases do not satisfy them (the sources absorb the mismatch),
-    so these are reported, never enforced.
+    so these are reported, never enforced.  The quadrature is the rule of
+    degree ``qdeg`` on the Kuhn lattice of M, summed block by block as in
+    ``error_norms``.
     """
-    # the exact data need only the points and weights; P1 has the smallest table
-    tab = forms.quadrature_table(build_structured(case.dim, M), 1, qdeg)
-    x, wdet = tab.x, tab.wdet
-
-    g1 = case.div_A(x, 0.0) + case.phi_t(x, 0.0)
-    psi0 = case.psi(x, 0.0)
-    g2 = (case.div_A_t(x, 0.0) + case.lap_phi(x, 0.0)
-          + (psi0 * np.conj(psi0)).real)
-    n1 = math.sqrt(float(np.sum(wdet * g1 ** 2)))
-    n2 = math.sqrt(float(np.sum(wdet * g2 ** 2)))
-    return n1, n2
+    # the exact data need only the rule; P1 has the smallest table
+    mesh = build_structured(case.dim, M)
+    tab = forms.quadrature_table(mesh, 1, qdeg)
+    n1 = n2 = 0.0
+    for _, _, w, coords in _blocks(mesh, tab):
+        x = case.factors(coords)
+        g1 = case.div_A(x, 0.0) + case.phi_t(x, 0.0)
+        psi0 = case.psi(x, 0.0)
+        g2 = (case.div_A_t(x, 0.0) + case.lap_phi(x, 0.0)
+              + (psi0 * np.conj(psi0)).real)
+        n1 += float(np.sum(w * g1 ** 2))
+        n2 += float(np.sum(w * g2 ** 2))
+    return math.sqrt(n1), math.sqrt(n2)

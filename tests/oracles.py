@@ -1,12 +1,19 @@
-"""Naive dense assembly, point by point and cell by cell.
+"""Naive dense assembly, point by point and cell by cell, and the error
+norms summed over every quadrature point at once.
 
 Deliberately slow and independent of the vectorized assembly path: per-cell
 affine maps, per-point basis evaluation, Python-loop accumulation into dense
-matrices.  Only usable on small meshes.
+matrices.  Only usable on small meshes.  The norms take the whole-mesh
+point path of ``forms`` (``QuadratureField``, the table's ``x`` and
+``wdet``) and call the case closures at the points, with no block or
+per-axis structure.
 """
+
+import math
 
 import numpy as np
 
+from msfem import forms, mms
 from msfem.elements import affine_map, quadrature_rule, reference_element
 from msfem.mesh import Mesh, build_structured
 from msfem.space import evaluate
@@ -209,3 +216,42 @@ def _load(space, value_at, qdeg):
                     if j >= 0:
                         out[j] += w * s[comp] * vals[a]
     return out
+
+
+def point_error_norms(field_vec, case, which, t, qdeg=None):
+    """``mms.error_norms`` summed over all quadrature points of the mesh in
+    one pass: the field from ``QuadratureField``, the exact fields from the
+    case closures at the table's points ``x``, the weights ``wdet``."""
+    space = field_vec.space
+    tab = forms.quadrature_table(space.mesh, space.degree, qdeg)
+    x, wdet = tab.x, tab.wdet
+    field = forms.QuadratureField(field_vec, tab)
+    values, grads = field.values, field.gradients()
+    if which != "A":
+        value, grad = {"psi": (case.psi, case.grad_psi),
+                       "phi": (case.phi, case.grad_phi)}[which]
+        l2 = np.sum(wdet * np.abs(values - value(x, t)) ** 2)
+        semi = np.sum(wdet * np.sum(np.abs(grads - grad(x, t)) ** 2, axis=-1))
+        return mms.ErrorEntry(l2=math.sqrt(l2), h1=math.sqrt(l2 + semi),
+                              parts={"grad": math.sqrt(semi)})
+    l2 = np.sum(wdet * np.sum((values - case.A(x, t)) ** 2, axis=-1))
+    div2 = np.sum(wdet * (np.trace(grads, axis1=-2, axis2=-1) - case.div_A(x, t)) ** 2)
+    if space.mesh.dim == 2:
+        dcurl = grads[..., 1, 0] - grads[..., 0, 1] - case.curl_A(x, t)
+        curl2 = np.sum(wdet * dcurl ** 2)
+    else:
+        curl = np.stack([grads[..., 2, 1] - grads[..., 1, 2],
+                         grads[..., 0, 2] - grads[..., 2, 0],
+                         grads[..., 1, 0] - grads[..., 0, 1]], axis=-1)
+        curl2 = np.sum(wdet * np.sum((curl - case.curl_A(x, t)) ** 2, axis=-1))
+    return mms.ErrorEntry(l2=math.sqrt(l2), h1=math.sqrt(l2 + div2 + curl2),
+                          parts={"div": math.sqrt(div2), "curl": math.sqrt(curl2)})
+
+
+def point_gauge_residuals(case, M, qdeg):
+    """``mms.gauge_residuals`` summed over all points of the P1 table."""
+    tab = forms.quadrature_table(build_structured(case.dim, M), 1, qdeg)
+    x, wdet = tab.x, tab.wdet
+    g1 = case.div_A(x, 0.0) + case.phi_t(x, 0.0)
+    g2 = case.div_A_t(x, 0.0) + case.lap_phi(x, 0.0) + np.abs(case.psi(x, 0.0)) ** 2
+    return math.sqrt(np.sum(wdet * g1 ** 2)), math.sqrt(np.sum(wdet * g2 ** 2))

@@ -477,6 +477,9 @@ def test_one_quadrature_table_per_degree_and_qdeg():
     assert sorted(tables) == [("quadrature", 1, 2), ("quadrature", 1, 4),
                               ("quadrature", 2, 6)]
     for t in tables.values():
+        # the point path's per-cell arrays are built on first use, and none
+        # of the forms, loads and error norms above uses them
+        assert "wdet" not in vars(t) and "x" not in vars(t)
         assert t.wdet.shape[0] == t.JinvT.shape[0] == t.x.shape[0] == mesh.n_cells
         # no array grows with n_cells * q * nloc: the per-cell arrays (wdet,
         # JinvT, x) hold at most max(q d, d^2) entries per cell, the others
