@@ -6,24 +6,27 @@ error of the coefficient forms and loads below the scheme's spatial order;
 ``quadrature_table`` builds its table once per (mesh, degree, qdeg) on the
 whole mesh and caches it there.  The table keeps no basis data per cell.
 Physical basis gradients factor through the reference ones, grad phi_l(x_q)
-= J^{-T} grad_ref phi_l(xi_q), and on affine cells w_q det J is w_q times a
-per-cell constant, so every contraction runs in reference coordinates
-against small cell-independent reference tensors, and the cell geometry
-enters only as det J and as one d x d map J^{-T} per cell: the
-reference-tensor factorisation of Kirby & Logg, ACM TOMS 32(3), 2006.  Each
-form is one GEMM of per-cell coefficients, scaled by det J, against a
-reference tensor of the table (see ``QuadratureTable``):
+= J^{-T} grad_ref phi_l(xi_q), so every contraction runs in reference
+coordinates against small cell-independent reference tensors: the
+reference-tensor factorisation of Kirby & Logg, ACM TOMS 32(3), 2006.  The
+mesh is the Kuhn lattice, so the geometry is the one scalar det J and the
+d! template maps J_p^{-T} (``Mesh``): cell c = cube d! + p is template p,
+and a cell array read as (cube, p) blocks meets each template map once.
+Each form is one GEMM of per-cell coefficients, scaled by det J, against a
+reference tensor of the table (see ``QuadratureTable``), or one GEMM per
+template against that tensor mapped by J_p^{-T}:
 
 - the mass: det J against ``mass_row``;
-- the stiffness and ``D``: the geometry J^{-1} J^{-T} against ``gg``;
+- the stiffness and ``D``: d! local matrices, the geometry det J J_p^{-1}
+  J_p^{-T} against ``gg``, one per template, repeated cube by cube;
 - (phi u, v) for a discrete phi: phi's cell coefficients against ``vvv``;
 - W(|psi|^2) and the |A|^2 part of ``B``: the coefficient products
   Re(conj(u_k) u_l) (``FieldProducts``), or A_k . A_l, against ``vvvv``;
 - the |psi|^2 load: the same products against ``vvv`` read as (k l, a);
-- the current load: the products Im(conj(u_i) u_j) against ``vgv``, mapped
-  by J^{-T} once per cell;
-- the A . grad part of ``B``: A mapped to reference coordinates against
-  ``vgv`` read as (k a, i j).
+- the current load: the products Im(conj(u_i) u_j) against ``vgv`` mapped
+  by J_p^{-T}, per template;
+- the A . grad part of ``B``: A's cell coefficients against the part of
+  ``vgv`` antisymmetric in (i, j), mapped by J_p^{-T}, per template.
 
 The tensors sum over the table's own rule, so these forms compute the same
 quadrature sums as a pass over the points would, reassociated.  No step
@@ -117,13 +120,13 @@ class QuadratureTable:
     Every tensor sums over this table's own rule, so a form that contracts
     per-cell coefficients against it computes the same quadrature sum as one
     that visits the points, reassociated; its results move by rounding only.
-    Per cell: ``JinvT`` (c, d, d) the inverse-transposed Jacobians (the
-    array ``mesh.jacobians()`` caches, not a copy).  The physical gradient
-    of basis function l at point q of cell c is ``JinvT[c] @ gref[q, l]``;
-    no array holds it for every cell (Kirby & Logg, ACM TOMS 32(3), 2006).
-    The point path alone reads ``wdet`` (c, q), the quadrature weights times
-    det J, and ``x`` (c, q, d), the physical points; each is built on first
-    use, and no step form, load or error norm of a run builds either.
+    The geometry is the mesh's: ``JinvT`` (d!, d, d) the inverse-transposed
+    template Jacobians (``Mesh.JinvT``, not a copy).  The physical gradient
+    of basis function l at point q of cell c is ``JinvT[c % d!] @ gref[q,
+    l]``; no array holds it for every cell.  ``wdet`` (q,) holds the
+    quadrature weights times det J.  The point path alone reads ``x`` (c, q,
+    d), the physical points, built on first use; no step form, load or error
+    norm of a run builds it.
     Built once per (mesh, degree, qdeg) by ``quadrature_table``; a
     ``QuadratureField`` evaluates a field at its nodes.
     """
@@ -131,7 +134,6 @@ class QuadratureTable:
     def __init__(self, mesh: Mesh, degree: int, qdeg: int):
         rule = quadrature_rule(mesh.dim, qdeg)
         vals, gref = reference_element(mesh.dim, degree).tabulate(rule.points_ref)
-        JinvT = mesh.jacobians()[1]
         nq, nloc, d = gref.shape
         w = rule.weights
         self.vals = vals                                    # (q, nloc)
@@ -145,24 +147,21 @@ class QuadratureTable:
                              ).reshape(nloc * nloc, d * nloc)
         self.gg = np.einsum("q,qik,qjl->klij", w, gref, gref
                             ).reshape(d * d, nloc * nloc)
-        self.JinvT = JinvT                                  # (c, d, d)
+        self.JinvT = mesh.JinvT                             # (d!, d, d)
+        self.wdet = w * mesh.det                            # (q,)
         self._mesh = mesh
         self._rule = rule
 
     @cached_property
-    def wdet(self) -> np.ndarray:
-        """Quadrature weights times det J per cell (c, q), built on first
-        use: only the point path reads them."""
-        return self._rule.weights[None, :] * self._mesh.jacobians()[2][:, None]
-
-    @cached_property
     def x(self) -> np.ndarray:
         """Physical quadrature points (c, q, d), built on first use: only
-        the point path reads them."""
-        J = self._mesh.jacobians()[0]
-        v0 = self._mesh.vertices[self._mesh.cells[:, 0]]
-        return v0[:, None, :] + np.einsum("cij,qj->cqi", J, self._rule.points_ref,
-                                          optimize=True)
+        the point path reads them.  Each template maps the rule once, and
+        every cube translates the d! mapped rules to its cells."""
+        mesh = self._mesh
+        nperm, d = mesh.J.shape[:2]
+        mapped = np.einsum("pij,qj->pqi", mesh.J, self._rule.points_ref)  # (p, q, d)
+        v0 = mesh.vertices[mesh.cells[:, 0]].reshape(-1, nperm, 1, d)
+        return (v0 + mapped).reshape(mesh.n_cells, -1, d)
 
     def coefficient(self, coeff):
         """Values of a callable or point-array coefficient (see the module
@@ -194,10 +193,10 @@ class QuadratureField:
 
     ``values`` is (c, q), or (c, q, comp) on vector spaces; ``grad_ref`` the
     reference-coordinate gradients (c, d, q), or (c, comp, d, q), direction
-    before point.  ``gradients()`` maps the reference gradients by J^{-T} per
-    cell to the physical ones, (c, q, d) or (c, q, comp, d), and keeps
-    nothing.  The tests' point-path references read a field this way; no
-    step form and no error norm does.
+    before point.  ``gradients()`` maps the reference gradients by each
+    cell's template J^{-T} to the physical ones, (c, q, d) or (c, q, comp,
+    d), and keeps nothing.  The tests' point-path references read a field
+    this way; no step form and no error norm does.
     """
 
     def __init__(self, field_vec: FieldVector, table: QuadratureTable | None = None):
@@ -228,7 +227,9 @@ class QuadratureField:
         JinvT = self.table.JinvT
         if len(self._lead) == 2:
             JinvT = JinvT[:, None]
-        return np.moveaxis(np.matmul(JinvT, self.grad_ref), -1, 1)
+        g = self.grad_ref
+        by_template = g.reshape(-1, JinvT.shape[0], *g.shape[1:])   # (cube, p, ...)
+        return np.moveaxis(np.matmul(JinvT, by_template).reshape(g.shape), -1, 1)
 
 
 class FieldProducts:
@@ -249,13 +250,13 @@ class FieldProducts:
         if space.kind != "scalar":
             raise ValueError("products are formed of a scalar field")
         nloc = space.element.node_count
-        det = space.mesh.jacobians()[2]
         # (nloc, c), cells last: every product runs over the cells
         u = np.ascontiguousarray(space.gather_cells(field_vec).T)
-        p = (u.conj()[:, None] * (u * det)[None]).reshape(nloc * nloc, -1)
+        p = (u.conj()[:, None] * (u * space.mesh.det)[None]).reshape(nloc * nloc, -1)
         self.space = space
         self.re = np.ascontiguousarray(p.real).T
-        self.im = np.ascontiguousarray(p.imag).T
+        # in C order: the current load reads it a template at a time
+        self.im = np.ascontiguousarray(p.imag.T)
 
 
 @dataclass(frozen=True)
@@ -285,9 +286,17 @@ def _on_pattern(space: FeSpace, loc: np.ndarray):
     return pat.matrix(pat.assemble(loc).astype(space.dtype, copy=False))
 
 
-def _cells_last(a: np.ndarray) -> np.ndarray:
-    """A per-cell array with its axes reversed, cells last, contiguous."""
-    return np.ascontiguousarray(a.T)
+def _per_template(rows: np.ndarray, tensors: np.ndarray) -> np.ndarray:
+    """``rows`` (cells, n) times the (n, k) tensor of each cell's template,
+    ``tensors`` (d!, n, k): one GEMM per template on its cells, which are
+    every d!-th row (cell c = cube d! + p).  On C-ordered ``rows`` each
+    template's rows are a strided matrix that BLAS reads in place."""
+    nperm, _, k = tensors.shape
+    blocks = rows.reshape(-1, nperm, rows.shape[1])                 # (cube, p, n)
+    out = np.empty((blocks.shape[0], nperm, k), dtype=np.result_type(rows, tensors))
+    for p in range(nperm):
+        np.matmul(blocks[:, p], tensors[p], out=out[:, p])
+    return out.reshape(rows.shape[0], k)
 
 
 def assemble_mass(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
@@ -299,10 +308,11 @@ def assemble_weighted_mass(space: FeSpace, weight, qdeg: int | None = None) -> s
     """(w u, v) with w a scalar weight (see module coefficients)."""
     _check_coeff_space(space, weight)
     nloc = space.element.node_count
-    tab = quadrature_table(space.mesh, space.degree, qdeg)
-    det = space.mesh.jacobians()[2][:, None]
+    mesh = space.mesh
+    tab = quadrature_table(mesh, space.degree, qdeg)
+    det = mesh.det
     if weight is None:
-        loc = det * tab.mass_row
+        loc = np.broadcast_to(det * tab.mass_row, (mesh.n_cells, nloc * nloc))
     elif isinstance(weight, FieldVector):
         loc = (weight.space.gather_cells(weight).real * det) @ tab.vvv
     elif isinstance(weight, FieldProducts):
@@ -321,16 +331,18 @@ def assemble_stiffness(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
 
 def _componentwise_stiffness(space: FeSpace, qdeg: int | None) -> sp.csr_array:
     """sum_c (grad u_c, grad v_c), the kernel of both ``assemble_stiffness``
-    and ``assemble_D``: the per-cell geometry det J J^{-1} J^{-T} (c, d, d)
-    against the table's ``gg``."""
-    tab = quadrature_table(space.mesh, space.degree, qdeg)
-    _, JinvT, det = space.mesh.jacobians()
+    and ``assemble_D``: the template geometry det J J_p^{-1} J_p^{-T} (d!,
+    d, d) against the table's ``gg`` gives d! local matrices, which every
+    cube repeats."""
+    mesh = space.mesh
+    tab = quadrature_table(mesh, space.degree, qdeg)
     nloc, d = tab.gref.shape[1:]
-    # (k, l, c), cells last: every product runs over the cells, none over d
-    rows = np.ascontiguousarray(JinvT.transpose(1, 2, 0))
-    geometry = (rows[:, :, None] * rows[:, None, :]).sum(axis=0) * det
-    loc = geometry.reshape(d * d, -1).T @ tab.gg
-    return _on_pattern(space, loc.reshape(-1, nloc, nloc))
+    # (m, k, p): geometry[k, l, p] = sum_m JinvT[p, m, k] JinvT[p, m, l]
+    rows = tab.JinvT.transpose(1, 2, 0)
+    geometry = (rows[:, :, None] * rows[:, None, :]).sum(axis=0) * mesh.det
+    loc = geometry.reshape(d * d, -1).T @ tab.gg                    # (p, nloc^2)
+    cubes = mesh.n_cells // loc.shape[0]
+    return _on_pattern(space, np.broadcast_to(loc, (cubes,) + loc.shape))
 
 
 def assemble_D(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
@@ -371,30 +383,28 @@ def assemble_B(space: FeSpace, a_field: FieldVector, stiffness: sp.csr_array,
     pat = space.pattern()
     if not np.may_share_memory(stiffness.indices, pat.indices):
         raise ValueError("stiffness is not on the pattern of this space")
+    mesh = space.mesh
     nloc = space.element.node_count
-    nc = space.mesh.n_cells
-    tab = quadrature_table(space.mesh, space.degree, qdeg)
-    _, JinvT, det = space.mesh.jacobians()
-    d = space.mesh.dim
-    # (component m, node a, cell) and (reference direction k, m, cell)
-    a = _cells_last(a_field.space.gather_cells(a_field))
-    J = _cells_last(JinvT)
-    # |A|^2 = sum_kl (A_k . A_l) phi_k phi_l, against vvvv
+    nc = mesh.n_cells
+    d = mesh.dim
+    tab = quadrature_table(mesh, space.degree, qdeg)
+    local = a_field.space.gather_cells(a_field)                    # (c, a, m)
+    # |A|^2 = sum_kl (A_k . A_l) phi_k phi_l, against vvvv; (m, a, c),
+    # cells last: every product runs over the cells
+    a = np.ascontiguousarray(local.T)
     gram = a[0][:, None] * a[0][None]
     for m in range(1, d):
         gram += a[m][:, None] * a[m][None]
-    gram *= det
-    # A . grad phi_j = sum_ak (A_a J^{-T})_k phi_a d_k phi_j, with A in
-    # reference coordinates, against vgv read as (k a, i j); the imaginary
-    # part v grad u - u grad v takes its part antisymmetric in (i, j)
-    a_ref = J[:, 0, None] * a[0][None]
-    for m in range(1, d):
-        a_ref += J[:, m, None] * a[m][None]
-    a_ref *= det
-    vgv = tab.vgv.reshape(nloc, nloc, d * nloc)
-    skew = (vgv - vgv.transpose(1, 0, 2)).reshape(nloc * nloc, d * nloc)
+    gram *= mesh.det
+    # A . grad phi_j = sum_amk A_am (J_p^{-T})_mk phi_a d_k phi_j, against
+    # vgv read as (k a, i j) and mapped by the template: the imaginary part
+    # v grad u - u grad v takes its part antisymmetric in (i, j)
+    vgv = tab.vgv.reshape(nloc, nloc, d, nloc)
+    skew = (vgv - vgv.transpose(1, 0, 2, 3)).reshape(nloc * nloc, d, nloc)
+    mapped = mesh.det * np.einsum("pmk,ika->pami", tab.JinvT, skew)
     values = pat.assemble(gram.reshape(nloc * nloc, nc).T @ tab.vvvv)
-    values = values + 1j * pat.assemble(a_ref.reshape(d * nloc, nc).T @ skew.T)
+    values = values + 1j * pat.assemble(_per_template(
+        local.reshape(nc, nloc * d), mapped.reshape(-1, nloc * d, nloc * nloc)))
     values += stiffness.data
     return pat.matrix(values)
 
@@ -405,23 +415,19 @@ def assemble_current_load(space: FeSpace, psi: FieldProducts,
     against the vector test functions; real-valued.
 
     The current -Im(psi* grad psi) is the products ``psi.im`` against the
-    table's ``vgv``, in reference coordinates, mapped by J^{-T} once per
-    cell.
+    table's ``vgv`` mapped by the template's J^{-T}, one GEMM per template.
     """
     if space.kind != "vector":
         raise ValueError("the current load is assembled on a vector space")
     _check_coeff_space(space, psi)
     nloc = space.element.node_count
     d = space.mesh.dim
-    nc = space.mesh.n_cells
     tab = quadrature_table(space.mesh, space.degree, qdeg)
-    # (k a, c): reference direction k, test node a, cells last
-    ref = (tab.vgv.T @ psi.im.T).reshape(d, nloc, nc)
-    J = _cells_last(tab.JinvT)                         # (k, m, c)
-    loc = J[0][None] * ref[0][:, None]                 # (a, m, c)
-    for k in range(1, d):
-        loc += J[k][None] * ref[k][:, None]
-    return space.pattern().assemble_load(-loc.transpose(2, 0, 1))
+    # vgv's columns (k a), reference direction k and test node a, mapped to
+    # (a, m), physical direction m
+    mapped = -np.einsum("pmk,ika->piam", tab.JinvT, tab.vgv.reshape(-1, d, nloc))
+    loc = _per_template(psi.im, mapped.reshape(-1, nloc * nloc, nloc * d))
+    return space.pattern().assemble_load(loc.reshape(-1, nloc, d))
 
 
 def assemble_source_load(space: FeSpace, source, qdeg: int | None = None) -> np.ndarray:
@@ -456,41 +462,36 @@ def assemble_coefficient_load(space: FeSpace, coeff,
                              f"{space.ncomp} Separable component(s)")
         loc = np.stack([_lattice_load(space.mesh, c, tab) for c in comps], axis=-1)
     else:
-        w = tab.wdet
-        s = tab.coefficient(coeff).reshape(*w.shape, -1) * w[:, :, None]
+        values = tab.coefficient(coeff)
+        s = values.reshape(*values.shape[:2], -1) * tab.wdet[:, None]
         loc = np.matmul(tab.vals.T, s)                              # (c, a, comp)
     if np.iscomplexobj(loc) and space.dtype is not complex:
         raise ValueError("complex coefficient for a load on a real space")
     return space.pattern().assemble_load(loc)
 
 
-def lattice_rule(mesh: Mesh, tab: QuadratureTable) -> tuple[np.ndarray, np.ndarray]:
-    """The table's rule on the Kuhn lattice of ``build_structured``, per
-    simplex template: the (d!, M, q, d) per-axis coordinates and the
-    (d!, q) weights w_q det J_p.
+def lattice_rule(mesh: Mesh, tab: QuadratureTable) -> np.ndarray:
+    """The points of the table's rule on the Kuhn lattice, per simplex
+    template, as (d!, M, q, d) per-axis coordinates; their weights are the
+    table's ``wdet``.
 
     Rule point q of the simplex of template p in the cube with low corner
     i has coordinates x_k = (i_k + xi[p, q, k]) / M, with xi the rule's
     points mapped into the unit cube by the template's corners, so its
     coordinate k is entry [p, i_k, q, k] of the table.  A function of one
     coordinate is thus one (d!, M, q) table, and the separable loads and
-    the error norms evaluate nothing per cell.  A mesh that is not the Kuhn
-    lattice raises ValueError.
+    the error norms evaluate nothing per cell.
     """
     d, M = mesh.dim, mesh.subdivisions
-    if not mesh.is_kuhn_lattice():
-        raise ValueError("the lattice rule needs the full Kuhn lattice of build_structured")
     corners = kuhn_corners(d)
     xi = corners[:, :1] + tab._rule.points_ref @ (corners[:, 1:] - corners[:, :1])
-    x = (np.arange(M)[None, :, None, None] + xi[:, None]) / M      # (p, M, q, d)
-    det = mesh.jacobians()[2][:math.factorial(d)]   # the first cube holds one cell per template
-    return x, tab._rule.weights * det[:, None]
+    return (np.arange(M)[None, :, None, None] + xi[:, None]) / M   # (p, M, q, d)
 
 
 def _lattice_load(mesh: Mesh, coeff: Separable, tab: QuadratureTable) -> np.ndarray:
-    """Local loads (cells, nloc) of a ``Separable`` on the Kuhn lattice of
-    ``build_structured``, by sum factorisation (Orszag, J. Comput. Phys. 37
-    (1980) 70-92) on the Freudenthal split; no array over (cells, q).
+    """Local loads (cells, nloc) of a ``Separable`` on the Kuhn lattice, by
+    sum factorisation (Orszag, J. Comput. Phys. 37 (1980) 70-92) on the
+    Freudenthal split; no array over (cells, q).
 
     A factor f_k of a term is one (d!, M, q) table of ``lattice_rule``'s
     coordinates.  Per template, the product of the first d - 1 tables is an
@@ -500,9 +501,9 @@ def _lattice_load(mesh: Mesh, coeff: Separable, tab: QuadratureTable) -> np.ndar
     """
     d, M = mesh.dim, mesh.subdivisions
     nperm = math.factorial(d)
-    x, weights = lattice_rule(mesh, tab)
+    x = lattice_rule(mesh, tab)
     nq, nloc = tab.vals.shape
-    B = weights[:, :, None] * tab.vals                              # (p, q, nloc)
+    B = tab.wdet[:, None] * tab.vals                                # (q, nloc)
     loc = 0.0
     for scale, fs in coeff.terms:
         if len(fs) != d:
@@ -511,7 +512,7 @@ def _lattice_load(mesh: Mesh, coeff: Separable, tab: QuadratureTable) -> np.ndar
         rows = tables[0]
         for table in tables[1:-1]:
             rows = (rows[:, :, None] * table[:, None]).reshape(nperm, -1, nq)
-        cols = (scale * tables[-1][..., None] * B[:, None]).transpose(0, 2, 1, 3)
+        cols = (scale * tables[-1][..., None] * B).transpose(0, 2, 1, 3)
         loc = loc + np.matmul(rows, cols.reshape(nperm, nq, M * nloc))
     # (p, cube, a) -> cell = cube d! + p
     return np.reshape(loc, (nperm, M ** d, nloc)).transpose(1, 0, 2).reshape(-1, nloc)

@@ -460,24 +460,23 @@ def _blocks(mesh, tab):
     """The quadrature of ``tab`` on the Kuhn lattice in blocks of one simplex
     template p and one cube layer i along axis 0: yields (p, cells, w,
     coords) with ``cells`` the slice of the block's M^(d-1) cells, in cube
-    order, ``w`` the (q,) weights w_q det J_p and ``coords`` the per-axis
-    coordinates of its points (``forms.lattice_rule``).
+    order, ``w`` the table's (q,) weights w_q det J and ``coords`` the
+    per-axis coordinates of its points (``forms.lattice_rule``).
 
     A block's points form the array (M,) * (d-1) + (q,): axis 0 is one (q,)
     row of the table, and axis k >= 1 its (M, q) table on dimension k - 1,
-    so a one-coordinate factor costs O(M q) per block.  A mesh that is not
-    the Kuhn lattice raises ValueError.
+    so a one-coordinate factor costs O(M q) per block.
     """
     d, M = mesh.dim, mesh.subdivisions
     nperm = math.factorial(d)
-    x, weights = forms.lattice_rule(mesh, tab)              # (p, M, q, d), (p, q)
-    nq = weights.shape[1]
+    x = forms.lattice_rule(mesh, tab)                       # (p, M, q, d)
+    nq = x.shape[2]
     layer = nperm * M ** (d - 1)                            # cells per cube layer
     for p in range(nperm):
         across = [x[p, :, :, k].reshape((1,) * (k - 1) + (M,) + (1,) * (d - 1 - k) + (nq,))
                   for k in range(1, d)]
         for i in range(M):
-            yield (p, slice(i * layer + p, (i + 1) * layer, nperm), weights[p],
+            yield (p, slice(i * layer + p, (i + 1) * layer, nperm), tab.wdet,
                    [x[p, i, :, 0], *across])
 
 
@@ -492,10 +491,9 @@ def _field_blocks(field_vec: FieldVector, qdeg: int):
     mesh = space.mesh
     tab = forms.quadrature_table(mesh, space.degree, qdeg)
     nq, nloc, d = tab.gref.shape
-    # (nloc, q d) physical basis gradients per template; the first cube
-    # holds one cell of each
+    # (nloc, q d) physical basis gradients per template
     gphys = [(tab.gref @ JinvT.T).transpose(1, 0, 2).reshape(nloc, nq * d)
-             for JinvT in mesh.jacobians()[1][:math.factorial(d)]]
+             for JinvT in tab.JinvT]
     block = (mesh.subdivisions,) * (d - 1) + (nq,)
     for p, cells, w, coords in _blocks(mesh, tab):
         # (n[, comp], nloc): one row of coefficients per cell and component
@@ -553,8 +551,7 @@ def error_norms(field_vec: FieldVector, case: ManufacturedCase, which: str,
     array spans every quadrature point: per block the field is its cell
     coefficients against the reference tables, and the exact value and
     derivatives share one ``case.factors`` of the block's per-axis
-    coordinate tables.  A mesh that is not the Kuhn lattice raises
-    ValueError.
+    coordinate tables.
     """
     qdeg = forms.quadrature_degree(field_vec.space.degree, qdeg)
     fns = {"psi": (case.psi, case.grad_psi), "phi": (case.phi, case.grad_phi),

@@ -68,7 +68,7 @@ from functools import cached_property
 import numpy as np
 
 from . import forms, mms, sparsela
-from .mesh import build_structured
+from .mesh import build_structured, require_integer
 from .space import FeSpace, FieldVector, build_scalar_space, build_vector_space, interpolate
 
 __all__ = [
@@ -137,9 +137,7 @@ class SchemeConfig:
 
     def __post_init__(self):
         for name in ("dim", "M", "degree", "n_steps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            require_integer(name, getattr(self, name))
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if self.M < 1:
@@ -271,11 +269,10 @@ class AlternatingStepper:
           stencil averaged over the sign flips of the axes
           (``sparsela.sine_transform_solve``), O(N log N) per apply and no
           factor.  The free nodes are the interior of the Kuhn lattice in C
-          order; a mesh that is not that lattice raises ValueError.  The Kuhn
-          stencil couples one diagonal of each cube and the average all of
-          them, so the two differ in the mass as well, by a bounded
-          fraction: a solve takes more applies than with the exact inverse
-          (4-24 in the tests), each far cheaper than an LU apply.
+          order.  The Kuhn stencil couples one diagonal of each cube and the
+          average all of them, so the two differ in the mass as well, by a
+          bounded fraction: a solve takes more applies than with the exact
+          inverse (4-24 in the tests), each far cheaper than an LU apply.
         - P2, and psi without constraints: the complete sparse LU of S0.
           The free dofs are ordered by recursive bisection of their lattice
           coordinates on cell-face planes, each separator after its two
@@ -297,9 +294,6 @@ class AlternatingStepper:
         # the free nodes' lattice coordinates, in dof order
         lattice = space.nodes_int[~space.constrained[:, 0]]
         if space.degree == 1 and space.constrained_space:
-            if not self.mesh.is_kuhn_lattice():
-                raise ValueError("the P1 wave-function solve needs the Kuhn lattice "
-                                 "of build_structured")
             return sparsela.sine_transform_solve(S0, lattice, self.mesh.subdivisions)
         perm = sparsela.nested_dissection(lattice, space.degree)
         try:

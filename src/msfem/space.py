@@ -1,4 +1,4 @@
-"""Finite element spaces on the structured meshes.
+"""Finite element spaces on the Kuhn lattice.
 
 Scalar spaces (real or complex) carry homogeneous Dirichlet constraints on all
 boundary nodes unless built without them; vector spaces always constrain the
@@ -13,6 +13,9 @@ integer coordinates.  The node numbering of each (mesh, degree), its
 summation matrices and the CSR pattern of each dof numbering are built once
 and cached on the mesh, so spaces that share a numbering share its pattern,
 and the scalar and vector patterns of one degree share the summation.
+``evaluate`` and ``locate_points``, the pointwise path, map between
+reference and physical coordinates by the cell's template Jacobian (cell c
+is template c % d!, see ``mesh.Mesh``).
 """
 
 from __future__ import annotations
@@ -251,8 +254,8 @@ def evaluate(field_vec: FieldVector, cell: int, point_ref, *, gradient: bool = F
     value = vals[0] @ local   # scalar, or (ncomp,) on vector spaces
     if not gradient:
         return value
-    _, JinvT, _ = space.mesh.jacobians()
-    g_phys = grads_ref[0] @ JinvT[cell].T      # (nloc, d)
+    JinvT = space.mesh.JinvT[cell % len(space.mesh.JinvT)]   # the cell's template
+    g_phys = grads_ref[0] @ JinvT.T            # (nloc, d)
     if space.kind == "scalar":
         grad = g_phys.T @ local
     else:
@@ -261,10 +264,11 @@ def evaluate(field_vec: FieldVector, cell: int, point_ref, *, gradient: bool = F
 
 
 def locate_points(mesh: Mesh, points: np.ndarray):
-    """Find (cell index, reference coords) for physical points."""
+    """Find (cell index, reference coords) for physical points: xi = J^{-1}
+    (x - v_0) with J the cell's template Jacobian."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     cells = mesh.containing_cells(pts)
-    _, JinvT, _ = mesh.jacobians()
+    JinvT = mesh.JinvT[cells % len(mesh.JinvT)]
     v0 = mesh.vertices[mesh.cells[cells, 0]]
-    ref = np.einsum("nij,nj->ni", np.moveaxis(JinvT[cells], 1, 2), pts - v0)
+    ref = np.einsum("nij,nj->ni", np.moveaxis(JinvT, 1, 2), pts - v0)
     return cells, ref

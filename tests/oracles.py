@@ -15,36 +15,22 @@ import numpy as np
 
 from msfem import forms, mms
 from msfem.elements import affine_map, quadrature_rule, reference_element
-from msfem.mesh import Mesh, build_structured
+from msfem.mesh import build_structured
 from msfem.space import evaluate
-
-
-def jittered_mesh(dim, M, seed, amplitude=0.15):
-    """The structured mesh with every interior vertex moved by a seeded
-    uniform offset of up to amplitude/M per coordinate: cells of unequal
-    shape, whose Jacobians are no scaled permutations."""
-    base = build_structured(dim, M)
-    interior = np.all((base.vertices_int > 0) & (base.vertices_int < M), axis=1)
-    offset = np.random.default_rng(seed).uniform(-amplitude / M, amplitude / M,
-                                                 size=base.vertices.shape)
-    return Mesh(dim=dim, subdivisions=M, vertices_int=base.vertices_int,
-                vertices=base.vertices + offset * interior[:, None],
-                cells=base.cells, h=base.h)
 
 
 def _cell_quad(space, qdeg):
     mesh = space.mesh
     rule = quadrature_rule(mesh.dim, qdeg)
-    elem = reference_element(mesh.dim, space.degree)
+    vals, gref = reference_element(mesh.dim, space.degree).tabulate(rule.points_ref)
     for c in range(mesh.n_cells):
         amap = affine_map(mesh.vertices[mesh.cells[c]])
+        Jinv = np.linalg.inv(amap.jacobian)
         for q in range(rule.weights.size):
             xi = rule.points_ref[q]
-            vals, gref = elem.tabulate(xi[None, :])
-            gphys = gref[0] @ np.linalg.inv(amap.jacobian)
             w = rule.weights[q] * abs(amap.det)
             x = amap.to_physical(xi[None, :])[0]
-            yield c, xi, x, w, vals[0], gphys
+            yield c, xi, x, w, vals[q], gref[q] @ Jinv
 
 
 def _dofs_scalar(space, c):
@@ -56,13 +42,9 @@ def _dofs_vector(space, c):
 
 
 def _accumulate(A, dofs_i, dofs_j, block):
-    for a, i in enumerate(dofs_i):
-        if i < 0:
-            continue
-        for b, j in enumerate(dofs_j):
-            if j < 0:
-                continue
-            A[i, j] += block[a, b]
+    """Add the block at its free (dof_i, dof_j); a cell's dofs are distinct."""
+    keep_i, keep_j = dofs_i >= 0, dofs_j >= 0
+    A[np.ix_(dofs_i[keep_i], dofs_j[keep_j])] += block[np.ix_(keep_i, keep_j)]
 
 
 def naive_weighted_mass(space, weight_fn, qdeg):
@@ -142,25 +124,26 @@ def naive_B(space, a_field, qdeg):
     A = np.zeros((n, n), dtype=complex)
     mesh = space.mesh
     rule = quadrature_rule(mesh.dim, qdeg)
-    elem = reference_element(mesh.dim, space.degree)
+    vals_all, gref_all = reference_element(mesh.dim, space.degree).tabulate(rule.points_ref)
     for c in range(mesh.n_cells):
         amap = affine_map(mesh.vertices[mesh.cells[c]])
+        Jinv = np.linalg.inv(amap.jacobian)
         dofs = _dofs_scalar(space, c)
         for q in range(rule.weights.size):
             xi = rule.points_ref[q]
-            vals, gref = elem.tabulate(xi[None, :])
-            gphys = gref[0] @ np.linalg.inv(amap.jacobian)
+            vals = vals_all[q]
+            gphys = gref_all[q] @ Jinv
             w = rule.weights[q] * abs(amap.det)
             a_val = evaluate(a_field, c, xi)
-            nloc = vals.shape[1]
+            nloc = vals.size
             block = np.zeros((nloc, nloc), dtype=complex)
             for a in range(nloc):
                 for b in range(nloc):
                     block[a, b] = (
                         gphys[b] @ gphys[a]
-                        + (a_val @ a_val) * vals[0, b] * vals[0, a]
-                        + 1j * (vals[0, a] * (a_val @ gphys[b])
-                                - vals[0, b] * (a_val @ gphys[a]))
+                        + (a_val @ a_val) * vals[b] * vals[a]
+                        + 1j * (vals[a] * (a_val @ gphys[b])
+                                - vals[b] * (a_val @ gphys[a]))
                     )
             _accumulate(A, dofs, dofs, w * block)
     return A
@@ -171,13 +154,12 @@ def naive_current_load(space, psi_field, qdeg):
     out = np.zeros(space.n_dofs)
     mesh = space.mesh
     rule = quadrature_rule(mesh.dim, qdeg)
-    elem = reference_element(mesh.dim, space.degree)
+    vals, _ = reference_element(mesh.dim, space.degree).tabulate(rule.points_ref)
     for c in range(mesh.n_cells):
         amap = affine_map(mesh.vertices[mesh.cells[c]])
         dofs = _dofs_vector(space, c)
         for q in range(rule.weights.size):
             xi = rule.points_ref[q]
-            vals, _ = elem.tabulate(xi[None, :])
             w = rule.weights[q] * abs(amap.det)
             psi, grad = evaluate(psi_field, c, xi, gradient=True)
             current = (0.5j * (np.conj(psi) * grad - psi * np.conj(grad))).real
@@ -185,7 +167,7 @@ def naive_current_load(space, psi_field, qdeg):
                 for comp in range(d):
                     j = dofs[a, comp]
                     if j >= 0:
-                        out[j] += w * current[comp] * vals[0, a]
+                        out[j] += w * current[comp] * vals[q, a]
     return out
 
 

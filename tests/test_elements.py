@@ -6,7 +6,7 @@ import pytest
 
 from msfem import elements as el
 from msfem import forms
-from msfem.mesh import Mesh
+from msfem.mesh import build_structured
 
 
 def bary_monomial_integral(exponents):
@@ -98,18 +98,16 @@ def test_quadrature_degree_rejection():
 
 
 def test_p1_gradients_match_vandermonde_solve():
-    rng = np.random.default_rng(3)
-    verts = rng.random((4, 3)) * [[1, 1, 1]] + np.eye(4)[:, :3] * 2  # non-degenerate
-    # off the lattice: vertices_int is a placeholder the table does not read
-    mesh = Mesh(dim=3, subdivisions=1, vertices_int=np.zeros((4, 3), dtype=int),
-                vertices=verts, cells=np.array([[0, 1, 2, 3]]), h=1.0)
+    # the six tetrahedra of the unit cube, each mapped by its template
+    mesh = build_structured(3, 1)
     tab = forms.quadrature_table(mesh, 1)
-    grads = tab.gref @ tab.JinvT[0].T   # (q, nloc, d)
-    # oracle: linear nodal basis via the 4x4 Vandermonde system
-    V = np.hstack([np.ones((4, 1)), verts])
-    for i in range(4):
-        coeffs = np.linalg.solve(V, np.eye(4)[i])
-        assert np.allclose(grads[:, i], coeffs[1:], atol=1e-12)
+    for c, cell in enumerate(mesh.cells):
+        grads = tab.gref @ tab.JinvT[c % 6].T   # (q, nloc, d)
+        # oracle: linear nodal basis via the 4x4 Vandermonde system
+        V = np.hstack([np.ones((4, 1)), mesh.vertices[cell]])
+        for i in range(4):
+            coeffs = np.linalg.solve(V, np.eye(4)[i])
+            assert np.allclose(grads[:, i], coeffs[1:], atol=1e-12)
 
 
 def test_degenerate_cell_rejected():

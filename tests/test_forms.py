@@ -6,26 +6,21 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from msfem import forms, mms
-from msfem.mesh import Mesh, build_structured
+from msfem.mesh import build_structured
 from msfem.space import FieldVector, build_scalar_space, build_vector_space, interpolate
 
 
-def single_triangle_mesh():
-    verts_int = np.array([[0, 0], [2, 0], [1, 2]])
-    return Mesh(dim=2, subdivisions=2, vertices_int=verts_int,
-                vertices=verts_int / 2.0, cells=np.array([[0, 1, 2]]),
-                h=1.0)
-
-
 def test_p1_mass_local_matrix_single_triangle():
-    mesh = single_triangle_mesh()
+    # the unit square's two triangles, each of area 1/2 with the local P1
+    # mass area/12 (1 + I), summed at their shared nodes
+    mesh = build_structured(2, 1)
     space = build_scalar_space(mesh, 1, dirichlet=False)
-    area = mesh.cell_volumes()[0]
     M = forms.assemble_mass(space).toarray()
-    expected = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
+    expected = np.zeros_like(M)
     # dof order is node order; map cell-local to global nodes
-    perm = space.cell_nodes[0]
-    assert np.allclose(M[np.ix_(perm, perm)], expected, atol=1e-14)
+    for nodes in space.cell_nodes:
+        expected[np.ix_(nodes, nodes)] += 0.5 / 12.0 * (np.ones((3, 3)) + np.eye(3))
+    assert np.allclose(M, expected, atol=1e-14)
 
 
 def test_mass_spd_random_vectors():
@@ -269,19 +264,6 @@ def test_separable_load_rejections():
         forms.assemble_coefficient_load(scalar, forms.Separable(((1.0, (np.sin,)),)))
     with pytest.raises(ValueError, match="complex"):
         forms.assemble_coefficient_load(scalar, forms.Separable(((1j, (np.sin, np.cos)),)))
-    # one cube of the lattice is not the lattice
-    part = Mesh(dim=2, subdivisions=2, vertices_int=mesh.vertices_int,
-                vertices=mesh.vertices, cells=mesh.cells[:2], h=mesh.h)
-    with pytest.raises(ValueError, match="Kuhn lattice"):
-        forms.assemble_coefficient_load(build_scalar_space(part, 1, dirichlet=False), shape)
-
-
-def test_separable_load_refuses_a_mesh_off_the_lattice():
-    # same vertex count, cell count and lattice coordinates as the lattice
-    mesh = oracles.jittered_mesh(2, 4, seed=7)
-    shape = forms.Separable(((1.0, (np.sin, np.cos)),))
-    with pytest.raises(ValueError, match="Kuhn lattice"):
-        forms.assemble_coefficient_load(build_scalar_space(mesh, 1), shape)
 
 
 # ---- oracle equivalence: vectorized assembly vs naive dense assembly ----
@@ -289,33 +271,27 @@ def test_separable_load_refuses_a_mesh_off_the_lattice():
 CASES = [(2, 3, 1), (2, 2, 2), (3, 2, 1)]
 
 
-# The coefficient forms and loads map A and the current by J^{-T} per cell.
-# On the structured 3D M=2 mesh psi has one free dof, so those terms vanish
-# there; the jittered 3D M=3 case has unequal cells and sees the Jacobian.
-FIELD_CASES = ([pytest.param(*c, False, id="-".join(map(str, c))) for c in CASES]
-               + [pytest.param(3, 3, 1, True, id="3-3-1-jittered")])
+def case_params(cases, suffix=""):
+    return [pytest.param(*c, id="-".join(map(str, c)) + suffix) for c in cases]
 
 
-def case_mesh(dim, M, jittered):
-    if not jittered:
-        return build_structured(dim, M)
-    mesh = oracles.jittered_mesh(dim, M, seed=7)
-    assert np.all(mesh.jacobians()[2] > 0)
-    return mesh
+# The coefficient forms and loads map A and the current by each cell's
+# template J^{-T}.  On the 3D M=2 lattice psi has one free dof, so those
+# terms vanish there; the 3D M=3 case sees every template's map.  The
+# "-jittered" ids name M=3 lattice cases that once ran on meshes with
+# perturbed vertices.
+FIELD_CASES = case_params(CASES) + case_params([(3, 3, 1)], "-jittered")
 
 
-# The stiffness and D read the Jacobian of every cell: the jittered meshes
-# keep flat boundary faces but have unequal cells.  D is assembled as the
+# The stiffness and D read every template's J^{-T}.  D is assembled as the
 # componentwise stiffness and checked against the div-div + curl-curl
 # oracle, whose cross-component terms cancel only in the sum over the cells.
-D_CASES = ([pytest.param(*c, False, id="-".join(map(str, c))) for c in CASES]
-           + [pytest.param(*c, True, id="-".join(map(str, c)) + "-jittered")
-              for c in ((2, 3, 1), (2, 3, 2), (3, 3, 1))])
+D_CASES = case_params(CASES) + case_params([(2, 3, 1), (2, 3, 2), (3, 3, 1)], "-jittered")
 
 
-@pytest.mark.parametrize("dim,M,r,jittered", D_CASES)
-def test_oracle_equivalence_mass_stiffness(dim, M, r, jittered):
-    mesh = case_mesh(dim, M, jittered)
+@pytest.mark.parametrize("dim,M,r", D_CASES)
+def test_oracle_equivalence_mass_stiffness(dim, M, r):
+    mesh = build_structured(dim, M)
     space = build_scalar_space(mesh, r)
     qdeg = 2 * r + 2
     M2 = oracles.naive_mass(space, qdeg)
@@ -326,19 +302,19 @@ def test_oracle_equivalence_mass_stiffness(dim, M, r, jittered):
     assert np.max(np.abs(K1 - K2)) <= 1e-12
 
 
-@pytest.mark.parametrize("dim,M,r,jittered", D_CASES)
-def test_oracle_equivalence_D(dim, M, r, jittered):
-    mesh = case_mesh(dim, M, jittered)
+@pytest.mark.parametrize("dim,M,r", D_CASES)
+def test_oracle_equivalence_D(dim, M, r):
+    mesh = build_structured(dim, M)
     space = build_vector_space(mesh, r)
     D2 = oracles.naive_D(space, 2 * r + 2)
     D1 = forms.assemble_D(space).toarray()
     assert np.max(np.abs(D1 - D2)) <= 1e-12
 
 
-@pytest.mark.parametrize("dim,M,r,jittered", FIELD_CASES)
-def test_oracle_equivalence_B_and_weighted(dim, M, r, jittered):
+@pytest.mark.parametrize("dim,M,r", FIELD_CASES)
+def test_oracle_equivalence_B_and_weighted(dim, M, r):
     rng = np.random.default_rng(5)
-    mesh = case_mesh(dim, M, jittered)
+    mesh = build_structured(dim, M)
     cspace = build_scalar_space(mesh, r, complex_field=True)
     vspace = build_vector_space(mesh, r)
     a = FieldVector(vspace, rng.standard_normal(vspace.n_dofs))
@@ -356,10 +332,10 @@ def test_oracle_equivalence_B_and_weighted(dim, M, r, jittered):
     assert np.max(np.abs(P1 - P2)) <= 1e-12
 
 
-@pytest.mark.parametrize("dim,M,r,jittered", FIELD_CASES)
-def test_oracle_equivalence_loads(dim, M, r, jittered):
+@pytest.mark.parametrize("dim,M,r", FIELD_CASES)
+def test_oracle_equivalence_loads(dim, M, r):
     rng = np.random.default_rng(6)
-    mesh = case_mesh(dim, M, jittered)
+    mesh = build_structured(dim, M)
     cspace = build_scalar_space(mesh, r, complex_field=True)
     vspace = build_vector_space(mesh, r)
     psi = FieldVector(cspace, rng.standard_normal(cspace.n_dofs)
@@ -377,15 +353,16 @@ def test_oracle_equivalence_loads(dim, M, r, jittered):
     assert np.max(np.abs(f1 - f2)) <= 1e-12
 
 
-# 3D P2 as well: there the products' degree 4r = 8 exceeds the rule's 2r+2
-@pytest.mark.parametrize("dim,M,r,jittered", FIELD_CASES + [
-    pytest.param(3, 2, 2, True, id="3-2-2-jittered")])
-def test_oracle_equivalence_abs2_forms(dim, M, r, jittered):
+# 3D P2 as well: there the products' degree 4r = 8 exceeds the rule's 2r+2.
+# That case runs the M=3 lattice under the id of its perturbed M=2 mesh.
+@pytest.mark.parametrize("dim,M,r", FIELD_CASES + [
+    pytest.param(3, 3, 2, id="3-2-2-jittered")])
+def test_oracle_equivalence_abs2_forms(dim, M, r):
     # W(|psi|^2) on the vector space and the |psi|^2 load contract the
     # products of psi's coefficients against tensors of the same rule; the
     # oracles evaluate |psi|^2 point by point
     rng = np.random.default_rng(8)
-    mesh = case_mesh(dim, M, jittered)
+    mesh = build_structured(dim, M)
     cspace = build_scalar_space(mesh, r, complex_field=True)
     vspace = build_vector_space(mesh, r)
     phispace = build_scalar_space(mesh, r)
@@ -407,8 +384,8 @@ COEFFICIENTS = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_B_and_current_load_match_oracles_for_random_fields(data):
-    # random real A and complex psi on a jittered 2D P1 M=3 mesh
-    mesh = oracles.jittered_mesh(2, 3, seed=11)
+    # random real A and complex psi on the 2D P1 M=3 lattice
+    mesh = build_structured(2, 3)
     cspace = build_scalar_space(mesh, 1, complex_field=True)
     vspace = build_vector_space(mesh, 1)
 
@@ -428,11 +405,12 @@ def test_B_and_current_load_match_oracles_for_random_fields(data):
 def test_quadrature_field_matches_evaluate_on_jittered_mesh(r):
     # values and physical gradients at every point of the default table
     # against the cell-by-cell evaluate(), for a complex scalar field and a
-    # real vector field
+    # real vector field, on the 2D M=3 lattice (the name is kept from when
+    # the mesh had perturbed vertices)
     from msfem.elements import quadrature_rule
     from msfem.space import evaluate
 
-    mesh = oracles.jittered_mesh(2, 3, seed=9)
+    mesh = build_structured(2, 3)
     rng = np.random.default_rng(10)
     cspace = build_scalar_space(mesh, r, complex_field=True)
     vspace = build_vector_space(mesh, r)
@@ -477,19 +455,19 @@ def test_one_quadrature_table_per_degree_and_qdeg():
     assert sorted(tables) == [("quadrature", 1, 2), ("quadrature", 1, 4),
                               ("quadrature", 2, 6)]
     for t in tables.values():
-        # the point path's per-cell arrays are built on first use, and none
+        # the point path's physical points are built on first use, and none
         # of the forms, loads and error norms above uses them
-        assert "wdet" not in vars(t) and "x" not in vars(t)
-        assert t.wdet.shape[0] == t.JinvT.shape[0] == t.x.shape[0] == mesh.n_cells
-        # no array grows with n_cells * q * nloc: the per-cell arrays (wdet,
-        # JinvT, x) hold at most max(q d, d^2) entries per cell, the others
+        assert "x" not in vars(t)
+        assert t.x.shape[:2] == (mesh.n_cells, t.wdet.size)
+        # the geometry is the mesh's d! templates and the weights times the
+        # one det J; the points x are the only per-cell array, and the rest
         # are cell-independent reference tensors
         nq, nloc, d = t.gref.shape
+        assert t.JinvT is mesh.JinvT and t.wdet.shape == (nq,)
         arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
         per_cell = [v for v in arrays if v.shape[0] == mesh.n_cells]
-        assert len(per_cell) == 3
-        assert all(v.size <= mesh.n_cells * max(nq * d, d * d) for v in per_cell)
-        assert all(v.size <= nq * d * nloc ** 2 for v in arrays if v.shape[0] != mesh.n_cells)
+        assert len(per_cell) == 1 and per_cell[0] is t.x
+        assert all(v.size <= nq * d * nloc ** 2 for v in arrays if v is not t.x)
     assert forms.quadrature_table(mesh, 1) is forms.quadrature_table(mesh, 1, 4)
 
 

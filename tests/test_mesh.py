@@ -1,10 +1,15 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-import oracles
 from msfem import mesh as mmesh
+from msfem.elements import affine_map
+
+
+def total_volume(m):
+    return m.n_cells * m.det / math.factorial(m.dim)
 
 
 def test_unit_cube_single_subdivision_counts():
@@ -17,7 +22,7 @@ def test_unit_square_single_subdivision():
     m = mmesh.build_structured(2, 1)
     assert m.n_vertices == 4
     assert m.n_cells == 2
-    assert abs(m.cell_volumes().sum() - 1.0) < 1e-15
+    assert abs(total_volume(m) - 1.0) < 1e-15
 
 
 def test_counts_and_volume_3d_m2():
@@ -25,7 +30,7 @@ def test_counts_and_volume_3d_m2():
     m = mmesh.build_structured(3, M)
     assert m.n_vertices == (M + 1) ** 3
     assert m.n_cells == 6 * M ** 3
-    assert abs(m.cell_volumes().sum() - 1.0) <= 1e-12
+    assert abs(total_volume(m) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("dim,M", [(2, 1), (2, 3), (3, 1), (3, 2)])
@@ -34,9 +39,8 @@ def test_cell_count_formula_and_positive_volumes(dim, M):
     expected = 2 * M ** 2 if dim == 2 else 6 * M ** 3
     assert m.n_cells == expected
     assert m.n_vertices == (M + 1) ** dim
-    vols = m.cell_volumes()
-    assert np.all(vols > 0)
-    assert abs(vols.sum() - 1.0) <= 1e-12
+    assert m.det > 0
+    assert abs(total_volume(m) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -60,7 +64,7 @@ def test_interior_facets_shared_by_two_cells(dim):
 def test_h_is_longest_cell_edge(dim):
     for M in (1, 2, 4):
         m = mmesh.build_structured(dim, M)
-        coords = m.cell_vertex_coords()
+        coords = m.vertices[m.cells]
         longest = max(np.linalg.norm(coords[:, i] - coords[:, j], axis=1).max()
                       for i in range(dim + 1) for j in range(i + 1, dim + 1))
         assert m.h == pytest.approx(longest, rel=1e-14)
@@ -98,21 +102,34 @@ def test_rejections():
         mmesh.build_structured(4, 2)
 
 
-@pytest.mark.parametrize("dim,M", [(2, 1), (2, 8), (3, 2), (3, 5)])
+@pytest.mark.parametrize("dim,M", [(2, True), (True, 2), (2, 2.0), (2.0, 2), (2, "2"),
+                                   (3, None), (3, np.float64(4))], ids=repr)
+def test_rejects_a_bool_or_non_integer_size(dim, M):
+    # a bool is an int to Python, and would build M=1 silently
+    with pytest.raises(ValueError, match="must be an integer"):
+        mmesh.build_structured(dim, M)
+
+
+def test_accepts_numpy_integers():
+    m = mmesh.build_structured(np.int64(2), np.int32(3))
+    assert m.n_cells == 2 * 3 ** 2
+
+
+@pytest.mark.parametrize("dim,M", [(2, 1), (2, 3), (2, 8), (3, 1), (3, 2), (3, 3), (3, 5)])
 def test_template_jacobians_match_per_cell_ones(dim, M):
-    # build_structured repeats its d! template Jacobians cube by cube; the
-    # same mesh without that cache computes them cell by cell from the float
-    # vertices i/M, which agree exactly when M is a power of two
+    # cell c is template c % d!: its J, J^{-T} and det J are those of the
+    # affine map of the cell's own vertices
     m = mmesh.build_structured(dim, M)
-    plain = mmesh.Mesh(dim=dim, subdivisions=M, vertices_int=m.vertices_int,
-                       vertices=m.vertices, cells=m.cells, h=m.h)
-    exact = M & (M - 1) == 0
-    for got, want in zip(m.jacobians(), plain.jacobians()):
-        assert got.shape == want.shape
-        if exact:
-            assert np.array_equal(got, want)
-        else:
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    nperm = math.factorial(dim)
+    assert m.J.shape == m.JinvT.shape == (nperm, dim, dim)
+    assert np.ndim(m.det) == 0
+    for c in range(m.n_cells):
+        amap = affine_map(m.vertices[m.cells[c]])
+        J, JinvT = m.J[c % nperm], m.JinvT[c % nperm]
+        assert np.abs(J - amap.jacobian).max() <= 1e-14 * np.abs(amap.jacobian).max()
+        want = np.linalg.inv(amap.jacobian).T
+        assert np.abs(JinvT - want).max() <= 1e-14 * np.abs(want).max()
+        assert abs(m.det - amap.det) <= 1e-14 * amap.det
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -130,28 +147,3 @@ def test_containing_cells_rejects_points_outside_the_domain(dim):
     # the first and the last cube
     assert list(cells[:2] // len(list(itertools.permutations(range(dim))))) == [0, 4 ** dim - 1]
     assert np.all((cells >= 0) & (cells < m.n_cells))
-
-
-@pytest.mark.parametrize("dim,M", [(2, 1), (2, 5), (3, 3)])
-def test_kuhn_lattice_predicate(dim, M):
-    m = mmesh.build_structured(dim, M)
-    assert m.is_kuhn_lattice()
-
-    def variant(**kw):
-        fields = dict(dim=dim, subdivisions=M, vertices_int=m.vertices_int,
-                      vertices=m.vertices, cells=m.cells, h=m.h)
-        return mmesh.Mesh(**(fields | kw))
-
-    assert variant().is_kuhn_lattice()
-    # the same cells in another order, vertices off i/M, another M
-    assert not variant(cells=m.cells[::-1]).is_kuhn_lattice()
-    assert not variant(vertices=m.vertices * (1 - 1e-15)).is_kuhn_lattice()
-    assert not variant(subdivisions=M + 1).is_kuhn_lattice()
-    assert not oracles.jittered_mesh(dim, max(M, 2), seed=7).is_kuhn_lattice()
-
-
-def test_containing_cells_refuses_a_mesh_off_the_lattice():
-    # the Kuhn walk would rank cells of the lattice, not of this mesh
-    m = oracles.jittered_mesh(2, 4, seed=7)
-    with pytest.raises(ValueError, match="Kuhn lattice"):
-        m.containing_cells(np.full((1, 2), 0.3))

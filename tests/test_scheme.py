@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-import oracles
 from msfem import forms, mms, scheme, sparsela
 from msfem.mesh import build_structured
 from msfem.space import FieldVector, build_scalar_space, build_vector_space, interpolate
@@ -609,14 +608,6 @@ def test_unconstrained_p1_psi_takes_the_lu_path(monkeypatch):
     S0 = _s0(st)
     rhs = np.arange(25) * (1.0 - 0.5j)
     assert np.linalg.norm(S0 @ st._psi_precond(rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
-
-
-def test_p1_psi_transform_refuses_a_mesh_off_the_lattice():
-    mesh = oracles.jittered_mesh(2, 4, seed=7)
-    spaces = scheme.Spaces(psi=build_scalar_space(mesh, 1, complex_field=True),
-                           A=build_vector_space(mesh, 1), phi=build_scalar_space(mesh, 1))
-    with pytest.raises(ValueError, match="Kuhn lattice"):
-        scheme.AlternatingStepper(small_config(M=4, mode="free"), spaces=spaces)
 
 
 @pytest.mark.parametrize("dim,M,r", [(3, 4, 2)])
