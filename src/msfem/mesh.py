@@ -23,6 +23,7 @@ __all__ = [
     "Mesh",
     "build_structured",
     "kuhn_corners",
+    "kuhn_stencil",
     "lattice_points",
     "require_integer",
 ]
@@ -55,6 +56,21 @@ def kuhn_corners(dim: int) -> np.ndarray:
     return np.array(corners)
 
 
+def kuhn_stencil(dim: int, M: int, weights: np.ndarray):
+    """Node keys on the Kuhn lattice of M cubes per axis as translates of
+    the d! templates: cell k d! + p has the keys base[k] + offset[p].
+
+    The nodes are the integer combinations ``weights`` (nloc, d+1) of a
+    cell's vertices z + corner, each row summing to r, so they lie on the
+    lattice {0, ..., rM}^d and a key is a point's lexicographic rank there.
+    ``base`` (M^d,) is the key of r z, z the low corner of cube k, and
+    ``offset`` (d!, nloc) the key of ``weights @ kuhn_corners(dim)[p]``.
+    """
+    r = int(weights[0].sum())
+    strides = (r * M + 1) ** np.arange(dim - 1, -1, -1)
+    return r * lattice_points(M, dim) @ strides, weights @ kuhn_corners(dim) @ strides
+
+
 def lattice_points(n: int, dim: int) -> np.ndarray:
     """The (n^dim, dim) points of {0, ..., n-1}^dim in lexicographic order,
     so a point's row is its key in base n."""
@@ -69,8 +85,8 @@ class Mesh:
     lexicographic order and ``vertices`` the points ``vertices_int`` / M;
     ``cells`` are the (d! M^d, d+1) positively oriented vertex keys, cube by
     cube in lexicographic order and within a cube by permutation
-    (``kuhn_corners``); ``h`` is the longest cell edge, the cube diagonal
-    sqrt(d)/M.  The geometry is the templates': ``J`` and ``JinvT`` (d!, d,
+    (``kuhn_corners``; the keys are ``kuhn_stencil``'s); ``h`` is the
+    longest cell edge, the cube diagonal sqrt(d)/M.  The geometry is the templates': ``J`` and ``JinvT`` (d!, d,
     d) the Jacobian of each template (columns v_i - v_0) and its inverse
     transpose, and ``det`` the one det J = 1/M^d, so cell c has Jacobian
     ``J[c % d!]``.  Instances are immutable by convention; ``_geom`` caches
@@ -88,10 +104,9 @@ class Mesh:
         self.subdivisions = M
         self.vertices_int = lattice_points(M + 1, dim)
         self.vertices = self.vertices_int / float(M)
+        base, offset = kuhn_stencil(dim, M, np.eye(dim + 1, dtype=int))
+        self.cells = (base[:, None, None] + offset).reshape(-1, dim + 1)
         corners = kuhn_corners(dim)
-        strides = (M + 1) ** np.arange(dim - 1, -1, -1)
-        cells = (lattice_points(M, dim)[:, None, None] + corners) @ strides
-        self.cells = np.ascontiguousarray(cells.reshape(-1, dim + 1))
         self.h = float(np.sqrt(dim)) / M
         self.J = np.ascontiguousarray(np.swapaxes(corners[:, 1:] - corners[:, :1], 1, 2)) / M
         self.JinvT = np.ascontiguousarray(np.swapaxes(np.linalg.inv(self.J), 1, 2))

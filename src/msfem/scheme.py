@@ -144,6 +144,10 @@ class SchemeConfig:
             raise ValueError(f"M must be at least 1, got {self.M}")
         if self.degree not in (1, 2):
             raise ValueError(f"element degree must be 1 or 2, got {self.degree}")
+        if self.degree * self.M < 2:
+            raise ValueError(f"degree * M must be at least 2, got degree={self.degree}, "
+                             f"M={self.M}: the P1 lattice with M=1 has no interior node, "
+                             f"so every space is empty")
         for name in ("dt", "tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

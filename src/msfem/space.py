@@ -9,7 +9,11 @@ eliminated: coefficient vectors hold free dofs only and constrained entries
 evaluate as zero.  The nodes of degree r are the whole lattice of
 resolution rM (each point is a vertex or an edge midpoint of the Kuhn
 split), so a node's number is its lattice key, the lexicographic rank of its
-integer coordinates.  The node numbering of each (mesh, degree), its
+integer coordinates.  Every cell is one of d! templates translated to its
+cube, so the numbering is a closed form, the key of the cube's corner plus
+the template's key offset of each local node (``_stencil``), and the
+summation matrices are built from the same stencil with no sort
+(``sparsela.CellSums``).  The node numbering of each (mesh, degree), its
 summation matrices and the CSR pattern of each dof numbering are built once
 and cached on the mesh, so spaces that share a numbering share its pattern,
 and the scalar and vector patterns of one degree share the summation.
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import reference_element
-from .mesh import Mesh, lattice_points
+from .mesh import Mesh, kuhn_stencil, lattice_points
 from .sparsela import CellSums, Pattern
 
 __all__ = [
@@ -72,7 +76,9 @@ class FeSpace:
         """Global dof per (cell, local node, comp); n_dofs marks constrained."""
         if "cell_dofs" not in self._cache:
             padded = np.where(self.dof_index < 0, self.n_dofs, self.dof_index)
-            self._cache["cell_dofs"] = padded[self.cell_nodes]  # (nc, nloc, ncomp)
+            # (nc, nloc, ncomp); np.take, as numpy's fancy index of the rows
+            # of a narrow array is ~10x slower
+            self._cache["cell_dofs"] = np.take(padded, self.cell_nodes, axis=0)
         return self._cache["cell_dofs"]
 
     def pattern(self) -> Pattern:
@@ -126,6 +132,13 @@ class FieldVector:
         return out
 
 
+def _stencil(mesh: Mesh, degree: int):
+    """The Kuhn stencil (``mesh.kuhn_stencil``) of the degree-``degree``
+    nodes: cell k d! + p has the node keys base[k] + offset[p]."""
+    return kuhn_stencil(mesh.dim, mesh.subdivisions,
+                        reference_element(mesh.dim, degree).vertex_weights)
+
+
 def _global_nodes(mesh: Mesh, degree: int):
     """Lattice nodes of degree ``degree`` and their per-cell numbering, cached
     on the mesh.
@@ -135,16 +148,17 @@ def _global_nodes(mesh: Mesh, degree: int):
     v and v + e, two corners of one cube ordered componentwise, and some
     Kuhn walk through that cube passes both, so they span a cell edge.  The
     nodes are therefore the whole lattice in lexicographic order, and a
-    node's number is its lattice key.
+    node's number is its lattice key, read off the template stencil
+    (``_stencil``); for r = 1 the numbering is ``mesh.cells`` itself.
     """
     key = ("nodes", degree)
     if key not in mesh._geom:
-        elem = reference_element(mesh.dim, degree)
-        vints = mesh.vertices_int[mesh.cells]              # (nc, d+1, d)
-        node_ints = np.einsum("lk,ckd->cld", elem.vertex_weights, vints)
-        shape = (degree * mesh.subdivisions + 1,) * mesh.dim
-        keys = np.ravel_multi_index(tuple(np.moveaxis(node_ints, -1, 0)), shape)
-        mesh._geom[key] = lattice_points(shape[0], mesh.dim), keys
+        if degree == 1:
+            cell_nodes = mesh.cells     # the vertex keys: share, do not copy
+        else:
+            base, offset = _stencil(mesh, degree)
+            cell_nodes = (base[:, None, None] + offset).reshape(-1, offset.shape[1])
+        mesh._geom[key] = lattice_points(degree * mesh.subdivisions + 1, mesh.dim), cell_nodes
     return mesh._geom[key]
 
 
@@ -153,8 +167,8 @@ def _cell_sums(mesh: Mesh, degree: int) -> CellSums:
     cached on the mesh: every pattern on that numbering shares them."""
     key = ("sums", degree)
     if key not in mesh._geom:
-        nodes, cell_nodes = _global_nodes(mesh, degree)
-        mesh._geom[key] = CellSums(cell_nodes, nodes.shape[0])
+        nodes, _ = _global_nodes(mesh, degree)
+        mesh._geom[key] = CellSums(*_stencil(mesh, degree), nodes.shape[0])
     return mesh._geom[key]
 
 

@@ -4,7 +4,9 @@ Every matrix the scheme assembles couples the dofs of one space through its
 cells, component by component, so each dof numbering gets one CSR
 ``Pattern``, built once: its ``indptr``/``indices`` and the slots it takes
 from two 0/1 summation matrices (``CellSums``), one row per coupled node
-pair and one per node, which every numbering on the same cells shares.  A
+pair and one per node, which every numbering on the same cells shares.  The
+summation matrices are built from the Kuhn lattice's template stencil, whose
+few distinct node-key steps number the coupled pairs with no sort.  A
 form's data array is the pair sums of its local matrices, taken at the free
 slots; a load is the node sums of its local loads, taken at the free dofs.
 The pattern is the only code that sums cell contributions.  A linear
@@ -81,32 +83,48 @@ LU_ERRORS = (RuntimeError, SystemError, MemoryError)
 
 
 class CellSums:
-    """The two 0/1 summation matrices of one cell-to-node map, shared by
-    every ``Pattern`` on it.
+    """The two 0/1 summation matrices of the cell-to-node map of a Kuhn
+    lattice, shared by every ``Pattern`` on it.
 
     ``pair_sum`` has one row per coupled node pair and ``node_sum`` one per
-    node; each row adds up the local entries of its pair or node, in cell
-    order, from a stable sort of the pairs or nodes.  ``pairs`` holds the
-    sorted keys a n_nodes + b of the coupled node pairs (a, b).
+    node; each row adds up the local entries of its pair or node in cell
+    order.  ``pairs`` holds the sorted keys a n_nodes + b of the coupled
+    node pairs (a, b).
+
+    The cells are translates of d! templates, so the step b - a of the local
+    entry (i, j) depends only on the template: a few distinct steps (7 for
+    2D P1, 15 for 3D P1, 65 for 3D P2), and the pairs of row a, in order,
+    are its coupled steps in increasing order.  One scatter marks the
+    coupled (node, step) table; its row-major running count is each pair's
+    rank in the sorted order, and one gather gives every local entry its
+    pair.  The rows are filled by the counting sort that turns a CSC matrix
+    with one entry per column into CSR, which keeps each row's entries in
+    column, that is cell, order.  No step sorts anything of the cells' size.
     """
 
-    def __init__(self, cell_nodes: np.ndarray, n_nodes: int):
-        """``cell_nodes``: (cells, nloc) global node per local node, each
-        below ``n_nodes``."""
-        # the node pair of every local entry (cell, i, j), sorted by (row
-        # node, column node) and stably, so each pair's entries stay in cell
-        # order
-        node_pairs = (cell_nodes[:, :, None] * n_nodes + cell_nodes[:, None, :]).ravel()
-        order = np.argsort(node_pairs, kind="stable")
-        sorted_pairs = node_pairs[order]
-        starts = np.flatnonzero(np.diff(sorted_pairs, prepend=-1))
-        idx = np.int32 if node_pairs.size < np.iinfo(np.int32).max else np.int64
-        self.pairs = sorted_pairs[starts]
-        self.pair_sum = _summation(order, np.append(starts, order.size), idx)
-        nodes = cell_nodes.ravel()
-        self.node_sum = _summation(
-            np.argsort(nodes, kind="stable"),
-            np.concatenate([[0], np.cumsum(np.bincount(nodes, minlength=n_nodes))]), idx)
+    def __init__(self, base: np.ndarray, offset: np.ndarray, n_nodes: int):
+        """``base`` (cubes,) and ``offset`` (d!, nloc): cell k d! + p has the
+        global nodes base[k] + offset[p], each below ``n_nodes``."""
+        nloc = offset.shape[1]
+        steps, step = np.unique(offset[:, None, :] - offset[:, :, None], return_inverse=True)
+        n_entries = base.size * offset.size * nloc
+        idx = (np.int32 if max(n_nodes * steps.size, n_entries) < np.iinfo(np.int32).max
+               else np.int64)
+        # the (node a, step b - a) slot of every local entry (cell, i, j), in
+        # cell order
+        slot = ((base.astype(idx) * steps.size)[:, None, None, None]
+                + (offset[:, :, None] * steps.size
+                   + step.reshape(-1, nloc, nloc)).astype(idx)).ravel()
+        coupled = np.zeros(n_nodes * steps.size, dtype=bool)
+        coupled[slot] = True
+        rank = np.cumsum(coupled, dtype=idx) - 1
+        pair = rank[slot]
+        del slot        # freed before the summation matrices take their memory
+        a, s = np.divmod(np.flatnonzero(coupled), steps.size)
+        self.pairs = a * n_nodes + a + steps[s]
+        self.pair_sum = _row_sums(pair, self.pairs.size, idx)
+        self.node_sum = _row_sums(
+            (base.astype(idx)[:, None, None] + offset.astype(idx)).ravel(), n_nodes, idx)
 
 
 class Pattern:
@@ -140,13 +158,15 @@ class Pattern:
         # with dofs numbered in (node, component) order, the sorted position
         # of component c of node pair p in row a is
         # e start(a) + c len(a) + (p - start(a))
-        pos = (((e - 1) * row_start + np.arange(keys.size))[:, None]
-               + row_len[a][:, None] * np.arange(e))                      # (pairs, e)
+        pos = (((e - 1) * row_start + np.arange(keys.size))
+               + np.arange(e)[:, None] * row_len[a]).T                    # (pairs, e)
         rows = np.empty(pos.size, dtype=np.int64)
         cols = np.empty(pos.size, dtype=np.int64)
         pair = np.empty(pos.size, dtype=np.int64)
-        rows[pos] = dof_index[a]     # the dof rows and columns, sorted,
-        cols[pos] = dof_index[b]     # -1 where constrained
+        # the dof rows and columns, sorted, -1 where constrained; np.take,
+        # as numpy's fancy index of the rows of a narrow array is ~10x slower
+        rows[pos] = np.take(dof_index, a, axis=0)
+        cols[pos] = np.take(dof_index, b, axis=0)
         pair[pos] = np.arange(keys.size)[:, None]
         free = (rows >= 0) & (cols >= 0)
         self.nnz = int(free.sum())
@@ -257,11 +277,12 @@ def sine_transform_solve(A: sp.csr_array, lattice: np.ndarray, n: int):
                            type=1, norm="ortho").reshape(-1)
 
 
-def _summation(order: np.ndarray, indptr: np.ndarray, idx) -> sp.csr_array:
-    """0/1 CSR matrix whose row r adds up the entries ``order[indptr[r]:
-    indptr[r + 1]]`` of a flat array, in that order."""
-    return sp.csr_array((np.ones(order.size), order.astype(idx), indptr.astype(idx)),
-                        shape=(indptr.size - 1, order.size))
+def _row_sums(rows: np.ndarray, n_rows: int, idx) -> sp.csr_array:
+    """0/1 CSR matrix whose row r adds up the entries e of a flat array with
+    ``rows[e]`` = r, in increasing e: the CSC to CSR counting sort of
+    ``scipy.sparse`` on one entry per column."""
+    return sp.csc_array((np.ones(rows.size), rows, np.arange(rows.size + 1, dtype=idx)),
+                        shape=(n_rows, rows.size)).tocsr()
 
 
 @dataclass

@@ -1,21 +1,26 @@
-"""Naive dense assembly, point by point and cell by cell, and the error
-norms summed over every quadrature point at once.
+"""Naive dense assembly, point by point and cell by cell, the error norms
+summed over every quadrature point at once, and the sparse structure of a
+space derived as for any cell-to-node map.
 
 Deliberately slow and independent of the vectorized assembly path: per-cell
 affine maps, per-point basis evaluation, Python-loop accumulation into dense
 matrices.  Only usable on small meshes.  The norms take the whole-mesh
 point path of ``forms`` (``QuadratureField``, the table's ``x`` and
 ``wdet``) and call the case closures at the points, with no block or
-per-axis structure.
+per-axis structure.  The node numbering and the summation matrices come
+from the cells' vertex coordinates and a stable sort of every node and
+node pair of the cells, with no use of the lattice's template stencil.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
 
 from msfem import forms, mms
 from msfem.elements import affine_map, quadrature_rule, reference_element
-from msfem.mesh import build_structured
+from msfem.mesh import build_structured, lattice_points
 from msfem.space import evaluate
 
 
@@ -237,3 +242,56 @@ def point_gauge_residuals(case, M, qdeg):
     g1 = case.div_A(x, 0.0) + case.phi_t(x, 0.0)
     g2 = case.div_A_t(x, 0.0) + case.lap_phi(x, 0.0) + np.abs(case.psi(x, 0.0)) ** 2
     return math.sqrt(np.sum(wdet * g1 ** 2)), math.sqrt(np.sum(wdet * g2 ** 2))
+
+
+def reference_global_nodes(mesh, degree):
+    """The lattice nodes of degree r and their per-cell keys: each cell's
+    nodes as the integer combinations ``vertex_weights`` of its vertices,
+    ranked on the resolution-rM lattice."""
+    elem = reference_element(mesh.dim, degree)
+    node_ints = np.einsum("lk,ckd->cld", elem.vertex_weights, mesh.vertices_int[mesh.cells])
+    shape = (degree * mesh.subdivisions + 1,) * mesh.dim
+    keys = np.ravel_multi_index(tuple(np.moveaxis(node_ints, -1, 0)), shape)
+    return lattice_points(shape[0], mesh.dim), keys
+
+
+def _summation(order, indptr, idx):
+    """0/1 CSR matrix whose row r adds up the entries ``order[indptr[r]:
+    indptr[r + 1]]`` of a flat array, in that order."""
+    return sp.csr_array((np.ones(order.size), order.astype(idx), indptr.astype(idx)),
+                        shape=(indptr.size - 1, order.size))
+
+
+def reference_cell_sums(cell_nodes, n_nodes):
+    """``pairs``, ``pair_sum`` and ``node_sum`` of any cell-to-node map
+    (cells, nloc): the local entries' node pair keys a n_nodes + b sorted
+    stably, so each pair's entries stay in cell order, and the nodes the
+    same way.  A namespace that ``sparsela.Pattern`` accepts."""
+    node_pairs = (cell_nodes[:, :, None] * n_nodes + cell_nodes[:, None, :]).ravel()
+    order = np.argsort(node_pairs, kind="stable")
+    sorted_pairs = node_pairs[order]
+    starts = np.flatnonzero(np.diff(sorted_pairs, prepend=-1))
+    idx = np.int32 if node_pairs.size < np.iinfo(np.int32).max else np.int64
+    nodes = cell_nodes.ravel()
+    return SimpleNamespace(
+        pairs=sorted_pairs[starts],
+        pair_sum=_summation(order, np.append(starts, order.size), idx),
+        node_sum=_summation(
+            np.argsort(nodes, kind="stable"),
+            np.concatenate([[0], np.cumsum(np.bincount(nodes, minlength=n_nodes))]), idx))
+
+
+def reference_pattern(sums, dof_index):
+    """``indptr``, ``indices`` and the slot-to-pair map of the CSR pattern
+    on ``dof_index`` (nodes, ncomp), from COO->CSR of the free
+    same-component dof pairs of the coupled node pairs ``sums.pairs``,
+    each carrying its pair's index."""
+    nn, ncomp = dof_index.shape
+    a, b = np.divmod(sums.pairs, nn)
+    rows, cols = dof_index[a].T.ravel(), dof_index[b].T.ravel()   # component-major
+    pair = np.tile(np.arange(a.size), ncomp)
+    free = (rows >= 0) & (cols >= 0)
+    n = int(dof_index.max(initial=-1)) + 1
+    csr = sp.coo_array((pair[free] + 1.0, (rows[free], cols[free])), shape=(n, n)).tocsr()
+    csr.sort_indices()
+    return csr.indptr, csr.indices, csr.data.astype(np.int64) - 1

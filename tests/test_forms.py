@@ -286,7 +286,8 @@ FIELD_CASES = case_params(CASES) + case_params([(3, 3, 1)], "-jittered")
 # The stiffness and D read every template's J^{-T}.  D is assembled as the
 # componentwise stiffness and checked against the div-div + curl-curl
 # oracle, whose cross-component terms cancel only in the sum over the cells.
-D_CASES = case_params(CASES) + case_params([(2, 3, 1), (2, 3, 2), (3, 3, 1)], "-jittered")
+D_CASES = (case_params(CASES + [(2, 4, 1)])
+           + case_params([(2, 3, 2), (3, 3, 1)], "-jittered"))
 
 
 @pytest.mark.parametrize("dim,M,r", D_CASES)

@@ -2,15 +2,22 @@
 
 Every form and every step matrix on a space shares the space's pattern; the
 pattern is the structure COO->CSR gives for the same-component pairs of the
-cell connectivity, and no constrained dof gets an entry.
+cell connectivity, and no constrained dof gets an entry.  The node
+numbering and the summation matrices, built from the lattice's template
+stencil, equal bit for bit the sort-based derivation of ``oracles``.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 from scipy.sparse import coo_array, issparse
 
+import oracles
 from msfem import forms, scheme, sparsela
-from msfem.space import FieldVector
+from msfem.mesh import build_structured
+from msfem.space import (FieldVector, _cell_sums, _global_nodes, build_scalar_space,
+                         build_vector_space)
 
 CASES = [(2, 1), (2, 2), (3, 1), (3, 2)]
 
@@ -52,25 +59,24 @@ def bincount_reference(slots, loc, nnz):
     return total(loc)
 
 
-def random_connectivity(ncomp):
-    # random connectivity with repeated pairs across cells; random (node,
-    # component) pairs are constrained; the last node is in no cell and free
-    rng = np.random.default_rng(0)
-    nn, k = 16, 4
-    cell_nodes = np.stack([rng.choice(nn - 1, size=k, replace=False) for _ in range(40)])
-    constrained = rng.random((nn, ncomp)) < 0.2
-    constrained[-1] = False
-    dof_index = np.full((nn, ncomp), -1)
+def lattice_connectivity(dim, r, ncomp):
+    # the degree-r node numbering of a small lattice, each node with ncomp
+    # components; random (node, component) pairs are constrained
+    rng = np.random.default_rng(10 * dim + r)
+    mesh = build_structured(dim, 3 if dim == 2 else 2)
+    nodes, cell_nodes = _global_nodes(mesh, r)
+    constrained = rng.random((len(nodes), ncomp)) < 0.2
+    dof_index = np.full((len(nodes), ncomp), -1)
     dof_index[~constrained] = np.arange((~constrained).sum())
-    return rng, cell_nodes, dof_index
+    pat = sparsela.Pattern(_cell_sums(mesh, r), dof_index)
+    return rng, pat, cell_nodes, dof_index
 
 
-def check_dense_accumulation(ncomp):
-    rng, cell_nodes, dof_index = random_connectivity(ncomp)
+def check_dense_accumulation(dim, r, ncomp):
+    rng, pat, cell_nodes, dof_index = lattice_connectivity(dim, r, ncomp)
     n = int(dof_index.max()) + 1
-    k = cell_nodes.shape[1]
-    loc = rng.standard_normal((40, k, k)) + 1j * rng.standard_normal((40, k, k))
-    pat = sparsela.Pattern(sparsela.CellSums(cell_nodes, len(dof_index)), dof_index)
+    nc, k = cell_nodes.shape
+    loc = rng.standard_normal((nc, k, k)) + 1j * rng.standard_normal((nc, k, k))
     # the scalar block of each cell lands on the same-component pairs only
     dense = np.zeros((n + 1, n + 1), dtype=complex)
     for nodes, block in zip(cell_nodes, loc):
@@ -94,40 +100,96 @@ def check_dense_accumulation(ncomp):
 
 
 def test_pattern_assembly_matches_dense_accumulation():
-    check_dense_accumulation(ncomp=1)
+    for r in (1, 2):
+        check_dense_accumulation(2, r, ncomp=1)
 
 
 def test_vector_pattern_assembly_matches_dense_accumulation():
-    check_dense_accumulation(ncomp=2)
+    for r in (1, 2):
+        check_dense_accumulation(2, r, ncomp=2)
 
 
 def test_3d_vector_pattern_assembly_matches_dense_accumulation():
-    check_dense_accumulation(ncomp=3)
+    for r in (1, 2):
+        check_dense_accumulation(3, r, ncomp=3)
 
 
 @pytest.mark.parametrize("ncomp", [1, 2, 3])
 def test_load_assembly_matches_dense_loop_and_add_at(ncomp):
-    rng, cell_nodes, dof_index = random_connectivity(ncomp)
-    n = int(dof_index.max()) + 1
-    pat = sparsela.Pattern(sparsela.CellSums(cell_nodes, len(dof_index)), dof_index)
-    loc = rng.standard_normal(cell_nodes.shape + (ncomp,))
-    dense = np.zeros(n + 1)
-    for nodes, block in zip(cell_nodes, loc):
-        for a, node in enumerate(nodes):
-            for c in range(ncomp):
-                dense[dof_index[node, c]] += block[a, c]   # -1 lands in the dropped last entry
-    load = pat.assemble_load(loc)
-    assert load.shape == (n,) and load.dtype == np.float64
-    assert np.allclose(load, dense[:n], atol=1e-13)
-    # bit-identical to np.add.at over the padded cell dofs, in cell order
-    padded = np.where(dof_index < 0, n, dof_index)[cell_nodes]
-    ref = np.zeros(n + 1)
-    np.add.at(ref, padded.ravel(), loc.ravel())
-    assert np.array_equal(load, ref[:n])
-    # the free dofs of the node that no cell touches receive zero
-    assert np.all(load[dof_index[-1]] == 0.0)
-    cload = pat.assemble_load(loc + 1j * loc[::-1])
-    assert np.array_equal(cload.real, load)
+    for dim, r in itertools.product((2, 3), (1, 2)):
+        rng, pat, cell_nodes, dof_index = lattice_connectivity(dim, r, ncomp)
+        n = int(dof_index.max()) + 1
+        loc = rng.standard_normal(cell_nodes.shape + (ncomp,))
+        dense = np.zeros(n + 1)
+        for nodes, block in zip(cell_nodes, loc):
+            for a, node in enumerate(nodes):
+                for c in range(ncomp):
+                    dense[dof_index[node, c]] += block[a, c]   # -1 lands in the dropped last entry
+        load = pat.assemble_load(loc)
+        assert load.shape == (n,) and load.dtype == np.float64
+        assert np.allclose(load, dense[:n], atol=1e-13)
+        # bit-identical to np.add.at over the padded cell dofs, in cell order
+        padded = np.where(dof_index < 0, n, dof_index)[cell_nodes]
+        ref = np.zeros(n + 1)
+        np.add.at(ref, padded.ravel(), loc.ravel())
+        assert np.array_equal(load, ref[:n])
+        cload = pat.assemble_load(loc + 1j * loc[::-1])
+        assert np.array_equal(cload.real, load)
+
+
+def assert_same(x, y):
+    assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("dim,r,M", list(itertools.product((2, 3), (1, 2), (1, 2, 3, 5))))
+def test_stencil_structure_equals_the_sort_based_derivation(dim, r, M):
+    # the closed-form node numbering and the stencil summation matrices are
+    # bit for bit those of the einsum/argsort derivation for any cell map,
+    # and every pattern is the COO->CSR structure of the reference pairs
+    mesh = build_structured(dim, M)
+    nodes, cell_nodes = _global_nodes(mesh, r)
+    ref_nodes, ref_cell_nodes = oracles.reference_global_nodes(mesh, r)
+    assert_same(nodes, ref_nodes)
+    assert_same(cell_nodes, ref_cell_nodes)
+    if r == 1:
+        assert cell_nodes is mesh.cells
+    sums = _cell_sums(mesh, r)
+    ref = oracles.reference_cell_sums(ref_cell_nodes, len(ref_nodes))
+    assert_same(sums.pairs, ref.pairs)
+    for name in ("pair_sum", "node_sum"):
+        got, want = getattr(sums, name), getattr(ref, name)
+        assert got.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            assert_same(getattr(got, part), getattr(want, part))
+    for s in (build_scalar_space(mesh, r), build_vector_space(mesh, r),
+              build_scalar_space(mesh, r, dirichlet=False)):
+        pat = s.pattern()
+        assert pat.sums is sums
+        for got, want in zip((pat.indptr, pat.indices, pat._slot_pair),
+                             oracles.reference_pattern(ref, s.dof_index)):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim,M", [(2, 8), (3, 5)])
+def test_spaces_and_patterns_sort_nothing_of_the_cells_size(dim, M, monkeypatch):
+    # the structure comes from the d! template stencil: no sort as long as
+    # the cells (the stencil tables are smaller than the cells here)
+    mesh = build_structured(dim, M)
+
+    def guarded(sort):
+        def wrapped(a, *args, **kwargs):
+            if np.size(a) >= mesh.n_cells:
+                raise AssertionError(f"{sort.__name__} of {np.size(a)} entries")
+            return sort(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("argsort", "sort"):
+        monkeypatch.setattr(np, name, guarded(getattr(np, name)))
+    for r in (1, 2):
+        for s in (build_scalar_space(mesh, r, complex_field=True),
+                  build_scalar_space(mesh, r, dirichlet=False),
+                  build_vector_space(mesh, r)):
+            assert s.pattern().nnz > 0
 
 
 def test_loads_on_real_spaces_are_float():

@@ -321,6 +321,19 @@ def test_config_accepts_numpy_integers():
     assert cfg.M == 4
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_config_rejects_p1_on_one_cube_and_p2_runs_there(dim):
+    # the P1 lattice with M=1 has no interior node, so every space would be
+    # empty; the config says so instead of the stepper failing in assembly
+    with pytest.raises(ValueError, match=r"degree \* M must be at least 2"):
+        small_config(dim=dim, M=1, r=1)
+    for mode in ("free", "mms"):
+        st = scheme.AlternatingStepper(small_config(dim=dim, M=1, r=2, mode=mode))
+        assert st.spaces.psi.n_dofs == 1
+        res = st.run(snapshot_steps=[2])
+        assert np.all(np.isfinite(res.psi_norms)) and res.psi_norms[-1] > 0.0
+
+
 @pytest.mark.parametrize("v0", [float("nan"), float("inf"), float("-inf")])
 def test_config_rejects_non_finite_v0(v0):
     # a non-finite v0 would otherwise reach the psi LU as a singular matrix
