@@ -162,6 +162,8 @@ class AffineMap:
 
 
 def affine_map(vertex_coords: np.ndarray) -> AffineMap:
+    """The simplex's map from its own vertices, not the mesh's templates: the
+    tests' oracles map each cell's quadrature points by it."""
     verts = np.asarray(vertex_coords, dtype=float)
     J = (verts[1:] - verts[0]).T
     det = float(np.linalg.det(J))

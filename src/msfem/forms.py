@@ -47,27 +47,23 @@ dofs.  Forms on one space can therefore be combined by combining their
 definition, and the div-div + curl-curl form ``D`` because on this space it
 equals the componentwise stiffness (see ``assemble_D``).
 
-A weight or load coefficient is one of: None (the constant one, weights
-only), a scalar ``FieldVector`` of the space's degree (its real part;
-weights only), ``FieldProducts`` of a scalar field of the space's degree
-(|u|^2), a ``Separable`` sum of products of one-coordinate functions (loads
-only; a tuple of one per component on vector spaces), a callable of the
-points x, or an array of point values at the form's quadrature nodes,
-(cells, q) or (cells, q, d) on vector spaces.  Only the last two are
-evaluated at the points, and so is a ``QuadratureField``, the evaluator of
-a discrete field at every node of a table: no run takes this point path,
-which the tests keep as the independent reference.  The manufactured
-sources are ``Separable``: their loads factor over the Kuhn lattice into
-per-axis tables and one GEMM per simplex template (sum factorisation; see
-``assemble_coefficient_load`` and ``lattice_rule``), so no (cells, q)
-array is built for them.
+A weight is one of: None (the constant one), a scalar ``FieldVector`` of
+the space's degree (its real part) or ``FieldProducts`` of a scalar field
+of the space's degree (|u|^2).  A load coefficient is ``FieldProducts``
+(the load of |u|^2) or a ``Separable`` sum of products of one-coordinate
+functions, a tuple of one per component on vector spaces.  The
+manufactured sources are ``Separable``: their loads factor over the Kuhn
+lattice into per-axis tables and one GEMM per simplex template (sum
+factorisation; see ``assemble_coefficient_load`` and ``lattice_rule``), so
+no (cells, q) array is built for them.  The tests' references evaluate
+fields and coefficients at the points instead, cell by cell
+(``space.evaluate``, ``elements.affine_map``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,7 +74,6 @@ from .space import FeSpace, FieldVector
 
 __all__ = [
     "QuadratureTable",
-    "QuadratureField",
     "FieldProducts",
     "Separable",
     "assemble_mass",
@@ -105,9 +100,9 @@ class QuadratureTable:
     """Reference tensors and cell geometry at the quadrature nodes of a mesh.
 
     Cell-independent: ``vals`` (q, nloc) the reference basis values, ``gref``
-    (q, nloc, d) the reference basis gradients, ``vv`` (q, nloc^2) with
-    vv[q, i nloc + j] = vals[q, i] vals[q, j], and the integrals over the
-    reference cell of products of basis values and gradients:
+    (q, nloc, d) the reference basis gradients, and the integrals over the
+    reference cell of products of basis values and gradients, with vv[q,
+    i nloc + j] = vals[q, i] vals[q, j]:
 
     - ``mass_row`` (nloc^2,) = w @ vv, the reference mass matrix;
     - ``vvv`` (nloc, nloc^2), vvv[k, i nloc + j] = sum_q w_q v_k v_i v_j;
@@ -124,11 +119,8 @@ class QuadratureTable:
     template Jacobians (``Mesh.JinvT``, not a copy).  The physical gradient
     of basis function l at point q of cell c is ``JinvT[c % d!] @ gref[q,
     l]``; no array holds it for every cell.  ``wdet`` (q,) holds the
-    quadrature weights times det J.  The point path alone reads ``x`` (c, q,
-    d), the physical points, built on first use; no step form, load or error
-    norm of a run builds it.
-    Built once per (mesh, degree, qdeg) by ``quadrature_table``; a
-    ``QuadratureField`` evaluates a field at its nodes.
+    quadrature weights times det J.  No array of the table has a cell axis.
+    Built once per (mesh, degree, qdeg) by ``quadrature_table``.
     """
 
     def __init__(self, mesh: Mesh, degree: int, qdeg: int):
@@ -138,42 +130,18 @@ class QuadratureTable:
         w = rule.weights
         self.vals = vals                                    # (q, nloc)
         self.gref = gref                                    # (q, nloc, d)
-        self.vv = np.einsum("qi,qj->qij", vals, vals).reshape(nq, nloc * nloc)
-        wvv = w[:, None] * self.vv
-        self.mass_row = w @ self.vv
+        vv = np.einsum("qi,qj->qij", vals, vals).reshape(nq, nloc * nloc)
+        wvv = w[:, None] * vv
+        self.mass_row = w @ vv
         self.vvv = vals.T @ wvv
-        self.vvvv = self.vv.T @ wvv
+        self.vvvv = vv.T @ wvv
         self.vgv = np.einsum("q,qi,qjk,qa->ijka", w, vals, gref, vals
                              ).reshape(nloc * nloc, d * nloc)
         self.gg = np.einsum("q,qik,qjl->klij", w, gref, gref
                             ).reshape(d * d, nloc * nloc)
         self.JinvT = mesh.JinvT                             # (d!, d, d)
         self.wdet = w * mesh.det                            # (q,)
-        self._mesh = mesh
         self._rule = rule
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        """Physical quadrature points (c, q, d), built on first use: only
-        the point path reads them.  Each template maps the rule once, and
-        every cube translates the d! mapped rules to its cells."""
-        mesh = self._mesh
-        nperm, d = mesh.J.shape[:2]
-        mapped = np.einsum("pij,qj->pqi", mesh.J, self._rule.points_ref)  # (p, q, d)
-        v0 = mesh.vertices[mesh.cells[:, 0]].reshape(-1, nperm, 1, d)
-        return (v0 + mapped).reshape(mesh.n_cells, -1, d)
-
-    def coefficient(self, coeff):
-        """Values of a callable or point-array coefficient (see the module
-        docstring) at the quadrature nodes."""
-        if isinstance(coeff, np.ndarray):
-            nodes = (self._mesh.n_cells, self._rule.weights.size)
-            if coeff.shape[:2] != nodes:
-                raise ValueError(
-                    f"point values of shape {coeff.shape} are not at the "
-                    f"{nodes} quadrature nodes of this form")
-            return coeff
-        return np.asarray(coeff(self.x))
 
 
 def quadrature_table(mesh: Mesh, degree: int, qdeg: int | None = None) -> QuadratureTable:
@@ -184,52 +152,6 @@ def quadrature_table(mesh: Mesh, degree: int, qdeg: int | None = None) -> Quadra
     if key not in mesh._geom:
         mesh._geom[key] = QuadratureTable(mesh, degree, qdeg)
     return mesh._geom[key]
-
-
-class QuadratureField:
-    """A scalar or vector field at the quadrature nodes of ``table``, by
-    default the default table of its space; each array is computed on first
-    read and then kept.
-
-    ``values`` is (c, q), or (c, q, comp) on vector spaces; ``grad_ref`` the
-    reference-coordinate gradients (c, d, q), or (c, comp, d, q), direction
-    before point.  ``gradients()`` maps the reference gradients by each
-    cell's template J^{-T} to the physical ones, (c, q, d) or (c, q, comp,
-    d), and keeps nothing.  The tests' point-path references read a field
-    this way; no step form and no error norm does.
-    """
-
-    def __init__(self, field_vec: FieldVector, table: QuadratureTable | None = None):
-        space = field_vec.space
-        tab = quadrature_table(space.mesh, space.degree) if table is None else table
-        nloc = space.element.node_count
-        if tab._mesh is not space.mesh or tab.vals.shape[1] != nloc:
-            raise ValueError("the quadrature table is not on this field's mesh and degree")
-        local = space.gather_cells(field_vec)               # (c, nloc[, comp])
-        if space.kind == "vector":
-            local = local.transpose(0, 2, 1)
-        self.table = tab
-        self._lead = local.shape[:-1]                        # (c,) or (c, comp)
-        self._rows = local.reshape(-1, nloc)                 # (c [comp], nloc)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        v = (self._rows @ self.table.vals.T).reshape(*self._lead, -1)
-        return v if len(self._lead) == 1 else v.transpose(0, 2, 1)
-
-    @cached_property
-    def grad_ref(self) -> np.ndarray:
-        nq, nloc, d = self.table.gref.shape
-        g = self._rows @ self.table.gref.transpose(1, 2, 0).reshape(nloc, d * nq)
-        return g.reshape(*self._lead, d, nq)
-
-    def gradients(self) -> np.ndarray:
-        JinvT = self.table.JinvT
-        if len(self._lead) == 2:
-            JinvT = JinvT[:, None]
-        g = self.grad_ref
-        by_template = g.reshape(-1, JinvT.shape[0], *g.shape[1:])   # (cube, p, ...)
-        return np.moveaxis(np.matmul(JinvT, by_template).reshape(g.shape), -1, 1)
 
 
 class FieldProducts:
@@ -305,7 +227,8 @@ def assemble_mass(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
 
 
 def assemble_weighted_mass(space: FeSpace, weight, qdeg: int | None = None) -> sp.csr_array:
-    """(w u, v) with w a scalar weight (see module coefficients)."""
+    """(w u, v) with w a scalar weight: None, a ``FieldVector`` or
+    ``FieldProducts`` (see the module docstring)."""
     _check_coeff_space(space, weight)
     nloc = space.element.node_count
     mesh = space.mesh
@@ -318,7 +241,8 @@ def assemble_weighted_mass(space: FeSpace, weight, qdeg: int | None = None) -> s
     elif isinstance(weight, FieldProducts):
         loc = weight.re @ tab.vvvv
     else:
-        loc = (tab.coefficient(weight) * tab.wdet) @ tab.vv
+        raise TypeError(f"a weight is None, a FieldVector or FieldProducts, "
+                        f"not {type(weight).__name__}")
     return _on_pattern(space, loc.reshape(-1, nloc, nloc))
 
 
@@ -441,11 +365,9 @@ def assemble_coefficient_load(space: FeSpace, coeff,
     """Load vector of a coefficient against the space's test basis, real
     where the coefficient is real.
 
-    Scalar spaces take a ``Separable``, a callable of x, (c, q) point
-    values, or ``FieldProducts`` for the load of |u|^2; vector spaces take
-    a tuple of one ``Separable`` per component, callables of x that return
-    d-vectors or (c, q, d) point values.  A complex coefficient on a real
-    space raises ValueError.
+    Scalar spaces take a ``Separable`` or ``FieldProducts`` for the load
+    of |u|^2; vector spaces take a tuple of one ``Separable`` per
+    component.  A complex coefficient on a real space raises ValueError.
     """
     _check_coeff_space(space, coeff)
     tab = quadrature_table(space.mesh, space.degree, qdeg)
@@ -455,16 +377,14 @@ def assemble_coefficient_load(space: FeSpace, coeff,
         nloc = space.element.node_count
         loc = coeff.re @ tab.vvv.reshape(nloc * nloc, nloc)
         return space.pattern().assemble_load(loc[:, :, None])
-    if isinstance(coeff, (Separable, tuple)):
-        comps = (coeff,) if isinstance(coeff, Separable) else coeff
-        if len(comps) != space.ncomp or not all(isinstance(c, Separable) for c in comps):
-            raise ValueError(f"a separable coefficient on this space is "
-                             f"{space.ncomp} Separable component(s)")
-        loc = np.stack([_lattice_load(space.mesh, c, tab) for c in comps], axis=-1)
-    else:
-        values = tab.coefficient(coeff)
-        s = values.reshape(*values.shape[:2], -1) * tab.wdet[:, None]
-        loc = np.matmul(tab.vals.T, s)                              # (c, a, comp)
+    if not isinstance(coeff, (Separable, tuple)):
+        raise TypeError(f"a load coefficient is FieldProducts or Separable, "
+                        f"not {type(coeff).__name__}")
+    comps = (coeff,) if isinstance(coeff, Separable) else coeff
+    if len(comps) != space.ncomp or not all(isinstance(c, Separable) for c in comps):
+        raise ValueError(f"a separable coefficient on this space is "
+                         f"{space.ncomp} Separable component(s)")
+    loc = np.stack([_lattice_load(space.mesh, c, tab) for c in comps], axis=-1)
     if np.iscomplexobj(loc) and space.dtype is not complex:
         raise ValueError("complex coefficient for a load on a real space")
     return space.pattern().assemble_load(loc)

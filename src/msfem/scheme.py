@@ -17,15 +17,15 @@ S0 = (-i/dt + V0/2) M + K/4 fixed for the run.  Every step solves it by
 defect correction, x <- x + P(b - S x) (Stetter, Numer. Math. 29 (1978)
 425-443), against an inverse P of S0, exact or approximate, built once:
 the step terms are O(dt) against the -i/dt M of S0, so a solve takes a few
-applies of P at every system size.  For P1 with Dirichlet constraints P is
-the sine-transform solve of S0's stencil averaged over the axis sign flips
-(Hockney, J. ACM 12 (1965) 95-113; T. Chan, SIAM J. Sci. Stat. Comput. 9
-(1988) 766-771), O(N log N) per apply and no factor.  For P2, and for a psi
-without constraints, P is the complete sparse LU of S0, taken in
-nested-dissection order on the lattice's cell-face planes (George, SIAM J.
-Numer. Anal. 10 (1973) 345-363): no cell straddles such a plane, so its
-nodes separate the two halves, fill enters only at the separators, and the
-factor's time, memory and applies fall against a COLAMD-ordered LU.
+applies of P at every system size.  For P1 P is the sine-transform solve
+of S0's stencil averaged over the axis sign flips (Hockney, J. ACM 12
+(1965) 95-113; T. Chan, SIAM J. Sci. Stat. Comput. 9 (1988) 766-771),
+O(N log N) per apply and no factor.  For P2 P is the complete sparse LU
+of S0, taken in nested-dissection order on the lattice's cell-face planes
+(George, SIAM J. Numer. Anal. 10 (1973) 345-363): no cell straddles such a
+plane, so its nodes separate the two halves, fill enters only at the
+separators, and the factor's time, memory and applies fall against a
+COLAMD-ordered LU.
 
 The wave steps read psi from the previous level three times: in W(|psi|^2),
 the current load and the |psi|^2 load.  All three are bilinear in psi's
@@ -224,19 +224,18 @@ class AlternatingStepper:
 
     All matrices of one space share its CSR pattern, so each step matrix is
     built as a linear combination of ``data`` arrays on that pattern.  psi
-    and phi share one scalar P_r dof numbering (complex and real), so their
-    mass and stiffness have equal entries: ``mass`` and ``stiffness`` are
-    assembled once, real, and serve both.
+    and phi are the Dirichlet P_r spaces of one mesh (``build_spaces``), so
+    they share one scalar dof numbering and pattern, and their mass and
+    stiffness have equal entries: ``mass`` and ``stiffness`` are assembled
+    once, real, and serve both.
     """
 
-    def __init__(self, config: SchemeConfig, spaces: Spaces | None = None):
+    def __init__(self, config: SchemeConfig):
         _retain_step_memory()
         self.config = config
         self.case = mms.make_case(config.dim, config.v0) if config.mode == "mms" else None
-        self.spaces = spaces or build_spaces(config)
+        self.spaces = build_spaces(config)
         self.mesh = self.spaces.psi.mesh
-        if self.spaces.psi.pattern() is not self.spaces.phi.pattern():
-            raise ValueError("psi and phi must share one scalar dof numbering")
         self.mass_vec = forms.assemble_mass(self.spaces.A)
         self.D = forms.assemble_D(self.spaces.A)
         self.mass = forms.assemble_mass(self.spaces.phi)
@@ -267,26 +266,25 @@ class AlternatingStepper:
         the -i/dt M of S0, so defect correction against an inverse of S0
         (Stetter, Numer. Math. 29 (1978) 425-443) contracts the residual by
         O(dt) per apply and needs a few applies per step.  Built once per
-        stepper; which inverse depends on the space:
+        stepper; which inverse depends on the degree:
 
-        - P1 with Dirichlet constraints: the sine-transform solve of S0's
-          stencil averaged over the sign flips of the axes
-          (``sparsela.sine_transform_solve``), O(N log N) per apply and no
-          factor.  The free nodes are the interior of the Kuhn lattice in C
-          order.  The Kuhn stencil couples one diagonal of each cube and the
-          average all of them, so the two differ in the mass as well, by a
-          bounded fraction: a solve takes more applies than with the exact
-          inverse (4-24 in the tests), each far cheaper than an LU apply.
-        - P2, and psi without constraints: the complete sparse LU of S0.
-          The free dofs are ordered by recursive bisection of their lattice
-          coordinates on cell-face planes, each separator after its two
-          halves (George, SIAM J. Numer. Anal. 10 (1973) 345-363): no cell
-          straddles a face plane, so the halves eliminate independently and
-          fill enters only at the separators.  S0 is complex symmetric, so
-          SuperLU keeps that order on both sides (no column ordering,
-          symmetric mode).  The order cuts the factor's fill against COLAMD
-          by 1.5-2x at the benchmark sizes, and its setup time and peak
-          memory at scale.
+        - P1: the sine-transform solve of S0's stencil averaged over the
+          sign flips of the axes (``sparsela.sine_transform_solve``),
+          O(N log N) per apply and no factor.  The free nodes are the
+          interior of the Kuhn lattice in C order.  The Kuhn stencil couples
+          one diagonal of each cube and the average all of them, so the two
+          differ in the mass as well, by a bounded fraction: a solve takes
+          more applies than with the exact inverse (4-24 in the tests), each
+          far cheaper than an LU apply.
+        - P2: the complete sparse LU of S0.  The free dofs are ordered by
+          recursive bisection of their lattice coordinates on cell-face
+          planes, each separator after its two halves (George, SIAM J.
+          Numer. Anal. 10 (1973) 345-363): no cell straddles a face plane,
+          so the halves eliminate independently and fill enters only at the
+          separators.  S0 is complex symmetric, so SuperLU keeps that order
+          on both sides (no column ordering, symmetric mode).  The order
+          cuts the factor's fill against COLAMD by 1.5-2x at the benchmark
+          sizes, and its setup time and peak memory at scale.
         """
         import scipy.sparse.linalg as spla
 
@@ -297,7 +295,7 @@ class AlternatingStepper:
             + 0.25 * self.stiffness.data)
         # the free nodes' lattice coordinates, in dof order
         lattice = space.nodes_int[~space.constrained[:, 0]]
-        if space.degree == 1 and space.constrained_space:
+        if space.degree == 1:
             return sparsela.sine_transform_solve(S0, lattice, self.mesh.subdivisions)
         perm = sparsela.nested_dissection(lattice, space.degree)
         try:
@@ -425,11 +423,17 @@ class AlternatingStepper:
 
     def run(self, snapshot_steps=()) -> RunResult:
         """Execute all configured steps, recording norms, and at the snapshot
-        steps the snapshot records and, in verification mode, the errors."""
+        steps, integers in 0..n_steps, the snapshot records and, in
+        verification mode, the errors."""
         cfg = self.config
         collect = cfg.mode == "mms"
+        snap_at = set()
+        for step in snapshot_steps:
+            require_integer("snapshot step", step)
+            if not 0 <= step <= cfg.n_steps:
+                raise ValueError(f"snapshot step {step} is outside 0..{cfg.n_steps}")
+            snap_at.add(int(step))
         state = self.initialize()
-        snap_at = set(int(s) for s in snapshot_steps)
         report = mms.ErrorReport(h=self.mesh.h, dt=cfg.dt, M=cfg.M,
                                  degree=cfg.degree) if collect else None
         norms = [self.psi_l2_norm(state)]

@@ -17,9 +17,9 @@ summation matrices are built from the same stencil with no sort
 summation matrices and the CSR pattern of each dof numbering are built once
 and cached on the mesh, so spaces that share a numbering share its pattern,
 and the scalar and vector patterns of one degree share the summation.
-``evaluate`` and ``locate_points``, the pointwise path, map between
-reference and physical coordinates by the cell's template Jacobian (cell c
-is template c % d!, see ``mesh.Mesh``).
+``evaluate`` and ``locate_points``, the pointwise path that the tests'
+references take, map between reference and physical coordinates by the
+cell's template Jacobian (cell c is template c % d!, see ``mesh.Mesh``).
 """
 
 from __future__ import annotations
@@ -174,7 +174,9 @@ def _cell_sums(mesh: Mesh, degree: int) -> CellSums:
 
 def build_scalar_space(mesh: Mesh, degree: int, *, complex_field: bool = False,
                        dirichlet: bool = True) -> FeSpace:
-    """Degree-r scalar Lagrange space, H^1_0-constrained unless dirichlet=False."""
+    """Degree-r scalar Lagrange space, H^1_0-constrained unless dirichlet=False,
+    a test fixture: no run builds it, and its boundary rows make the form
+    oracles compare every entry of a form."""
     nodes_int, cell_nodes = _global_nodes(mesh, degree)
     res = degree * mesh.subdivisions
     on_boundary = np.any((nodes_int == 0) | (nodes_int == res), axis=1)
@@ -259,27 +261,26 @@ def interpolate(space: FeSpace, fn) -> FieldVector:
 
 
 def evaluate(field_vec: FieldVector, cell: int, point_ref, *, gradient: bool = False):
-    """Value (and optionally physical gradient) of a field inside one cell."""
+    """Value (and optionally physical gradient) of a field inside one cell, at
+    one reference point (d,) or at n of them (n, d), which add a leading n
+    axis.  No form calls it; it is the tests' pointwise reference."""
     space = field_vec.space
-    elem = space.element
-    pt = np.atleast_2d(np.asarray(point_ref, dtype=float))
-    vals, grads_ref = elem.tabulate(pt)
+    pt = np.asarray(point_ref, dtype=float)
+    vals, grads_ref = space.element.tabulate(np.atleast_2d(pt))   # (n, nloc), (n, nloc, d)
     local = space.gather_cells(field_vec, cells=slice(cell, cell + 1))[0]
-    value = vals[0] @ local   # scalar, or (ncomp,) on vector spaces
-    if not gradient:
-        return value
-    JinvT = space.mesh.JinvT[cell % len(space.mesh.JinvT)]   # the cell's template
-    g_phys = grads_ref[0] @ JinvT.T            # (nloc, d)
-    if space.kind == "scalar":
-        grad = g_phys.T @ local
-    else:
-        grad = np.einsum("lc,ld->cd", local, g_phys)
-    return value, grad
+    out = [vals @ local]                       # (n,), or (n, comp) on vector spaces
+    if gradient:
+        JinvT = space.mesh.JinvT[cell % len(space.mesh.JinvT)]   # the cell's template
+        out.append(np.einsum("l...,nld->n...d", local, grads_ref @ JinvT.T))
+    if pt.ndim == 1:
+        out = [v[0] for v in out]
+    return tuple(out) if gradient else out[0]
 
 
 def locate_points(mesh: Mesh, points: np.ndarray):
     """Find (cell index, reference coords) for physical points: xi = J^{-1}
-    (x - v_0) with J the cell's template Jacobian."""
+    (x - v_0) with J the cell's template Jacobian; like ``evaluate``, the
+    tests' path."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     cells = mesh.containing_cells(pts)
     JinvT = mesh.JinvT[cells % len(mesh.JinvT)]

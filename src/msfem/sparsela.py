@@ -17,10 +17,9 @@ pattern's index arrays.
 Two inverses of a lattice operator serve the stepper's psi solve.
 ``sine_transform_solve`` inverts the sign-flip average of a nearest-neighbour
 stencil on the interior lattice by the type-I sine transform, with no
-factor; the stepper uses it for P1 psi with Dirichlet constraints.
-``nested_dissection`` orders the points of a lattice for a sparse LU with
-little fill; the stepper factors the P2 and the unconstrained psi operator
-in that order.
+factor; the stepper uses it for P1 psi.  ``nested_dissection`` orders the
+points of a lattice for a sparse LU with little fill; the stepper factors
+the P2 psi operator in that order.
 
 The solver contract is the relative residual bound, not the method: SPD
 systems go through Jacobi-preconditioned CG with a sparse-LU fallback, general

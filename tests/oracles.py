@@ -1,15 +1,18 @@
-"""Naive dense assembly, point by point and cell by cell, the error norms
-summed over every quadrature point at once, and the sparse structure of a
-space derived as for any cell-to-node map.
+"""Naive dense assembly cell by cell, the error norms summed over every
+quadrature point at once, and the sparse structure of a space derived as
+for any cell-to-node map.
 
-Deliberately slow and independent of the vectorized assembly path: per-cell
-affine maps, per-point basis evaluation, Python-loop accumulation into dense
-matrices.  Only usable on small meshes.  The norms take the whole-mesh
-point path of ``forms`` (``QuadratureField``, the table's ``x`` and
-``wdet``) and call the case closures at the points, with no block or
-per-axis structure.  The node numbering and the summation matrices come
-from the cells' vertex coordinates and a stable sort of every node and
-node pair of the cells, with no use of the lattice's template stencil.
+Deliberately slow and independent of the vectorized assembly path: each
+cell's quadrature points and physical basis gradients come from its own
+affine map (``elements.affine_map``), not from the mesh's template
+Jacobians; the integrands are formed at the points, discrete fields read by
+one ``space.evaluate`` per cell and coefficients by their closures at the
+physical points; and a Python loop over the cells accumulates into dense
+matrices.  Only usable on small meshes.  The norms take the same points
+(``cell_fields``) with no block or per-axis structure.  The node numbering
+and the summation matrices come from the cells' vertex coordinates and a
+stable sort of every node and node pair of the cells, with no use of the
+lattice's template stencil.
 """
 
 import math
@@ -21,29 +24,30 @@ import scipy.sparse as sp
 from msfem import forms, mms
 from msfem.elements import affine_map, quadrature_rule, reference_element
 from msfem.mesh import build_structured, lattice_points
-from msfem.space import evaluate
+from msfem.space import build_scalar_space, evaluate
 
 
 def _cell_quad(space, qdeg):
+    """Per cell, in order: its index c, the rule's reference points xi
+    (q, d), the physical points x (q, d), the weights times |det J| w (q,),
+    the basis values (q, nloc) and physical gradients (q, nloc, d)."""
     mesh = space.mesh
     rule = quadrature_rule(mesh.dim, qdeg)
-    vals, gref = reference_element(mesh.dim, space.degree).tabulate(rule.points_ref)
+    xi = rule.points_ref
+    vals, gref = reference_element(mesh.dim, space.degree).tabulate(xi)
     for c in range(mesh.n_cells):
         amap = affine_map(mesh.vertices[mesh.cells[c]])
-        Jinv = np.linalg.inv(amap.jacobian)
-        for q in range(rule.weights.size):
-            xi = rule.points_ref[q]
-            w = rule.weights[q] * abs(amap.det)
-            x = amap.to_physical(xi[None, :])[0]
-            yield c, xi, x, w, vals[q], gref[q] @ Jinv
+        yield (c, xi, amap.to_physical(xi), rule.weights * abs(amap.det), vals,
+               gref @ np.linalg.inv(amap.jacobian))
 
 
-def _dofs_scalar(space, c):
-    return space.dof_index[space.cell_nodes[c], 0]
+def _per_cell(space, qdeg, value_at):
+    """``value_at(c, xi, x)`` of every cell, stacked (cells, q, ...)."""
+    return np.stack([value_at(c, xi, x) for c, xi, x, *_ in _cell_quad(space, qdeg)])
 
 
-def _dofs_vector(space, c):
-    return space.dof_index[space.cell_nodes[c]]  # (nloc, d)
+def _dofs(space, c):
+    return space.dof_index[space.cell_nodes[c]]  # (nloc, ncomp)
 
 
 def _accumulate(A, dofs_i, dofs_j, block):
@@ -52,47 +56,41 @@ def _accumulate(A, dofs_i, dofs_j, block):
     A[np.ix_(dofs_i[keep_i], dofs_j[keep_j])] += block[np.ix_(keep_i, keep_j)]
 
 
-def naive_weighted_mass(space, weight_fn, qdeg):
-    return _weighted_mass(space, lambda c, xi, x: weight_fn(x), qdeg)
-
-
 def naive_field_weighted_mass(space, field, qdeg):
     """(f u, v) with a real discrete field f evaluated cell by cell."""
-    return _weighted_mass(space, lambda c, xi, x: evaluate(field, c, xi).real, qdeg)
+    return _weighted_mass(space, _per_cell(
+        space, qdeg, lambda c, xi, x: evaluate(field, c, xi).real), qdeg)
 
 
 def naive_abs2_weighted_mass(space, field, qdeg):
     """(|f|^2 u, v) with a scalar discrete field f evaluated cell by cell."""
-    return _weighted_mass(space, lambda c, xi, x: abs(evaluate(field, c, xi)) ** 2, qdeg)
+    return _weighted_mass(space, _per_cell(
+        space, qdeg, lambda c, xi, x: abs(evaluate(field, c, xi)) ** 2), qdeg)
 
 
-def _weighted_mass(space, weight_at, qdeg):
+def _weighted_mass(space, weights, qdeg):
+    """(w u, v) for the weights (cells, q) at every cell's points, or
+    (cells, 1) for one weight per cell."""
     n = space.n_dofs
-    dtype = complex if space.dtype is complex else float
-    A = np.zeros((n, n), dtype=dtype)
+    A = np.zeros((n, n), dtype=space.dtype)
     for c, xi, x, w, vals, _ in _cell_quad(space, qdeg):
-        wx = weight_at(c, xi, x)
-        block = w * wx * np.outer(vals, vals)
-        if space.kind == "scalar":
-            _accumulate(A, _dofs_scalar(space, c), _dofs_scalar(space, c), block)
-        else:
-            dofs = _dofs_vector(space, c)
-            for comp in range(space.ncomp):
-                _accumulate(A, dofs[:, comp], dofs[:, comp], block)
+        block = (vals.T * (w * weights[c])) @ vals
+        dofs = _dofs(space, c)
+        for comp in range(space.ncomp):
+            _accumulate(A, dofs[:, comp], dofs[:, comp], block)
     return A
 
 
 def naive_mass(space, qdeg):
-    return naive_weighted_mass(space, lambda x: 1.0, qdeg)
+    return _weighted_mass(space, np.ones((space.mesh.n_cells, 1)), qdeg)
 
 
 def naive_stiffness(space, qdeg):
     n = space.n_dofs
-    dtype = complex if space.dtype is complex else float
-    A = np.zeros((n, n), dtype=dtype)
+    A = np.zeros((n, n), dtype=space.dtype)
     for c, xi, x, w, _, gphys in _cell_quad(space, qdeg):
-        block = w * (gphys @ gphys.T)
-        _accumulate(A, _dofs_scalar(space, c), _dofs_scalar(space, c), block)
+        block = np.einsum("q,qik,qjk->ij", w, gphys, gphys)
+        _accumulate(A, _dofs(space, c)[:, 0], _dofs(space, c)[:, 0], block)
     return A
 
 
@@ -101,119 +99,96 @@ def naive_D(space, qdeg):
     n = space.n_dofs
     A = np.zeros((n, n))
     nloc = reference_element(d, space.degree).node_count
-    for c, xi, x, w, vals, gphys in _cell_quad(space, qdeg):
-        div = np.zeros(nloc * d)
-        for a in range(nloc):
-            for comp in range(d):
-                div[a * d + comp] = gphys[a, comp]
-        if d == 2:
-            curl = np.zeros((nloc * d, 1))
+    for c, _, _, weights, _, cell_grads in _cell_quad(space, qdeg):
+        dofs = _dofs(space, c).reshape(-1)
+        for w, gphys in zip(weights, cell_grads):
+            div = np.zeros(nloc * d)
             for a in range(nloc):
-                curl[a * d + 0, 0] = -gphys[a, 1]
-                curl[a * d + 1, 0] = gphys[a, 0]
-        else:
-            curl = np.zeros((nloc * d, 3))
-            for a in range(nloc):
-                g = gphys[a]
-                curl[a * d + 0] = np.cross(g, [1.0, 0.0, 0.0])
-                curl[a * d + 1] = np.cross(g, [0.0, 1.0, 0.0])
-                curl[a * d + 2] = np.cross(g, [0.0, 0.0, 1.0])
-        block = w * (np.outer(div, div) + curl @ curl.T)
-        dofs = _dofs_vector(space, c).reshape(-1)
-        _accumulate(A, dofs, dofs, block)
+                for comp in range(d):
+                    div[a * d + comp] = gphys[a, comp]
+            if d == 2:
+                curl = np.zeros((nloc * d, 1))
+                for a in range(nloc):
+                    curl[a * d + 0, 0] = -gphys[a, 1]
+                    curl[a * d + 1, 0] = gphys[a, 0]
+            else:
+                curl = np.zeros((nloc * d, 3))
+                for a in range(nloc):
+                    g = gphys[a]
+                    curl[a * d + 0] = np.cross(g, [1.0, 0.0, 0.0])
+                    curl[a * d + 1] = np.cross(g, [0.0, 1.0, 0.0])
+                    curl[a * d + 2] = np.cross(g, [0.0, 0.0, 1.0])
+            _accumulate(A, dofs, dofs, w * (np.outer(div, div) + curl @ curl.T))
     return A
 
 
 def naive_B(space, a_field, qdeg):
+    """((i grad + A) u, (i grad + A) v) expanded at the points: grad phi_b .
+    grad phi_a + |A|^2 phi_b phi_a + i (phi_a A . grad phi_b - phi_b A .
+    grad phi_a), with A evaluated cell by cell."""
     n = space.n_dofs
-    A = np.zeros((n, n), dtype=complex)
-    mesh = space.mesh
-    rule = quadrature_rule(mesh.dim, qdeg)
-    vals_all, gref_all = reference_element(mesh.dim, space.degree).tabulate(rule.points_ref)
-    for c in range(mesh.n_cells):
-        amap = affine_map(mesh.vertices[mesh.cells[c]])
-        Jinv = np.linalg.inv(amap.jacobian)
-        dofs = _dofs_scalar(space, c)
-        for q in range(rule.weights.size):
-            xi = rule.points_ref[q]
-            vals = vals_all[q]
-            gphys = gref_all[q] @ Jinv
-            w = rule.weights[q] * abs(amap.det)
-            a_val = evaluate(a_field, c, xi)
-            nloc = vals.size
-            block = np.zeros((nloc, nloc), dtype=complex)
-            for a in range(nloc):
-                for b in range(nloc):
-                    block[a, b] = (
-                        gphys[b] @ gphys[a]
-                        + (a_val @ a_val) * vals[b] * vals[a]
-                        + 1j * (vals[a] * (a_val @ gphys[b])
-                                - vals[b] * (a_val @ gphys[a]))
-                    )
-            _accumulate(A, dofs, dofs, w * block)
-    return A
+    B = np.zeros((n, n), dtype=complex)
+    for c, xi, x, w, vals, gphys in _cell_quad(space, qdeg):
+        a_val = evaluate(a_field, c, xi)                    # (q, d)
+        a_grad = np.einsum("qld,qd->ql", gphys, a_val)      # A . grad phi_l
+        wv = w[:, None] * vals
+        block = (np.einsum("qad,qbd->ab", w[:, None, None] * gphys, gphys)
+                 + (wv * np.sum(a_val ** 2, axis=1)[:, None]).T @ vals
+                 + 1j * (wv.T @ a_grad - a_grad.T @ wv))
+        dofs = _dofs(space, c)[:, 0]
+        _accumulate(B, dofs, dofs, block)
+    return B
 
 
 def naive_current_load(space, psi_field, qdeg):
-    d = space.mesh.dim
-    out = np.zeros(space.n_dofs)
-    mesh = space.mesh
-    rule = quadrature_rule(mesh.dim, qdeg)
-    vals, _ = reference_element(mesh.dim, space.degree).tabulate(rule.points_ref)
-    for c in range(mesh.n_cells):
-        amap = affine_map(mesh.vertices[mesh.cells[c]])
-        dofs = _dofs_vector(space, c)
-        for q in range(rule.weights.size):
-            xi = rule.points_ref[q]
-            w = rule.weights[q] * abs(amap.det)
-            psi, grad = evaluate(psi_field, c, xi, gradient=True)
-            current = (0.5j * (np.conj(psi) * grad - psi * np.conj(grad))).real
-            for a in range(vals.shape[1]):
-                for comp in range(d):
-                    j = dofs[a, comp]
-                    if j >= 0:
-                        out[j] += w * current[comp] * vals[q, a]
-    return out
+    """The current (i/2)(psi* grad psi - psi grad psi*) at every cell's
+    points, psi evaluated cell by cell, against the vector test basis."""
+    def current(c, xi, x):
+        psi, grad = evaluate(psi_field, c, xi, gradient=True)
+        return (0.5j * (np.conj(psi)[:, None] * grad - psi[:, None] * np.conj(grad))).real
+
+    return _load(space, _per_cell(space, qdeg, current), qdeg)
 
 
 def naive_source_load(space, fn, qdeg):
-    return _load(space, lambda c, xi, x: fn(x), qdeg)
+    """(s, v) for a closure s of the points (..., d), called once on every
+    cell's points."""
+    return _load(space, fn(_per_cell(space, qdeg, lambda c, xi, x: x)), qdeg)
 
 
 def naive_abs2_load(space, field, qdeg):
     """(|f|^2, v) with a scalar discrete field f evaluated cell by cell."""
-    return _load(space, lambda c, xi, x: abs(evaluate(field, c, xi)) ** 2, qdeg)
+    return _load(space, _per_cell(
+        space, qdeg, lambda c, xi, x: abs(evaluate(field, c, xi)) ** 2), qdeg)
 
 
-def _load(space, value_at, qdeg):
-    dtype = complex if space.dtype is complex else float
-    out = np.zeros(space.n_dofs, dtype=dtype)
+def _load(space, values, qdeg):
+    """(s, v) for the values (cells, q) of s, or (cells, q, comp) on vector
+    spaces, at every cell's points."""
+    out = np.zeros(space.n_dofs, dtype=np.result_type(space.dtype, values))
     for c, xi, x, w, vals, _ in _cell_quad(space, qdeg):
-        s = value_at(c, xi, x)
-        if space.kind == "scalar":
-            dofs = _dofs_scalar(space, c)
-            for a, i in enumerate(dofs):
-                if i >= 0:
-                    out[i] += w * s * vals[a]
-        else:
-            dofs = _dofs_vector(space, c)
-            for a in range(vals.size):
-                for comp in range(space.ncomp):
-                    j = dofs[a, comp]
-                    if j >= 0:
-                        out[j] += w * s[comp] * vals[a]
+        local = vals.T @ (w[:, None] * values[c].reshape(w.size, -1))   # (nloc, comp)
+        dofs = _dofs(space, c)
+        free = dofs >= 0
+        out[dofs[free]] += local[free]
     return out
+
+
+def cell_fields(field_vec, qdeg):
+    """Every cell's points x (cells, q, d), weights times |det J| (cells,
+    q), and the field's values (cells, q[, comp]) and physical gradients
+    (cells, q[, comp], d) there, by one ``evaluate`` per cell."""
+    rows = [(x, w, *evaluate(field_vec, c, xi, gradient=True))
+            for c, xi, x, w, _, _ in _cell_quad(field_vec.space, qdeg)]
+    return [np.stack(a) for a in zip(*rows)]
 
 
 def point_error_norms(field_vec, case, which, t, qdeg=None):
     """``mms.error_norms`` summed over all quadrature points of the mesh in
-    one pass: the field from ``QuadratureField``, the exact fields from the
-    case closures at the table's points ``x``, the weights ``wdet``."""
+    one pass: the field and the points from ``cell_fields``, the exact
+    fields from the case closures at the points."""
     space = field_vec.space
-    tab = forms.quadrature_table(space.mesh, space.degree, qdeg)
-    x, wdet = tab.x, tab.wdet
-    field = forms.QuadratureField(field_vec, tab)
-    values, grads = field.values, field.gradients()
+    x, wdet, values, grads = cell_fields(field_vec, forms.quadrature_degree(space.degree, qdeg))
     if which != "A":
         value, grad = {"psi": (case.psi, case.grad_psi),
                        "phi": (case.phi, case.grad_phi)}[which]
@@ -236,9 +211,10 @@ def point_error_norms(field_vec, case, which, t, qdeg=None):
 
 
 def point_gauge_residuals(case, M, qdeg):
-    """``mms.gauge_residuals`` summed over all points of the P1 table."""
-    tab = forms.quadrature_table(build_structured(case.dim, M), 1, qdeg)
-    x, wdet = tab.x, tab.wdet
+    """``mms.gauge_residuals`` summed over all points of the P1 rule."""
+    space = build_scalar_space(build_structured(case.dim, M), 1)
+    x = _per_cell(space, qdeg, lambda c, xi, x: x)
+    wdet = np.stack([w for _, _, _, w, _, _ in _cell_quad(space, qdeg)])
     g1 = case.div_A(x, 0.0) + case.phi_t(x, 0.0)
     g2 = case.div_A_t(x, 0.0) + case.lap_phi(x, 0.0) + np.abs(case.psi(x, 0.0)) ** 2
     return math.sqrt(np.sum(wdet * g1 ** 2)), math.sqrt(np.sum(wdet * g2 ** 2))

@@ -40,10 +40,14 @@ def test_mass_total_measure():
 
 
 def test_weighted_mass_zero_and_unit_weight():
-    space = build_scalar_space(build_structured(2, 2), 2)
-    Z = forms.assemble_weighted_mass(space, lambda x: np.zeros(x.shape[:-1]))
+    # the unit weight is the constant one of the space without constraints
+    mesh = build_structured(2, 2)
+    space = build_scalar_space(mesh, 2)
+    weights = build_scalar_space(mesh, 2, dirichlet=False)
+    Z = forms.assemble_weighted_mass(space, FieldVector(weights, np.zeros(weights.n_dofs)))
     assert Z.nnz == 0 or np.max(np.abs(Z.toarray())) == 0.0
-    W1 = forms.assemble_weighted_mass(space, lambda x: np.ones(x.shape[:-1])).toarray()
+    one = FieldVector(weights, np.ones(weights.n_dofs))
+    W1 = forms.assemble_weighted_mass(space, one).toarray()
     M = forms.assemble_mass(space).toarray()
     assert np.allclose(W1, M, atol=1e-13)
 
@@ -219,9 +223,9 @@ def test_current_load_quadratic_scaling():
 def test_source_load_zero_and_partition_of_unity():
     mesh = build_structured(2, 3)
     space = build_scalar_space(mesh, 1, dirichlet=False)
-    z = forms.assemble_source_load(space, lambda x: 0.0 * x[..., 0])
+    z = forms.assemble_source_load(space, forms.Separable(((0.0, (np.ones_like,) * 2),)))
     assert np.max(np.abs(z)) == 0.0
-    ones = forms.assemble_source_load(space, lambda x: 1.0 + 0.0 * x[..., 0])
+    ones = forms.assemble_source_load(space, forms.Separable(((1.0, (np.ones_like,) * 2),)))
     assert ones.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -237,7 +241,7 @@ def _source_shapes(case):
 @pytest.mark.parametrize("dim,r", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_separable_load_matches_its_point_values(dim, r, M, qdeg):
     # each manufactured source shape alone: the lattice contraction against
-    # the point path fed the shape's own pointwise values
+    # the oracle fed the shape's own values at every cell's points
     mesh = build_structured(dim, M)
     scalar = build_scalar_space(mesh, r, dirichlet=False)
     vector = build_vector_space(mesh, r)
@@ -247,7 +251,7 @@ def test_separable_load_matches_its_point_values(dim, r, M, qdeg):
         else:
             space, points = scalar, shape
         got = forms.assemble_coefficient_load(space, shape, qdeg=qdeg)
-        want = forms.assemble_coefficient_load(space, points, qdeg=qdeg)
+        want = oracles.naive_source_load(space, points, forms.quadrature_degree(r, qdeg))
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
 
 
@@ -264,6 +268,16 @@ def test_separable_load_rejections():
         forms.assemble_coefficient_load(scalar, forms.Separable(((1.0, (np.sin,)),)))
     with pytest.raises(ValueError, match="complex"):
         forms.assemble_coefficient_load(scalar, forms.Separable(((1j, (np.sin, np.cos)),)))
+
+
+def test_forms_take_only_fields_and_separable_coefficients():
+    # a weight is None, a FieldVector or FieldProducts; a load coefficient
+    # is FieldProducts or Separable: a closure of the points is neither
+    space = build_scalar_space(build_structured(2, 2), 1)
+    with pytest.raises(TypeError, match="weight"):
+        forms.assemble_weighted_mass(space, lambda x: np.ones(x.shape[:-1]))
+    with pytest.raises(TypeError, match="load coefficient"):
+        forms.assemble_coefficient_load(space, lambda x: x[..., 0])
 
 
 # ---- oracle equivalence: vectorized assembly vs naive dense assembly ----
@@ -320,14 +334,15 @@ def test_oracle_equivalence_B_and_weighted(dim, M, r):
     vspace = build_vector_space(mesh, r)
     a = FieldVector(vspace, rng.standard_normal(vspace.n_dofs))
     qdeg = 2 * r + 2
-    # a real scalar field as the weight, as the potential term of the psi step
+    # a real scalar field as the weight, as the potential term of the psi
+    # step, and on every component of the vector space
     phi = FieldVector(build_scalar_space(mesh, r), rng.standard_normal(cspace.n_dofs))
     B2 = oracles.naive_B(cspace, a, qdeg)
-    W2 = oracles.naive_weighted_mass(vspace, lambda x: np.cos(x[0]), qdeg)
+    W2 = oracles.naive_field_weighted_mass(vspace, phi, qdeg)
     P2 = oracles.naive_field_weighted_mass(cspace, phi, qdeg)
     B1 = forms.assemble_B(cspace, a, forms.assemble_stiffness(cspace)).toarray()
     assert np.max(np.abs(B1 - B2)) <= 1e-12
-    W1 = forms.assemble_weighted_mass(vspace, lambda x: np.cos(x[..., 0])).toarray()
+    W1 = forms.assemble_weighted_mass(vspace, phi).toarray()
     assert np.max(np.abs(W1 - W2)) <= 1e-12
     P1 = forms.assemble_weighted_mass(cspace, phi).toarray()
     assert np.max(np.abs(P1 - P2)) <= 1e-12
@@ -343,11 +358,11 @@ def test_oracle_equivalence_loads(dim, M, r):
                       + 1j * rng.standard_normal(cspace.n_dofs))
     qdeg = 2 * r + 2
 
-    def s(x):
-        return np.sin(x[..., 0]) + x[..., 1]
-
+    # sin(x_0) + x_1
+    s = forms.Separable(((1.0, (np.sin,) + (np.ones_like,) * (dim - 1)),
+                         (1.0, (np.ones_like, lambda y: y) + (np.ones_like,) * (dim - 2))))
     l2 = oracles.naive_current_load(vspace, psi, qdeg)
-    f2 = oracles.naive_source_load(cspace, lambda x: s(np.asarray(x)[None, :])[0], qdeg)
+    f2 = oracles.naive_source_load(cspace, s, qdeg)
     l1 = forms.assemble_current_load(vspace, forms.FieldProducts(psi))
     assert np.max(np.abs(l1 - l2)) <= 1e-12
     f1 = forms.assemble_source_load(cspace, s)
@@ -361,7 +376,7 @@ def test_oracle_equivalence_loads(dim, M, r):
 def test_oracle_equivalence_abs2_forms(dim, M, r):
     # W(|psi|^2) on the vector space and the |psi|^2 load contract the
     # products of psi's coefficients against tensors of the same rule; the
-    # oracles evaluate |psi|^2 point by point
+    # oracles evaluate |psi|^2 at the points, cell by cell
     rng = np.random.default_rng(8)
     mesh = build_structured(dim, M)
     cspace = build_scalar_space(mesh, r, complex_field=True)
@@ -402,35 +417,6 @@ def test_B_and_current_load_match_oracles_for_random_fields(data):
     assert np.max(np.abs(load - oracles.naive_current_load(vspace, psi, 4))) <= 1e-12
 
 
-@pytest.mark.parametrize("r", [1, 2])
-def test_quadrature_field_matches_evaluate_on_jittered_mesh(r):
-    # values and physical gradients at every point of the default table
-    # against the cell-by-cell evaluate(), for a complex scalar field and a
-    # real vector field, on the 2D M=3 lattice (the name is kept from when
-    # the mesh had perturbed vertices)
-    from msfem.elements import quadrature_rule
-    from msfem.space import evaluate
-
-    mesh = build_structured(2, 3)
-    rng = np.random.default_rng(10)
-    cspace = build_scalar_space(mesh, r, complex_field=True)
-    vspace = build_vector_space(mesh, r)
-    psi = FieldVector(cspace, rng.standard_normal(cspace.n_dofs)
-                      + 1j * rng.standard_normal(cspace.n_dofs))
-    a = FieldVector(vspace, rng.standard_normal(vspace.n_dofs))
-    points = quadrature_rule(2, forms.quadrature_degree(r)).points_ref
-    for fv in (psi, a):
-        field = forms.QuadratureField(fv)
-        grads = field.gradients()
-        for c in range(mesh.n_cells):
-            for q, xi in enumerate(points):
-                value, grad = evaluate(fv, c, xi, gradient=True)
-                assert np.allclose(field.values[c, q], value, rtol=0, atol=1e-12)
-                assert np.allclose(grads[c, q], grad, rtol=0, atol=1e-11)
-    with pytest.raises(ValueError, match="mesh and degree"):
-        forms.QuadratureField(psi, forms.quadrature_table(mesh, 3 - r))
-
-
 def test_one_quadrature_table_per_degree_and_qdeg():
     # every form, load and error norm reads the one whole-mesh table of its
     # (degree, qdeg)
@@ -456,19 +442,14 @@ def test_one_quadrature_table_per_degree_and_qdeg():
     assert sorted(tables) == [("quadrature", 1, 2), ("quadrature", 1, 4),
                               ("quadrature", 2, 6)]
     for t in tables.values():
-        # the point path's physical points are built on first use, and none
-        # of the forms, loads and error norms above uses them
-        assert "x" not in vars(t)
-        assert t.x.shape[:2] == (mesh.n_cells, t.wdet.size)
         # the geometry is the mesh's d! templates and the weights times the
-        # one det J; the points x are the only per-cell array, and the rest
-        # are cell-independent reference tensors
+        # one det J; no array has a cell axis, all are cell-independent
+        # reference tensors
         nq, nloc, d = t.gref.shape
         assert t.JinvT is mesh.JinvT and t.wdet.shape == (nq,)
         arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
-        per_cell = [v for v in arrays if v.shape[0] == mesh.n_cells]
-        assert len(per_cell) == 1 and per_cell[0] is t.x
-        assert all(v.size <= nq * d * nloc ** 2 for v in arrays if v is not t.x)
+        assert not [v for v in arrays if v.shape[0] == mesh.n_cells]
+        assert all(v.size <= nq * d * nloc ** 2 for v in arrays)
     assert forms.quadrature_table(mesh, 1) is forms.quadrature_table(mesh, 1, 4)
 
 

@@ -195,16 +195,22 @@ def test_spaces_and_patterns_sort_nothing_of_the_cells_size(dim, M, monkeypatch)
 def test_loads_on_real_spaces_are_float():
     st = free_stepper(2, 1)
     psi = st.initialize().psi_products
+    # x_0, the identity and (1 + i) x_0 as separable coefficients
+    def x_k(k, scale=1.0):
+        return forms.Separable(((scale, tuple(
+            (lambda y: y) if j == k else np.ones_like for j in range(st.mesh.dim))),))
+
+    identity = tuple(x_k(k) for k in range(st.mesh.dim))
     for load in (forms.assemble_current_load(st.spaces.A, psi),
                  forms.assemble_coefficient_load(st.spaces.phi, psi),
-                 forms.assemble_source_load(st.spaces.phi, lambda x: x[..., 0]),
-                 forms.assemble_source_load(st.spaces.A, lambda x: x)):
+                 forms.assemble_source_load(st.spaces.phi, x_k(0)),
+                 forms.assemble_source_load(st.spaces.A, identity)):
         assert load.dtype == np.float64
-    f = forms.assemble_source_load(st.spaces.psi, lambda x: (1.0 + 1j) * x[..., 0])
+    f = forms.assemble_source_load(st.spaces.psi, x_k(0, 1.0 + 1j))
     assert f.dtype == np.complex128
     assert np.array_equal(f.real, f.imag)
     with pytest.raises(ValueError, match="complex coefficient for a load on a real space"):
-        forms.assemble_source_load(st.spaces.phi, lambda x: (1.0 + 1j) * x[..., 0])
+        forms.assemble_source_load(st.spaces.phi, x_k(0, 1.0 + 1j))
 
 
 @pytest.mark.parametrize("dim,r", CASES)

@@ -3,24 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from msfem import forms, mms, scheme, sparsela
 from msfem.mesh import build_structured
-from msfem.space import FieldVector, build_scalar_space, build_vector_space, interpolate
+from msfem.space import FieldVector, build_scalar_space, interpolate
 
 
 def small_config(dim=2, M=4, r=1, dt=0.1, n=2, mode="mms", **kw):
     return scheme.SchemeConfig(dim=dim, M=M, degree=r, t_final=n * dt, dt=dt,
                                n_steps=n, mode=mode, **kw)
-
-
-def unconstrained_spaces(dim, M, r):
-    # psi and phi without Dirichlet constraints; every vector space has n x A = 0
-    mesh = build_structured(dim, M)
-    return scheme.Spaces(
-        psi=build_scalar_space(mesh, r, complex_field=True, dirichlet=False),
-        A=build_vector_space(mesh, r),
-        phi=build_scalar_space(mesh, r, dirichlet=False),
-    )
 
 
 def test_initialize_zero_velocity_gives_equal_ghost():
@@ -43,18 +34,25 @@ def test_initialize_psi_nodal_values():
     assert np.allclose(got[free], expected[free], atol=1e-14)
 
 
+def interior(x, value):
+    """``value`` at the points x (..., d) off the boundary of the unit cube,
+    0 on it: data that the Dirichlet spaces interpolate."""
+    return np.where(np.all((x > 0) & (x < 1), axis=-1), value, 0.0)
+
+
 def test_initialize_constant_phi_velocity_unconstrained():
+    # the velocity is constant at every free node (the name is kept from
+    # when it ran on spaces without constraints)
     dt = 0.125
-    cfg = small_config(dim=2, M=2, dt=dt, mode="free")
-    spaces = unconstrained_spaces(2, 2, 1)
-    st = scheme.AlternatingStepper(cfg, spaces=spaces)
+    cfg = small_config(dim=2, M=4, dt=dt, mode="free")
+    st = scheme.AlternatingStepper(cfg)
     c = 0.75
     data = scheme.InitialData(
         psi0=lambda x: np.zeros(x.shape[:-1], dtype=complex),
         A0=lambda x: np.zeros(x.shape),
         A1=lambda x: np.zeros(x.shape),
         phi0=lambda x: np.zeros(x.shape[:-1]),
-        phi1=lambda x: np.full(x.shape[:-1], c),
+        phi1=lambda x: interior(x, c),
     )
     state = st.initialize(data)
     assert np.allclose(state.phi_prev.data, state.phi.data - dt * c, atol=1e-15)
@@ -97,19 +95,17 @@ def test_wave_step_zero_equilibrium_regression():
 
 
 # ---- plug-back residuals of single steps (independent reassembly) ----------
+# The |psi|^2 weight and load, the current load and the source loads come
+# from the oracles, which evaluate psi and the source closures at every
+# cell's quadrature points.
 
-def abs2_at_points(psi):
-    """|psi|^2 at the quadrature nodes: the point path, independent of the
-    products the step forms contract."""
-    return np.abs(forms.QuadratureField(psi).values) ** 2
+def qdeg(st):
+    return forms.quadrature_degree(st.config.degree)
 
 
-def current_load_at_points(space, psi):
-    """The current load through the point path: -Im(psi* grad psi) at the
-    quadrature nodes as a (c, q, d) vector coefficient."""
-    field = forms.QuadratureField(psi)
-    current = -(field.values.conj()[..., None] * field.gradients()).imag
-    return forms.assemble_coefficient_load(space, current)
+def source_load(st, space, source, t):
+    """The load of the manufactured source closure ``source`` at time t."""
+    return oracles.naive_source_load(space, lambda x: source(st.case, x, t), qdeg(st))
 
 
 def wave_a_residual(st, state, a_new):
@@ -118,10 +114,9 @@ def wave_a_residual(st, state, a_new):
     sp = st.spaces
     Mv = forms.assemble_mass(sp.A)
     D = forms.assemble_D(sp.A)
-    W = forms.assemble_weighted_mass(sp.A, abs2_at_points(state.psi))
-    Fc = current_load_at_points(sp.A, state.psi)
-    rhs = forms.assemble_source_load(sp.A, lambda x: mms.source_g(st.case, x, state.t)) \
-        if cfg.mode == "mms" else 0.0
+    W = oracles.naive_abs2_weighted_mass(sp.A, state.psi, qdeg(st))
+    Fc = oracles.naive_current_load(sp.A, state.psi, qdeg(st))
+    rhs = source_load(st, sp.A, mms.source_g, state.t) if cfg.mode == "mms" else 0.0
     lhs = (Mv @ (a_new.data - 2 * state.a.data + state.a_prev.data) / dt ** 2
            + 0.5 * (D @ (a_new.data + state.a_prev.data)
                     + W @ (a_new.data + state.a_prev.data))
@@ -145,8 +140,8 @@ def test_single_step_plugback_residuals_3d():
     phi_new = st.step_wave_phi(state)
     Mp = forms.assemble_mass(sp.phi)
     Kp = forms.assemble_stiffness(sp.phi)
-    dens = forms.assemble_coefficient_load(sp.phi, abs2_at_points(state.psi))
-    lsrc = forms.assemble_source_load(sp.phi, lambda x: mms.source_l(st.case, x, state.t)).real
+    dens = oracles.naive_abs2_load(sp.phi, state.psi, qdeg(st))
+    lsrc = source_load(st, sp.phi, mms.source_l, state.t).real
     lhs = (Mp @ (phi_new.data - 2 * state.phi.data + state.phi_prev.data) / dt ** 2
            + 0.5 * (Kp @ (phi_new.data + state.phi_prev.data)))
     r = lhs - dens - lsrc
@@ -160,7 +155,7 @@ def test_single_step_plugback_residuals_3d():
     Mc = forms.assemble_mass(sp.psi)
     KB = forms.assemble_B(sp.psi, a_bar, forms.assemble_stiffness(sp.psi))
     Mw = forms.assemble_weighted_mass(sp.psi, phi_bar) + cfg.v0 * Mc
-    F = forms.assemble_source_load(sp.psi, lambda x: mms.source_f(st.case, x, state.t + dt / 2))
+    F = source_load(st, sp.psi, mms.source_f, state.t + dt / 2)
     dpsi = (psi_new.data - state.psi.data) / dt
     bar = 0.5 * (psi_new.data + state.psi.data)
     r = (-1j * (Mc @ dpsi) + 0.5 * (KB @ bar) + Mw @ bar - F)
@@ -176,7 +171,7 @@ def test_source_loads_match_closure_assembly(dim, r):
         for name, space, source in (("f", sp.psi, mms.source_f),
                                     ("g", sp.A, mms.source_g),
                                     ("l", sp.phi, mms.source_l)):
-            want = forms.assemble_source_load(space, lambda x: source(st.case, x, t))
+            want = source_load(st, space, source, t)
             got = st.source_load(name, t)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -197,23 +192,6 @@ def test_mms_step_evaluates_no_source_closure(monkeypatch):
         assert np.array_equal(g.data, w.data)
 
 
-def test_free_step_builds_no_quadrature_points():
-    # without sources nothing reads the physical points: no table holds them
-    st = scheme.AlternatingStepper(small_config(dim=2, M=4, mode="free"))
-    st.advance(st.initialize())
-    tables = [t for t in st.mesh._geom.values() if isinstance(t, forms.QuadratureTable)]
-    assert tables
-    assert not any("x" in vars(t) for t in tables)
-
-
-def test_mms_setup_builds_no_quadrature_points():
-    # the source loads contract separable shapes over the lattice: building
-    # an mms stepper evaluates nothing at the physical quadrature points
-    st = scheme.AlternatingStepper(small_config(dim=3, M=2, r=2))
-    assert st._source_loads
-    assert "x" not in vars(forms.quadrature_table(st.mesh, 2))
-
-
 @pytest.mark.parametrize("mode", ["free", "mms"])
 def test_a_run_builds_one_quadrature_table(mode):
     # setup, a step and (in mms mode) the error norms all read the one
@@ -229,8 +207,7 @@ def test_a_run_builds_one_quadrature_table(mode):
 def test_advance_works_only_inside_the_step_phases(mode, monkeypatch):
     # every assembly, product of psi's coefficients and solve of advance()
     # runs inside step_wave_a, step_wave_phi or step_schrodinger: the traced
-    # benchmark requires the phases to cover 95% of a step; and no step form
-    # evaluates a field at the quadrature points
+    # benchmark requires the phases to cover 95% of a step
     st = scheme.AlternatingStepper(small_config(dim=2, M=4, mode=mode))
     state = st.initialize()
     phases = []
@@ -257,7 +234,7 @@ def test_advance_works_only_inside_the_step_phases(mode, monkeypatch):
         monkeypatch.setattr(scheme.AlternatingStepper, name,
                             phase(getattr(scheme.AlternatingStepper, name)))
     for name in forms.__all__:
-        if name.startswith("assemble_") or name == "QuadratureField":
+        if name.startswith("assemble_"):
             recorded(forms, name)
     for name in ("solve_spd", "solve_complex"):
         recorded(sparsela, name)
@@ -274,7 +251,6 @@ def test_advance_works_only_inside_the_step_phases(mode, monkeypatch):
     assert {"FieldProducts", "assemble_weighted_mass", "assemble_current_load",
             "assemble_coefficient_load", "assemble_B", "solve_spd",
             "solve_complex"} <= names
-    assert "QuadratureField" not in names
     assert [name for name, inside in calls if not inside] == []
 
 
@@ -344,14 +320,6 @@ def test_config_rejects_non_finite_v0(v0):
     scheme.SchemeConfig(dim=2, M=4, degree=1, t_final=1.0, dt=0.25, n_steps=4, v0=-3.0)
 
 
-def test_psi_and_phi_spaces_must_share_a_pattern():
-    # the stepper assembles one scalar mass and stiffness for psi and phi
-    spaces = scheme.build_spaces(small_config(mode="free"))
-    spaces.phi = build_scalar_space(spaces.psi.mesh, 1, dirichlet=False)
-    with pytest.raises(ValueError, match="psi and phi"):
-        scheme.AlternatingStepper(small_config(mode="free"), spaces=spaces)
-
-
 # ---- dense-solve oracle on small meshes ------------------------------------
 
 def test_step_solutions_match_dense_solves():
@@ -363,13 +331,12 @@ def test_step_solutions_match_dense_solves():
     sp = st.spaces
 
     a_new = st.step_wave_a(state)
-    W = forms.assemble_weighted_mass(sp.A, abs2_at_points(state.psi))
-    sys_d = (st.mass_vec.toarray() / dt ** 2
-             + 0.5 * (st.D.toarray() + W.toarray()))
+    W = oracles.naive_abs2_weighted_mass(sp.A, state.psi, qdeg(st))
+    sys_d = st.mass_vec.toarray() / dt ** 2 + 0.5 * (st.D.toarray() + W)
     rhs = (st.mass_vec @ (2 * state.a.data - state.a_prev.data) / dt ** 2
-           - 0.5 * (st.D.toarray() + W.toarray()) @ state.a_prev.data
-           - current_load_at_points(sp.A, state.psi)
-           + forms.assemble_source_load(sp.A, lambda x: mms.source_g(st.case, x, state.t)))
+           - 0.5 * (st.D.toarray() + W) @ state.a_prev.data
+           - oracles.naive_current_load(sp.A, state.psi, qdeg(st))
+           + source_load(st, sp.A, mms.source_g, state.t))
     x = np.linalg.solve(sys_d, rhs)
     assert np.linalg.norm(a_new.data - x) / np.linalg.norm(x) <= 1e-10
 
@@ -377,8 +344,8 @@ def test_step_solutions_match_dense_solves():
     sys_d = st.mass.toarray() / dt ** 2 + 0.5 * st.stiffness.toarray()
     rhs = (st.mass @ (2 * state.phi.data - state.phi_prev.data) / dt ** 2
            - 0.5 * (st.stiffness @ state.phi_prev.data)
-           + forms.assemble_coefficient_load(sp.phi, abs2_at_points(state.psi))
-           + forms.assemble_source_load(sp.phi, lambda x: mms.source_l(st.case, x, state.t)).real)
+           + oracles.naive_abs2_load(sp.phi, state.psi, qdeg(st))
+           + source_load(st, sp.phi, mms.source_l, state.t).real)
     x = np.linalg.solve(sys_d, rhs)
     assert np.linalg.norm(phi_new.data - x) / np.linalg.norm(x) <= 1e-10
 
@@ -390,21 +357,20 @@ def test_step_solutions_match_dense_solves():
     Mw = forms.assemble_weighted_mass(sp.psi, phi_bar).toarray() + cfg.v0 * Mc
     S = -1j / dt * Mc + 0.25 * KB + 0.5 * Mw
     rhs = ((-1j / dt * Mc - 0.25 * KB - 0.5 * Mw) @ state.psi.data
-           + forms.assemble_source_load(sp.psi, lambda x: mms.source_f(st.case, x, state.t + dt / 2)))
+           + source_load(st, sp.psi, mms.source_f, state.t + dt / 2))
     x = np.linalg.solve(S, rhs)
     assert np.linalg.norm(psi_new.data - x) / np.linalg.norm(x) <= 1e-10
 
 
 def test_first_phi_step_from_rest_matches_dense_formula():
-    # phi starting at zero with a constant density: the first step solves
-    # (M/dt^2 + K/2) phi = density load
-    dt = 0.2
-    cfg = small_config(dim=2, M=3, dt=dt, mode="free")
-    spaces = unconstrained_spaces(2, 3, 1)
-    st = scheme.AlternatingStepper(cfg, spaces=spaces)
+    # phi starting at zero with a density c at the free nodes: the first
+    # step solves (M/dt^2 + K/2) phi = density load
+    dt = 0.1
+    cfg = small_config(dim=2, M=6, dt=dt, mode="free")
+    st = scheme.AlternatingStepper(cfg)
     c = 2.0
     data = scheme.InitialData(
-        psi0=lambda x: np.full(x.shape[:-1], np.sqrt(c), dtype=complex),
+        psi0=lambda x: interior(x, np.sqrt(c)).astype(complex),
         A0=lambda x: np.zeros(x.shape),
         A1=lambda x: np.zeros(x.shape),
         phi0=lambda x: np.zeros(x.shape[:-1]),
@@ -413,11 +379,15 @@ def test_first_phi_step_from_rest_matches_dense_formula():
     state = st.initialize(data)
     phi_new = st.step_wave_phi(state)
     sys_d = st.mass.toarray() / dt ** 2 + 0.5 * st.stiffness.toarray()
-    load = forms.assemble_coefficient_load(st.spaces.phi, abs2_at_points(state.psi))
+    load = oracles.naive_abs2_load(st.spaces.phi, state.psi, qdeg(st))
     x = np.linalg.solve(sys_d, load)
     assert np.allclose(phi_new.data, x, rtol=1e-10)
-    # nodally phi ~ c dt^2 up to the stiffness correction
-    assert np.allclose(phi_new.data, c * dt ** 2, rtol=0.05)
+    # nodally phi ~ c dt^2 up to the stiffness correction, at the nodes
+    # whose cells have no boundary vertex, so that |psi_h|^2 = c on them
+    space = st.spaces.phi
+    deep = np.all((space.nodes_int >= 2) & (space.nodes_int <= cfg.M - 2), axis=1)
+    assert deep.sum() == 9
+    assert np.allclose(phi_new.nodal_values()[deep], c * dt ** 2, rtol=0.05)
 
 
 # ---- structure of the step matrices ----------------------------------------
@@ -605,24 +575,6 @@ def test_dirichlet_p1_psi_builds_no_lu_factor(monkeypatch):
     assert [rep.method for rep in reports] == ["defect-correction"] * 2
 
 
-def test_unconstrained_p1_psi_takes_the_lu_path(monkeypatch):
-    from scipy.sparse.linalg import splu
-
-    factors = []
-
-    def recording_splu(*args, **kwargs):
-        factors.append(args[0].shape)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr("scipy.sparse.linalg.splu", recording_splu)
-    st = scheme.AlternatingStepper(small_config(dim=2, M=4, dt=1 / 64, mode="free"),
-                                   spaces=unconstrained_spaces(2, 4, 1))
-    assert factors == [(25, 25)]
-    S0 = _s0(st)
-    rhs = np.arange(25) * (1.0 - 0.5j)
-    assert np.linalg.norm(S0 @ st._psi_precond(rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
-
-
 @pytest.mark.parametrize("dim,M,r", [(3, 4, 2)])
 def test_psi_solve_is_lu_defect_correction(dim, M, r, monkeypatch):
     """Every P2 psi solve runs defect correction against the LU of the
@@ -737,7 +689,7 @@ def test_consistency_rate_of_interpolated_exact_solution():
         psi_km1 = interpolate(sp.psi, lambda x: case.psi(x, tkm1))
         W = forms.assemble_weighted_mass(sp.A, forms.FieldProducts(psi_km1))
         Fc = forms.assemble_current_load(sp.A, forms.FieldProducts(psi_km1))
-        G = forms.assemble_source_load(sp.A, lambda x: mms.source_g(case, x, tkm1))
+        G = source_load(st, sp.A, mms.source_g, tkm1)
         r = (st.mass_vec @ (a_k.data - 2 * a_km1.data + a_km2.data) / dt ** 2
              + 0.5 * (st.D @ (a_k.data + a_km2.data)
                       + W @ (a_k.data + a_km2.data))
@@ -753,9 +705,22 @@ def test_snapshot_records_deterministic():
     st = scheme.AlternatingStepper(cfg)
     res1 = st.run(snapshot_steps=[1, 2])
     st2 = scheme.AlternatingStepper(cfg)
-    res2 = st2.run(snapshot_steps=[1, 2])
+    res2 = st2.run(snapshot_steps=np.array([1, 2]))   # numpy integers are steps too
     assert [s["k"] for s in res1.snapshots] == [1, 2]
     assert res1.snapshots == res2.snapshots
+
+
+@pytest.mark.parametrize("steps,match", [
+    ([5], "snapshot step 5 is outside 0..2"), ([1, -1], "snapshot step -1 is outside"),
+    ([2.7], "snapshot step must be an integer, got 2.7"),
+    ([2.0], "snapshot step must be an integer"), ([True], "snapshot step must be an integer")])
+def test_run_rejects_snapshot_steps_it_would_not_reach(steps, match, monkeypatch):
+    # a bad step fails before the first step instead of being dropped or
+    # truncated
+    st = scheme.AlternatingStepper(small_config(dim=2, M=4, n=2))
+    monkeypatch.setattr(st, "advance", lambda state: pytest.fail("a step ran"))
+    with pytest.raises(ValueError, match=match):
+        st.run(snapshot_steps=steps)
 
 
 def test_solver_failure_carries_step_index():

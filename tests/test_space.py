@@ -183,6 +183,39 @@ def test_evaluate_gradient_of_quadratic():
         assert np.allclose(grad, [2 * pts[i, 0], 0.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("dim,r", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_evaluate_takes_many_points_of_one_cell(dim, r):
+    # n reference points give n values and gradients: each the one-point
+    # call's, and on a polynomial of the space its value at the point
+    from msfem.elements import affine_map
+
+    m = build_structured(dim, 3)
+    rng = np.random.default_rng(dim + r)
+    refs = rng.dirichlet(np.ones(dim + 1), 5)[:, 1:]            # inside the simplex
+    cell = 4
+    x = affine_map(m.vertices[m.cells[cell]]).to_physical(refs)
+    scalar = sp.build_scalar_space(m, r, dirichlet=False)
+    f = sp.interpolate(scalar, lambda y: 1.0 + y[..., 0] + 2 * y[..., -1] ** r)
+    values, grads = sp.evaluate(f, cell, refs, gradient=True)
+    assert values.shape == (5,) and grads.shape == (5, dim)
+    assert np.allclose(values, 1.0 + x[:, 0] + 2 * x[:, -1] ** r, atol=1e-13)
+    want = np.zeros((5, dim))
+    want[:, 0] = 1.0
+    want[:, -1] += 2 * r * x[:, -1] ** (r - 1)
+    assert np.allclose(grads, want, atol=1e-12)
+    vector = sp.build_vector_space(m, r)
+    a = sp.FieldVector(vector, rng.standard_normal(vector.n_dofs))
+    for field, shape in ((f, ()), (a, (dim,))):
+        values, grads = sp.evaluate(field, cell, refs, gradient=True)
+        assert values.shape == (5,) + shape and grads.shape == (5,) + shape + (dim,)
+        assert np.array_equal(sp.evaluate(field, cell, refs), values)
+        for i, ref in enumerate(refs):
+            value, grad = sp.evaluate(field, cell, ref, gradient=True)
+            assert np.shape(value) == shape and grad.shape == shape + (dim,)
+            assert np.allclose(value, values[i], rtol=0, atol=1e-14)
+            assert np.allclose(grad, grads[i], rtol=0, atol=1e-13)
+
+
 def test_tangential_trace_vanishes_on_boundary():
     rng = np.random.default_rng(4)
     for dim in (2, 3):
