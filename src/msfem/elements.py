@@ -44,7 +44,6 @@ class ReferenceElement:
     dim: int
     degree: int
     node_count: int
-    nodes_bary: np.ndarray      # (nloc, d+1)
     vertex_weights: np.ndarray  # (nloc, d+1) int
 
     def tabulate(self, points_ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,7 +102,6 @@ def reference_element(dim: int, degree: int) -> ReferenceElement:
         dim=dim,
         degree=degree,
         node_count=weights.shape[0],
-        nodes_bary=weights / float(degree),
         vertex_weights=weights,
     )
 

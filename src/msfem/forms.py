@@ -188,17 +188,30 @@ class Separable:
 
     ``terms`` holds the pairs ``(scale_j, (f_j0, ..., f_j(d-1)))``, each f a
     vectorised callable of one coordinate array.  A vector coefficient is a
-    tuple of one ``Separable`` per component.  Calling it evaluates the sum
-    at points (..., d); its load on the Kuhn lattice never does (see
+    tuple of one ``Separable`` per component.  It is evaluated at points,
+    an array (..., d), or at a list of d per-axis coordinate arrays that
+    broadcast against each other; there each factor is evaluated on its
+    axis's table alone, as in its load on the Kuhn lattice (see
     ``assemble_coefficient_load``).
     """
 
     terms: tuple
 
+    def factor_tables(self, x):
+        """Per term, its scale and its factors f_jk(x_k) at x, given as to
+        ``__call__``; a term of another factor count than d raises."""
+        coords = x if isinstance(x, list) else np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+        for scale, fs in self.terms:
+            if len(fs) != len(coords):
+                raise ValueError(f"a separable term on {len(coords)} coordinates "
+                                 f"has {len(fs)} factors")
+            yield scale, [f(c) for f, c in zip(fs, coords)]
+
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return sum(scale * math.prod(f(x[..., k]) for k, f in enumerate(fs))
-                   for scale, fs in self.terms)
+        # a unit scale and the first term cost no pass over the points
+        terms = [math.prod(tables) if scale == 1 else scale * math.prod(tables)
+                 for scale, tables in self.factor_tables(x)]
+        return sum(terms[1:], terms[0])
 
 
 def _on_pattern(space: FeSpace, loc: np.ndarray):
@@ -425,10 +438,8 @@ def _lattice_load(mesh: Mesh, coeff: Separable, tab: QuadratureTable) -> np.ndar
     nq, nloc = tab.vals.shape
     B = tab.wdet[:, None] * tab.vals                                # (q, nloc)
     loc = 0.0
-    for scale, fs in coeff.terms:
-        if len(fs) != d:
-            raise ValueError(f"a separable term on a {d}D mesh has {d} factors, not {len(fs)}")
-        tables = [np.broadcast_to(f(x[..., k]), x.shape[:-1]) for k, f in enumerate(fs)]
+    for scale, tables in coeff.factor_tables(x):
+        tables = [np.broadcast_to(table, x.shape[:-1]) for table in tables]
         rows = tables[0]
         for table in tables[1:-1]:
             rows = (rows[:, :, None] * table[:, None]).reshape(nperm, -1, nq)

@@ -86,8 +86,10 @@ class Mesh:
     ``cells`` are the (d! M^d, d+1) positively oriented vertex keys, cube by
     cube in lexicographic order and within a cube by permutation
     (``kuhn_corners``; the keys are ``kuhn_stencil``'s); ``h`` is the
-    longest cell edge, the cube diagonal sqrt(d)/M.  The geometry is the templates': ``J`` and ``JinvT`` (d!, d,
-    d) the Jacobian of each template (columns v_i - v_0) and its inverse
+    longest cell edge, the cube diagonal sqrt(d)/M.
+
+    The geometry is the templates': ``J`` and ``JinvT`` (d!, d, d) the
+    Jacobian of each template (columns v_i - v_0) and its inverse
     transpose, and ``det`` the one det J = 1/M^d, so cell c has Jacobian
     ``J[c % d!]``.  Instances are immutable by convention; ``_geom`` caches
     what spaces and forms build on the mesh.
@@ -113,10 +115,6 @@ class Mesh:
         # the same for every template: a Kuhn simplex has det 1 before the 1/M scaling
         self.det = float(np.linalg.det(self.J)[0])
         self._geom = {}
-
-    @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
 
     @property
     def n_cells(self) -> int:

@@ -11,14 +11,14 @@ These terms are the one source truth: the stepper assembles one load per
 shape by the Kuhn-lattice contraction of ``forms``, ``source_f/g/l``
 evaluate the same objects pointwise, and ``source_gate`` checks those sums
 directly against a Richardson-extrapolated finite-difference oracle
-(``fd_sources``) built from the value closures alone.  The field closures
-share per-coordinate sin/cos factors and base shapes
-(``ManufacturedCase.factors``); the source shapes are coded apart from
-them.  The error norms (``error_norms``, ``gauge_residuals``) run the
-quadrature of ``forms`` block by block on the Kuhn lattice: one simplex
-template and one cube layer at a time, with the exact fields evaluated from
-per-axis coordinate tables, so they build no array over all quadrature
-points.
+(``fd_sources``) built from the value closures alone.  The fields and
+their derivatives are terms of the same kind over the same shapes, so each
+one-coordinate function and each shape is written once, and the field
+closures evaluate their terms as ``source_f/g/l`` do.  The error norms
+(``error_norms``, ``gauge_residuals``) run the quadrature of ``forms``
+block by block on the Kuhn lattice: one simplex template and one cube layer
+at a time, with the exact fields evaluated from per-axis coordinate tables,
+so they build no array over all quadrature points.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -63,16 +62,15 @@ class ManufacturedCase:
 
     All closures are vectorized over points of shape (..., dim), at a scalar
     t or at one t per point, of the points' shape; the field closures also
-    take the record ``factors(coords)`` in place of x, with ``coords[k]``
-    coordinate k of the points (arrays that broadcast against each other),
-    so that several fields at the same points share it.  Every source is a
-    sum of time amplitudes times spatial shapes: ``f_terms``, ``g_terms``
-    and ``l_terms`` hold the pairs ``(c_j, s_j)`` with ``source_*(x, t) =
-    sum_j c_j(t) * s_j(x)``, and are the only definition of the sources.
-    Each shape s_j is a ``forms.Separable`` (a tuple of one per component
-    in ``g_terms``): a sum of products of per-coordinate factors (sin/cos of
-    pi x_k and 2 pi x_k, x_k (1 - x_k)), which the stepper's loads
-    tabulate per axis.
+    take a list of dim per-axis coordinate arrays that broadcast against
+    each other in place of x (see ``forms.Separable``).  Every field,
+    derivative and source is a sum of time amplitudes times spatial shapes,
+    sum_j c_j(t) * s_j(x); ``f_terms``, ``g_terms`` and ``l_terms`` hold the
+    sources' pairs ``(c_j, s_j)`` and are the only definition of the
+    sources.  Each shape s_j is a ``forms.Separable`` (a tuple of one per
+    component for vectors): a sum of products of per-coordinate factors
+    (sin/cos of pi x_k and 2 pi x_k, x_k (1 - x_k) and its derivative),
+    which the stepper's loads tabulate per axis.
 
     Of the derivatives, ``A_t`` and ``phi_t`` give the initial data;
     ``grad_psi``, ``div_A``, ``curl_A`` and ``grad_phi`` the error norms;
@@ -92,7 +90,6 @@ class ManufacturedCase:
     phi_t: callable
     grad_phi: callable
     lap_phi: callable
-    factors: callable
     f_terms: tuple
     g_terms: tuple
     l_terms: tuple
@@ -113,93 +110,6 @@ def _amp_t(t):
     return (0.5 + 1j * np.pi * (1.0 + 0.5 * t)) * np.exp(1j * np.pi * t)
 
 
-def _per_point(amp):
-    """A time amplitude with a trailing axis: a per-point t of shape (n,)
-    then scales vector shapes (n, d) point by point, and a scalar t scales
-    them as before."""
-    return np.asarray(amp)[..., None]
-
-
-def _product(factors, replace=None, by=None):
-    """prod_i factors[i], with factor ``replace`` swapped for ``by``."""
-    out = by if replace == 0 else factors[0]
-    for i in range(1, len(factors)):
-        out = out * (by if i == replace else factors[i])
-    return out
-
-
-def _partials(factors, derivs):
-    """(..., d) stack of prod_i factors[i] with factor a replaced by derivs[a]."""
-    return np.stack([_product(factors, a, derivs[a]) for a in range(len(factors))],
-                    axis=-1)
-
-
-class _Factors:
-    """The per-coordinate factors of the separable fields, each a list over
-    the coordinates, and the base shapes S, W, G, P built from them; each is
-    evaluated on first use and then shared.
-
-    ``coords[k]`` holds coordinate k of the points.  The arrays only need to
-    broadcast against each other: at points x (..., d) they are the columns
-    of x, and the error norms pass one small per-axis table each, so every
-    one-coordinate factor is evaluated on its table and only the products
-    span the points.
-    """
-
-    def __init__(self, coords):
-        self.coords = [np.asarray(c, dtype=float) for c in coords]
-
-    @cached_property
-    def shape(self):
-        """The shape of the points, that of every product of all axes."""
-        return np.broadcast_shapes(*(c.shape for c in self.coords))
-
-    def _each(self, fn):
-        return [fn(c) for c in self.coords]
-
-    @cached_property
-    def sin1(self):
-        return self._each(lambda xi: np.sin(np.pi * xi))
-
-    @cached_property
-    def cos1(self):
-        return self._each(lambda xi: np.cos(np.pi * xi))
-
-    @cached_property
-    def sin2(self):
-        return self._each(lambda xi: np.sin(2.0 * np.pi * xi))
-
-    @cached_property
-    def cos2(self):
-        return self._each(lambda xi: np.cos(2.0 * np.pi * xi))
-
-    @cached_property
-    def bubble(self):
-        return self._each(lambda xi: xi * (1 - xi))
-
-    @cached_property
-    def S(self):
-        return _product(self.sin2)
-
-    @cached_property
-    def W(self):
-        return _partials(self.sin1, self.cos1)
-
-    @cached_property
-    def G(self):
-        return _product(self.sin1)
-
-    @cached_property
-    def P(self):
-        return _product(self.bubble)
-
-
-def _at(x) -> _Factors:
-    """The factor record of points x (..., d); a record passes through
-    unchanged."""
-    return x if isinstance(x, _Factors) else _Factors(np.moveaxis(np.asarray(x), -1, 0))
-
-
 def _sin1(x):
     return np.sin(np.pi * x)
 
@@ -218,6 +128,11 @@ def _cos2(x):
 
 def _bubble(x):
     return x * (1 - x)
+
+
+def _slope(x):
+    """The derivative of ``_bubble``."""
+    return 1 - 2 * x
 
 
 def _times(*fns):
@@ -241,6 +156,28 @@ def _components(walk):
     return tuple(forms.Separable((term,)) for term in walk.terms)
 
 
+def _term(c, s, x, t):
+    """c(t) s(x) for a shape s: a ``forms.Separable``, or a tuple of one per
+    component stacked on a trailing axis, over which c(t) gets one too, so
+    that a per-point t (n,) scales the vectors (n, d) point by point."""
+    if isinstance(s, forms.Separable):
+        return c(t) * s(x)
+    return np.asarray(c(t))[..., None] * np.stack([comp(x) for comp in s], axis=-1)
+
+
+def _source(terms, x, t):
+    """sum_j c_j(t) s_j(x) over separable terms, at points or per-axis
+    coordinates (see ``forms.Separable``); t is a scalar or one time per
+    point."""
+    first, *rest = [_term(c, s, x, t) for c, s in terms]
+    return sum(rest, first)
+
+
+def _field(terms):
+    """The closure (x, t) -> sum_j c_j(t) s_j(x) of a field's terms."""
+    return lambda x, t: _source(terms, x, t)
+
+
 def _separable_case(d: int, v0: float) -> ManufacturedCase:
     """The verification triple on (0,1)^d: psi = amp(t) S(x), A = a(t) W(x)
     with W = grad G / pi, phi = tau(t) P(x), where S = prod_k sin(2 pi x_k),
@@ -248,31 +185,14 @@ def _separable_case(d: int, v0: float) -> ManufacturedCase:
 
     Lap S = -4 d pi^2 S, div W = -d pi G and Lap W = -d pi^2 W; W is a
     gradient, so curl A = 0, and the probability current of psi is zero.
-    The field closures take the ``_Factors`` of the points, which evaluate
-    the base shapes S, W, G, P once each; the closures of x build them, or
-    take a record built once for several of them, as the error norms do
-    from per-axis coordinate tables.  The source shapes are
-    ``forms.Separable`` sums of products of the same one-coordinate
-    factors, coded apart from the field closures.
+    The base shapes S, W, G, P and the derivative shapes grad S, grad P and
+    Lap P are each written once, as ``forms.Separable`` sums of products of
+    the one-coordinate functions above; every field, derivative and source
+    is a short list of terms (c_j(t), s_j) over them, and one evaluator
+    (``_source``) turns the fields' terms into the closures and the
+    sources' terms into ``source_f/g/l``.
     """
-    two_pi = 2.0 * np.pi
     pi = np.pi
-
-    S = lambda F: F.S
-    W = lambda F: F.W
-    G = lambda F: F.G
-    P = lambda F: F.P
-
-    def grad_S(F):
-        return two_pi * _partials(F.sin2, F.cos2)
-
-    def grad_P(F):
-        return _partials(F.bubble, [1 - 2 * c for c in F.coords])
-
-    def lap_P(F):
-        return -2.0 * sum(_product(F.bubble, i, 1.0) for i in range(d))
-
-    curl_shape = (lambda F: F.shape + (3,)) if d == 3 else (lambda F: F.shape)
 
     tau = lambda t: t + np.sin(pi * t)
     tau_t = lambda t: 1.0 + pi * np.cos(pi * t)
@@ -281,70 +201,63 @@ def _separable_case(d: int, v0: float) -> ManufacturedCase:
     a_t = lambda t: -pi * np.sin(pi * t)
     abs2_amp = lambda t: abs(_amp(t)) ** 2
 
-    # component m of W and of S^2 W: term m of the walk cos(pi x_m) prod sin(pi x_k)
+    S = _uniform(d, _sin2)
+    grad_S = _components(_walk(d, _cos2, _sin2, scale=2.0 * pi))
+    # component m of W: term m of the walk cos(pi x_m) prod_{k != m} sin(pi x_k)
+    W = _components(_walk(d, _cos1, _sin1))
+    G = _uniform(d, _sin1)
+    # curl W = 0, a scalar in 2D and three components in 3D
+    zero = _uniform(d, np.zeros_like)
+    curl_W = zero if d == 2 else (zero,) * 3
+    P = _uniform(d, _bubble)
+    grad_P = _components(_walk(d, _slope, _bubble))
+    # Lap P = -2 sum_a prod_{k != a} x_k (1 - x_k)
+    lap_P = _walk(d, np.ones_like, _bubble, scale=-2.0)
     sin2_sq = _times(_sin2, _sin2)
-    W_shape = _components(_walk(d, _cos1, _sin1))
-    S2W_shape = _components(_walk(d, _times(sin2_sq, _cos1), _times(sin2_sq, _sin1)))
 
     return ManufacturedCase(
         dim=d,
         v0=v0,
-        factors=_Factors,
-        psi=lambda x, t: _amp(t) * S(_at(x)),
-        grad_psi=lambda x, t: _per_point(_amp(t)) * grad_S(_at(x)),
-        A=lambda x, t: _per_point(a(t)) * W(_at(x)),
-        A_t=lambda x, t: _per_point(a_t(t)) * W(_at(x)),
-        div_A=lambda x, t: -d * pi * a(t) * G(_at(x)),
-        div_A_t=lambda x, t: -d * pi * a_t(t) * G(_at(x)),
-        curl_A=lambda x, t: np.zeros(curl_shape(_at(x))),
-        phi=lambda x, t: tau(t) * P(_at(x)),
-        phi_t=lambda x, t: tau_t(t) * P(_at(x)),
-        grad_phi=lambda x, t: _per_point(tau(t)) * grad_P(_at(x)),
-        lap_phi=lambda x, t: tau(t) * lap_P(_at(x)),
+        psi=_field(((_amp, S),)),
+        grad_psi=_field(((_amp, grad_S),)),
+        A=_field(((a, W),)),
+        A_t=_field(((a_t, W),)),
+        div_A=_field(((lambda t: -d * pi * a(t), G),)),
+        div_A_t=_field(((lambda t: -d * pi * a_t(t), G),)),
+        curl_A=_field(((a, curl_W),)),
+        phi=_field(((tau, P),)),
+        phi_t=_field(((tau_t, P),)),
+        grad_phi=_field(((tau, grad_P),)),
+        lap_phi=_field(((tau, lap_P),)),
         # f = -i psi_t + (1/2)(-Lap psi + i div A psi + 2i A.grad psi
         #     + |A|^2 psi) + v0 psi + phi psi
         f_terms=(
-            (lambda t: -1j * _amp_t(t) + (2.0 * d * pi ** 2 + v0) * _amp(t),
-             _uniform(d, _sin2)),
+            (lambda t: -1j * _amp_t(t) + (2.0 * d * pi ** 2 + v0) * _amp(t), S),
             # G S
             (lambda t: -0.5j * d * pi * a(t) * _amp(t), _uniform(d, _times(_sin1, _sin2))),
             # W . grad S
             (lambda t: 1j * a(t) * _amp(t),
-             _walk(d, _times(_cos1, _cos2), _times(_sin1, _sin2), scale=two_pi)),
+             _walk(d, _times(_cos1, _cos2), _times(_sin1, _sin2), scale=2.0 * pi)),
             # |W|^2 S
             (lambda t: 0.5 * a(t) ** 2 * _amp(t),
              _walk(d, _times(_cos1, _cos1, _sin2), _times(_sin1, _sin1, _sin2))),
             # P S
             (lambda t: tau(t) * _amp(t), _uniform(d, _times(_bubble, _sin2))),
         ),
-        # g = A_tt - Lap A + |psi|^2 A (the current is zero)
+        # g = A_tt - Lap A + |psi|^2 A (the current is zero); component m
+        # of S^2 W is that of W with every factor times sin^2(2 pi x_k)
         g_terms=(
-            (lambda t: (d - 1) * pi ** 2 * a(t), W_shape),
-            (lambda t: abs2_amp(t) * a(t), S2W_shape),
+            (lambda t: (d - 1) * pi ** 2 * a(t), W),
+            (lambda t: abs2_amp(t) * a(t),
+             _components(_walk(d, _times(sin2_sq, _cos1), _times(sin2_sq, _sin1)))),
         ),
         # l = phi_tt - Lap phi - |psi|^2
         l_terms=(
-            (tau_tt, _uniform(d, _bubble)),
-            # Lap P = -2 sum_a prod_{k != a} x_k (1 - x_k)
-            (lambda t: -tau(t), _walk(d, np.ones_like, _bubble, scale=-2.0)),
+            (tau_tt, P),
+            (lambda t: -tau(t), lap_P),
             (lambda t: -abs2_amp(t), _uniform(d, sin2_sq)),
         ),
     )
-
-
-def _values(shape, x):
-    """A source shape at points x: a ``forms.Separable``, or a tuple of one
-    per component stacked on a trailing axis."""
-    if isinstance(shape, forms.Separable):
-        return shape(x)
-    return np.stack([component(x) for component in shape], axis=-1)
-
-
-def _source(terms, x, t, vector=False):
-    """sum_j c_j(t) s_j(x) over separable terms; t is a scalar or one time
-    per point."""
-    amp = _per_point if vector else (lambda c: c)
-    return sum(amp(c(t)) * _values(s, x) for c, s in terms)
 
 
 def source_f(case: ManufacturedCase, x, t):
@@ -354,7 +267,7 @@ def source_f(case: ManufacturedCase, x, t):
 
 def source_g(case: ManufacturedCase, x, t):
     """Right-hand side closing the vector-potential wave equation."""
-    return _source(case.g_terms, x, t, vector=True)
+    return _source(case.g_terms, x, t)
 
 
 def source_l(case: ManufacturedCase, x, t):
@@ -550,8 +463,8 @@ def error_norms(field_vec: FieldVector, case: ManufacturedCase, which: str,
     lattice (one simplex template and one cube layer per block), so no
     array spans every quadrature point: per block the field is its cell
     coefficients against the reference tables, and the exact value and
-    derivatives share one ``case.factors`` of the block's per-axis
-    coordinate tables.
+    derivatives are the case closures at the block's per-axis coordinate
+    tables.
     """
     qdeg = forms.quadrature_degree(field_vec.space.degree, qdeg)
     fns = {"psi": (case.psi, case.grad_psi), "phi": (case.phi, case.grad_phi),
@@ -560,8 +473,7 @@ def error_norms(field_vec: FieldVector, case: ManufacturedCase, which: str,
         raise ValueError(f"unknown field {which!r}")
 
     def exact(coords):
-        factors = case.factors(coords)
-        return tuple(fn(factors, t) for fn in fns)
+        return tuple(fn(coords, t) for fn in fns)
 
     errors = _vector_errors if which == "A" else _scalar_errors
     return errors(field_vec, exact, qdeg)
@@ -626,10 +538,9 @@ def gauge_residuals(case: ManufacturedCase, M: int = 8,
     tab = forms.quadrature_table(mesh, 1, qdeg)
     n1 = n2 = 0.0
     for _, _, w, coords in _blocks(mesh, tab):
-        x = case.factors(coords)
-        g1 = case.div_A(x, 0.0) + case.phi_t(x, 0.0)
-        psi0 = case.psi(x, 0.0)
-        g2 = (case.div_A_t(x, 0.0) + case.lap_phi(x, 0.0)
+        g1 = case.div_A(coords, 0.0) + case.phi_t(coords, 0.0)
+        psi0 = case.psi(coords, 0.0)
+        g2 = (case.div_A_t(coords, 0.0) + case.lap_phi(coords, 0.0)
               + (psi0 * np.conj(psi0)).real)
         n1 += float(np.sum(w * g1 ** 2))
         n2 += float(np.sum(w * g2 ** 2))

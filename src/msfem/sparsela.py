@@ -73,7 +73,12 @@ DEFECT_CORRECTION_MAX_APPLIES = 30
 # nnz(S0) of the psi operator at dt = 1/64, leaf 16 / leaf 64 / COLAMD: 5.5 /
 # 7.7 / 6.3 on 3D P1 M=8, 14.9 / 17.3 / 22.4 on 3D P1 M=16, 9.4 / 11.0 / 16.0
 # on 3D P2 M=8, 9.0 / 10.5 / 15.1 on 2D P1 M=128 and 25.6 / 27.5 / 52.4 on
-# 3D P1 M=24; leaf 8 gains at most 3% fill and costs ordering time.
+# 3D P1 M=24; leaf 8 gains at most 3% fill and costs ordering time.  Against
+# SuperLU's own symmetric ordering MMD_AT_PLUS_A on the P2 psi S0 at dt =
+# 1/64, ND / MMD fill, factor time and one apply read (2 cores, OpenBLAS)
+# 9.4 / 12.9, 72-75 / 158-178 ms, 2.1 / 2.2-3.6 ms on 3D M=8 and 15.7 /
+# 26.5, 0.63 / 4.4 s, 20 / 38 ms on 3D M=12; on 2D M=32 ND still factors
+# faster (4.7 / 5.7, 14 / 20 ms) and MMD applies ~8% faster (1.0 / 1.1 ms).
 ND_LEAF = 16
 # What a failed SuperLU factor raises: RuntimeError "Factor is exactly
 # singular", ...; out of memory as MemoryError, or as SystemError "gstrf was

@@ -95,30 +95,24 @@ def naive_stiffness(space, qdeg):
 
 
 def naive_D(space, qdeg):
+    """(div u, div v) + (curl u, curl v) with every cell's integrand formed
+    at its points: the vector basis function (a, comp) is phi_a e_comp, of
+    divergence d_comp phi_a and curl grad phi_a x e_comp (in 2D the scalar
+    d_0 phi_a e_1 - d_1 phi_a e_0)."""
     d = space.mesh.dim
     n = space.n_dofs
     A = np.zeros((n, n))
-    nloc = reference_element(d, space.degree).node_count
-    for c, _, _, weights, _, cell_grads in _cell_quad(space, qdeg):
+    for c, _, _, w, _, gphys in _cell_quad(space, qdeg):
+        nq, nloc = gphys.shape[:2]
+        div = gphys.reshape(nq, nloc * d)                         # row a d + comp
+        if d == 2:
+            curl = np.stack([-gphys[..., 1], gphys[..., 0]], axis=-1).reshape(nq, nloc * d, 1)
+        else:
+            curl = np.cross(gphys[:, :, None, :], np.eye(3)).reshape(nq, nloc * d, 3)
+        block = (np.einsum("q,qi,qj->ij", w, div, div)
+                 + np.einsum("q,qik,qjk->ij", w, curl, curl))
         dofs = _dofs(space, c).reshape(-1)
-        for w, gphys in zip(weights, cell_grads):
-            div = np.zeros(nloc * d)
-            for a in range(nloc):
-                for comp in range(d):
-                    div[a * d + comp] = gphys[a, comp]
-            if d == 2:
-                curl = np.zeros((nloc * d, 1))
-                for a in range(nloc):
-                    curl[a * d + 0, 0] = -gphys[a, 1]
-                    curl[a * d + 1, 0] = gphys[a, 0]
-            else:
-                curl = np.zeros((nloc * d, 3))
-                for a in range(nloc):
-                    g = gphys[a]
-                    curl[a * d + 0] = np.cross(g, [1.0, 0.0, 0.0])
-                    curl[a * d + 1] = np.cross(g, [0.0, 1.0, 0.0])
-                    curl[a * d + 2] = np.cross(g, [0.0, 0.0, 1.0])
-            _accumulate(A, dofs, dofs, w * (np.outer(div, div) + curl @ curl.T))
+        _accumulate(A, dofs, dofs, block)
     return A
 
 

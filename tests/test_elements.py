@@ -35,7 +35,7 @@ def random_simplex_points(dim, n, rng):
 @pytest.mark.parametrize("dim,r", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_kronecker_property(dim, r):
     elem = el.reference_element(dim, r)
-    vals, _ = elem.tabulate(elem.nodes_bary[:, 1:])
+    vals, _ = elem.tabulate((elem.vertex_weights / r)[:, 1:])
     assert np.allclose(vals, np.eye(elem.node_count), atol=1e-14)
 
 
@@ -126,7 +126,7 @@ def test_nodal_interpolation_reproduces_polynomials(dim, r):
     def p(x):
         return sum(c * np.prod(x ** np.array(e), axis=-1) for c, e in zip(coeffs, exps))
 
-    nodal = p(elem.nodes_bary[:, 1:])
+    nodal = p((elem.vertex_weights / r)[:, 1:])
     pts = random_simplex_points(dim, 100, rng)
     vals, _ = elem.tabulate(pts)
     assert np.allclose(vals @ nodal, p(pts), atol=1e-12)
@@ -159,8 +159,8 @@ def test_stiffness_quadrature_matches_symbolic(dim, r):
     def poly(x, cs):
         return sum(c * np.prod(x ** np.array(e), axis=-1) for c, e in zip(cs, exps))
 
-    nu = poly(elem.nodes_bary[:, 1:], cu)
-    nv = poly(elem.nodes_bary[:, 1:], cv)
+    nu = poly((elem.vertex_weights / r)[:, 1:], cu)
+    nv = poly((elem.vertex_weights / r)[:, 1:], cv)
     gu = np.einsum("qld,l->qd", grads, nu)
     gv = np.einsum("qld,l->qd", grads, nv)
     num = (rule.weights * np.einsum("qd,qd->q", gu, gv)).sum()

@@ -164,12 +164,10 @@ def test_B_energy_matches_independent_quadrature():
     total = 0.0
     for c in range(mesh.n_cells):
         amap = affine_map(mesh.vertices[mesh.cells[c]])
-        for q in range(rule.weights.size):
-            xi = rule.points_ref[q]
-            pv, pg = evaluate(psi, c, xi, gradient=True)
-            av = evaluate(a, c, xi)
-            z = 1j * pg + av * pv
-            total += rule.weights[q] * abs(amap.det) * np.vdot(z, z).real
+        pv, pg = evaluate(psi, c, rule.points_ref, gradient=True)   # (q,), (q, d)
+        av = evaluate(a, c, rule.points_ref)                         # (q, d)
+        z = 1j * pg + av * pv[:, None]
+        total += abs(amap.det) * np.sum(rule.weights * np.sum(np.abs(z) ** 2, axis=1))
     # r=1: every term of the expanded integrand is degree <= 4 = 2r+2, so both
     # quadratures integrate it exactly
     assert energy == pytest.approx(total, rel=1e-12)
@@ -268,6 +266,29 @@ def test_separable_load_rejections():
         forms.assemble_coefficient_load(scalar, forms.Separable(((1.0, (np.sin,)),)))
     with pytest.raises(ValueError, match="complex"):
         forms.assemble_coefficient_load(scalar, forms.Separable(((1j, (np.sin, np.cos)),)))
+
+
+def test_separable_refuses_another_factor_count_at_points():
+    # a term with one factor is no function of 3D points: evaluating it
+    # there raises as its load does, at points and at per-axis coordinates
+    short = forms.Separable(((1.0, (np.sin,)),))
+    x = np.full((4, 3), 0.5)
+    with pytest.raises(ValueError, match="factors"):
+        short(x)
+    with pytest.raises(ValueError, match="factors"):
+        short([x[:, 0], x[:, 1], x[:, 2]])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_separable_at_per_axis_coordinates_matches_points(dim):
+    # per-axis tables that broadcast against each other give the values at
+    # the points they span
+    s = forms.Separable(((2.0, (np.sin,) + (np.cos,) * (dim - 1)),
+                         (-1.5, (lambda y: y * y,) * dim)))
+    axes = [np.linspace(0.1, 0.9, 3 + k).reshape((1,) * k + (-1,) + (1,) * (dim - 1 - k))
+            for k in range(dim)]
+    points = np.stack(np.broadcast_arrays(*axes), axis=-1)
+    assert np.array_equal(s(axes), s(points))
 
 
 def test_forms_take_only_fields_and_separable_coefficients():

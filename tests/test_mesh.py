@@ -14,13 +14,13 @@ def total_volume(m):
 
 def test_unit_cube_single_subdivision_counts():
     m = mmesh.build_structured(3, 1)
-    assert m.n_vertices == 8
+    assert m.vertices.shape[0] == 8
     assert m.n_cells == 6
 
 
 def test_unit_square_single_subdivision():
     m = mmesh.build_structured(2, 1)
-    assert m.n_vertices == 4
+    assert m.vertices.shape[0] == 4
     assert m.n_cells == 2
     assert abs(total_volume(m) - 1.0) < 1e-15
 
@@ -28,7 +28,7 @@ def test_unit_square_single_subdivision():
 def test_counts_and_volume_3d_m2():
     M = 2
     m = mmesh.build_structured(3, M)
-    assert m.n_vertices == (M + 1) ** 3
+    assert m.vertices.shape[0] == (M + 1) ** 3
     assert m.n_cells == 6 * M ** 3
     assert abs(total_volume(m) - 1.0) <= 1e-12
 
@@ -38,7 +38,7 @@ def test_cell_count_formula_and_positive_volumes(dim, M):
     m = mmesh.build_structured(dim, M)
     expected = 2 * M ** 2 if dim == 2 else 6 * M ** 3
     assert m.n_cells == expected
-    assert m.n_vertices == (M + 1) ** dim
+    assert m.vertices.shape[0] == (M + 1) ** dim
     assert m.det > 0
     assert abs(total_volume(m) - 1.0) <= 1e-12
 
