@@ -128,10 +128,12 @@ class Mesh:
         order.  Read as base-d numbers the permutations increase in the
         order that the cells list a cube's simplices, so a sorted search
         ranks the walk.  A point outside [0,1]^d by more than
-        ``DOMAIN_SLACK`` in some coordinate raises ValueError.
+        ``DOMAIN_SLACK`` in some coordinate, or not finite, raises
+        ValueError.
         """
         M, d = self.subdivisions, self.dim
-        outside = np.any((points < -DOMAIN_SLACK) | (points > 1 + DOMAIN_SLACK), axis=1)
+        # a NaN fails both comparisons, so it counts as outside
+        outside = ~np.all((points >= -DOMAIN_SLACK) & (points <= 1 + DOMAIN_SLACK), axis=1)
         if np.any(outside):
             raise ValueError(f"point {points[np.argmax(outside)]} lies outside [0, 1]^{d}")
         scaled = points * M

@@ -408,9 +408,10 @@ def _field_blocks(field_vec: FieldVector, qdeg: int):
     gphys = [(tab.gref @ JinvT.T).transpose(1, 0, 2).reshape(nloc, nq * d)
              for JinvT in tab.JinvT]
     block = (mesh.subdivisions,) * (d - 1) + (nq,)
+    nodal = field_vec.nodal_values()        # once, not per block as gather_cells would
     for p, cells, w, coords in _blocks(mesh, tab):
         # (n[, comp], nloc): one row of coefficients per cell and component
-        u = np.moveaxis(space.gather_cells(field_vec, cells), 1, -1)
+        u = np.moveaxis(np.take(nodal, space.cell_nodes[cells], axis=0), 1, -1)
         rows, lead = u.reshape(-1, nloc), u.shape[1:-1]
         values = np.moveaxis((rows @ tab.vals.T).reshape(-1, *lead, nq), -1, 1)
         grads = np.moveaxis((rows @ gphys[p]).reshape(-1, *lead, nq, d), -2, 1)

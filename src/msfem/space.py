@@ -1,25 +1,26 @@
 """Finite element spaces on the Kuhn lattice.
 
-Scalar spaces (real or complex) carry homogeneous Dirichlet constraints on all
-boundary nodes unless built without them; vector spaces always constrain the
-tangential components node by node (n x A = 0), taking the union of the face
-rules on edges and corners, which makes their div-div + curl-curl form the
-componentwise stiffness (``forms.assemble_D``).  Constrained dofs are
-eliminated: coefficient vectors hold free dofs only and constrained entries
-evaluate as zero.  The nodes of degree r are the whole lattice of
-resolution rM (each point is a vertex or an edge midpoint of the Kuhn
-split), so a node's number is its lattice key, the lexicographic rank of its
-integer coordinates.  Every cell is one of d! templates translated to its
-cube, so the numbering is a closed form, the key of the cube's corner plus
-the template's key offset of each local node (``_stencil``), and the
-summation matrices are built from the same stencil with no sort
-(``sparsela.CellSums``).  The node numbering of each (mesh, degree), its
-summation matrices and the CSR pattern of each dof numbering are built once
-and cached on the mesh, so spaces that share a numbering share its pattern,
-and the scalar and vector patterns of one degree share the summation.
-``evaluate`` and ``locate_points``, the pointwise path that the tests'
-references take, map between reference and physical coordinates by the
-cell's template Jacobian (cell c is template c % d!, see ``mesh.Mesh``).
+A space is a constraint mask on the node numbering of its (mesh, degree).
+The nodes of degree r are the whole lattice of resolution rM (each point is
+a vertex or an edge midpoint of the Kuhn split), so a node's number is its
+lattice key, the lexicographic rank of its integer coordinates.  Every cell
+is one of d! templates translated to its cube, so the numbering is a closed
+form, the key of the cube's corner plus the template's key offset of each
+local node (``_stencil``); for P1 it is the mesh's ``vertices_int`` and
+``cells``.  The numbering, its summation matrices (``sparsela.CellSums``,
+from the same stencil with no sort) and the CSR pattern of each dof
+numbering are cached on the mesh, so all spaces of one (mesh, degree) share
+the numbering and the summation, and spaces with the same dofs one pattern.
+The scalar spaces (psi, phi) constrain every boundary node (homogeneous
+Dirichlet) unless built without constraints; the vector space (A)
+constrains the tangential components node by node (n x A = 0), the union
+of the face rules on edges and corners, which makes its div-div + curl-curl
+form the componentwise stiffness (``forms.assemble_D``).  Coefficient
+vectors hold the free dofs only, in C order of the (nodes, components)
+mask; constrained entries evaluate as zero.  ``evaluate`` and
+``locate_points``, the tests' pointwise path, map between reference and
+physical coordinates by the cell's template Jacobian (cell c is template
+c % d!, see ``mesh.Mesh``).
 """
 
 from __future__ import annotations
@@ -50,45 +51,70 @@ class BoundaryValueError(ValueError):
 
 @dataclass
 class FeSpace:
+    """A degree-r Lagrange space on a mesh: a constraint mask on the node
+    numbering of its (mesh, degree).
+
+    It stores what defines it: ``mesh``, ``degree``, ``dtype`` and
+    ``constrained``, the (nodes, ncomp) mask of the (node, component) pairs
+    held at zero, one column for a scalar space and d for a vector one; and,
+    derived from the mask once, ``dof_index`` (-1 where constrained, the
+    free pairs numbered 0, 1, ... in C order of the mask) and ``n_dofs``.
+    It borrows the rest from the numbering cached on the mesh
+    (``_global_nodes``): ``nodes_int``, ``cell_nodes`` and ``nodes``;
+    ``n_nodes``, ``ncomp`` and ``kind`` are read off the mask's shape.
+    """
+
     mesh: Mesh
     degree: int
-    kind: str                 # "scalar" | "vector"
     dtype: type
-    ncomp: int
-    constrained_space: bool
-    nodes_int: np.ndarray     # (nn, d) lattice coords at resolution degree*M
-    nodes: np.ndarray         # (nn, d) float
-    cell_nodes: np.ndarray    # (nc, nloc)
-    constrained: np.ndarray   # (nn, ncomp) bool
-    dof_index: np.ndarray     # (nn, ncomp) int, -1 where constrained
-    n_dofs: int
-    _cache: dict = field(default_factory=dict, repr=False)
+    constrained: np.ndarray                       # (nn, ncomp) bool
+    dof_index: np.ndarray = field(init=False)     # (nn, ncomp) int, -1 where constrained
+    n_dofs: int = field(init=False)
+
+    def __post_init__(self):
+        free = ~self.constrained
+        self.n_dofs = int(free.sum())
+        self.dof_index = np.full(free.shape, -1, dtype=np.int64)
+        self.dof_index[free] = np.arange(self.n_dofs)
+
+    @property
+    def nodes_int(self) -> np.ndarray:      # (nn, d) at lattice resolution degree * M
+        return _global_nodes(self.mesh, self.degree)[0]
+
+    @property
+    def cell_nodes(self) -> np.ndarray:     # (cells, nloc)
+        return _global_nodes(self.mesh, self.degree)[1]
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """(nn, d) node coordinates, computed on each call."""
+        return self.nodes_int / float(self.degree * self.mesh.subdivisions)
+
+    @property
+    def ncomp(self) -> int:
+        return self.constrained.shape[1]
+
+    @property
+    def kind(self) -> str:
+        return "scalar" if self.ncomp == 1 else "vector"
 
     @property
     def n_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return self.constrained.shape[0]
 
     @property
     def element(self):
         return reference_element(self.mesh.dim, self.degree)
 
-    def cell_dof_index(self) -> np.ndarray:
-        """Global dof per (cell, local node, comp); n_dofs marks constrained."""
-        if "cell_dofs" not in self._cache:
-            padded = np.where(self.dof_index < 0, self.n_dofs, self.dof_index)
-            # (nc, nloc, ncomp); np.take, as numpy's fancy index of the rows
-            # of a narrow array is ~10x slower
-            self._cache["cell_dofs"] = np.take(padded, self.cell_nodes, axis=0)
-        return self._cache["cell_dofs"]
-
     def pattern(self) -> Pattern:
         """CSR pattern of the forms on this space, coupling the same component
         of the nodes of each cell.
 
-        The numbering is fixed by the mesh, degree, kind and constraint flag,
-        so e.g. the real and complex Dirichlet scalar spaces share one pattern.
+        The dofs are fixed by the mesh, degree, component count and whether
+        any dof is constrained, so e.g. the real and complex Dirichlet scalar
+        spaces share one pattern.
         """
-        key = ("pattern", self.degree, self.kind, self.constrained_space)
+        key = ("pattern", self.degree, self.ncomp, bool(self.constrained.any()))
         store = self.mesh._geom
         if key not in store:
             store[key] = Pattern(_cell_sums(self.mesh, self.degree), self.dof_index)
@@ -100,19 +126,8 @@ class FeSpace:
         Shape (ncells, nloc) for scalar spaces, (ncells, nloc, ncomp) for
         vector ones.
         """
-        padded = np.concatenate([field_vec.data, np.zeros(1, dtype=field_vec.data.dtype)])
-        vals = padded[self.cell_dof_index()[cells]]
-        if self.kind == "scalar":
-            return vals[..., 0]
-        return vals
-
-    def scatter_nodal(self, nodal_values: np.ndarray) -> "FieldVector":
-        """Coefficient vector from per-(node, comp) values; constrained dropped."""
-        nv = nodal_values.reshape(self.n_nodes, self.ncomp)
-        out = np.empty(self.n_dofs, dtype=self.dtype)
-        free = ~self.constrained
-        out[self.dof_index[free]] = nv[free].astype(self.dtype)
-        return FieldVector(self, out)
+        # np.take, as numpy's fancy index of the rows of a narrow array is ~10x slower
+        return np.take(field_vec.nodal_values(), self.cell_nodes[cells], axis=0)
 
 
 @dataclass
@@ -123,13 +138,11 @@ class FieldVector:
     data: np.ndarray
 
     def nodal_values(self) -> np.ndarray:
-        """Per-(node, comp) values including the constrained zeros."""
-        out = np.zeros((self.space.n_nodes, self.space.ncomp), dtype=self.data.dtype)
-        free = ~self.space.constrained
-        out[free] = self.data[self.space.dof_index[free]]
-        if self.space.kind == "scalar":
-            return out[:, 0]
-        return out
+        """Per-(node, comp) values including the constrained zeros: (nn,) on
+        scalar spaces, (nn, ncomp) on vector ones."""
+        out = np.zeros(self.space.constrained.shape, dtype=self.data.dtype)
+        out[~self.space.constrained] = self.data      # the dofs are in C order of the mask
+        return out[:, 0] if self.space.kind == "scalar" else out
 
 
 def _stencil(mesh: Mesh, degree: int):
@@ -149,16 +162,17 @@ def _global_nodes(mesh: Mesh, degree: int):
     Kuhn walk through that cube passes both, so they span a cell edge.  The
     nodes are therefore the whole lattice in lexicographic order, and a
     node's number is its lattice key, read off the template stencil
-    (``_stencil``); for r = 1 the numbering is ``mesh.cells`` itself.
+    (``_stencil``); for r = 1 they are ``mesh.vertices_int`` and
+    ``mesh.cells`` themselves.
     """
     key = ("nodes", degree)
     if key not in mesh._geom:
-        if degree == 1:
-            cell_nodes = mesh.cells     # the vertex keys: share, do not copy
+        if degree == 1:     # the vertices: share, do not copy
+            mesh._geom[key] = mesh.vertices_int, mesh.cells
         else:
             base, offset = _stencil(mesh, degree)
-            cell_nodes = (base[:, None, None] + offset).reshape(-1, offset.shape[1])
-        mesh._geom[key] = lattice_points(degree * mesh.subdivisions + 1, mesh.dim), cell_nodes
+            mesh._geom[key] = (lattice_points(degree * mesh.subdivisions + 1, mesh.dim),
+                               (base[:, None, None] + offset).reshape(-1, offset.shape[1]))
     return mesh._geom[key]
 
 
@@ -177,14 +191,12 @@ def build_scalar_space(mesh: Mesh, degree: int, *, complex_field: bool = False,
     """Degree-r scalar Lagrange space, H^1_0-constrained unless dirichlet=False,
     a test fixture: no run builds it, and its boundary rows make the form
     oracles compare every entry of a form."""
-    nodes_int, cell_nodes = _global_nodes(mesh, degree)
+    nodes_int, _ = _global_nodes(mesh, degree)
     res = degree * mesh.subdivisions
     on_boundary = np.any((nodes_int == 0) | (nodes_int == res), axis=1)
     constrained = (on_boundary if dirichlet
                    else np.zeros(nodes_int.shape[0], dtype=bool))[:, None]
-    return _finish_space(mesh, degree, "scalar",
-                         complex if complex_field else float, 1, dirichlet,
-                         nodes_int, cell_nodes, constrained)
+    return FeSpace(mesh, degree, complex if complex_field else float, constrained)
 
 
 def build_vector_space(mesh: Mesh, degree: int) -> FeSpace:
@@ -193,38 +205,11 @@ def build_vector_space(mesh: Mesh, degree: int) -> FeSpace:
     On a face with normal +-e_a the components other than a are constrained;
     constraint masks are unioned where faces meet.
     """
-    nodes_int, cell_nodes = _global_nodes(mesh, degree)
+    nodes_int, _ = _global_nodes(mesh, degree)
     res = degree * mesh.subdivisions
-    d = mesh.dim
-    mask = np.zeros((nodes_int.shape[0], d), dtype=bool)
-    for a in range(d):
-        on_face = (nodes_int[:, a] == 0) | (nodes_int[:, a] == res)
-        for c in range(d):
-            if c != a:
-                mask[on_face, c] = True
-    return _finish_space(mesh, degree, "vector", float, d, True,
-                         nodes_int, cell_nodes, mask)
-
-
-def _finish_space(mesh, degree, kind, dtype, ncomp, constrained_space,
-                  nodes_int, cell_nodes, constrained):
-    free = ~constrained
-    dof_index = np.full(constrained.shape, -1, dtype=np.int64)
-    dof_index[free] = np.arange(int(free.sum()))
-    return FeSpace(
-        mesh=mesh,
-        degree=degree,
-        kind=kind,
-        dtype=dtype,
-        ncomp=ncomp,
-        constrained_space=constrained_space,
-        nodes_int=nodes_int,
-        nodes=nodes_int / float(degree * mesh.subdivisions),
-        cell_nodes=cell_nodes,
-        constrained=constrained,
-        dof_index=dof_index,
-        n_dofs=int(free.sum()),
-    )
+    on_face = (nodes_int == 0) | (nodes_int == res)       # (nn, a): on a face of normal e_a
+    mask = (on_face[:, :, None] & ~np.eye(mesh.dim, dtype=bool)).any(axis=1)
+    return FeSpace(mesh, degree, float, mask)
 
 
 def interpolate(space: FeSpace, fn) -> FieldVector:
@@ -232,23 +217,29 @@ def interpolate(space: FeSpace, fn) -> FieldVector:
 
     ``fn`` is vectorised: it maps the (nodes, d) array of node coordinates to
     (nodes,) values on scalar spaces and (nodes, d) on vector ones; any other
-    shape raises ValueError, and so do complex values with an imaginary part
-    beyond 1e-10 on a real space.  A nonzero value (beyond 1e-10) at a
-    constrained (node, component) raises BoundaryValueError instead of being
-    dropped.
+    shape raises ValueError, and so does a value that is not finite or, on a
+    real space, complex with an imaginary part beyond 1e-10.  A nonzero value
+    (beyond 1e-10) at a constrained (node, component) raises
+    BoundaryValueError instead of being dropped.
     """
-    vals = np.asarray(fn(space.nodes))
+    nodes = space.nodes
+    vals = np.asarray(fn(nodes))
     expected = (space.n_nodes,) if space.kind == "scalar" else (space.n_nodes, space.ncomp)
     if vals.shape != expected:
         raise ValueError(f"interpolation target returned shape {vals.shape}, "
                          f"expected {expected}")
+    vals = vals.reshape(space.n_nodes, space.ncomp)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        n, c = np.argwhere(~finite)[0]
+        raise ValueError(f"interpolation target is not finite at node {n} "
+                         f"x={nodes[n]} component {c}: value={vals[n, c]}")
     if np.iscomplexobj(vals) and space.dtype is not complex:
         worst = np.abs(vals.imag).max(initial=0.0)
         if worst > 1e-10:
             raise ValueError(f"complex interpolation target on a real space: "
                              f"|imaginary part| reaches {worst:.3e}")
         vals = vals.real
-    vals = vals.reshape(space.n_nodes, space.ncomp)
     if space.constrained.any():
         bad = np.abs(vals) * space.constrained
         worst = bad.max()
@@ -256,8 +247,9 @@ def interpolate(space: FeSpace, fn) -> FieldVector:
             n, c = np.unravel_index(int(bad.argmax()), bad.shape)
             raise BoundaryValueError(
                 f"interpolation target violates constraint at node {n} "
-                f"x={space.nodes[n]} component {c}: |value|={worst:.3e}")
-    return space.scatter_nodal(vals)
+                f"x={nodes[n]} component {c}: |value|={worst:.3e}")
+    # the dofs are the free pairs in C order of the mask
+    return FieldVector(space, vals[~space.constrained].astype(space.dtype))
 
 
 def evaluate(field_vec: FieldVector, cell: int, point_ref, *, gradient: bool = False):

@@ -225,6 +225,13 @@ def reference_global_nodes(mesh, degree):
     return lattice_points(shape[0], mesh.dim), keys
 
 
+def reference_cell_dofs(space):
+    """(cells, nloc, ncomp) global dof of each cell's local node and
+    component, ``space.n_dofs`` where constrained: the dof numbering read
+    through the cell-to-node map."""
+    return np.where(space.dof_index < 0, space.n_dofs, space.dof_index)[space.cell_nodes]
+
+
 def _summation(order, indptr, idx):
     """0/1 CSR matrix whose row r adds up the entries ``order[indptr[r]:
     indptr[r + 1]]`` of a flat array, in that order."""

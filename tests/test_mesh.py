@@ -1,11 +1,13 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from msfem import mesh as mmesh
 from msfem.elements import affine_map
+from msfem.space import locate_points
 
 
 def total_volume(m):
@@ -147,3 +149,18 @@ def test_containing_cells_rejects_points_outside_the_domain(dim):
     # the first and the last cube
     assert list(cells[:2] // len(list(itertools.permutations(range(dim))))) == [0, 4 ** dim - 1]
     assert np.all((cells >= 0) & (cells < m.n_cells))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_containing_cells_rejects_points_that_are_not_finite(dim):
+    # a NaN coordinate would otherwise floor into some cube and rank a walk there
+    m = mmesh.build_structured(dim, 4)
+    for bad in (np.nan, np.inf, -np.inf):
+        pts = np.full((2, dim), 0.5)
+        pts[1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="outside"):
+                m.containing_cells(pts)
+            with pytest.raises(ValueError, match="outside"):
+                locate_points(m, pts)

@@ -220,7 +220,7 @@ def test_pattern_is_connectivity_structure_without_constrained_dofs(dim, r):
     for space in (st.spaces.psi, st.spaces.A):
         n = space.n_dofs
         # the COO->CSR structure of the same-component pairs of each cell
-        cd = np.moveaxis(space.cell_dof_index(), -1, 0)     # (comp, cells, nloc)
+        cd = np.moveaxis(oracles.reference_cell_dofs(space), -1, 0)   # (comp, cells, nloc)
         rows = np.broadcast_to(cd[..., :, None], cd.shape + cd.shape[-1:]).ravel()
         cols = np.broadcast_to(cd[..., None, :], cd.shape + cd.shape[-1:]).ravel()
         keep = (rows < n) & (cols < n)
@@ -242,6 +242,31 @@ def test_pattern_is_connectivity_structure_without_constrained_dofs(dim, r):
         comp[space.dof_index[~space.constrained]] = np.nonzero(~space.constrained)[1]
         row_of = np.repeat(np.arange(n), np.diff(pat.indptr))
         assert np.array_equal(comp[row_of], comp[pat.indices])
+
+
+def _arrays(obj):
+    """The arrays an object holds, also inside its dicts."""
+    for v in vars(obj).values():
+        for a in (v.values() if isinstance(v, dict) else (v,)):
+            if isinstance(a, np.ndarray):
+                yield a
+
+
+@pytest.mark.parametrize("dim,r", CASES)
+def test_spaces_share_the_numbering_and_keep_no_cell_sized_array(dim, r):
+    st = free_stepper(dim, r)
+    spaces = (st.spaces.psi, st.spaces.A, st.spaces.phi)
+    for name in ("nodes_int", "cell_nodes"):
+        first = getattr(spaces[0], name)
+        assert all(getattr(s, name) is first for s in spaces)
+    if r == 1:
+        assert spaces[0].nodes_int is st.mesh.vertices_int
+        assert spaces[0].cell_nodes is st.mesh.cells
+    keys = [set(vars(s)) for s in spaces]
+    st.advance(st.advance(st.initialize()))
+    assert [set(vars(s)) for s in spaces] == keys
+    for s in spaces:
+        assert not any(a.shape[:1] == (st.mesh.n_cells,) for a in _arrays(s))
 
 
 @pytest.mark.parametrize("dim,r", CASES)
@@ -299,7 +324,7 @@ def test_componentwise_assembly_is_one_bincount_bit_identical_to_per_component(d
     nloc = space.element.node_count
     rng = np.random.default_rng(1)
     loc = rng.standard_normal((space.mesh.n_cells, nloc, nloc))
-    slots = reference_slots(pat, space.cell_dof_index())
+    slots = reference_slots(pat, oracles.reference_cell_dofs(space))
     assert np.array_equal(forms._on_pattern(space, loc).data,
                           bincount_reference(slots, loc, pat.nnz))
     cloc = loc + 1j * rng.standard_normal(loc.shape)

@@ -40,6 +40,21 @@ def interior(x, value):
     return np.where(np.all((x > 0) & (x < 1), axis=-1), value, 0.0)
 
 
+@pytest.mark.parametrize("point,node", [((0.5, 0.5), 12), ((0.0, 0.5), 2)])
+def test_initialize_rejects_a_psi0_that_is_not_finite(point, node):
+    # an interior NaN would otherwise reach the first solve, and one at a
+    # constrained node on the boundary be dropped
+    st = scheme.AlternatingStepper(small_config(mode="free"))
+    data = st.default_initial_data()
+
+    def psi0(x):
+        return np.where(np.all(x == point, axis=-1), np.nan, data.psi0(x))
+
+    with pytest.raises(ValueError, match=rf"not finite at node {node} .* component 0"):
+        st.initialize(scheme.InitialData(psi0=psi0, A0=data.A0, A1=data.A1,
+                                         phi0=data.phi0, phi1=data.phi1))
+
+
 def test_initialize_constant_phi_velocity_unconstrained():
     # the velocity is constant at every free node (the name is kept from
     # when it ran on spaces without constraints)

@@ -1,9 +1,11 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+import oracles
 from msfem import space as sp
 from msfem.elements import reference_element
 from msfem.mesh import build_structured
@@ -96,6 +98,30 @@ def test_dof_numbering_is_bijection():
     free = space.dof_index[~space.constrained]
     assert sorted(free.tolist()) == list(range(space.n_dofs))
     assert np.all(space.dof_index[space.constrained] == -1)
+
+
+@pytest.mark.parametrize("dim,r", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_gather_cells_reads_the_dofs_through_the_cell_nodes(dim, r):
+    # against the dof numbering read through the cell-to-node map, with the
+    # constrained entries at zero
+    mesh = build_structured(dim, 3)
+    rng = np.random.default_rng(10 * dim + r)
+    spaces = [sp.build_scalar_space(mesh, r, complex_field=cplx, dirichlet=dirichlet)
+              for cplx in (False, True) for dirichlet in (True, False)]
+    spaces.append(sp.build_vector_space(mesh, r))
+    nperm = math.factorial(dim)
+    for space in spaces:
+        data = rng.standard_normal(space.n_dofs).astype(space.dtype)
+        if space.dtype is complex:
+            data += 1j * rng.standard_normal(space.n_dofs)
+        want = np.append(data, 0)[oracles.reference_cell_dofs(space)]
+        if space.kind == "scalar":
+            want = want[..., 0]
+        field = sp.FieldVector(space, data)
+        for cells in (slice(None), slice(3, 11), slice(1, None, nperm)):
+            got = space.gather_cells(field, cells)
+            assert got.dtype == data.dtype
+            assert np.array_equal(got, want[cells])
 
 
 def test_interpolate_reproduces_polynomials_unconstrained():
