@@ -21,10 +21,12 @@ template against that tensor mapped by J_p^{-T}:
   J_p^{-T} against ``gg``, one per template, repeated cube by cube;
 - (phi u, v) for a discrete phi: phi's cell coefficients against ``vvv``;
 - W(|psi|^2) and the |A|^2 part of ``B``: the coefficient products
-  Re(conj(u_k) u_l) (``FieldProducts``), or A_k . A_l, against ``vvvv``;
-- the |psi|^2 load: the same products against ``vvv`` read as (k l, a);
-- the current load: the products Im(conj(u_i) u_j) against ``vgv`` mapped
-  by J_p^{-T}, per template;
+  Re(conj(u_k) u_l) (``FieldProducts``), or A_k . A_l, at k <= l, against
+  ``vvvv`` folded onto those rows;
+- the |psi|^2 load: the same products against ``vvv_load``, ``vvv`` read
+  as (k l, a) and folded;
+- the current load: the products Im(conj(u_i) u_j) at i < j against
+  ``vgv_skew`` mapped by J_p^{-T}, per template;
 - the A . grad part of ``B``: A's cell coefficients against the part of
   ``vgv`` antisymmetric in (i, j), mapped by J_p^{-T}, per template.
 
@@ -37,13 +39,17 @@ points.
 
 Every form and load on a space is summed by that space's CSR pattern
 (``FeSpace.pattern``, a ``sparsela.Pattern``).  A form hands it one scalar
-local matrix per cell; ``Pattern.assemble`` sums the entries of each node
-pair once and puts the sum in every component's slot of a vector space, and
-the form is returned as a ``scipy.sparse.csr_array`` that shares the
-pattern's index arrays.  A load hands it the local loads (cells, nloc,
-comp); ``Pattern.assemble_load`` sums them per node and keeps the free
-dofs.  Forms on one space can therefore be combined by combining their
-``data`` arrays.  Every vector form is componentwise: the masses by
+local matrix per cell, (cells, nloc, nloc), symmetric, or antisymmetric for
+the A . grad part of ``B``; ``Pattern.assemble`` reads only its entries
+whose node pair has a <= b, sums each unordered node pair once, and puts
+the sum in both slots (a, b) and (b, a), negated in one for the
+antisymmetric part, and in every component's slot of a vector space.
+Every form is therefore exactly symmetric or Hermitian, and is returned as
+a ``scipy.sparse.csr_array`` that shares the pattern's index arrays.  A
+load hands it the local loads (cells, nloc, comp);
+``Pattern.assemble_load`` sums them per node and keeps the free dofs.
+Forms on one space can therefore be combined by combining their ``data``
+arrays.  Every vector form is componentwise: the masses by
 definition, and the div-div + curl-curl form ``D`` because on this space it
 equals the componentwise stiffness (see ``assemble_D``).
 
@@ -106,11 +112,21 @@ class QuadratureTable:
 
     - ``mass_row`` (nloc^2,) = w @ vv, the reference mass matrix;
     - ``vvv`` (nloc, nloc^2), vvv[k, i nloc + j] = sum_q w_q v_k v_i v_j;
-    - ``vvvv`` (nloc^2, nloc^2) = vv^T diag(w) vv;
     - ``vgv`` (nloc^2, d nloc), vgv[i nloc + j, k nloc + a] =
       sum_q w_q v_i d_k v_j v_a, the gradient in reference coordinates;
     - ``gg`` (d^2, nloc^2), gg[k d + l, i nloc + j] =
       sum_q w_q gref[q, i, k] gref[q, j, l].
+
+    The coefficient products of ``FieldProducts`` and the Gram of
+    ``assemble_B`` are symmetric, c_kl = c_lk, or antisymmetric, and keep
+    only the columns k <= l, or k < l; the tensors they contract against
+    are folded onto those rows once (``_fold``), row kl plus, or minus,
+    row lk:
+
+    - ``vvvv`` (nloc (nloc + 1) / 2, nloc^2), vv^T diag(w) vv folded;
+    - ``vvv_load`` (nloc (nloc + 1) / 2, nloc), vvv read as (k i, j)
+      folded;
+    - ``vgv_skew`` (nloc (nloc - 1) / 2, d nloc), ``vgv`` folded minus.
 
     Every tensor sums over this table's own rule, so a form that contracts
     per-cell coefficients against it computes the same quadrature sum as one
@@ -134,14 +150,26 @@ class QuadratureTable:
         wvv = w[:, None] * vv
         self.mass_row = w @ vv
         self.vvv = vals.T @ wvv
-        self.vvvv = vv.T @ wvv
+        self.vvvv = _fold(vv.T @ wvv, nloc)
+        self.vvv_load = _fold(self.vvv.reshape(nloc * nloc, nloc), nloc)
         self.vgv = np.einsum("q,qi,qjk,qa->ijka", w, vals, gref, vals
                              ).reshape(nloc * nloc, d * nloc)
+        self.vgv_skew = _fold(self.vgv, nloc, sign=-1)
         self.gg = np.einsum("q,qik,qjl->klij", w, gref, gref
                             ).reshape(d * d, nloc * nloc)
         self.JinvT = mesh.JinvT                             # (d!, d, d)
         self.wdet = w * mesh.det                            # (q,)
         self._rule = rule
+
+
+def _fold(tensor: np.ndarray, nloc: int, sign: int = 1) -> np.ndarray:
+    """The rows k nloc + l of ``tensor`` folded onto k <= l (onto k < l if
+    ``sign`` is -1): row kl plus ``sign`` times row lk, the diagonal once.
+    Contracted with the columns k <= l of products c_kl = sign c_lk, it
+    gives the contraction of all nloc^2 products with ``tensor``."""
+    rows = tensor.reshape(nloc, nloc, -1)
+    k, l = np.triu_indices(nloc, 0 if sign > 0 else 1)
+    return rows[k, l] + (sign * (k != l))[:, None] * rows[l, k]
 
 
 def quadrature_table(mesh: Mesh, degree: int, qdeg: int | None = None) -> QuadratureTable:
@@ -156,29 +184,45 @@ def quadrature_table(mesh: Mesh, degree: int, qdeg: int | None = None) -> Quadra
 
 class FieldProducts:
     """The products of a scalar field's cell coefficients, times det J:
-    ``re`` Re(conj(u_i) u_j) and ``im`` Im(conj(u_i) u_j), each (cells,
-    nloc^2) with column i nloc + j.
+    ``re`` Re(conj(u_i) u_j), (cells, nloc (nloc + 1) / 2), at the columns
+    i <= j, and ``im`` Im(conj(u_i) u_j), (cells, nloc (nloc - 1) / 2), at
+    the columns i < j, each in the row-major order of ``np.triu_indices``.
 
     They expand |u|^2 = sum_ij Re(conj(u_i) u_j) phi_i phi_j and
     -Im(conj(u) grad u) = -sum_ij Im(conj(u_i) u_j) phi_i grad phi_j on
-    every cell, so W(|psi_h|^2), the |psi_h|^2 load and the current load
-    contract them against reference tensors of any table of the field's
-    degree, and none of them visits a quadrature point.  The scheme builds
-    them once per state.
+    every cell.  Re is symmetric in (i, j) and Im antisymmetric, so the
+    columns kept determine the rest, and W(|psi_h|^2), the |psi_h|^2 load
+    and the current load contract them against reference tensors folded
+    onto those columns (``QuadratureTable``), of any table of the field's
+    degree; none of them visits a quadrature point.  The scheme builds them
+    once per state.
     """
 
     def __init__(self, field_vec: FieldVector):
         space = field_vec.space
         if space.kind != "scalar":
             raise ValueError("products are formed of a scalar field")
-        nloc = space.element.node_count
+        i, j = np.triu_indices(space.element.node_count)
         # (nloc, c), cells last: every product runs over the cells
         u = np.ascontiguousarray(space.gather_cells(field_vec).T)
-        p = (u.conj()[:, None] * (u * space.mesh.det)[None]).reshape(nloc * nloc, -1)
+        p = _upper_products(u.conj(), u * space.mesh.det)
         self.space = space
         self.re = np.ascontiguousarray(p.real).T
         # in C order: the current load reads it a template at a time
-        self.im = np.ascontiguousarray(p.imag.T)
+        self.im = np.ascontiguousarray(p.imag[i < j].T)
+
+
+def _upper_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The products x[i] y[j], i <= j, of two (nloc, c) arrays, stacked
+    (nloc (nloc + 1) / 2, c) in the order of ``np.triu_indices``: one
+    product of contiguous rows per i, and no gather."""
+    n = x.shape[0]
+    out = np.empty((n * (n + 1) // 2,) + x.shape[1:], dtype=np.result_type(x, y))
+    start = 0
+    for i in range(n):
+        np.multiply(x[i], y[i:], out=out[start:start + n - i])
+        start += n - i
+    return out
 
 
 @dataclass(frozen=True)
@@ -326,12 +370,13 @@ def assemble_B(space: FeSpace, a_field: FieldVector, stiffness: sp.csr_array,
     d = mesh.dim
     tab = quadrature_table(mesh, space.degree, qdeg)
     local = a_field.space.gather_cells(a_field)                    # (c, a, m)
-    # |A|^2 = sum_kl (A_k . A_l) phi_k phi_l, against vvvv; (m, a, c),
-    # cells last: every product runs over the cells
+    # |A|^2 = sum_kl (A_k . A_l) phi_k phi_l, the Gram at k <= l against
+    # the folded vvvv; (m, a, c), cells last: every product runs over the
+    # cells
     a = np.ascontiguousarray(local.T)
-    gram = a[0][:, None] * a[0][None]
+    gram = _upper_products(a[0], a[0])
     for m in range(1, d):
-        gram += a[m][:, None] * a[m][None]
+        gram += _upper_products(a[m], a[m])
     gram *= mesh.det
     # A . grad phi_j = sum_amk A_am (J_p^{-T})_mk phi_a d_k phi_j, against
     # vgv read as (k a, i j) and mapped by the template: the imaginary part
@@ -339,9 +384,10 @@ def assemble_B(space: FeSpace, a_field: FieldVector, stiffness: sp.csr_array,
     vgv = tab.vgv.reshape(nloc, nloc, d, nloc)
     skew = (vgv - vgv.transpose(1, 0, 2, 3)).reshape(nloc * nloc, d, nloc)
     mapped = mesh.det * np.einsum("pmk,ika->pami", tab.JinvT, skew)
-    values = pat.assemble(gram.reshape(nloc * nloc, nc).T @ tab.vvvv)
+    values = pat.assemble(gram.T @ tab.vvvv)
     values = values + 1j * pat.assemble(_per_template(
-        local.reshape(nc, nloc * d), mapped.reshape(-1, nloc * d, nloc * nloc)))
+        local.reshape(nc, nloc * d), mapped.reshape(-1, nloc * d, nloc * nloc)),
+        antisymmetric=True)
     values += stiffness.data
     return pat.matrix(values)
 
@@ -352,7 +398,8 @@ def assemble_current_load(space: FeSpace, psi: FieldProducts,
     against the vector test functions; real-valued.
 
     The current -Im(psi* grad psi) is the products ``psi.im`` against the
-    table's ``vgv`` mapped by the template's J^{-T}, one GEMM per template.
+    table's ``vgv_skew`` mapped by the template's J^{-T}, one GEMM per
+    template.
     """
     if space.kind != "vector":
         raise ValueError("the current load is assembled on a vector space")
@@ -362,8 +409,8 @@ def assemble_current_load(space: FeSpace, psi: FieldProducts,
     tab = quadrature_table(space.mesh, space.degree, qdeg)
     # vgv's columns (k a), reference direction k and test node a, mapped to
     # (a, m), physical direction m
-    mapped = -np.einsum("pmk,ika->piam", tab.JinvT, tab.vgv.reshape(-1, d, nloc))
-    loc = _per_template(psi.im, mapped.reshape(-1, nloc * nloc, nloc * d))
+    mapped = -np.einsum("pmk,ika->piam", tab.JinvT, tab.vgv_skew.reshape(-1, d, nloc))
+    loc = _per_template(psi.im, mapped.reshape(tab.JinvT.shape[0], -1, nloc * d))
     return space.pattern().assemble_load(loc.reshape(-1, nloc, d))
 
 
@@ -387,8 +434,7 @@ def assemble_coefficient_load(space: FeSpace, coeff,
     if isinstance(coeff, FieldProducts):
         if space.kind != "scalar":
             raise ValueError("the |u|^2 load is assembled on a scalar space")
-        nloc = space.element.node_count
-        loc = coeff.re @ tab.vvv.reshape(nloc * nloc, nloc)
+        loc = coeff.re @ tab.vvv_load
         return space.pattern().assemble_load(loc[:, :, None])
     if not isinstance(coeff, (Separable, tuple)):
         raise TypeError(f"a load coefficient is FieldProducts or Separable, "

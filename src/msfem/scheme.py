@@ -31,9 +31,11 @@ The wave steps read psi from the previous level three times: in W(|psi|^2),
 the current load and the |psi|^2 load.  All three are bilinear in psi's
 cell coefficients, so a state forms the products conj(u_i) u_j once
 (``FieldState.psi_products``, a ``forms.FieldProducts``), on first use
-inside the first step phase that reads them, and the three forms contract
-them against reference tensors; no step form evaluates psi at a quadrature
-point.
+inside the first step phase that reads them: their real part at i <= j and
+their imaginary part at i < j, which determine the rest, since the real
+part is symmetric in (i, j) and the imaginary part antisymmetric.  The
+three forms contract them against reference tensors folded onto those
+columns; no step form evaluates psi at a quadrature point.
 
 Sources in verification mode: every manufactured source is a sum of time
 amplitudes times spatial shapes, sum_j c_j(t) s_j(x) (``mms.ManufacturedCase``
@@ -54,16 +56,28 @@ blocks are freed, so a run whose largest block is a step temporary hands
 its temporaries back every step and faults them in again page by page.
 The stepper pins both thresholds at the largest values glibc's own
 adjustment reaches (``_retain_step_memory``).
+
+Threads: a step runs with every loaded OpenBLAS on one thread
+(``_one_blas_thread``).  Its BLAS calls are short: CG's dot products on
+~15k-dof vectors and GEMMs of a few MB, which OpenBLAS splits over its
+threads above small size thresholds.  A split call waits for its slowest
+thread, so on a 2-core box with other load a call now and then stalled for
+tens of ms, most often in the first steps of a stepper: at 3D P2 M=8 one
+A-step CG solve (31 iterations) read 5 ms in most steps and 70-84 ms in
+the first step of half the steppers, and W(|psi|^2) 5-13 ms against
+0.9 ms.  On one thread the same solve read 5.1-5.6 ms and W 0.9-1.2 ms
+in every step of 8 steppers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -112,6 +126,59 @@ def _retain_step_memory():
     mallopt.restype = ctypes.c_int
     mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_MAX)
     mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD_MAX)
+
+
+# OpenBLAS's (get, set) thread-count functions: the builds bundled with the
+# numpy and scipy wheels prefix them (numpy's ILP64 build also adds a 64_
+# suffix), a system build exports the plain names
+OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@cache
+def _openblas_thread_controls() -> tuple:
+    """The (get, set) thread-count functions of every OpenBLAS this process
+    has loaded, found by the libraries' file names in /proc/self/maps; empty
+    where that file does not exist or no OpenBLAS is loaded.  numpy and
+    scipy, which this module imports, load theirs on import."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line[line.index("/"):].rstrip("\n") for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in OPENBLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread, and give each
+    its thread count back afterwards (module docstring, Threads)."""
+    controls = _openblas_thread_controls()
+    counts = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(controls, counts):
+            set_(n)
 
 
 class SchemeError(RuntimeError):
@@ -407,10 +474,12 @@ class AlternatingStepper:
         return FieldVector(self.spaces.psi, x)
 
     def advance(self, state: FieldState) -> FieldState:
-        """One full step: potentials first, then the wave function; shift levels."""
-        a_new = self.step_wave_a(state)
-        phi_new = self.step_wave_phi(state)
-        psi_new = self.step_schrodinger(state, a_new, phi_new)
+        """One full step: potentials first, then the wave function; shift
+        levels.  BLAS runs on one thread (module docstring, Threads)."""
+        with _one_blas_thread():
+            a_new = self.step_wave_a(state)
+            phi_new = self.step_wave_phi(state)
+            psi_new = self.step_schrodinger(state, a_new, phi_new)
         k = state.k + 1
         return FieldState(k=k, t=k * self.config.dt, psi=psi_new,
                           a=a_new, a_prev=state.a, phi=phi_new, phi_prev=state.phi)

@@ -120,14 +120,15 @@ class FeSpace:
             store[key] = Pattern(_cell_sums(self.mesh, self.degree), self.dof_index)
         return store[key]
 
-    def gather_cells(self, field_vec: "FieldVector", cells=slice(None)) -> np.ndarray:
-        """Local coefficient values per cell, constrained entries as zero.
+    def gather_cells(self, field_vec: "FieldVector") -> np.ndarray:
+        """Local coefficient values of every cell, constrained entries as
+        zero.
 
-        Shape (ncells, nloc) for scalar spaces, (ncells, nloc, ncomp) for
+        Shape (cells, nloc) for scalar spaces, (cells, nloc, ncomp) for
         vector ones.
         """
         # np.take, as numpy's fancy index of the rows of a narrow array is ~10x slower
-        return np.take(field_vec.nodal_values(), self.cell_nodes[cells], axis=0)
+        return np.take(field_vec.nodal_values(), self.cell_nodes, axis=0)
 
 
 @dataclass
@@ -255,11 +256,17 @@ def interpolate(space: FeSpace, fn) -> FieldVector:
 def evaluate(field_vec: FieldVector, cell: int, point_ref, *, gradient: bool = False):
     """Value (and optionally physical gradient) of a field inside one cell, at
     one reference point (d,) or at n of them (n, d), which add a leading n
-    axis.  No form calls it; it is the tests' pointwise reference."""
+    axis.  It reads the cell's dofs alone, O(nloc) per call.  No form calls
+    it; it is the tests' pointwise reference."""
     space = field_vec.space
     pt = np.asarray(point_ref, dtype=float)
     vals, grads_ref = space.element.tabulate(np.atleast_2d(pt))   # (n, nloc), (n, nloc, d)
-    local = space.gather_cells(field_vec, cells=slice(cell, cell + 1))[0]
+    # the cell's (nloc, ncomp) dofs, read alone: zero where constrained
+    dofs = space.dof_index[space.cell_nodes[cell]]
+    local = np.zeros(dofs.shape, dtype=field_vec.data.dtype)
+    local[dofs >= 0] = field_vec.data[dofs[dofs >= 0]]
+    if space.kind == "scalar":
+        local = local[:, 0]
     out = [vals @ local]                       # (n,), or (n, comp) on vector spaces
     if gradient:
         JinvT = space.mesh.JinvT[cell % len(space.mesh.JinvT)]   # the cell's template

@@ -3,16 +3,21 @@
 Every matrix the scheme assembles couples the dofs of one space through its
 cells, component by component, so each dof numbering gets one CSR
 ``Pattern``, built once: its ``indptr``/``indices`` and the slots it takes
-from two 0/1 summation matrices (``CellSums``), one row per coupled node
-pair and one per node, which every numbering on the same cells shares.  The
-summation matrices are built from the Kuhn lattice's template stencil, whose
-few distinct node-key steps number the coupled pairs with no sort.  A
-form's data array is the pair sums of its local matrices, taken at the free
-slots; a load is the node sums of its local loads, taken at the free dofs.
-The pattern is the only code that sums cell contributions.  A linear
-combination of forms is the same combination of data arrays, and each
-matrix a solver sees is a ``scipy.sparse.csr_array`` that shares the
-pattern's index arrays.
+from two 0/1 summation matrices (``CellSums``), which every numbering on the
+same cells shares.  Every form is symmetric or Hermitian, so ``pair_sum``
+has one row per unordered coupled node pair a <= b and reads only the
+nloc (nloc + 1) / 2 local entries of each cell with b >= a; ``node_sum``
+has one row per node.  The summation matrices are built from the Kuhn
+lattice's template stencil, whose few distinct node-key steps number the
+coupled pairs with no sort.  A form's data array is one gather of the pair
+sums of its local matrices through the pattern's mirror slot map, which
+puts the sum of a <= b in both slots (a, b) and (b, a), negated in the
+slot a > b for an antisymmetric form; every assembled matrix is thus
+exactly symmetric or Hermitian.  A load is the node sums of its local
+loads, taken at the free dofs.  The pattern is the only code that sums cell
+contributions.  A linear combination of forms is the same combination of
+data arrays, and each matrix a solver sees is a ``scipy.sparse.csr_array``
+that shares the pattern's index arrays.
 
 Two inverses of a lattice operator serve the stepper's psi solve.
 ``sine_transform_solve`` inverts the sign-flip average of a nearest-neighbour
@@ -90,45 +95,79 @@ class CellSums:
     """The two 0/1 summation matrices of the cell-to-node map of a Kuhn
     lattice, shared by every ``Pattern`` on it.
 
-    ``pair_sum`` has one row per coupled node pair and ``node_sum`` one per
-    node; each row adds up the local entries of its pair or node in cell
-    order.  ``pairs`` holds the sorted keys a n_nodes + b of the coupled
-    node pairs (a, b).
+    Every form the scheme assembles is symmetric or Hermitian, or (the
+    A . grad part of ``forms.assemble_B``) antisymmetric, so the entries of
+    the node pairs (a, b) and (b, a) are each other's mirror and
+    ``pair_sum`` sums each unordered pair once.  It has one row per coupled
+    pair a <= b, which adds up the local entries (i, j) with node a at i and
+    b at j, in cell order.  Its columns index the flat (cells, nloc, nloc)
+    array of local matrices, but it has entries only at the nloc (nloc +
+    1) / 2 local entries of each cell with b >= a; the others are never
+    read.  ``node_sum`` has one row per node and one entry per local node.
+
+    ``steps`` holds the distinct steps b - a of the local entries,
+    increasing and symmetric about 0, and ``pair_table`` (n_nodes, steps)
+    at [a, t] the row of ``pair_sum`` that sums the node pair (a, a +
+    steps[t]) in either orientation, -1 where the two are not coupled.  Its
+    row-major order is the sorted order of the coupled (row, column) node
+    pairs.
 
     The cells are translates of d! templates, so the step b - a of the local
     entry (i, j) depends only on the template: a few distinct steps (7 for
-    2D P1, 15 for 3D P1, 65 for 3D P2), and the pairs of row a, in order,
-    are its coupled steps in increasing order.  One scatter marks the
-    coupled (node, step) table; its row-major running count is each pair's
-    rank in the sorted order, and one gather gives every local entry its
-    pair.  The rows are filled by the counting sort that turns a CSC matrix
-    with one entry per column into CSR, which keeps each row's entries in
-    column, that is cell, order.  No step sorts anything of the cells' size.
+    2D P1, 15 for 3D P1, 65 for 3D P2), and the pairs a <= b of row a, in
+    order, are its coupled steps >= 0 in increasing order.  One scatter
+    marks the coupled (node, step >= 0) half of the table; its row-major
+    running count is each pair's rank in the sorted order, one gather gives
+    every summed local entry its pair, and the pair (a, a + s) is also the
+    entry (a + s, -s) of the other half.  The rows are filled by the
+    counting sort that turns a CSC matrix with at most one entry per column
+    into CSR, which keeps each row's entries in column, that is cell,
+    order.  No step sorts anything of the cells' size.
     """
 
     def __init__(self, base: np.ndarray, offset: np.ndarray, n_nodes: int):
         """``base`` (cubes,) and ``offset`` (d!, nloc): cell k d! + p has the
-        global nodes base[k] + offset[p], each below ``n_nodes``."""
+        global nodes base[k] + offset[p], distinct and each below
+        ``n_nodes``."""
         nloc = offset.shape[1]
-        steps, step = np.unique(offset[:, None, :] - offset[:, :, None], return_inverse=True)
+        # (p, i, j): the step b - a of local entry (i, j) of template p; the
+        # entries with b >= a are summed, nloc (nloc + 1) / 2 per template
+        diff = offset[:, None, :] - offset[:, :, None]
+        steps, step = np.unique(diff, return_inverse=True)
+        h = steps.size // 2            # steps[h] = 0
+        summed = diff >= 0
         n_entries = base.size * offset.size * nloc
         idx = (np.int32 if max(n_nodes * steps.size, n_entries) < np.iinfo(np.int32).max
                else np.int64)
-        # the (node a, step b - a) slot of every local entry (cell, i, j), in
-        # cell order
-        slot = ((base.astype(idx) * steps.size)[:, None, None, None]
-                + (offset[:, :, None] * steps.size
-                   + step.reshape(-1, nloc, nloc)).astype(idx)).ravel()
-        coupled = np.zeros(n_nodes * steps.size, dtype=bool)
+        # the (node a, step b - a >= 0) slot of every summed entry, in cell order
+        first = np.broadcast_to(offset[:, :, None], diff.shape)[summed]
+        slot = ((base.astype(idx) * (h + 1))[:, None]
+                + (first * (h + 1) + step.reshape(diff.shape)[summed] - h).astype(idx)
+                ).ravel()
+        coupled = np.zeros(n_nodes * (h + 1), dtype=bool)
         coupled[slot] = True
         rank = np.cumsum(coupled, dtype=idx) - 1
         pair = rank[slot]
         del slot        # freed before the summation matrices take their memory
-        a, s = np.divmod(np.flatnonzero(coupled), steps.size)
-        self.pairs = a * n_nodes + a + steps[s]
-        self.pair_sum = _row_sums(pair, self.pairs.size, idx)
+        n_pairs = int(rank[-1]) + 1
+        rank[~coupled] = -1
+        table = np.empty((n_nodes, steps.size), dtype=idx)
+        table[:, h:] = rank.reshape(n_nodes, h + 1)
+        for t in range(1, h + 1):       # the pair (a, a + s) at (a + s, -s)
+            s = steps[h + t]
+            table[:s, h - t] = -1
+            table[s:, h - t] = table[:-s, h + t]
+        self.steps = steps
+        self.pair_table = table
+        # the CSC column pointer of the flat local array: the summed entries
+        # of cube k are columns k d! nloc^2 + flatnonzero(summed)
+        per_cube = np.concatenate([[0], np.cumsum(summed)]).astype(idx)
+        colptr = np.append((np.arange(base.size, dtype=idx)[:, None] * per_cube[-1]
+                            + per_cube[:-1]).ravel(), idx(pair.size))
+        self.pair_sum = _row_sums(pair, n_pairs, colptr)
         self.node_sum = _row_sums(
-            (base.astype(idx)[:, None, None] + offset.astype(idx)).ravel(), n_nodes, idx)
+            (base.astype(idx)[:, None, None] + offset.astype(idx)).ravel(), n_nodes,
+            np.arange(base.size * offset.size + 1, dtype=idx))
 
 
 class Pattern:
@@ -142,11 +181,17 @@ class Pattern:
     increasing within each row.
 
     The summation matrices of the cell-to-node map (``CellSums``) are shared
-    with every other pattern on the same map; a pattern keeps only its slots.
-    A matrix's data array takes every free (pair, component) slot from the
-    pair sums (``_slot_pair``), and a load takes every free (node,
-    component) dof from the node sums.  A vector form thus sums its scalar
-    block once, and a constrained dof is never summed into.
+    with every other pattern on the same map; a pattern keeps only its
+    slots, read off the map's ``pair_table``.  ``pair_sum`` sums each
+    unordered node pair once, so a matrix's data array is one gather of the
+    pair sums through the mirror slot map (``_slot_pair``): the free (node
+    pair, component) slots (a, b) and (b, a) both take the sum of the pair
+    a <= b, which makes every assembled matrix exactly symmetric, or
+    Hermitian, by construction.  For an antisymmetric local matrix the
+    slots with a > b take the sum negated: ``_sign``, one byte per slot, is
+    -1 there and 1 elsewhere.  A load takes every free (node, component)
+    dof from the node sums.  A vector form thus sums its scalar block once,
+    and a constrained dof is never summed into.
     """
 
     def __init__(self, sums: CellSums, dof_index: np.ndarray):
@@ -155,42 +200,39 @@ class Pattern:
         where constrained, numbered in (node, component) order."""
         nn, e = dof_index.shape
         n = int(dof_index.max(initial=-1)) + 1
-        keys = sums.pairs
-        a, b = np.divmod(keys, nn)
-        row_len = np.bincount(a, minlength=nn)
-        row_start = np.concatenate([[0], np.cumsum(row_len)])[a]
-        # with dofs numbered in (node, component) order, the sorted position
-        # of component c of node pair p in row a is
-        # e start(a) + c len(a) + (p - start(a))
-        pos = (((e - 1) * row_start + np.arange(keys.size))
-               + np.arange(e)[:, None] * row_len[a]).T                    # (pairs, e)
-        rows = np.empty(pos.size, dtype=np.int64)
-        cols = np.empty(pos.size, dtype=np.int64)
-        pair = np.empty(pos.size, dtype=np.int64)
-        # the dof rows and columns, sorted, -1 where constrained; np.take,
-        # as numpy's fancy index of the rows of a narrow array is ~10x slower
-        rows[pos] = np.take(dof_index, a, axis=0)
-        cols[pos] = np.take(dof_index, b, axis=0)
-        pair[pos] = np.arange(keys.size)[:, None]
-        free = (rows >= 0) & (cols >= 0)
-        self.nnz = int(free.sum())
-        self.shape = (n, n)
+        table, steps = sums.pair_table, sums.steps
         # scipy keeps int32 index arrays as given; int64 ones it would copy
         # down to int32 every time a matrix is wrapped
-        idx = (np.int32 if max(n, self.nnz, keys.size) < np.iinfo(np.int32).max
-               else np.int64)
+        idx = np.int32 if max(n, table.size * e) < np.iinfo(np.int32).max else np.int64
+        # [a, c, t]: the dof of component c of node a + steps[t], wherever
+        # the two nodes are coupled.  In C order the (row node, component,
+        # step) entries are the sorted (row, column) dof pairs, so the free
+        # coupled ones are the pattern's slots in CSR order.
+        node = np.clip(np.arange(nn, dtype=idx)[:, None] + steps.astype(idx), 0, nn - 1)
+        cols = np.take(dof_index.T.astype(idx), node, axis=1).transpose(1, 0, 2)
+        free = (table >= 0)[:, None, :] & (cols >= 0) & (dof_index >= 0)[:, :, None]
+        self.nnz = int(np.count_nonzero(free))
+        self.shape = (n, n)
         self.sums = sums
-        self._slot_pair = pair[free].astype(idx)
-        self.indices = cols[free].astype(idx)
+        self.indices = cols[free]
         self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(rows[free], minlength=n))]).astype(idx)
+            [[0], np.cumsum(free.sum(axis=2)[dof_index >= 0])]).astype(idx)
+        self._slot_pair = np.broadcast_to(table[:, None, :], free.shape)[free]
+        self._sign = np.broadcast_to(np.where(steps < 0, -1, 1).astype(np.int8),
+                                     free.shape)[free]
         self._free_dofs = np.flatnonzero(dof_index.ravel() >= 0)
 
-    def assemble(self, loc: np.ndarray) -> np.ndarray:
+    def assemble(self, loc: np.ndarray, antisymmetric: bool = False) -> np.ndarray:
         """Data array of the scalar local matrices ``loc`` (cells, nloc,
-        nloc), real or complex: each node pair's entries summed in cell
-        order, the same sum in every component's slot."""
-        return (self.sums.pair_sum @ loc.reshape(-1))[self._slot_pair]
+        nloc), real or complex, each symmetric, or antisymmetric if
+        ``antisymmetric``: the entries of each node pair a <= b summed in
+        cell order, the same sum in every component's slot and, negated for
+        an antisymmetric ``loc``, in the mirrored slots.  Only the entries
+        (i, j) of ``loc`` whose node pair has a <= b are read."""
+        data = (self.sums.pair_sum @ loc.reshape(-1))[self._slot_pair]
+        if antisymmetric:
+            data *= self._sign
+        return data
 
     def assemble_load(self, loc: np.ndarray) -> np.ndarray:
         """Load vector of the local loads ``loc`` (cells, nloc, ncomp): each
@@ -281,12 +323,13 @@ def sine_transform_solve(A: sp.csr_array, lattice: np.ndarray, n: int):
                            type=1, norm="ortho").reshape(-1)
 
 
-def _row_sums(rows: np.ndarray, n_rows: int, idx) -> sp.csr_array:
-    """0/1 CSR matrix whose row r adds up the entries e of a flat array with
-    ``rows[e]`` = r, in increasing e: the CSC to CSR counting sort of
-    ``scipy.sparse`` on one entry per column."""
-    return sp.csc_array((np.ones(rows.size), rows, np.arange(rows.size + 1, dtype=idx)),
-                        shape=(n_rows, rows.size)).tocsr()
+def _row_sums(rows: np.ndarray, n_rows: int, colptr: np.ndarray) -> sp.csr_array:
+    """0/1 CSR matrix whose row r adds up the entries c of a flat array, in
+    increasing c, that hold a summed entry e, colptr[c] = e < colptr[c +
+    1], with ``rows[e]`` = r: the CSC to CSR counting sort of
+    ``scipy.sparse`` on at most one entry per column."""
+    return sp.csc_array((np.ones(rows.size), rows, colptr),
+                        shape=(n_rows, colptr.size - 1)).tocsr()
 
 
 @dataclass

@@ -11,8 +11,8 @@ physical points; and a Python loop over the cells accumulates into dense
 matrices.  Only usable on small meshes.  The norms take the same points
 (``cell_fields``) with no block or per-axis structure.  The node numbering
 and the summation matrices come from the cells' vertex coordinates and a
-stable sort of every node and node pair of the cells, with no use of the
-lattice's template stencil.
+stable sort of every node and node pair a <= b of the cells, with no use of
+the lattice's template stencil.
 """
 
 import math
@@ -232,43 +232,62 @@ def reference_cell_dofs(space):
     return np.where(space.dof_index < 0, space.n_dofs, space.dof_index)[space.cell_nodes]
 
 
-def _summation(order, indptr, idx):
-    """0/1 CSR matrix whose row r adds up the entries ``order[indptr[r]:
-    indptr[r + 1]]`` of a flat array, in that order."""
+def _summation(order, indptr, n_cols, idx):
+    """0/1 CSR matrix, ``n_cols`` columns, whose row r adds up the entries
+    ``order[indptr[r]: indptr[r + 1]]`` of a flat array, in that order."""
     return sp.csr_array((np.ones(order.size), order.astype(idx), indptr.astype(idx)),
-                        shape=(indptr.size - 1, order.size))
+                        shape=(indptr.size - 1, n_cols))
 
 
 def reference_cell_sums(cell_nodes, n_nodes):
-    """``pairs``, ``pair_sum`` and ``node_sum`` of any cell-to-node map
-    (cells, nloc): the local entries' node pair keys a n_nodes + b sorted
-    stably, so each pair's entries stay in cell order, and the nodes the
-    same way.  A namespace that ``sparsela.Pattern`` accepts."""
+    """``pairs``, ``steps``, ``pair_table``, ``pair_sum`` and ``node_sum``
+    of any cell-to-node map (cells, nloc): the node pair keys a n_nodes + b
+    of the local entries with a <= b sorted stably, so each pair's entries
+    stay in cell order, and the nodes the same way; the distinct steps b - a
+    of all local entries, and at [a, t] and [b, s] of the table the rank of
+    the pair (a, b) a <= b, with steps[t] = b - a and steps[s] = a - b."""
     node_pairs = (cell_nodes[:, :, None] * n_nodes + cell_nodes[:, None, :]).ravel()
-    order = np.argsort(node_pairs, kind="stable")
+    summed = np.flatnonzero((cell_nodes[:, :, None] <= cell_nodes[:, None, :]).ravel())
+    order = summed[np.argsort(node_pairs[summed], kind="stable")]
     sorted_pairs = node_pairs[order]
     starts = np.flatnonzero(np.diff(sorted_pairs, prepend=-1))
     idx = np.int32 if node_pairs.size < np.iinfo(np.int32).max else np.int64
     nodes = cell_nodes.ravel()
+    pairs = sorted_pairs[starts]
+    steps = np.unique(cell_nodes[:, None, :] - cell_nodes[:, :, None])
+    a, b = np.divmod(pairs, n_nodes)
+    pair_table = np.full((n_nodes, steps.size), -1, dtype=idx)
+    pair_table[a, np.searchsorted(steps, b - a)] = np.arange(pairs.size)
+    pair_table[b, np.searchsorted(steps, a - b)] = np.arange(pairs.size)
     return SimpleNamespace(
-        pairs=sorted_pairs[starts],
-        pair_sum=_summation(order, np.append(starts, order.size), idx),
+        pairs=pairs,
+        steps=steps,
+        pair_table=pair_table,
+        pair_sum=_summation(order, np.append(starts, order.size), node_pairs.size, idx),
         node_sum=_summation(
             np.argsort(nodes, kind="stable"),
-            np.concatenate([[0], np.cumsum(np.bincount(nodes, minlength=n_nodes))]), idx))
+            np.concatenate([[0], np.cumsum(np.bincount(nodes, minlength=n_nodes))]),
+            nodes.size, idx))
 
 
 def reference_pattern(sums, dof_index):
-    """``indptr``, ``indices`` and the slot-to-pair map of the CSR pattern
-    on ``dof_index`` (nodes, ncomp), from COO->CSR of the free
-    same-component dof pairs of the coupled node pairs ``sums.pairs``,
-    each carrying its pair's index."""
+    """``indptr``, ``indices``, the slot-to-pair map and the mirrored slots
+    of the CSR pattern on ``dof_index`` (nodes, ncomp): the free
+    same-component dof pairs of the coupled node pairs a <= b of
+    ``sums.pairs`` and of their mirrors (b, a), b != a, each carrying its
+    pair's index, in the argsort order of their (row, column) keys."""
     nn, ncomp = dof_index.shape
     a, b = np.divmod(sums.pairs, nn)
+    off = a != b
+    pair = np.arange(a.size)
+    a, b, pair, mirrored = (np.concatenate([a, b[off]]), np.concatenate([b, a[off]]),
+                            np.concatenate([pair, pair[off]]),
+                            np.arange(a.size + off.sum()) >= a.size)
     rows, cols = dof_index[a].T.ravel(), dof_index[b].T.ravel()   # component-major
-    pair = np.tile(np.arange(a.size), ncomp)
     free = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[free], cols[free]
+    pair, mirrored = np.tile(pair, ncomp)[free], np.tile(mirrored, ncomp)[free]
     n = int(dof_index.max(initial=-1)) + 1
-    csr = sp.coo_array((pair[free] + 1.0, (rows[free], cols[free])), shape=(n, n)).tocsr()
-    csr.sort_indices()
-    return csr.indptr, csr.indices, csr.data.astype(np.int64) - 1
+    order = np.argsort(rows * n + cols)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return indptr, cols[order], pair[order], mirrored[order]

@@ -76,27 +76,31 @@ def check_dense_accumulation(dim, r, ncomp):
     rng, pat, cell_nodes, dof_index = lattice_connectivity(dim, r, ncomp)
     n = int(dof_index.max()) + 1
     nc, k = cell_nodes.shape
-    loc = rng.standard_normal((nc, k, k)) + 1j * rng.standard_normal((nc, k, k))
-    # the scalar block of each cell lands on the same-component pairs only
-    dense = np.zeros((n + 1, n + 1), dtype=complex)
-    for nodes, block in zip(cell_nodes, loc):
-        for c in range(ncomp):
-            dofs = dof_index[nodes, c]
-            for a, i in enumerate(dofs):
-                for b, j in enumerate(dofs):
-                    dense[i, j] += block[a, b]   # -1 lands in the dropped last row/col
-    A = pat.matrix(pat.assemble(loc))
-    assert np.allclose(A.toarray(), dense[:n, :n], atol=1e-13)
+    noise = rng.standard_normal((nc, k, k)) + 1j * rng.standard_normal((nc, k, k))
+    # the pattern reads each node pair once: exactly symmetric local
+    # matrices, and one antisymmetric case summed with its mirror negated
+    for loc, antisymmetric in ((noise + noise.swapaxes(-1, -2), False),
+                               (noise - noise.swapaxes(-1, -2), True)):
+        # the scalar block of each cell lands on the same-component pairs only
+        dense = np.zeros((n + 1, n + 1), dtype=complex)
+        for nodes, block in zip(cell_nodes, loc):
+            for c in range(ncomp):
+                dofs = dof_index[nodes, c]
+                for a, i in enumerate(dofs):
+                    for b, j in enumerate(dofs):
+                        dense[i, j] += block[a, b]   # -1 lands in the dropped last row/col
+        A = pat.matrix(pat.assemble(loc, antisymmetric))
+        assert np.allclose(A.toarray(), dense[:n, :n], atol=1e-13)
+        # the one summation equals one bincount per component, bit for bit,
+        # for real and complex blocks
+        slots = reference_slots(pat, np.where(dof_index < 0, n, dof_index)[cell_nodes])
+        for block in (loc.real.copy(), loc):
+            total = pat.assemble(block, antisymmetric)
+            assert total.dtype == block.dtype
+            assert np.array_equal(total.view(float),
+                                  bincount_reference(slots, block, pat.nnz).view(float))
     for row in range(n):
         assert np.all(np.diff(pat.indices[pat.indptr[row]:pat.indptr[row + 1]]) > 0)
-    # the one summation equals one bincount per component, bit for bit, for
-    # real and complex blocks
-    slots = reference_slots(pat, np.where(dof_index < 0, n, dof_index)[cell_nodes])
-    for block in (loc.real.copy(), loc):
-        total = pat.assemble(block)
-        assert total.dtype == block.dtype
-        assert np.array_equal(total.view(float),
-                              bincount_reference(slots, block, pat.nnz).view(float))
 
 
 def test_pattern_assembly_matches_dense_accumulation():
@@ -155,7 +159,8 @@ def test_stencil_structure_equals_the_sort_based_derivation(dim, r, M):
         assert cell_nodes is mesh.cells
     sums = _cell_sums(mesh, r)
     ref = oracles.reference_cell_sums(ref_cell_nodes, len(ref_nodes))
-    assert_same(sums.pairs, ref.pairs)
+    assert_same(sums.steps, ref.steps)
+    assert_same(sums.pair_table, ref.pair_table)
     for name in ("pair_sum", "node_sum"):
         got, want = getattr(sums, name), getattr(ref, name)
         assert got.shape == want.shape
@@ -165,9 +170,21 @@ def test_stencil_structure_equals_the_sort_based_derivation(dim, r, M):
               build_scalar_space(mesh, r, dirichlet=False)):
         pat = s.pattern()
         assert pat.sums is sums
-        for got, want in zip((pat.indptr, pat.indices, pat._slot_pair),
+        for got, want in zip((pat.indptr, pat.indices, pat._slot_pair, pat._sign < 0),
                              oracles.reference_pattern(ref, s.dof_index)):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim,r,M,nnz", [(3, 1, 16, 245_760), (3, 2, 8, 168_960),
+                                         (2, 1, 128, 196_608)])
+def test_pair_sum_reads_each_unordered_pair_of_a_cell_once(dim, r, M, nnz):
+    # the benchmark meshes: nloc (nloc + 1) / 2 summed entries per cell,
+    # out of the nloc^2 columns of its local matrix
+    mesh = build_structured(dim, M)
+    pair_sum = _cell_sums(mesh, r).pair_sum
+    nloc = _global_nodes(mesh, r)[1].shape[1]
+    assert pair_sum.nnz == mesh.n_cells * nloc * (nloc + 1) // 2 == nnz
+    assert pair_sum.shape[1] == mesh.n_cells * nloc * nloc
 
 
 @pytest.mark.parametrize("dim,M", [(2, 8), (3, 5)])
@@ -316,18 +333,23 @@ def test_scalar_and_vector_patterns_share_the_cell_sums(dim, r):
 
 @pytest.mark.parametrize("dim,r", CASES)
 def test_componentwise_assembly_is_one_bincount_bit_identical_to_per_component(dim, r):
-    # the vector space's form, summed once per node pair, equals one
-    # np.bincount per component through a reference (comp, cell, i, j) map
+    # the vector space's form of exactly symmetric local matrices, summed
+    # once per unordered node pair, equals one np.bincount per component
+    # through a reference (comp, cell, i, j) map
     st = free_stepper(dim, r)
     space = st.spaces.A
     pat = space.pattern()
     nloc = space.element.node_count
     rng = np.random.default_rng(1)
-    loc = rng.standard_normal((space.mesh.n_cells, nloc, nloc))
+
+    def symmetric(x):
+        return x + x.swapaxes(-1, -2)
+
+    loc = symmetric(rng.standard_normal((space.mesh.n_cells, nloc, nloc)))
     slots = reference_slots(pat, oracles.reference_cell_dofs(space))
     assert np.array_equal(forms._on_pattern(space, loc).data,
                           bincount_reference(slots, loc, pat.nnz))
-    cloc = loc + 1j * rng.standard_normal(loc.shape)
+    cloc = loc + 1j * symmetric(rng.standard_normal(loc.shape))
     assert np.array_equal(pat.assemble(cloc).view(float),
                           bincount_reference(slots, cloc, pat.nnz).view(float))
     assert space.pattern() is pat

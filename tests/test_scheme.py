@@ -441,6 +441,44 @@ def test_schrodinger_matrix_hermitian_part():
     assert np.max(np.abs(S + S.conj().T - 2 * (0.25 * KB + 0.5 * Mw))) <= 1e-12
 
 
+def assert_exactly_hermitian(X):
+    assert (X - X.conj().T).count_nonzero() == 0
+
+
+@pytest.mark.parametrize("dim,r", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_step_matrices_are_exactly_symmetric_or_hermitian(dim, r, monkeypatch):
+    # every form sums each unordered node pair once and puts the sum in
+    # both slots, so the step matrices are symmetric or Hermitian exactly,
+    # not to rounding; the psi left-hand side is -i/dt M plus an exactly
+    # Hermitian matrix
+    cfg = small_config(dim=dim, M=8 if dim == 2 else 4, r=r, dt=0.05, n=1)
+    st = scheme.AlternatingStepper(cfg)
+    state = st.initialize()
+    systems = []
+
+    def recording(solve):
+        def wrapped(A, *args, **kwargs):
+            systems.append(A)
+            return solve(A, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(sparsela, "solve_spd", recording(sparsela.solve_spd))
+    monkeypatch.setattr(sparsela, "solve_complex", recording(sparsela.solve_complex))
+    a_new = st.step_wave_a(state)
+    phi_new = st.step_wave_phi(state)
+    st.step_schrodinger(state, a_new, phi_new)
+    a_step, phi_step, psi_lhs = systems
+    a_bar = FieldVector(st.spaces.A, 0.5 * (a_new.data + state.a.data))
+    phi_bar = FieldVector(st.spaces.phi, 0.5 * (phi_new.data + state.phi.data))
+    KB = forms.assemble_B(st.spaces.psi, a_bar, st.stiffness)
+    Mw = forms.assemble_weighted_mass(st.spaces.psi, phi_bar)
+    H = 0.25 * KB.data + 0.5 * (Mw.data + cfg.v0 * st.mass.data)
+    assert np.array_equal(psi_lhs.data, -1j / cfg.dt * st.mass.data + H)
+    assert phi_step is st.phi_system
+    for X in (st.phi_system, st.a_system, a_step, KB, st.spaces.psi.pattern().matrix(H)):
+        assert_exactly_hermitian(X)
+
+
 def test_one_step_map_has_unit_modulus_spectrum():
     # free mode, A = 0, phi = 0, V0 = 0 on the dense M=3 system
     dt = 0.1
@@ -659,6 +697,41 @@ def test_warm_steps_take_their_temporaries_from_the_heap(mode):
     for _ in range(3):
         state = st.advance(state)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 50
+
+
+@pytest.mark.skipif(not scheme._openblas_thread_controls(), reason="no OpenBLAS is loaded")
+def test_a_step_runs_blas_on_one_thread_and_gives_the_count_back(monkeypatch):
+    """Inside advance() every loaded OpenBLAS runs on one thread; after it,
+    returned or raised, each has its own count back (set to 2 here, so that
+    the check holds on a one-core box too)."""
+    controls = scheme._openblas_thread_controls()
+    original = [get() for get, _ in controls]
+    st = scheme.AlternatingStepper(small_config(mode="free"))
+    state = st.initialize()
+    seen = []
+    step_wave_phi = st.step_wave_phi
+
+    def recording(s):
+        seen.append([get() for get, _ in controls])
+        return step_wave_phi(s)
+
+    def failing(s):
+        raise scheme.SchemeError("scalar-potential solve failed")
+
+    try:
+        for _, set_ in controls:
+            set_(2)
+        monkeypatch.setattr(st, "step_wave_phi", recording)
+        st.advance(state)
+        assert seen == [[1] * len(controls)]
+        assert [get() for get, _ in controls] == [2] * len(controls)
+        monkeypatch.setattr(st, "step_wave_phi", failing)
+        with pytest.raises(scheme.SchemeError):
+            st.advance(state)
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, set_), n in zip(controls, original):
+            set_(n)
 
 
 @pytest.mark.parametrize("r,M,dt", [(1, 8, 1 / 4), (2, 8, 1 / 16)])

@@ -1,5 +1,4 @@
 import itertools
-import math
 import warnings
 
 import numpy as np
@@ -109,7 +108,6 @@ def test_gather_cells_reads_the_dofs_through_the_cell_nodes(dim, r):
     spaces = [sp.build_scalar_space(mesh, r, complex_field=cplx, dirichlet=dirichlet)
               for cplx in (False, True) for dirichlet in (True, False)]
     spaces.append(sp.build_vector_space(mesh, r))
-    nperm = math.factorial(dim)
     for space in spaces:
         data = rng.standard_normal(space.n_dofs).astype(space.dtype)
         if space.dtype is complex:
@@ -117,11 +115,41 @@ def test_gather_cells_reads_the_dofs_through_the_cell_nodes(dim, r):
         want = np.append(data, 0)[oracles.reference_cell_dofs(space)]
         if space.kind == "scalar":
             want = want[..., 0]
+        got = space.gather_cells(sp.FieldVector(space, data))
+        assert got.dtype == data.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim,r", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_evaluate_reads_one_cell_as_gather_cells_does(dim, r, monkeypatch):
+    # evaluate reads the cell's dofs alone: the same local values as
+    # gather_cells, with no (nodes, ncomp) array of the whole field
+    mesh = build_structured(dim, 3)
+    rng = np.random.default_rng(dim + 10 * r)
+    refs = rng.dirichlet(np.ones(dim + 1), 4)[:, 1:]
+    vals, grads_ref = reference_element(dim, r).tabulate(refs)
+    spaces = [sp.build_scalar_space(mesh, r, complex_field=True, dirichlet=dirichlet)
+              for dirichlet in (True, False)]
+    spaces.append(sp.build_vector_space(mesh, r))
+    fields = []
+    for space in spaces:
+        data = rng.standard_normal(space.n_dofs).astype(space.dtype)
+        if space.dtype is complex:
+            data += 1j * rng.standard_normal(space.n_dofs)
         field = sp.FieldVector(space, data)
-        for cells in (slice(None), slice(3, 11), slice(1, None, nperm)):
-            got = space.gather_cells(field, cells)
-            assert got.dtype == data.dtype
-            assert np.array_equal(got, want[cells])
+        fields.append((field, space.gather_cells(field)))
+
+    def whole_field(self):
+        raise AssertionError("evaluate built the nodal array of the whole field")
+
+    monkeypatch.setattr(sp.FieldVector, "nodal_values", whole_field)
+    for field, local in fields:
+        for cell in (0, 7, mesh.n_cells - 1):
+            JinvT = mesh.JinvT[cell % len(mesh.JinvT)]
+            value, grad = sp.evaluate(field, cell, refs, gradient=True)
+            assert np.array_equal(value, vals @ local[cell])
+            assert np.array_equal(grad, np.einsum("l...,nld->n...d", local[cell],
+                                                  grads_ref @ JinvT.T))
 
 
 def test_interpolate_reproduces_polynomials_unconstrained():
