@@ -14,7 +14,8 @@ d! template maps J_p^{-T} (``Mesh``): cell c = cube d! + p is template p,
 and a cell array read as (cube, p) blocks meets each template map once.
 Each form is one GEMM of per-cell coefficients, scaled by det J, against a
 reference tensor of the table (see ``QuadratureTable``), or one GEMM per
-template against that tensor mapped by J_p^{-T}:
+template against that tensor mapped by J_p^{-T}, and writes only the
+local entries (i, j) with i <= j:
 
 - the mass: det J against ``mass_row``;
 - the stiffness and ``D``: d! local matrices, the geometry det J J_p^{-1}
@@ -28,7 +29,8 @@ template against that tensor mapped by J_p^{-T}:
 - the current load: the products Im(conj(u_i) u_j) at i < j against
   ``vgv_skew`` mapped by J_p^{-T}, per template;
 - the A . grad part of ``B``: A's cell coefficients against the part of
-  ``vgv`` antisymmetric in (i, j), mapped by J_p^{-T}, per template.
+  ``vgv`` antisymmetric in (i, j), at i <= j, mapped by J_p^{-T} and
+  oriented (``sparsela.CellSums.sign``), per template.
 
 The tensors sum over the table's own rule, so these forms compute the same
 quadrature sums as a pass over the points would, reassociated.  No step
@@ -38,12 +40,14 @@ the Kuhn lattice (``lattice_rule``); they too build no array over the
 points.
 
 Every form and load on a space is summed by that space's CSR pattern
-(``FeSpace.pattern``, a ``sparsela.Pattern``).  A form hands it one scalar
-local matrix per cell, (cells, nloc, nloc), symmetric, or antisymmetric for
-the A . grad part of ``B``; ``Pattern.assemble`` reads only its entries
-whose node pair has a <= b, sums each unordered node pair once, and puts
-the sum in both slots (a, b) and (b, a), negated in one for the
-antisymmetric part, and in every component's slot of a vector space.
+(``FeSpace.pattern``, a ``sparsela.Pattern``).  A form hands it compact
+scalar local matrices, (cells, nloc (nloc + 1) / 2): each cell's entries
+(i, j), i <= j, in the order of ``np.triu_indices``, of a symmetric local
+matrix, or for the A . grad part of ``B`` of an antisymmetric one, each
+entry oriented by its template (``sparsela.CellSums.sign``).
+``Pattern.assemble`` sums each unordered node pair once and puts the sum
+in both slots (a, b) and (b, a), negated in one for the antisymmetric
+part, and in every component's slot of a vector space.
 Every form is therefore exactly symmetric or Hermitian, and is returned as
 a ``scipy.sparse.csr_array`` that shares the pattern's index arrays.  A
 load hands it the local loads (cells, nloc, comp);
@@ -108,14 +112,17 @@ class QuadratureTable:
     Cell-independent: ``vals`` (q, nloc) the reference basis values, ``gref``
     (q, nloc, d) the reference basis gradients, and the integrals over the
     reference cell of products of basis values and gradients, with vv[q,
-    i nloc + j] = vals[q, i] vals[q, j]:
+    i nloc + j] = vals[q, i] vals[q, j].  The tensors of the symmetric forms
+    keep only the T = nloc (nloc + 1) / 2 columns ij of the local entries
+    (i, j), i <= j, in the order of ``np.triu_indices``, the compact local
+    matrices that ``sparsela.Pattern.assemble`` sums:
 
-    - ``mass_row`` (nloc^2,) = w @ vv, the reference mass matrix;
-    - ``vvv`` (nloc, nloc^2), vvv[k, i nloc + j] = sum_q w_q v_k v_i v_j;
+    - ``mass_row`` (T,) = w @ vv, the reference mass matrix;
+    - ``vvv`` (nloc, T), vvv[k, ij] = sum_q w_q v_k v_i v_j;
     - ``vgv`` (nloc^2, d nloc), vgv[i nloc + j, k nloc + a] =
-      sum_q w_q v_i d_k v_j v_a, the gradient in reference coordinates;
-    - ``gg`` (d^2, nloc^2), gg[k d + l, i nloc + j] =
-      sum_q w_q gref[q, i, k] gref[q, j, l].
+      sum_q w_q v_i d_k v_j v_a, the gradient in reference coordinates,
+      all nloc^2 rows;
+    - ``gg`` (d^2, T), gg[k d + l, ij] = sum_q w_q gref[q, i, k] gref[q, j, l].
 
     The coefficient products of ``FieldProducts`` and the Gram of
     ``assemble_B`` are symmetric, c_kl = c_lk, or antisymmetric, and keep
@@ -123,9 +130,8 @@ class QuadratureTable:
     are folded onto those rows once (``_fold``), row kl plus, or minus,
     row lk:
 
-    - ``vvvv`` (nloc (nloc + 1) / 2, nloc^2), vv^T diag(w) vv folded;
-    - ``vvv_load`` (nloc (nloc + 1) / 2, nloc), vvv read as (k i, j)
-      folded;
+    - ``vvvv`` (T, T), vv^T diag(w) vv folded;
+    - ``vvv_load`` (T, nloc), the full vvv read as (k i, j) folded;
     - ``vgv_skew`` (nloc (nloc - 1) / 2, d nloc), ``vgv`` folded minus.
 
     Every tensor sums over this table's own rule, so a form that contracts
@@ -148,15 +154,18 @@ class QuadratureTable:
         self.gref = gref                                    # (q, nloc, d)
         vv = np.einsum("qi,qj->qij", vals, vals).reshape(nq, nloc * nloc)
         wvv = w[:, None] * vv
-        self.mass_row = w @ vv
-        self.vvv = vals.T @ wvv
-        self.vvvv = _fold(vv.T @ wvv, nloc)
-        self.vvv_load = _fold(self.vvv.reshape(nloc * nloc, nloc), nloc)
+        vvv = vals.T @ wvv
+        # the columns i <= j of the local matrices, in np.triu_indices order
+        upper = np.ravel_multi_index(np.triu_indices(nloc), (nloc, nloc))
+        self.mass_row = (w @ vv)[upper]
+        self.vvv = vvv[:, upper]
+        self.vvvv = _fold(vv.T @ wvv, nloc)[:, upper]
+        self.vvv_load = _fold(vvv.reshape(nloc * nloc, nloc), nloc)
         self.vgv = np.einsum("q,qi,qjk,qa->ijka", w, vals, gref, vals
                              ).reshape(nloc * nloc, d * nloc)
         self.vgv_skew = _fold(self.vgv, nloc, sign=-1)
         self.gg = np.einsum("q,qik,qjl->klij", w, gref, gref
-                            ).reshape(d * d, nloc * nloc)
+                            ).reshape(d * d, nloc * nloc)[:, upper]
         self.JinvT = mesh.JinvT                             # (d!, d, d)
         self.wdet = w * mesh.det                            # (q,)
         self._rule = rule
@@ -259,8 +268,9 @@ class Separable:
 
 
 def _on_pattern(space: FeSpace, loc: np.ndarray):
-    """csr_array of the scalar local matrices ``loc`` (cells, nloc, nloc)
-    summed on the space's pattern, in every component of a vector space."""
+    """csr_array of the compact scalar local matrices ``loc`` (cells, nloc
+    (nloc + 1) / 2) summed on the space's pattern, in every component of a
+    vector space."""
     pat = space.pattern()
     return pat.matrix(pat.assemble(loc).astype(space.dtype, copy=False))
 
@@ -287,12 +297,11 @@ def assemble_weighted_mass(space: FeSpace, weight, qdeg: int | None = None) -> s
     """(w u, v) with w a scalar weight: None, a ``FieldVector`` or
     ``FieldProducts`` (see the module docstring)."""
     _check_coeff_space(space, weight)
-    nloc = space.element.node_count
     mesh = space.mesh
     tab = quadrature_table(mesh, space.degree, qdeg)
     det = mesh.det
     if weight is None:
-        loc = np.broadcast_to(det * tab.mass_row, (mesh.n_cells, nloc * nloc))
+        loc = np.broadcast_to(det * tab.mass_row, (mesh.n_cells, tab.mass_row.size))
     elif isinstance(weight, FieldVector):
         loc = (weight.space.gather_cells(weight).real * det) @ tab.vvv
     elif isinstance(weight, FieldProducts):
@@ -300,7 +309,7 @@ def assemble_weighted_mass(space: FeSpace, weight, qdeg: int | None = None) -> s
     else:
         raise TypeError(f"a weight is None, a FieldVector or FieldProducts, "
                         f"not {type(weight).__name__}")
-    return _on_pattern(space, loc.reshape(-1, nloc, nloc))
+    return _on_pattern(space, loc)
 
 
 def assemble_stiffness(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
@@ -321,9 +330,8 @@ def _componentwise_stiffness(space: FeSpace, qdeg: int | None) -> sp.csr_array:
     # (m, k, p): geometry[k, l, p] = sum_m JinvT[p, m, k] JinvT[p, m, l]
     rows = tab.JinvT.transpose(1, 2, 0)
     geometry = (rows[:, :, None] * rows[:, None, :]).sum(axis=0) * mesh.det
-    loc = geometry.reshape(d * d, -1).T @ tab.gg                    # (p, nloc^2)
-    cubes = mesh.n_cells // loc.shape[0]
-    return _on_pattern(space, np.broadcast_to(loc, (cubes,) + loc.shape))
+    loc = geometry.reshape(d * d, -1).T @ tab.gg      # (p, nloc (nloc + 1) / 2)
+    return _on_pattern(space, np.tile(loc, (mesh.n_cells // loc.shape[0], 1)))
 
 
 def assemble_D(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
@@ -380,13 +388,15 @@ def assemble_B(space: FeSpace, a_field: FieldVector, stiffness: sp.csr_array,
     gram *= mesh.det
     # A . grad phi_j = sum_amk A_am (J_p^{-T})_mk phi_a d_k phi_j, against
     # vgv read as (k a, i j) and mapped by the template: the imaginary part
-    # v grad u - u grad v takes its part antisymmetric in (i, j)
+    # v grad u - u grad v takes its part antisymmetric in (i, j), at i <= j
+    # and oriented per template (CellSums.sign)
     vgv = tab.vgv.reshape(nloc, nloc, d, nloc)
-    skew = (vgv - vgv.transpose(1, 0, 2, 3)).reshape(nloc * nloc, d, nloc)
-    mapped = mesh.det * np.einsum("pmk,ika->pami", tab.JinvT, skew)
+    skew = (vgv - vgv.transpose(1, 0, 2, 3))[np.triu_indices(nloc)]  # (t, k, a)
+    mapped = (mesh.det * np.einsum("pmk,tka->pamt", tab.JinvT, skew)
+              * pat.sums.sign[:, None, None, :])
     values = pat.assemble(gram.T @ tab.vvvv)
     values = values + 1j * pat.assemble(_per_template(
-        local.reshape(nc, nloc * d), mapped.reshape(-1, nloc * d, nloc * nloc)),
+        local.reshape(nc, nloc * d), mapped.reshape(-1, nloc * d, skew.shape[0])),
         antisymmetric=True)
     values += stiffness.data
     return pat.matrix(values)

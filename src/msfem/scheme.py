@@ -303,13 +303,13 @@ class AlternatingStepper:
         self.case = mms.make_case(config.dim, config.v0) if config.mode == "mms" else None
         self.spaces = build_spaces(config)
         self.mesh = self.spaces.psi.mesh
+        dt = config.dt
         self.mass_vec = forms.assemble_mass(self.spaces.A)
-        self.D = forms.assemble_D(self.spaces.A)
+        # D enters only the A system, and is not kept
+        self.a_system = self.spaces.A.pattern().matrix(
+            self.mass_vec.data / dt ** 2 + 0.5 * forms.assemble_D(self.spaces.A).data)
         self.mass = forms.assemble_mass(self.spaces.phi)
         self.stiffness = forms.assemble_stiffness(self.spaces.phi)
-        dt = config.dt
-        self.a_system = self.spaces.A.pattern().matrix(
-            self.mass_vec.data / dt ** 2 + 0.5 * self.D.data)
         self.phi_system = self.spaces.phi.pattern().matrix(
             self.mass.data / dt ** 2 + 0.5 * self.stiffness.data)
         self._source_loads = self._precompute_source_loads() if self.case is not None else {}

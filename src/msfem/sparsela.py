@@ -4,20 +4,23 @@ Every matrix the scheme assembles couples the dofs of one space through its
 cells, component by component, so each dof numbering gets one CSR
 ``Pattern``, built once: its ``indptr``/``indices`` and the slots it takes
 from two 0/1 summation matrices (``CellSums``), which every numbering on the
-same cells shares.  Every form is symmetric or Hermitian, so ``pair_sum``
-has one row per unordered coupled node pair a <= b and reads only the
-nloc (nloc + 1) / 2 local entries of each cell with b >= a; ``node_sum``
-has one row per node.  The summation matrices are built from the Kuhn
-lattice's template stencil, whose few distinct node-key steps number the
-coupled pairs with no sort.  A form's data array is one gather of the pair
-sums of its local matrices through the pattern's mirror slot map, which
-puts the sum of a <= b in both slots (a, b) and (b, a), negated in the
-slot a > b for an antisymmetric form; every assembled matrix is thus
-exactly symmetric or Hermitian.  A load is the node sums of its local
-loads, taken at the free dofs.  The pattern is the only code that sums cell
-contributions.  A linear combination of forms is the same combination of
-data arrays, and each matrix a solver sees is a ``scipy.sparse.csr_array``
-that shares the pattern's index arrays.
+same cells shares.  Every form is symmetric or Hermitian, so a form's
+local matrices are compact, the nloc (nloc + 1) / 2 entries (i, j), i <= j,
+of each cell, and ``pair_sum`` has one row per unordered coupled node pair
+a <= b and one entry per compact local entry; ``node_sum`` has one row per
+node.  The summation matrices are built from the Kuhn lattice's template
+stencil, whose few distinct node-key steps number the coupled pairs with
+no sort.  A form's data array is one gather of the pair sums of its local
+matrices through the pattern's mirror slot map, which puts the sum of
+a <= b in both slots (a, b) and (b, a), negated in the slot a > b for an
+antisymmetric form, whose local entries the form orients first
+(``CellSums.sign``); every assembled matrix is thus exactly symmetric or
+Hermitian.  A load is the node sums of its local loads, taken at the free
+dofs.  The pattern is the only code that sums cell contributions.  A
+linear combination of forms is the same combination of data arrays, and
+each matrix a solver sees is a ``scipy.sparse.csr_array`` that shares the
+pattern's index arrays, which are intp: scipy's int64 sparse kernels run
+faster than its int32 ones on the step matrices.
 
 Two inverses of a lattice operator serve the stepper's psi solve.
 ``sine_transform_solve`` inverts the sign-flip average of a nearest-neighbour
@@ -97,13 +100,22 @@ class CellSums:
 
     Every form the scheme assembles is symmetric or Hermitian, or (the
     A . grad part of ``forms.assemble_B``) antisymmetric, so the entries of
-    the node pairs (a, b) and (b, a) are each other's mirror and
-    ``pair_sum`` sums each unordered pair once.  It has one row per coupled
-    pair a <= b, which adds up the local entries (i, j) with node a at i and
-    b at j, in cell order.  Its columns index the flat (cells, nloc, nloc)
-    array of local matrices, but it has entries only at the nloc (nloc +
-    1) / 2 local entries of each cell with b >= a; the others are never
-    read.  ``node_sum`` has one row per node and one entry per local node.
+    the node pairs (a, b) and (b, a) are each other's mirror, and a form
+    hands over only the local entries (i, j) with i <= j: a compact
+    (cells, nloc (nloc + 1) / 2) array of local matrices, each row in the
+    order of ``np.triu_indices(nloc)`` (``local_shape``).  ``pair_sum``
+    sums each unordered node pair once.  It has one row per coupled pair
+    a <= b, which adds up the local entries (i, j) that hold nodes a and b
+    in either order, in cell order, and one entry per column of the
+    compact array.  ``node_sum`` has one row per node and one entry per
+    local node.
+
+    A local entry (i, j), i <= j, holds the node pair (a, b) oriented as
+    its template orders nodes i and j: ``sign`` (d!, nloc (nloc + 1) / 2)
+    is -1 at the entries of template p whose node at j has the lower
+    number, and 1 elsewhere.  A symmetric form needs no orientation; an
+    antisymmetric one multiplies its local entries by ``sign`` before the
+    sum, so that each sums the pair as (a, b), a < b.
 
     ``steps`` holds the distinct steps b - a of the local entries,
     increasing and symmetric about 0, and ``pair_table`` (n_nodes, steps)
@@ -112,17 +124,18 @@ class CellSums:
     row-major order is the sorted order of the coupled (row, column) node
     pairs.
 
-    The cells are translates of d! templates, so the step b - a of the local
-    entry (i, j) depends only on the template: a few distinct steps (7 for
-    2D P1, 15 for 3D P1, 65 for 3D P2), and the pairs a <= b of row a, in
-    order, are its coupled steps >= 0 in increasing order.  One scatter
-    marks the coupled (node, step >= 0) half of the table; its row-major
-    running count is each pair's rank in the sorted order, one gather gives
-    every summed local entry its pair, and the pair (a, a + s) is also the
-    entry (a + s, -s) of the other half.  The rows are filled by the
-    counting sort that turns a CSC matrix with at most one entry per column
-    into CSR, which keeps each row's entries in column, that is cell,
-    order.  No step sorts anything of the cells' size.
+    The cells are translates of d! templates, so the node pair of the
+    local entry (i, j) is its cube's base node plus a step that depends
+    only on the template: a few distinct steps (7 for 2D P1, 15 for 3D P1,
+    65 for 3D P2), and the pairs a <= b of row a, in order, are its
+    coupled steps >= 0 in increasing order.  One scatter marks the coupled
+    (node, step >= 0) half of the table; its row-major running count is
+    each pair's rank in the sorted order, one gather gives every local
+    entry its pair, and the pair (a, a + s) is also the entry (a + s, -s)
+    of the other half.  The rows are filled by the counting sort that
+    turns a CSC matrix with one entry per column into CSR, which keeps
+    each row's entries in column, that is cell, order.  No step sorts
+    anything of the cells' size.
     """
 
     def __init__(self, base: np.ndarray, offset: np.ndarray, n_nodes: int):
@@ -130,20 +143,19 @@ class CellSums:
         global nodes base[k] + offset[p], distinct and each below
         ``n_nodes``."""
         nloc = offset.shape[1]
-        # (p, i, j): the step b - a of local entry (i, j) of template p; the
-        # entries with b >= a are summed, nloc (nloc + 1) / 2 per template
-        diff = offset[:, None, :] - offset[:, :, None]
-        steps, step = np.unique(diff, return_inverse=True)
+        i, j = np.triu_indices(nloc)
+        # (p, t): the step b - a of the local entry t = (i, j) of template p
+        diff = offset[:, j] - offset[:, i]
+        steps = np.unique(np.concatenate([diff, -diff], axis=None))
         h = steps.size // 2            # steps[h] = 0
-        summed = diff >= 0
-        n_entries = base.size * offset.size * nloc
+        n_entries = base.size * diff.size
         idx = (np.int32 if max(n_nodes * steps.size, n_entries) < np.iinfo(np.int32).max
                else np.int64)
-        # the (node a, step b - a >= 0) slot of every summed entry, in cell order
-        first = np.broadcast_to(offset[:, :, None], diff.shape)[summed]
+        # the (node a, step b - a >= 0) slot of every local entry, in cell order
+        low = np.minimum(offset[:, i], offset[:, j])
+        up = np.searchsorted(steps, np.abs(diff)) - h
         slot = ((base.astype(idx) * (h + 1))[:, None]
-                + (first * (h + 1) + step.reshape(diff.shape)[summed] - h).astype(idx)
-                ).ravel()
+                + (low * (h + 1) + up).astype(idx).ravel()).ravel()
         coupled = np.zeros(n_nodes * (h + 1), dtype=bool)
         coupled[slot] = True
         rank = np.cumsum(coupled, dtype=idx) - 1
@@ -159,12 +171,9 @@ class CellSums:
             table[s:, h - t] = table[:-s, h + t]
         self.steps = steps
         self.pair_table = table
-        # the CSC column pointer of the flat local array: the summed entries
-        # of cube k are columns k d! nloc^2 + flatnonzero(summed)
-        per_cube = np.concatenate([[0], np.cumsum(summed)]).astype(idx)
-        colptr = np.append((np.arange(base.size, dtype=idx)[:, None] * per_cube[-1]
-                            + per_cube[:-1]).ravel(), idx(pair.size))
-        self.pair_sum = _row_sums(pair, n_pairs, colptr)
+        self.sign = np.where(diff < 0, -1, 1).astype(np.int8)
+        self.local_shape = (base.size * offset.shape[0], diff.shape[1])
+        self.pair_sum = _row_sums(pair, n_pairs, np.arange(pair.size + 1, dtype=idx))
         self.node_sum = _row_sums(
             (base.astype(idx)[:, None, None] + offset.astype(idx)).ravel(), n_nodes,
             np.arange(base.size * offset.size + 1, dtype=idx))
@@ -178,16 +187,16 @@ class Pattern:
     space is componentwise: it couples dof (a, c) only with the dofs (b, c)
     of the same component, for nodes a and b of a common cell, so the pattern
     holds no entry between two components.  Column indices are strictly
-    increasing within each row.
+    increasing within each row; ``indices`` and ``indptr`` are intp.
 
     The summation matrices of the cell-to-node map (``CellSums``) are shared
     with every other pattern on the same map; a pattern keeps only its
     slots, read off the map's ``pair_table``.  ``pair_sum`` sums each
-    unordered node pair once, so a matrix's data array is one gather of the
-    pair sums through the mirror slot map (``_slot_pair``): the free (node
-    pair, component) slots (a, b) and (b, a) both take the sum of the pair
-    a <= b, which makes every assembled matrix exactly symmetric, or
-    Hermitian, by construction.  For an antisymmetric local matrix the
+    unordered node pair of the compact local matrices once, so a matrix's
+    data array is one gather of the pair sums through the mirror slot map
+    (``_slot_pair``): the free (node pair, component) slots (a, b) and
+    (b, a) both take the sum of the pair a <= b, which makes every
+    assembled matrix exactly symmetric, or Hermitian, by construction.  For an antisymmetric local matrix the
     slots with a > b take the sum negated: ``_sign``, one byte per slot, is
     -1 there and 1 elsewhere.  A load takes every free (node, component)
     dof from the node sums.  A vector form thus sums its scalar block once,
@@ -201,8 +210,7 @@ class Pattern:
         nn, e = dof_index.shape
         n = int(dof_index.max(initial=-1)) + 1
         table, steps = sums.pair_table, sums.steps
-        # scipy keeps int32 index arrays as given; int64 ones it would copy
-        # down to int32 every time a matrix is wrapped
+        # the build runs in int32 where that fits; the result is widened below
         idx = np.int32 if max(n, table.size * e) < np.iinfo(np.int32).max else np.int64
         # [a, c, t]: the dof of component c of node a + steps[t], wherever
         # the two nodes are coupled.  In C order the (row node, component,
@@ -210,26 +218,48 @@ class Pattern:
         # coupled ones are the pattern's slots in CSR order.
         node = np.clip(np.arange(nn, dtype=idx)[:, None] + steps.astype(idx), 0, nn - 1)
         cols = np.take(dof_index.T.astype(idx), node, axis=1).transpose(1, 0, 2)
+        del node
         free = (table >= 0)[:, None, :] & (cols >= 0) & (dof_index >= 0)[:, :, None]
         self.nnz = int(np.count_nonzero(free))
         self.shape = (n, n)
         self.sums = sums
-        self.indices = cols[free]
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(free.sum(axis=2)[dof_index >= 0])]).astype(idx)
+        indices = cols[free]
+        del cols
+        indptr = np.concatenate([[0], np.cumsum(free.sum(axis=2)[dof_index >= 0])])
         self._slot_pair = np.broadcast_to(table[:, None, :], free.shape)[free]
         self._sign = np.broadcast_to(np.where(steps < 0, -1, 1).astype(np.int8),
                                      free.shape)[free]
+        del free
         self._free_dofs = np.flatnonzero(dof_index.ravel() >= 0)
+        # Every matrix wraps these arrays.  A csr_array keeps int64 index
+        # arrays as given (scipy's csr_matrix would copy them down to int32
+        # on every wrap; its sparse arrays do not, scipy issue 16774), and
+        # scipy's int64 csr_matvec outruns its int32 one on the step
+        # matrices.  One product, best of 7 x 200, scipy 1.17.1 on a 2-core
+        # x86-64 box, int32 / int64 indices:
+        #
+        #   mesh          A system    phi system   complex B
+        #   3D P2 M=8     131 / 85    38 / 27      54 / 42 us
+        #   3D P1 M=16     61 / 51    19 / 17      33 / 26 us
+        #   2D P1 M=128    85 / 87    41 / 42      84 / 72 us
+        self.indices = indices.astype(np.intp, copy=False)
+        self.indptr = indptr.astype(np.intp, copy=False)
 
     def assemble(self, loc: np.ndarray, antisymmetric: bool = False) -> np.ndarray:
-        """Data array of the scalar local matrices ``loc`` (cells, nloc,
-        nloc), real or complex, each symmetric, or antisymmetric if
-        ``antisymmetric``: the entries of each node pair a <= b summed in
-        cell order, the same sum in every component's slot and, negated for
-        an antisymmetric ``loc``, in the mirrored slots.  Only the entries
-        (i, j) of ``loc`` whose node pair has a <= b are read."""
-        data = (self.sums.pair_sum @ loc.reshape(-1))[self._slot_pair]
+        """Data array of the compact scalar local matrices ``loc`` (cells,
+        nloc (nloc + 1) / 2), real or complex, each row the entries (i, j),
+        i <= j, of a cell's symmetric local matrix in ``np.triu_indices``
+        order, or of its antisymmetric one if ``antisymmetric``, taken
+        with the orientation of ``CellSums.sign``: the entries of each node
+        pair a <= b summed in cell order, the same sum in every component's
+        slot and, negated for an antisymmetric ``loc``, in the mirrored
+        slots.  Any other shape raises ValueError."""
+        if loc.shape != self.sums.local_shape:
+            raise ValueError(f"local matrices of shape {loc.shape}; the pattern sums "
+                             f"(cells, nloc (nloc + 1) / 2) = {self.sums.local_shape}")
+        # np.take reads the int32 slot map as it is; a fancy index converts
+        # it to intp first, which took 2x as long on every benchmark mesh
+        data = np.take(self.sums.pair_sum @ loc.reshape(-1), self._slot_pair)
         if antisymmetric:
             data *= self._sign
         return data

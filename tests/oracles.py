@@ -11,8 +11,8 @@ physical points; and a Python loop over the cells accumulates into dense
 matrices.  Only usable on small meshes.  The norms take the same points
 (``cell_fields``) with no block or per-axis structure.  The node numbering
 and the summation matrices come from the cells' vertex coordinates and a
-stable sort of every node and node pair a <= b of the cells, with no use of
-the lattice's template stencil.
+stable sort of every node and of the node pair of every local entry (i, j),
+i <= j, of the cells, with no use of the lattice's template stencil.
 """
 
 import math
@@ -240,15 +240,20 @@ def _summation(order, indptr, n_cols, idx):
 
 
 def reference_cell_sums(cell_nodes, n_nodes):
-    """``pairs``, ``steps``, ``pair_table``, ``pair_sum`` and ``node_sum``
-    of any cell-to-node map (cells, nloc): the node pair keys a n_nodes + b
-    of the local entries with a <= b sorted stably, so each pair's entries
-    stay in cell order, and the nodes the same way; the distinct steps b - a
+    """``pairs``, ``steps``, ``pair_table``, ``sign``, ``pair_sum`` and
+    ``node_sum`` of any cell-to-node map (cells, nloc), on the compact local
+    matrices (cells, nloc (nloc + 1) / 2) of the entries (i, j), i <= j, in
+    ``np.triu_indices`` order: the keys a n_nodes + b, a <= b, of the node
+    pairs of those entries sorted stably, so each pair's entries stay in
+    cell order, and the nodes the same way; ``sign`` (cells, nloc (nloc +
+    1) / 2) -1 where node j has the lower number; the distinct steps b - a
     of all local entries, and at [a, t] and [b, s] of the table the rank of
     the pair (a, b) a <= b, with steps[t] = b - a and steps[s] = a - b."""
-    node_pairs = (cell_nodes[:, :, None] * n_nodes + cell_nodes[:, None, :]).ravel()
-    summed = np.flatnonzero((cell_nodes[:, :, None] <= cell_nodes[:, None, :]).ravel())
-    order = summed[np.argsort(node_pairs[summed], kind="stable")]
+    i, j = np.triu_indices(cell_nodes.shape[1])
+    lo = np.minimum(cell_nodes[:, i], cell_nodes[:, j])
+    hi = np.maximum(cell_nodes[:, i], cell_nodes[:, j])
+    node_pairs = (lo * n_nodes + hi).ravel()
+    order = np.argsort(node_pairs, kind="stable")
     sorted_pairs = node_pairs[order]
     starts = np.flatnonzero(np.diff(sorted_pairs, prepend=-1))
     idx = np.int32 if node_pairs.size < np.iinfo(np.int32).max else np.int64
@@ -263,6 +268,7 @@ def reference_cell_sums(cell_nodes, n_nodes):
         pairs=pairs,
         steps=steps,
         pair_table=pair_table,
+        sign=np.where(cell_nodes[:, j] < cell_nodes[:, i], -1, 1),
         pair_sum=_summation(order, np.append(starts, order.size), node_pairs.size, idx),
         node_sum=_summation(
             np.argsort(nodes, kind="stable"),

@@ -1,13 +1,17 @@
 """One CSR pattern per dof numbering.
 
-Every form and every step matrix on a space shares the space's pattern; the
-pattern is the structure COO->CSR gives for the same-component pairs of the
-cell connectivity, and no constrained dof gets an entry.  The node
-numbering and the summation matrices, built from the lattice's template
-stencil, equal bit for bit the sort-based derivation of ``oracles``.
+Every form and every step matrix on a space shares the space's pattern and
+its intp index arrays; the pattern is the structure COO->CSR gives for the
+same-component pairs of the cell connectivity, and no constrained dof gets
+an entry.  The node numbering and the summation matrices, built from the
+lattice's template stencil, equal bit for bit the sort-based derivation of
+``oracles``.  The pattern sums compact local matrices, the entries (i, j),
+i <= j, of each cell; the tests form full ones and hand it ``compact``.
 """
 
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +37,34 @@ def on_pattern(matrix, space):
     return (matrix.shape == pat.shape
             and np.shares_memory(matrix.indices, pat.indices)
             and np.shares_memory(matrix.indptr, pat.indptr))
+
+
+def compact(loc, pat, antisymmetric=False):
+    """The entries (i, j), i <= j, of full local matrices ``loc`` (cells,
+    nloc, nloc), each cell's in ``np.triu_indices`` order, oriented by the
+    template's ``CellSums.sign`` if ``antisymmetric``: what
+    ``Pattern.assemble`` sums."""
+    i, j = np.triu_indices(loc.shape[-1])
+    out = loc[:, i, j]
+    if antisymmetric:
+        sign = pat.sums.sign
+        out = out * np.tile(sign, (out.shape[0] // sign.shape[0], 1))
+    return out
+
+
+def record_solves(monkeypatch):
+    """The list that collects the matrix of every solve the stepper runs."""
+    seen = []
+
+    def recording(solve):
+        def wrapped(A, *args, **kwargs):
+            seen.append(A)
+            return solve(A, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(sparsela, "solve_spd", recording(sparsela.solve_spd))
+    monkeypatch.setattr(sparsela, "solve_complex", recording(sparsela.solve_complex))
+    return seen
 
 
 def reference_slots(pat, cell_dofs):
@@ -89,13 +121,13 @@ def check_dense_accumulation(dim, r, ncomp):
                 for a, i in enumerate(dofs):
                     for b, j in enumerate(dofs):
                         dense[i, j] += block[a, b]   # -1 lands in the dropped last row/col
-        A = pat.matrix(pat.assemble(loc, antisymmetric))
+        A = pat.matrix(pat.assemble(compact(loc, pat, antisymmetric), antisymmetric))
         assert np.allclose(A.toarray(), dense[:n, :n], atol=1e-13)
         # the one summation equals one bincount per component, bit for bit,
         # for real and complex blocks
         slots = reference_slots(pat, np.where(dof_index < 0, n, dof_index)[cell_nodes])
         for block in (loc.real.copy(), loc):
-            total = pat.assemble(block, antisymmetric)
+            total = pat.assemble(compact(block, pat, antisymmetric), antisymmetric)
             assert total.dtype == block.dtype
             assert np.array_equal(total.view(float),
                                   bincount_reference(slots, block, pat.nnz).view(float))
@@ -161,6 +193,9 @@ def test_stencil_structure_equals_the_sort_based_derivation(dim, r, M):
     ref = oracles.reference_cell_sums(ref_cell_nodes, len(ref_nodes))
     assert_same(sums.steps, ref.steps)
     assert_same(sums.pair_table, ref.pair_table)
+    assert sums.local_shape == ref.sign.shape
+    assert np.array_equal(np.tile(sums.sign, (mesh.n_cells // sums.sign.shape[0], 1)),
+                          ref.sign)
     for name in ("pair_sum", "node_sum"):
         got, want = getattr(sums, name), getattr(ref, name)
         assert got.shape == want.shape
@@ -178,13 +213,14 @@ def test_stencil_structure_equals_the_sort_based_derivation(dim, r, M):
 @pytest.mark.parametrize("dim,r,M,nnz", [(3, 1, 16, 245_760), (3, 2, 8, 168_960),
                                          (2, 1, 128, 196_608)])
 def test_pair_sum_reads_each_unordered_pair_of_a_cell_once(dim, r, M, nnz):
-    # the benchmark meshes: nloc (nloc + 1) / 2 summed entries per cell,
-    # out of the nloc^2 columns of its local matrix
+    # the benchmark meshes: the compact local matrices hold the nloc (nloc
+    # + 1) / 2 entries i <= j of each cell, and pair_sum reads each once
     mesh = build_structured(dim, M)
-    pair_sum = _cell_sums(mesh, r).pair_sum
+    sums = _cell_sums(mesh, r)
     nloc = _global_nodes(mesh, r)[1].shape[1]
-    assert pair_sum.nnz == mesh.n_cells * nloc * (nloc + 1) // 2 == nnz
-    assert pair_sum.shape[1] == mesh.n_cells * nloc * nloc
+    assert sums.local_shape == (mesh.n_cells, nloc * (nloc + 1) // 2)
+    assert sums.pair_sum.nnz == sums.pair_sum.shape[1] == math.prod(sums.local_shape) == nnz
+    assert np.array_equal(sums.pair_sum.tocsc().indptr, np.arange(nnz + 1))
 
 
 @pytest.mark.parametrize("dim,M", [(2, 8), (3, 5)])
@@ -252,7 +288,7 @@ def test_pattern_is_connectivity_structure_without_constrained_dofs(dim, r):
         # every slot sums exactly the cells that couple its free pair, in each
         # component, and nothing of a constrained pair
         nloc = cd.shape[-1]
-        ones = np.ones((space.mesh.n_cells, nloc, nloc))
+        ones = np.ones((space.mesh.n_cells, nloc * (nloc + 1) // 2))
         assert np.array_equal(pat.assemble(ones), ref.data)
         # no slot couples two components
         comp = np.empty(n, dtype=int)
@@ -299,19 +335,11 @@ def test_forms_and_step_matrices_share_the_space_pattern(dim, r, monkeypatch):
         assert on_pattern(m, sp.psi)
     for m in (st.mass, st.stiffness):
         assert on_pattern(m, sp.phi)
-    for m in (st.mass_vec, st.D, forms.assemble_weighted_mass(sp.A, forms.FieldProducts(state.psi))):
+    for m in (st.mass_vec, forms.assemble_D(sp.A),
+              forms.assemble_weighted_mass(sp.A, forms.FieldProducts(state.psi))):
         assert on_pattern(m, sp.A)
 
-    seen = []
-
-    def recording(solve):
-        def wrapped(A, *args, **kwargs):
-            seen.append(A)
-            return solve(A, *args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(sparsela, "solve_spd", recording(sparsela.solve_spd))
-    monkeypatch.setattr(sparsela, "solve_complex", recording(sparsela.solve_complex))
+    seen = record_solves(monkeypatch)
     st.advance(state)
     assert len(seen) == 3
     assert on_pattern(seen[0], sp.A)
@@ -347,9 +375,45 @@ def test_componentwise_assembly_is_one_bincount_bit_identical_to_per_component(d
 
     loc = symmetric(rng.standard_normal((space.mesh.n_cells, nloc, nloc)))
     slots = reference_slots(pat, oracles.reference_cell_dofs(space))
-    assert np.array_equal(forms._on_pattern(space, loc).data,
+    assert np.array_equal(forms._on_pattern(space, compact(loc, pat)).data,
                           bincount_reference(slots, loc, pat.nnz))
     cloc = loc + 1j * symmetric(rng.standard_normal(loc.shape))
-    assert np.array_equal(pat.assemble(cloc).view(float),
+    assert np.array_equal(pat.assemble(compact(cloc, pat)).view(float),
                           bincount_reference(slots, cloc, pat.nnz).view(float))
     assert space.pattern() is pat
+
+
+@pytest.mark.parametrize("dim,r", CASES)
+def test_step_matrices_share_the_patterns_intp_index_arrays(dim, r, monkeypatch):
+    # scipy's int64 sparse kernels outrun its int32 ones on the step
+    # matrices, and a csr_array keeps intp index arrays as given: every
+    # matrix a step multiplies shares the pattern's.  A scipy that copied
+    # them down to int32 on each wrap would fail here, and in assemble_B's
+    # check that its stiffness is on the pattern.
+    st = free_stepper(dim, r)
+    sp = st.spaces
+    for space in (sp.psi, sp.A, sp.phi):
+        pat = space.pattern()
+        assert pat.indices.dtype == pat.indptr.dtype == np.intp
+    seen = record_solves(monkeypatch)
+    st.advance(st.initialize())
+    a_step, _, psi_lhs = seen
+    for m, space in ((st.a_system, sp.A), (st.phi_system, sp.phi), (a_step, sp.A),
+                     (psi_lhs, sp.psi)):
+        assert m.indices.dtype == m.indptr.dtype == np.intp
+        assert on_pattern(m, space)
+
+
+def test_assemble_names_the_compact_shape_it_takes():
+    # any other local array than (cells, nloc (nloc + 1) / 2), such as the
+    # full (cells, nloc, nloc) local matrices, raises before the sum
+    space = free_stepper(2, 2).spaces.psi
+    pat = space.pattern()
+    nc, nloc = space.mesh.n_cells, space.element.node_count
+    expected = (nc, nloc * (nloc + 1) // 2)
+    assert pat.sums.local_shape == expected
+    assert pat.assemble(np.ones(expected)).shape == (pat.nnz,)
+    for shape in ((nc, nloc, nloc), (nc, nloc * nloc), (nc, expected[1] - 1),
+                  (nc + 1, expected[1]), (math.prod(expected),)):
+        with pytest.raises(ValueError, match=re.escape(str(expected))):
+            pat.assemble(np.ones(shape))
