@@ -6,38 +6,39 @@ error of the coefficient forms and loads below the scheme's spatial order;
 ``quadrature_table`` builds its table once per (mesh, degree, qdeg) on the
 whole mesh and caches it there.  The table keeps no basis data per cell.
 Physical basis gradients factor through the reference ones, grad phi_l(x_q)
-= J^{-T} grad_ref phi_l(xi_q), so every contraction runs in reference
-coordinates against small cell-independent reference tensors: the
-reference-tensor factorisation of Kirby & Logg, ACM TOMS 32(3), 2006.  The
-mesh is the Kuhn lattice, so the geometry is the one scalar det J and the
-d! template maps J_p^{-T} (``Mesh``): cell c = cube d! + p is template p,
-and a cell array read as (cube, p) blocks meets each template map once.
-Each form is one GEMM of per-cell coefficients, scaled by det J, against a
-reference tensor of the table (see ``QuadratureTable``), or one GEMM per
-template against that tensor mapped by J_p^{-T}, and writes only the
-local entries (i, j) with i <= j:
+= J^{-T} grad_ref phi_l(xi_q), so every contraction runs against small
+cell-independent tensors: the reference-tensor factorisation of Kirby &
+Logg, ACM TOMS 32(3), 2006.  The mesh is the Kuhn lattice, so the geometry
+is the one scalar det J and the d! template maps J_p^{-T} (``Mesh``): cell
+c = cube d! + p is template p, and a cell array read as (cube, p) blocks
+meets each template once.  Each form contracts per-cell coefficients,
+scaled by det J, against a tensor of the table (``QuadratureTable``): a
+reference tensor, an integral over the reference cell, in one GEMM, or a
+template-mapped tensor, one per template with J_p^{-T} applied when the
+table is built, in one GEMM per template; it writes only the local
+entries (i, j) with i <= j:
 
 - the mass: det J against ``mass_row``;
-- the stiffness and ``D``: d! local matrices, the geometry det J J_p^{-1}
-  J_p^{-T} against ``gg``, one per template, repeated cube by cube;
+- the stiffness and ``D``: the d! local matrices ``stiffness_local``,
+  repeated cube by cube;
 - (phi u, v) for a discrete phi: phi's cell coefficients against ``vvv``;
 - W(|psi|^2) and the |A|^2 part of ``B``: the coefficient products
   Re(conj(u_k) u_l) (``FieldProducts``), or A_k . A_l, at k <= l, against
   ``vvvv`` folded onto those rows;
 - the |psi|^2 load: the same products against ``vvv_load``, ``vvv`` read
   as (k l, a) and folded;
-- the current load: the products Im(conj(u_i) u_j) at i < j against
-  ``vgv_skew`` mapped by J_p^{-T}, per template;
-- the A . grad part of ``B``: A's cell coefficients against the part of
-  ``vgv`` antisymmetric in (i, j), at i <= j, mapped by J_p^{-T} and
-  oriented (``sparsela.CellSums.sign``), per template.
+- the psi-A coupling, one tensor ``coupling`` for both of its halves: the
+  current load contracts the products Im(conj(u_i) u_j) at i < j against
+  it, and the A . grad part of ``B`` contracts A's cell coefficients
+  against its transpose, scaled by det J and oriented per template
+  (``sparsela.CellSums.sign``).
 
 The tensors sum over the table's own rule, so these forms compute the same
 quadrature sums as a pass over the points would, reassociated.  No step
 form visits a quadrature point.  Every form and load is one pass over the
 whole mesh.  The error norms of ``mms`` sum the same rule block by block on
-the Kuhn lattice (``lattice_rule``); they too build no array over the
-points.
+the Kuhn lattice (``QuadratureTable.lattice`` and ``.gphys``); they too
+build no array over the points.
 
 Every form and load on a space is summed by that space's CSR pattern
 (``FeSpace.pattern``, a ``sparsela.Pattern``).  A form hands it compact
@@ -64,14 +65,15 @@ of the space's degree (|u|^2).  A load coefficient is ``FieldProducts``
 functions, a tuple of one per component on vector spaces.  The
 manufactured sources are ``Separable``: their loads factor over the Kuhn
 lattice into per-axis tables and one GEMM per simplex template (sum
-factorisation; see ``assemble_coefficient_load`` and ``lattice_rule``), so
-no (cells, q) array is built for them.  The tests' references evaluate
+factorisation on the table's ``lattice``; see ``assemble_coefficient_load``),
+so no (cells, q) array is built for them.  The tests' references evaluate
 fields and coefficients at the points instead, cell by cell
 (``space.evaluate``, ``elements.affine_map``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,7 +98,6 @@ __all__ = [
     "assemble_coefficient_load",
     "quadrature_degree",
     "quadrature_table",
-    "lattice_rule",
 ]
 
 
@@ -107,42 +108,42 @@ def quadrature_degree(degree: int, qdeg: int | None = None) -> int:
 
 
 class QuadratureTable:
-    """Reference tensors and cell geometry at the quadrature nodes of a mesh.
+    """The tensors of every form, load and error norm of one quadrature rule
+    on a mesh, of two kinds; no array has a cell axis.
 
-    Cell-independent: ``vals`` (q, nloc) the reference basis values, ``gref``
-    (q, nloc, d) the reference basis gradients, and the integrals over the
-    reference cell of products of basis values and gradients, with vv[q,
-    i nloc + j] = vals[q, i] vals[q, j].  The tensors of the symmetric forms
-    keep only the T = nloc (nloc + 1) / 2 columns ij of the local entries
-    (i, j), i <= j, in the order of ``np.triu_indices``, the compact local
-    matrices that ``sparsela.Pattern.assemble`` sums:
+    Reference tensors: ``vals`` (q, nloc) and ``gref`` (q, nloc, d) the
+    reference basis values and gradients, ``wdet`` (q,) the weights times
+    det J, and integrals over the reference cell of products of basis
+    values, with vv[q, i nloc + j] = vals[q, i] vals[q, j].  The forms keep
+    only the T = nloc (nloc + 1) / 2 columns ij of the local entries (i, j),
+    i <= j, in the order of ``np.triu_indices``, the compact local matrices
+    that ``sparsela.Pattern.assemble`` sums, and the symmetric coefficient
+    products c_kl = c_lk of ``FieldProducts`` and ``assemble_B``'s Gram only
+    the rows k <= l, onto which ``_fold`` folds a tensor once:
 
     - ``mass_row`` (T,) = w @ vv, the reference mass matrix;
     - ``vvv`` (nloc, T), vvv[k, ij] = sum_q w_q v_k v_i v_j;
-    - ``vgv`` (nloc^2, d nloc), vgv[i nloc + j, k nloc + a] =
-      sum_q w_q v_i d_k v_j v_a, the gradient in reference coordinates,
-      all nloc^2 rows;
-    - ``gg`` (d^2, T), gg[k d + l, ij] = sum_q w_q gref[q, i, k] gref[q, j, l].
-
-    The coefficient products of ``FieldProducts`` and the Gram of
-    ``assemble_B`` are symmetric, c_kl = c_lk, or antisymmetric, and keep
-    only the columns k <= l, or k < l; the tensors they contract against
-    are folded onto those rows once (``_fold``), row kl plus, or minus,
-    row lk:
-
     - ``vvvv`` (T, T), vv^T diag(w) vv folded;
-    - ``vvv_load`` (T, nloc), the full vvv read as (k i, j) folded;
-    - ``vgv_skew`` (nloc (nloc - 1) / 2, d nloc), ``vgv`` folded minus.
+    - ``vvv_load`` (T, nloc), the full vvv read as (k i, j) folded.
+
+    Template-mapped tensors, one per Kuhn template p, mapped by the mesh's
+    J_p^{-T} here, so that no form or norm reads the template maps:
+
+    - ``stiffness_local`` (d!, T), the local stiffness matrices det J
+      J_p^{-1} J_p^{-T} : gg, gg[k d + l, ij] = sum_q w_q gref[q, i, k]
+      gref[q, j, l];
+    - ``coupling`` (d!, nloc (nloc - 1) / 2, nloc d), the psi-A coupling
+      sum_k (J_p^{-T})_mk (vgv[ij, ka] - vgv[ji, ka]) at i < j, columns
+      (a, m), with vgv[i nloc + j, k nloc + a] = sum_q w_q v_i d_k v_j v_a:
+      Im(conj(u_i) u_j) against it is the current, and A_am against its
+      transpose the A . grad part of ``B``;
+    - ``gphys`` and ``lattice``, built on first use for the error norms and
+      the separable loads (see each).
 
     Every tensor sums over this table's own rule, so a form that contracts
     per-cell coefficients against it computes the same quadrature sum as one
-    that visits the points, reassociated; its results move by rounding only.
-    The geometry is the mesh's: ``JinvT`` (d!, d, d) the inverse-transposed
-    template Jacobians (``Mesh.JinvT``, not a copy).  The physical gradient
-    of basis function l at point q of cell c is ``JinvT[c % d!] @ gref[q,
-    l]``; no array holds it for every cell.  ``wdet`` (q,) holds the
-    quadrature weights times det J.  No array of the table has a cell axis.
-    Built once per (mesh, degree, qdeg) by ``quadrature_table``.
+    that visits the points, reassociated.  Built once per (mesh, degree,
+    qdeg) by ``quadrature_table``.
     """
 
     def __init__(self, mesh: Mesh, degree: int, qdeg: int):
@@ -152,6 +153,7 @@ class QuadratureTable:
         w = rule.weights
         self.vals = vals                                    # (q, nloc)
         self.gref = gref                                    # (q, nloc, d)
+        self.wdet = w * mesh.det                            # (q,)
         vv = np.einsum("qi,qj->qij", vals, vals).reshape(nq, nloc * nloc)
         wvv = w[:, None] * vv
         vvv = vals.T @ wvv
@@ -161,14 +163,45 @@ class QuadratureTable:
         self.vvv = vvv[:, upper]
         self.vvvv = _fold(vv.T @ wvv, nloc)[:, upper]
         self.vvv_load = _fold(vvv.reshape(nloc * nloc, nloc), nloc)
-        self.vgv = np.einsum("q,qi,qjk,qa->ijka", w, vals, gref, vals
-                             ).reshape(nloc * nloc, d * nloc)
-        self.vgv_skew = _fold(self.vgv, nloc, sign=-1)
-        self.gg = np.einsum("q,qik,qjl->klij", w, gref, gref
-                            ).reshape(d * d, nloc * nloc)[:, upper]
-        self.JinvT = mesh.JinvT                             # (d!, d, d)
-        self.wdet = w * mesh.det                            # (q,)
-        self._rule = rule
+        JinvT = mesh.JinvT                                  # (d!, d, d)
+        # (m, k, p): geometry[k, l, p] = sum_m JinvT[p, m, k] JinvT[p, m, l]
+        rows = JinvT.transpose(1, 2, 0)
+        geometry = (rows[:, :, None] * rows[:, None, :]).sum(axis=0) * mesh.det
+        gg = np.einsum("q,qik,qjl->klij", w, gref, gref).reshape(d * d, nloc * nloc)
+        self.stiffness_local = geometry.reshape(d * d, -1).T @ gg[:, upper]
+        vgv = np.einsum("q,qi,qjk,qa->ijka", w, vals, gref, vals
+                        ).reshape(nloc * nloc, d * nloc)
+        skew = _fold(vgv, nloc, sign=-1).reshape(-1, d, nloc)
+        self.coupling = np.einsum("pmk,ika->piam", JinvT, skew
+                                  ).reshape(len(JinvT), -1, nloc * d)
+        self._Jinv = np.swapaxes(JinvT, 1, 2)               # J_p^{-1}, for gphys
+        self._points = rule.points_ref
+        self._subdivisions = mesh.subdivisions
+
+    @functools.cached_property
+    def gphys(self) -> np.ndarray:
+        """(d!, nloc, q d): the physical basis gradients, gphys[p, l, q d +
+        m] = (J_p^{-T} gref[q, l])_m."""
+        nq, nloc, d = self.gref.shape
+        grads = self.gref @ self._Jinv[:, None]             # (p, q, nloc, d)
+        return grads.transpose(0, 2, 1, 3).reshape(-1, nloc, nq * d)
+
+    @functools.cached_property
+    def lattice(self) -> np.ndarray:
+        """(d!, M, q, d): the rule's points on the Kuhn lattice, per simplex
+        template, as per-axis coordinates; their weights are ``wdet``.
+
+        Rule point q of the simplex of template p in the cube with low
+        corner i has coordinates x_k = (i_k + xi[p, q, k]) / M, with xi the
+        rule's points mapped into the unit cube by the template's corners,
+        so its coordinate k is entry [p, i_k, q, k].  A function of one
+        coordinate is thus one (d!, M, q) table, and the separable loads and
+        the error norms evaluate nothing per cell.
+        """
+        M = self._subdivisions
+        corners = kuhn_corners(self.gref.shape[2])
+        xi = corners[:, :1] + self._points @ (corners[:, 1:] - corners[:, :1])
+        return (np.arange(M)[None, :, None, None] + xi[:, None]) / M
 
 
 def _fold(tensor: np.ndarray, nloc: int, sign: int = 1) -> np.ndarray:
@@ -321,16 +354,10 @@ def assemble_stiffness(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:
 
 def _componentwise_stiffness(space: FeSpace, qdeg: int | None) -> sp.csr_array:
     """sum_c (grad u_c, grad v_c), the kernel of both ``assemble_stiffness``
-    and ``assemble_D``: the template geometry det J J_p^{-1} J_p^{-T} (d!,
-    d, d) against the table's ``gg`` gives d! local matrices, which every
-    cube repeats."""
+    and ``assemble_D``: the table's d! local matrices ``stiffness_local``,
+    which every cube repeats."""
     mesh = space.mesh
-    tab = quadrature_table(mesh, space.degree, qdeg)
-    nloc, d = tab.gref.shape[1:]
-    # (m, k, p): geometry[k, l, p] = sum_m JinvT[p, m, k] JinvT[p, m, l]
-    rows = tab.JinvT.transpose(1, 2, 0)
-    geometry = (rows[:, :, None] * rows[:, None, :]).sum(axis=0) * mesh.det
-    loc = geometry.reshape(d * d, -1).T @ tab.gg      # (p, nloc (nloc + 1) / 2)
+    loc = quadrature_table(mesh, space.degree, qdeg).stiffness_local
     return _on_pattern(space, np.tile(loc, (mesh.n_cells // loc.shape[0], 1)))
 
 
@@ -374,7 +401,6 @@ def assemble_B(space: FeSpace, a_field: FieldVector, stiffness: sp.csr_array,
         raise ValueError("stiffness is not on the pattern of this space")
     mesh = space.mesh
     nloc = space.element.node_count
-    nc = mesh.n_cells
     d = mesh.dim
     tab = quadrature_table(mesh, space.degree, qdeg)
     local = a_field.space.gather_cells(a_field)                    # (c, a, m)
@@ -386,18 +412,16 @@ def assemble_B(space: FeSpace, a_field: FieldVector, stiffness: sp.csr_array,
     for m in range(1, d):
         gram += _upper_products(a[m], a[m])
     gram *= mesh.det
-    # A . grad phi_j = sum_amk A_am (J_p^{-T})_mk phi_a d_k phi_j, against
-    # vgv read as (k a, i j) and mapped by the template: the imaginary part
-    # v grad u - u grad v takes its part antisymmetric in (i, j), at i <= j
+    # i (v grad u - u grad v, A): A's coefficients against the table's
+    # coupling transposed, on the columns i < j (zero at i = j), times det J
     # and oriented per template (CellSums.sign)
-    vgv = tab.vgv.reshape(nloc, nloc, d, nloc)
-    skew = (vgv - vgv.transpose(1, 0, 2, 3))[np.triu_indices(nloc)]  # (t, k, a)
-    mapped = (mesh.det * np.einsum("pmk,tka->pamt", tab.JinvT, skew)
-              * pat.sums.sign[:, None, None, :])
+    i, j = np.triu_indices(nloc)
+    mapped = np.zeros((len(tab.coupling), nloc * d, i.size))
+    mapped[:, :, i < j] = tab.coupling.transpose(0, 2, 1)
+    mapped *= mesh.det * pat.sums.sign[:, None, :]
     values = pat.assemble(gram.T @ tab.vvvv)
-    values = values + 1j * pat.assemble(_per_template(
-        local.reshape(nc, nloc * d), mapped.reshape(-1, nloc * d, skew.shape[0])),
-        antisymmetric=True)
+    values = values + 1j * pat.assemble(_per_template(local.reshape(-1, nloc * d), mapped),
+                                        antisymmetric=True)
     values += stiffness.data
     return pat.matrix(values)
 
@@ -408,20 +432,14 @@ def assemble_current_load(space: FeSpace, psi: FieldProducts,
     against the vector test functions; real-valued.
 
     The current -Im(psi* grad psi) is the products ``psi.im`` against the
-    table's ``vgv_skew`` mapped by the template's J^{-T}, one GEMM per
-    template.
+    table's ``coupling``, negated, one GEMM per template.
     """
     if space.kind != "vector":
         raise ValueError("the current load is assembled on a vector space")
     _check_coeff_space(space, psi)
-    nloc = space.element.node_count
-    d = space.mesh.dim
     tab = quadrature_table(space.mesh, space.degree, qdeg)
-    # vgv's columns (k a), reference direction k and test node a, mapped to
-    # (a, m), physical direction m
-    mapped = -np.einsum("pmk,ika->piam", tab.JinvT, tab.vgv_skew.reshape(-1, d, nloc))
-    loc = _per_template(psi.im, mapped.reshape(tab.JinvT.shape[0], -1, nloc * d))
-    return space.pattern().assemble_load(loc.reshape(-1, nloc, d))
+    loc = _per_template(psi.im, -tab.coupling)        # (cells, nloc d), columns (a, m)
+    return space.pattern().assemble_load(loc.reshape(-1, *tab.gref.shape[1:]))
 
 
 def assemble_source_load(space: FeSpace, source, qdeg: int | None = None) -> np.ndarray:
@@ -453,45 +471,26 @@ def assemble_coefficient_load(space: FeSpace, coeff,
     if len(comps) != space.ncomp or not all(isinstance(c, Separable) for c in comps):
         raise ValueError(f"a separable coefficient on this space is "
                          f"{space.ncomp} Separable component(s)")
-    loc = np.stack([_lattice_load(space.mesh, c, tab) for c in comps], axis=-1)
+    loc = np.stack([_lattice_load(c, tab) for c in comps], axis=-1)
     if np.iscomplexobj(loc) and space.dtype is not complex:
         raise ValueError("complex coefficient for a load on a real space")
     return space.pattern().assemble_load(loc)
 
 
-def lattice_rule(mesh: Mesh, tab: QuadratureTable) -> np.ndarray:
-    """The points of the table's rule on the Kuhn lattice, per simplex
-    template, as (d!, M, q, d) per-axis coordinates; their weights are the
-    table's ``wdet``.
-
-    Rule point q of the simplex of template p in the cube with low corner
-    i has coordinates x_k = (i_k + xi[p, q, k]) / M, with xi the rule's
-    points mapped into the unit cube by the template's corners, so its
-    coordinate k is entry [p, i_k, q, k] of the table.  A function of one
-    coordinate is thus one (d!, M, q) table, and the separable loads and
-    the error norms evaluate nothing per cell.
-    """
-    d, M = mesh.dim, mesh.subdivisions
-    corners = kuhn_corners(d)
-    xi = corners[:, :1] + tab._rule.points_ref @ (corners[:, 1:] - corners[:, :1])
-    return (np.arange(M)[None, :, None, None] + xi[:, None]) / M   # (p, M, q, d)
-
-
-def _lattice_load(mesh: Mesh, coeff: Separable, tab: QuadratureTable) -> np.ndarray:
+def _lattice_load(coeff: Separable, tab: QuadratureTable) -> np.ndarray:
     """Local loads (cells, nloc) of a ``Separable`` on the Kuhn lattice, by
     sum factorisation (Orszag, J. Comput. Phys. 37 (1980) 70-92) on the
     Freudenthal split; no array over (cells, q).
 
-    A factor f_k of a term is one (d!, M, q) table of ``lattice_rule``'s
-    coordinates.  Per template, the product of the first d - 1 tables is an
-    (M^(d-1), q) matrix, the last table times w_q det J vals[q, a] a
+    A factor f_k of a term is one (d!, M, q) table of the coordinates
+    ``tab.lattice``.  Per template, the product of the first d - 1 tables is
+    an (M^(d-1), q) matrix, the last table times w_q det J vals[q, a] a
     (q, M nloc) one, and their product holds the template's local loads in
     cube order.
     """
-    d, M = mesh.dim, mesh.subdivisions
-    nperm = math.factorial(d)
-    x = lattice_rule(mesh, tab)
-    nq, nloc = tab.vals.shape
+    x = tab.lattice
+    nperm, M, nq, d = x.shape
+    nloc = tab.vals.shape[1]
     B = tab.wdet[:, None] * tab.vals                                # (q, nloc)
     loc = 0.0
     for scale, tables in coeff.factor_tables(x):

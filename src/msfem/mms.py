@@ -369,21 +369,19 @@ class ErrorEntry:
     parts: dict
 
 
-def _blocks(mesh, tab):
+def _blocks(tab):
     """The quadrature of ``tab`` on the Kuhn lattice in blocks of one simplex
     template p and one cube layer i along axis 0: yields (p, cells, w,
     coords) with ``cells`` the slice of the block's M^(d-1) cells, in cube
     order, ``w`` the table's (q,) weights w_q det J and ``coords`` the
-    per-axis coordinates of its points (``forms.lattice_rule``).
+    per-axis coordinates of its points (``QuadratureTable.lattice``).
 
     A block's points form the array (M,) * (d-1) + (q,): axis 0 is one (q,)
     row of the table, and axis k >= 1 its (M, q) table on dimension k - 1,
     so a one-coordinate factor costs O(M q) per block.
     """
-    d, M = mesh.dim, mesh.subdivisions
-    nperm = math.factorial(d)
-    x = forms.lattice_rule(mesh, tab)                       # (p, M, q, d)
-    nq = x.shape[2]
+    x = tab.lattice
+    nperm, M, nq, d = x.shape
     layer = nperm * M ** (d - 1)                            # cells per cube layer
     for p in range(nperm):
         across = [x[p, :, :, k].reshape((1,) * (k - 1) + (M,) + (1,) * (d - 1 - k) + (nq,))
@@ -398,23 +396,20 @@ def _field_blocks(field_vec: FieldVector, qdeg: int):
     values, grads), the values (M,) * (d-1) + (q,) and the physical
     gradients with a trailing (d,), a vector field's component axis after
     the points.  Per block the values are the cell coefficients against the
-    reference basis values, and the gradients against the reference
-    gradients mapped once by the template's J^{-T}."""
+    reference basis values, and the gradients against the table's physical
+    basis gradients of the block's template (``QuadratureTable.gphys``)."""
     space = field_vec.space
     mesh = space.mesh
     tab = forms.quadrature_table(mesh, space.degree, qdeg)
     nq, nloc, d = tab.gref.shape
-    # (nloc, q d) physical basis gradients per template
-    gphys = [(tab.gref @ JinvT.T).transpose(1, 0, 2).reshape(nloc, nq * d)
-             for JinvT in tab.JinvT]
     block = (mesh.subdivisions,) * (d - 1) + (nq,)
     nodal = field_vec.nodal_values()        # once, not per block as gather_cells would
-    for p, cells, w, coords in _blocks(mesh, tab):
+    for p, cells, w, coords in _blocks(tab):
         # (n[, comp], nloc): one row of coefficients per cell and component
         u = np.moveaxis(np.take(nodal, space.cell_nodes[cells], axis=0), 1, -1)
         rows, lead = u.reshape(-1, nloc), u.shape[1:-1]
         values = np.moveaxis((rows @ tab.vals.T).reshape(-1, *lead, nq), -1, 1)
-        grads = np.moveaxis((rows @ gphys[p]).reshape(-1, *lead, nq, d), -2, 1)
+        grads = np.moveaxis((rows @ tab.gphys[p]).reshape(-1, *lead, nq, d), -2, 1)
         yield (w, coords, values.reshape(block + lead),
                grads.reshape(block + lead + (d,)))
 
@@ -538,7 +533,7 @@ def gauge_residuals(case: ManufacturedCase, M: int = 8,
     mesh = build_structured(case.dim, M)
     tab = forms.quadrature_table(mesh, 1, qdeg)
     n1 = n2 = 0.0
-    for _, _, w, coords in _blocks(mesh, tab):
+    for _, _, w, coords in _blocks(tab):
         g1 = case.div_A(coords, 0.0) + case.phi_t(coords, 0.0)
         psi0 = case.psi(coords, 0.0)
         g2 = (case.div_A_t(coords, 0.0) + case.lap_phi(coords, 0.0)

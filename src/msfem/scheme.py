@@ -460,7 +460,8 @@ class AlternatingStepper:
         phi_bar = FieldVector(self.spaces.phi, 0.5 * (phi_new.data + state.phi.data))
         pattern = self.spaces.psi.pattern()
         K_B = forms.assemble_B(self.spaces.psi, a_bar, self.stiffness)
-        M_w = forms.assemble_weighted_mass(self.spaces.psi, phi_bar)   # (phi_bar u, v)
+        # (phi_bar u, v), real, on the phi space: its pattern is psi's
+        M_w = forms.assemble_weighted_mass(self.spaces.phi, phi_bar)
         H_half = pattern.matrix(
             0.25 * K_B.data + 0.5 * (M_w.data + cfg.v0 * self.mass.data))
         lhs = pattern.matrix(-1j / dt * self.mass.data + H_half.data)

@@ -102,7 +102,7 @@ def test_p1_gradients_match_vandermonde_solve():
     mesh = build_structured(3, 1)
     tab = forms.quadrature_table(mesh, 1)
     for c, cell in enumerate(mesh.cells):
-        grads = tab.gref @ tab.JinvT[c % 6].T   # (q, nloc, d)
+        grads = tab.gref @ mesh.JinvT[c % 6].T   # (q, nloc, d)
         # oracle: linear nodal basis via the 4x4 Vandermonde system
         V = np.hstack([np.ones((4, 1)), mesh.vertices[cell]])
         for i in range(4):

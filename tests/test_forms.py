@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +218,29 @@ def test_current_load_quadratic_scaling():
     psi2 = FieldVector(cspace, 2.0 * psi.data)
     l2 = forms.assemble_current_load(vspace, forms.FieldProducts(psi2))
     assert np.allclose(l2, 4.0 * l1, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim,r,M", [(2, 1, 6), (3, 1, 3), (3, 2, 2), (2, 2, 4)])
+def test_B_and_current_load_are_one_coupling(dim, r, M):
+    # ((i grad + A) psi, (i grad + A) psi) - (grad psi, grad psi)
+    #   = (|psi|^2 A, A) + 2 (-Im(conj(psi) grad psi), A):
+    # the magnetic part of B is the |A|^2 mass plus twice the current load
+    rng = np.random.default_rng(10 * dim + r)
+    mesh = build_structured(dim, M)
+    cspace = build_scalar_space(mesh, r, complex_field=True)
+    vspace = build_vector_space(mesh, r)
+    psi = FieldVector(cspace, rng.standard_normal(cspace.n_dofs)
+                      + 1j * rng.standard_normal(cspace.n_dofs))
+    a = rng.standard_normal(vspace.n_dofs)
+    K = forms.assemble_stiffness(cspace)
+    B = forms.assemble_B(cspace, FieldVector(vspace, a), K)
+    B0 = forms.assemble_B(cspace, FieldVector(vspace, np.zeros(vspace.n_dofs)), K)
+    lhs = np.vdot(psi.data, (B - B0) @ psi.data)
+    products = forms.FieldProducts(psi)
+    W = forms.assemble_weighted_mass(vspace, products)
+    J = forms.assemble_current_load(vspace, products)
+    rhs = a @ (W @ a) + 2.0 * (J @ a)
+    assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 def test_source_load_zero_and_partition_of_unity():
@@ -459,18 +484,18 @@ def test_one_quadrature_table_per_degree_and_qdeg():
     mms.error_norms(psi, mms.make_case(3), "psi", 0.0)
 
     tables = {k: v for k, v in mesh._geom.items() if isinstance(v, forms.QuadratureTable)}
-    # stiffness and D read the default table too, through its gg
+    # stiffness and D read the default table too, through its stiffness_local
     assert sorted(tables) == [("quadrature", 1, 2), ("quadrature", 1, 4),
                               ("quadrature", 2, 6)]
+    nperm = math.factorial(mesh.dim)
     for t in tables.values():
-        # the geometry is the mesh's d! templates and the weights times the
-        # one det J; no array has a cell axis, all are cell-independent
-        # reference tensors
+        # the weights times the one det J; no array has a cell axis, all are
+        # reference tensors or one tensor per template
         nq, nloc, d = t.gref.shape
-        assert t.JinvT is mesh.JinvT and t.wdet.shape == (nq,)
+        assert t.wdet.shape == (nq,)
         arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
         assert not [v for v in arrays if v.shape[0] == mesh.n_cells]
-        assert all(v.size <= nq * d * nloc ** 2 for v in arrays)
+        assert all(v.size <= nperm * nq * d * nloc ** 2 for v in arrays)
     assert forms.quadrature_table(mesh, 1) is forms.quadrature_table(mesh, 1, 4)
 
 
