@@ -91,6 +91,7 @@ __all__ = [
     "assemble_mass",
     "assemble_stiffness",
     "assemble_D",
+    "lattice_stencils",
     "assemble_B",
     "assemble_weighted_mass",
     "assemble_current_load",
@@ -359,6 +360,38 @@ def _componentwise_stiffness(space: FeSpace, qdeg: int | None) -> sp.csr_array:
     mesh = space.mesh
     loc = quadrature_table(mesh, space.degree, qdeg).stiffness_local
     return _on_pattern(space, np.tile(loc, (mesh.n_cells // loc.shape[0], 1)))
+
+
+def lattice_stencils(space: FeSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The mass and stiffness stencils of the space's node lattice, each
+    (3,)*d: at o + 1 the entry, of ``assemble_mass`` and of
+    ``assemble_stiffness``, between a node off the boundary and its
+    neighbour at the offset o in {-1, 0, 1}^d.
+
+    A node a off the boundary is local node i of exactly one cell of each
+    template p, the translate to the cube at a - node_p[i], so its row sums
+    the templates' local entries (i, j) by their step node_p[j] - node_p[i]:
+    the sums the pattern makes, read off the table's template rows
+    (``mass_row``, ``stiffness_local``) at any M, with no matrix.  A space
+    whose cells couple nodes more than one lattice step apart (P2) has no
+    such stencil and raises ValueError.
+    """
+    mesh = space.mesh
+    tab = quadrature_table(mesh, space.degree)
+    nodes = space.element.vertex_weights @ kuhn_corners(mesh.dim)    # (d!, nloc, d)
+    i, j = np.triu_indices(nodes.shape[1])
+    step = nodes[:, j] - nodes[:, i]                                  # (d!, T, d)
+    if np.abs(step).max() > 1:
+        raise ValueError("a lattice stencil needs cells that couple nearest-neighbour "
+                         "nodes only")
+    stencils = []
+    for local in (np.broadcast_to(mesh.det * tab.mass_row, tab.stiffness_local.shape),
+                  tab.stiffness_local):
+        s = np.zeros((3,) * mesh.dim)
+        np.add.at(s, tuple(np.moveaxis(1 + step, -1, 0)), local)
+        np.add.at(s, tuple(np.moveaxis(1 - step[:, i < j], -1, 0)), local[:, i < j])
+        stencils.append(s)
+    return stencils[0], stencils[1]
 
 
 def assemble_D(space: FeSpace, qdeg: int | None = None) -> sp.csr_array:

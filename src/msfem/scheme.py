@@ -12,6 +12,33 @@ componentwise stiffness (``forms.assemble_D``), so the A system
 M/dt^2 + (D + W)/2 is d uncoupled scalar blocks on a pattern with no entry
 between two components; M/dt^2 + D/2 is combined once, a step adds W/2.
 
+The wave systems are solved by CG, whose preconditioner follows dt against
+the lattice spacing h = 1/M.  Past dt = h, K/2 outweighs M/dt^2 at the
+highest frequencies, and Jacobi-CG's iteration count grows like dt/h.  So
+for P1 from dt >= h on, both systems are preconditioned by the lattice
+transform of their stencil averaged over the axis sign flips
+(``sparsela.lattice_transform_solve``; a trigonometric preconditioner, T.
+Chan, SIAM J. Sci. Stat. Comput. 9 (1988) 766-771), whose count stays
+small at every dt: phi by the type-I sine transform on the interior
+lattice, each A component c by the type-I cosine transform along axis c,
+which n x A = 0 leaves natural, and the sine transform along the others.
+The A transform inverts M/dt^2 + D/2 and leaves out W/2, which is O(dt^2)
+against M/dt^2.  Iterations of the phi system on a random right-hand side
+at tol 1e-10, Jacobi / transform (the A system reads within 4 of them):
+
+    lattice         dt/h = 1/4    1/2      1       2       8
+    2D P1 M=128        15 / 12  12 / 10  23 / 8  46 / 6  172 / 4
+    3D P1 M=16         16 / 14  15 / 11  26 / 8  46 / 6   72 / 4
+    3D P1 M=32         17 / 14  15 / 11  27 / 8  53 / 6      -
+
+Below dt = h the counts are close and Jacobi's apply, one vector product,
+is far cheaper than two transforms: at 3D P1 M=16, dt = h/4 an A solve
+took 7.0 ms by Jacobi and 17.2 ms by the transform (2-core x86-64, scipy
+1.17).  At dt = h itself small 3D boxes still lose, where each FFT call's
+fixed cost dominates: a 3D P1 M=16 step read 42-43 ms against Jacobi's
+33-37 ms.  P2, whose cells couple nodes two lattice steps apart, keeps
+Jacobi.
+
 The wave-function system is S0 plus step-dependent mass-scale terms, with
 S0 = (-i/dt + V0/2) M + K/4 fixed for the run.  Every step solves it by
 defect correction, x <- x + P(b - S x) (Stetter, Numer. Math. 29 (1978)
@@ -20,12 +47,13 @@ the step terms are O(dt) against the -i/dt M of S0, so a solve takes a few
 applies of P at every system size.  For P1 P is the sine-transform solve
 of S0's stencil averaged over the axis sign flips (Hockney, J. ACM 12
 (1965) 95-113; T. Chan, SIAM J. Sci. Stat. Comput. 9 (1988) 766-771),
-O(N log N) per apply and no factor.  For P2 P is the complete sparse LU
-of S0, taken in nested-dissection order on the lattice's cell-face planes
-(George, SIAM J. Numer. Anal. 10 (1973) 345-363): no cell straddles such a
-plane, so its nodes separate the two halves, fill enters only at the
-separators, and the factor's time, memory and applies fall against a
-COLAMD-ordered LU.
+O(N log N) per apply and no factor; its stencil and the wave systems'
+are combined from one read of the P1 mass and stiffness stencils.  For P2
+P is the complete sparse LU of S0, taken in nested-dissection order on the
+lattice's cell-face planes (George, SIAM J. Numer. Anal. 10 (1973)
+345-363): no cell straddles such a plane, so its nodes separate the two
+halves, fill enters only at the separators, and the factor's time, memory
+and applies fall against a COLAMD-ordered LU.
 
 The wave steps read psi from the previous level three times: in W(|psi|^2),
 the current load and the |psi|^2 load.  All three are bilinear in psi's
@@ -303,17 +331,31 @@ class AlternatingStepper:
         self.case = mms.make_case(config.dim, config.v0) if config.mode == "mms" else None
         self.spaces = build_spaces(config)
         self.mesh = self.spaces.psi.mesh
-        dt = config.dt
         self.mass_vec = forms.assemble_mass(self.spaces.A)
         # D enters only the A system, and is not kept
         self.a_system = self.spaces.A.pattern().matrix(
-            self.mass_vec.data / dt ** 2 + 0.5 * forms.assemble_D(self.spaces.A).data)
+            self._wave_system(self.mass_vec.data, forms.assemble_D(self.spaces.A).data))
         self.mass = forms.assemble_mass(self.spaces.phi)
         self.stiffness = forms.assemble_stiffness(self.spaces.phi)
         self.phi_system = self.spaces.phi.pattern().matrix(
-            self.mass.data / dt ** 2 + 0.5 * self.stiffness.data)
+            self._wave_system(self.mass.data, self.stiffness.data))
         self._source_loads = self._precompute_source_loads() if self.case is not None else {}
-        self._psi_precond = self._build_psi_preconditioner()
+        self._a_precond = self._phi_precond = None
+        if config.degree == 1:
+            self._build_p1_preconditioners()
+        else:
+            self._psi_precond = self._build_p2_psi_preconditioner()
+
+    def _wave_system(self, mass, stiffness):
+        """M/dt^2 + K/2, the matrix of both wave solves but for A's W/2, of
+        mass and stiffness data arrays or stencils."""
+        return mass / self.config.dt ** 2 + 0.5 * stiffness
+
+    def _s0(self, mass, stiffness):
+        """S0 = (-i/dt + V0/2) M + K/4, the step-independent part of the
+        wave-function system, of mass and stiffness data arrays or
+        stencils."""
+        return (-1j / self.config.dt + 0.5 * self.config.v0) * mass + 0.25 * stiffness
 
     def _precompute_source_loads(self) -> dict:
         """The loads (s_j, v) of every manufactured source shape, paired with
@@ -324,46 +366,54 @@ class AlternatingStepper:
                                            ("g", self.spaces.A, self.case.g_terms),
                                            ("l", self.spaces.phi, self.case.l_terms))}
 
-    def _build_psi_preconditioner(self):
-        """An inverse, exact or approximate, of the step-independent part of
-        the wave-function system, S0 = (-i/dt + V0/2) M + K/4; returns its
-        solve.
+    def _build_p1_preconditioners(self):
+        """The P1 lattice transforms (``sparsela.lattice_transform_solve``)
+        of S0 for psi and, once dt >= h = 1/M, of the wave systems for A
+        and phi: each the inverse of its system's stencil averaged over the
+        sign flips of the axes, O(N log N) per apply and no factor (module
+        docstring).  The Kuhn stencil couples one diagonal of each cube and
+        the average all of them, so the two differ, in the mass as well, by
+        a bounded fraction: a psi solve takes more applies than with the
+        exact inverse (4-24 in the tests), each far cheaper than an LU
+        apply.
 
-        A step's matrix is S0 plus terms in A and phi that are O(dt) against
-        the -i/dt M of S0, so defect correction against an inverse of S0
-        (Stetter, Numer. Math. 29 (1978) 425-443) contracts the residual by
-        O(dt) per apply and needs a few applies per step.  Built once per
-        stepper; which inverse depends on the degree:
+        The mass and stiffness stencils are read once, off the quadrature
+        table's template rows (``forms.lattice_stencils``), and combined as
+        the systems are; the A system's W/2 changes every step and is left
+        out.  The free nodes of psi and phi are the interior of the Kuhn
+        lattice in C order, those of A's component c the lattice closed
+        along axis c."""
+        m, k = forms.lattice_stencils(self.spaces.phi)
+        n = self.mesh.subdivisions
+        space = self.spaces.psi
+        # np.take, as numpy's fancy index of the rows of a narrow array is slower
+        lattice = np.take(space.nodes_int, np.flatnonzero(~space.constrained), axis=0)
+        self._psi_precond = sparsela.lattice_transform_solve(self._s0(m, k), lattice, n)
+        if self.config.dt * n >= 1.0:
+            wave = self._wave_system(m, k)
+            self._phi_precond = sparsela.lattice_transform_solve(wave, lattice, n)
+            nodes, comp = np.nonzero(~self.spaces.A.constrained)    # C order of the mask
+            self._a_precond = sparsela.lattice_transform_solve(
+                wave, np.take(self.spaces.A.nodes_int, nodes, axis=0), n, comp)
 
-        - P1: the sine-transform solve of S0's stencil averaged over the
-          sign flips of the axes (``sparsela.sine_transform_solve``),
-          O(N log N) per apply and no factor.  The free nodes are the
-          interior of the Kuhn lattice in C order.  The Kuhn stencil couples
-          one diagonal of each cube and the average all of them, so the two
-          differ in the mass as well, by a bounded fraction: a solve takes
-          more applies than with the exact inverse (4-24 in the tests), each
-          far cheaper than an LU apply.
-        - P2: the complete sparse LU of S0.  The free dofs are ordered by
-          recursive bisection of their lattice coordinates on cell-face
-          planes, each separator after its two halves (George, SIAM J.
-          Numer. Anal. 10 (1973) 345-363): no cell straddles a face plane,
-          so the halves eliminate independently and fill enters only at the
-          separators.  S0 is complex symmetric, so SuperLU keeps that order
-          on both sides (no column ordering, symmetric mode).  The order
-          cuts the factor's fill against COLAMD by 1.5-2x at the benchmark
-          sizes, and its setup time and peak memory at scale.
+    def _build_p2_psi_preconditioner(self):
+        """The complete sparse LU of S0, the P2 psi preconditioner; returns
+        its solve.  The free dofs are ordered by recursive bisection of
+        their lattice coordinates on cell-face planes, each separator after
+        its two halves (George, SIAM J. Numer. Anal. 10 (1973) 345-363): no
+        cell straddles a face plane, so the halves eliminate independently
+        and fill enters only at the separators.  S0 is complex symmetric, so
+        SuperLU keeps that order on both sides (no column ordering,
+        symmetric mode).  The order cuts the factor's fill against COLAMD by
+        1.5-2x at the benchmark sizes, and its setup time and peak memory at
+        scale.
         """
         import scipy.sparse.linalg as spla
 
-        dt = self.config.dt
         space = self.spaces.psi
-        S0 = space.pattern().matrix(
-            (-1j / dt + 0.5 * self.config.v0) * self.mass.data
-            + 0.25 * self.stiffness.data)
+        S0 = space.pattern().matrix(self._s0(self.mass.data, self.stiffness.data))
         # the free nodes' lattice coordinates, in dof order
         lattice = space.nodes_int[~space.constrained[:, 0]]
-        if space.degree == 1:
-            return sparsela.sine_transform_solve(S0, lattice, self.mesh.subdivisions)
         perm = sparsela.nested_dissection(lattice, space.degree)
         try:
             lu = spla.splu(S0[perm][:, perm].tocsc(), permc_spec="NATURAL",
@@ -431,7 +481,7 @@ class AlternatingStepper:
         if self.case is not None:
             rhs = rhs + self.source_load("g", state.t)
         try:
-            x, _ = sparsela.solve_spd(system, rhs, cfg.tol)
+            x, _ = sparsela.solve_spd(system, rhs, cfg.tol, precond=self._a_precond)
         except sparsela.SolveError as err:
             raise SchemeError(f"vector-potential solve failed at step {state.k + 1}") from err
         return FieldVector(self.spaces.A, x)
@@ -446,7 +496,8 @@ class AlternatingStepper:
         if self.case is not None:
             rhs = rhs + self.source_load("l", state.t)
         try:
-            x, _ = sparsela.solve_spd(self.phi_system, rhs, cfg.tol)
+            x, _ = sparsela.solve_spd(self.phi_system, rhs, cfg.tol,
+                                      precond=self._phi_precond)
         except sparsela.SolveError as err:
             raise SchemeError(f"scalar-potential solve failed at step {state.k + 1}") from err
         return FieldVector(self.spaces.phi, x)

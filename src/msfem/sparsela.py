@@ -22,35 +22,38 @@ each matrix a solver sees is a ``scipy.sparse.csr_array`` that shares the
 pattern's index arrays, which are intp: scipy's int64 sparse kernels run
 faster than its int32 ones on the step matrices.
 
-Two inverses of a lattice operator serve the stepper's psi solve.
-``sine_transform_solve`` inverts the sign-flip average of a nearest-neighbour
-stencil on the interior lattice by the type-I sine transform, with no
-factor; the stepper uses it for P1 psi.  ``nested_dissection`` orders the
-points of a lattice for a sparse LU with little fill; the stepper factors
-the P2 psi operator in that order.
+Two inverses of a lattice operator serve the stepper's solves.
+``lattice_transform_solve`` inverts the sign-flip average of a
+nearest-neighbour stencil by the type-I sine transform on Dirichlet axes
+and the type-I cosine transform on natural ones, with no factor; the
+stepper uses it for P1 psi and, once dt reaches the lattice spacing, as
+the CG preconditioner of the P1 wave systems.  ``nested_dissection``
+orders the points of a lattice for a sparse LU with little fill; the
+stepper factors the P2 psi operator in that order.
 
 The solver contract is the relative residual bound, not the method: SPD
-systems go through Jacobi-preconditioned CG with a sparse-LU fallback, general
-complex systems through sparse LU or defect correction, the stationary
-iteration x <- x + P(b - A x) with an approximate inverse P, which stops on
-the true residual and hands the solve to sparse LU after
-``DEFECT_CORRECTION_MAX_APPLIES`` (30) applies of P or on a non-finite
-residual.  Every solve re-checks its own residual, and every failure (no
-convergence, a non-finite input, a singular factor, a factor out of memory)
-raises ``SolveError`` with a ``SolveReport``.
+systems go through preconditioned CG with a sparse-LU fallback, Jacobi by
+default or an SPD approximate inverse the caller passes (the report names
+which: "cg-jacobi" or "cg-transform"), general complex systems through
+sparse LU or defect correction, the stationary iteration x <- x + P(b -
+A x) with an approximate inverse P, which stops on the true residual and
+hands the solve to sparse LU after ``DEFECT_CORRECTION_MAX_APPLIES`` (30)
+applies of P or on a non-finite residual.  Every solve re-checks its own
+residual, and every failure (no convergence, a non-finite input, a
+singular factor, a factor out of memory) raises ``SolveError`` with a
+``SolveReport``; a solve that fell back reports "direct-lu".
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.fft import dstn, idstn
-
-from .mesh import lattice_points
+from scipy.fft import dct, dstn, idct, idstn
 
 __all__ = [
     "CellSums",
@@ -60,7 +63,7 @@ __all__ = [
     "solve_spd",
     "solve_complex",
     "nested_dissection",
-    "sine_transform_solve",
+    "lattice_transform_solve",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -311,46 +314,99 @@ def nested_dissection(lattice: np.ndarray, step: int) -> np.ndarray:
     return np.concatenate(order(np.arange(lattice.shape[0])))
 
 
-def sine_transform_solve(A: sp.csr_array, lattice: np.ndarray, n: int):
-    """Fast solve with the sign-flip average of the lattice stencil of ``A``.
+def lattice_transform_solve(stencil: np.ndarray, lattice: np.ndarray, n: int,
+                            component: np.ndarray | None = None):
+    """Fast solve with the sign-flip average of a nearest-neighbour lattice
+    stencil, on one box of lattice points per vector component.
 
-    ``A`` acts on the points ``lattice`` (N, d), which must be the interior
-    {1, ..., n-1}^d of the lattice in C order, and couples a point only to
-    its neighbours at offsets o in {-1, 0, 1}^d, with an entry s_o that
-    depends on o alone (Dirichlet truncation at the boundary).  Averaged
-    over the 2^d sign flips of the axes, the stencil is even in every axis,
-    so the type-I sine transform diagonalises it (Hockney, J. ACM 12 (1965)
-    95-113; Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7 (1970)
-    627-656), with the symbol lambda(theta) = sum_o s_o prod_k cos(o_k
-    theta_k) at theta_j = j pi / n: a trigonometric preconditioner for
-    ``A`` in the sense of T. Chan (SIAM J. Sci. Stat. Comput. 9 (1988)
-    766-771).  Returns the solve r -> idst(dst(r) / lambda), O(N log N) per
-    apply, with no factor.
+    ``stencil`` (3,)*d holds at o + 1 the entry s_o that couples a point
+    to its neighbour at the offset o in {-1, 0, 1}^d.  The unknowns are the
+    points ``lattice`` (N, d) of {0, ..., n}^d, in C order, and with
+    ``component`` (N,) the vector component of each, in C order of (point,
+    component):
 
-    The stencil is read off the stored entries of ``A``; a lattice other
-    than the interior in C order, or an offset outside {-1, 0, 1}^d, raises
-    ValueError.
+    - scalar (no ``component``): the interior {1, ..., n-1}^d, Dirichlet on
+      every axis;
+    - vector: component c on the box {0, ..., n} along axis c and
+      {1, ..., n-1} along the others, as n x A = 0 leaves the normal
+      component free on a face; axis c of component c is natural.
+
+    Averaged over the 2^d sign flips of the axes, the stencil is even in
+    every axis, so the type-I sine transform diagonalises it on a Dirichlet
+    axis (Hockney, J. ACM 12 (1965) 95-113; Buzbee, Golub and Nielson, SIAM
+    J. Numer. Anal. 7 (1970) 627-656) and the type-I cosine transform on a
+    natural one, with the symbol lambda(theta) = sum_o s_o prod_k cos(o_k
+    theta_k) at theta_k = j pi / n, j in 1..n-1 (sine) or 0..n (cosine): a
+    trigonometric preconditioner in the sense of T. Chan (SIAM J. Sci.
+    Stat. Comput. 9 (1988) 766-771).  On a natural axis the operator
+    inverted is the even extension of the stencil with its boundary rows
+    halved, as a P1 form's row on a face sums half the cells of an interior
+    row.  Returns the solve r -> idct(idst(dst(dct(r)) / lambda)), O(N log
+    N) per apply, with no factor: the boxes of all components, each with
+    its natural axis first, are stacked, so an apply is one gather, four
+    transform calls and one scatter for any d.
+
+    A stencil of another shape, a lattice other than these boxes in C
+    order, or a symbol that vanishes somewhere, or is not positive where
+    the stencil is real, raises ValueError.
     """
     d = lattice.shape[1]
-    shape = (n - 1,) * d
-    if not np.array_equal(lattice, 1 + lattice_points(n - 1, d)):
-        raise ValueError("a sine-transform solve needs the interior lattice points in C order")
-    A = A.tocoo()
-    key = np.zeros(A.nnz, dtype=np.int64)
-    for k in range(d):                   # base-3 key of the offset, axis by axis
-        off = lattice[A.col, k] - lattice[A.row, k]
-        if np.any(np.abs(off) > 1):
-            raise ValueError("a sine-transform solve needs a nearest-neighbour stencil")
-        key = 3 * key + off + 1
-    stencil = np.zeros(3 ** d, dtype=A.dtype)
-    stencil[key] = A.data
-    # lambda(theta) = sum_o s_o prod_k cos(o_k theta_k), one axis at a time
-    cosines = np.cos(np.outer([-1, 0, 1], np.pi * np.arange(1, n) / n))   # (3, n - 1)
-    symbol = stencil.reshape((3,) * d)
-    for _ in range(d):
-        symbol = np.tensordot(symbol, cosines, axes=(0, 0))
-    return lambda r: idstn(dstn(r.reshape(shape), type=1, norm="ortho") / symbol,
-                           type=1, norm="ortho").reshape(-1)
+    if stencil.shape != (3,) * d:
+        raise ValueError(f"a lattice transform solve needs a (3,)*{d} stencil, "
+                         f"got shape {stencil.shape}")
+    # per box: its natural axes (0 or 1, then first) and its shape
+    natural = int(component is not None)
+    ncomp = d if natural else 1
+    comp = np.asarray(component) if natural else np.zeros(len(lattice), dtype=np.intp)
+    shape = (n + 1,) * natural + (n - 1,) * (d - natural)
+    size = math.prod(shape)
+    # [point, c]: where the unknown (point, c) sits in the stacked boxes; -1
+    # outside the boxes
+    place = np.full((n + 1,) * d + (ncomp,), -1, dtype=np.intp)
+    for c in range(ncomp):
+        box = tuple(slice(0, n + 1) if natural and k == c else slice(1, n) for k in range(d))
+        place[box + (c,)] = np.moveaxis(np.arange(c * size, (c + 1) * size).reshape(shape), 0, c)
+    inside = place >= 0
+    if not (comp.shape == lattice.shape[:1] == (inside.sum(),)
+            and np.all((lattice >= 0) & (lattice <= n))
+            and np.array_equal(np.ravel_multi_index(lattice.T, (n + 1,) * d) * ncomp + comp,
+                               np.flatnonzero(inside))):
+        raise ValueError("a lattice transform solve needs the points of its boxes in "
+                         "C order: the interior lattice, or per component c the lattice "
+                         "closed along axis c and interior along the others")
+    scatter = place[inside]
+    gather = np.empty_like(scatter)
+    gather[scatter] = np.arange(scatter.size)
+    theta = ([np.pi * np.arange(n + 1) / n] * natural
+             + [np.pi * np.arange(1, n) / n] * (d - natural))
+    symbol = np.stack([_symbol(np.moveaxis(stencil, c, 0), theta) for c in range(ncomp)])
+    if not np.all(symbol > 0 if np.isrealobj(symbol) else np.isfinite(symbol) & (symbol != 0)):
+        raise ValueError("the symbol of the lattice stencil is not positive")
+    sine = tuple(range(1 + natural, d + 1))
+
+    def solve(r):
+        x = np.take(r, gather).reshape((ncomp,) + shape)
+        if natural:
+            x[:, 0] *= 2.0       # the halved boundary rows of the natural axis
+            x[:, -1] *= 2.0
+            x = dct(x, type=1, axis=1)
+        x = dstn(x, type=1, axes=sine) / symbol
+        x = idstn(x, type=1, axes=sine)
+        if natural:
+            x = idct(x, type=1, axis=1)
+        return np.take(x.reshape(-1), scatter)
+
+    return solve
+
+
+def _symbol(stencil: np.ndarray, theta: list) -> np.ndarray:
+    """lambda(theta) = sum_o s_o prod_k cos(o_k theta_k) of a (3,)*d
+    stencil on the grid of the per-axis angles ``theta``, one axis at a
+    time."""
+    symbol = stencil
+    for angles in theta:
+        symbol = np.tensordot(symbol, np.cos(np.outer([-1, 0, 1], angles)), axes=(0, 0))
+    return symbol
 
 
 def _row_sums(rows: np.ndarray, n_rows: int, colptr: np.ndarray) -> sp.csr_array:
@@ -392,17 +448,20 @@ def _check_rhs(b: np.ndarray):
                          SolveReport(0, float("nan"), 0.0, "none"))
 
 
-def _jacobi_cg(A: sp.csr_array, b: np.ndarray, tol: float, maxiter: int):
-    """Plain preconditioned CG; returns (x, iterations, converged)."""
-    d = A.diagonal().copy()
-    d[d == 0.0] = 1.0
-    dinv = 1.0 / d
+def _cg(A: sp.csr_array, b: np.ndarray, tol: float, maxiter: int, precond):
+    """Preconditioned CG, with the Jacobi preconditioner where ``precond``
+    is None; returns (x, iterations, converged)."""
+    if precond is None:
+        d = A.diagonal().copy()
+        d[d == 0.0] = 1.0
+        dinv = 1.0 / d
+        precond = lambda r: dinv * r      # noqa: E731
     x = np.zeros_like(b)
     r = b.copy()
     nb = np.linalg.norm(b)
     if nb == 0.0:
         return x, 0, True
-    z = dinv * r
+    z = precond(r)
     p = z.copy()
     rz = float(np.real(np.vdot(r, z)))
     for it in range(1, maxiter + 1):
@@ -418,7 +477,7 @@ def _jacobi_cg(A: sp.csr_array, b: np.ndarray, tol: float, maxiter: int):
             return x, it, True
         if not np.isfinite(rn):
             return x, it, False
-        z = dinv * r
+        z = precond(r)
         rz_new = float(np.real(np.vdot(r, z)))
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -441,13 +500,16 @@ def _direct(A: sp.csr_array, b: np.ndarray, tol: float, t0: float, what: str):
 
 
 def solve_spd(A: sp.csr_array, b: np.ndarray, tol: float = DEFAULT_TOL, *,
-              method: str = "auto") -> tuple[np.ndarray, SolveReport]:
+              method: str = "auto", precond=None) -> tuple[np.ndarray, SolveReport]:
     """Solve a symmetric positive definite system to the requested relative
     residual.
 
     ``method``: "cg" (fail on non-convergence), "direct", or "auto" (CG with a
     direct fallback); any other value raises ValueError.  CG runs at most
-    max(200, 4n) iterations.
+    max(200, 4n) iterations, preconditioned by ``precond``, a callable
+    applying an SPD approximation of A^{-1} (the stepper's lattice
+    transform; the report's method reads "cg-transform"), or by the
+    diagonal of A where it is None ("cg-jacobi").
     """
     if method not in ("auto", "cg", "direct"):
         raise ValueError(f"unknown SPD solve method {method!r}")
@@ -455,17 +517,18 @@ def solve_spd(A: sp.csr_array, b: np.ndarray, tol: float = DEFAULT_TOL, *,
     _check_rhs(b)
     t0 = time.perf_counter()
     if method in ("cg", "auto"):
-        x, iters, ok = _jacobi_cg(A, b, tol, max(200, 4 * A.shape[0]))
+        name = "cg-jacobi" if precond is None else "cg-transform"
+        x, iters, ok = _cg(A, b, tol, max(200, 4 * A.shape[0]), precond)
         if ok:
             res = _relative_residual(A, x, b)
-            report = SolveReport(iters, res, time.perf_counter() - t0, "cg-jacobi")
+            report = SolveReport(iters, res, time.perf_counter() - t0, name)
             if res <= ITERATIVE_SLACK * tol:
                 return x, report
             if method == "cg":
                 raise SolveError("CG residual re-check failed", report)
         elif method == "cg":
             report = SolveReport(iters, _relative_residual(A, x, b),
-                                 time.perf_counter() - t0, "cg-jacobi")
+                                 time.perf_counter() - t0, name)
             raise SolveError("CG did not converge", report)
     return _direct(A, b, tol, t0, "direct solve")
 

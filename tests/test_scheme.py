@@ -682,6 +682,75 @@ def test_p1_psi_transform_holds_at_dt_far_below_h2(mode, monkeypatch):
         assert rep.method == "defect-correction"
 
 
+def _record_wave_solves(monkeypatch):
+    """The list that receives (matrix, rhs, solution, report) of every later
+    SPD solve: the two wave solves of each step."""
+    solves = []
+    solve = sparsela.solve_spd
+
+    def recording(A, b, *args, **kwargs):
+        x, rep = solve(A, b, *args, **kwargs)
+        solves.append((A, b, x, rep))
+        return x, rep
+
+    monkeypatch.setattr(sparsela, "solve_spd", recording)
+    return solves
+
+
+def _agrees_with_a_direct_solve(A, b, x):
+    from scipy.sparse.linalg import spsolve
+
+    exact = spsolve(A.tocsc(), b)
+    return np.linalg.norm(x - exact) <= 1e-9 * np.linalg.norm(exact)
+
+
+def test_p1_wave_solves_run_the_transform_once_dt_reaches_h(monkeypatch):
+    """2D P1 M=32 at dt = 1/16 = 2h, h = 1/M: both wave solves of every step
+    run CG preconditioned by the lattice transform, in at most 8 iterations
+    (5 measured; the first A solve has a zero right-hand side), and agree
+    with a direct solve.  On a random right-hand side of the phi system
+    Jacobi-CG takes 45 iterations and the transform 6, measured."""
+    solves = _record_wave_solves(monkeypatch)
+    st = scheme.AlternatingStepper(small_config(M=32, dt=1 / 16, n=3, mode="free"))
+    st.run()
+    assert len(solves) == 6
+    for A, b, x, rep in solves:
+        assert rep.method == "cg-transform"
+        assert rep.iterations <= 8
+        assert _agrees_with_a_direct_solve(A, b, x)
+    b = np.random.default_rng(0).standard_normal(st.phi_system.shape[0])
+    _, jacobi = sparsela.solve_spd(st.phi_system, b)
+    _, transform = sparsela.solve_spd(st.phi_system, b, precond=st._phi_precond)
+    assert (jacobi.method, transform.method) == ("cg-jacobi", "cg-transform")
+    assert jacobi.iterations >= 40
+    assert transform.iterations <= 8
+
+
+@pytest.mark.parametrize("dim,M,r,dt", [(3, 8, 1, 1 / 64), (2, 8, 2, 1 / 4)])
+def test_wave_solves_keep_jacobi_below_h_and_for_p2(dim, M, r, dt, monkeypatch):
+    """3D P1 M=8 at dt = h/8 and 2D P2 M=8 at dt = 2h build no wave
+    transform, and every wave solve reports Jacobi-CG."""
+    solves = _record_wave_solves(monkeypatch)
+    st = scheme.AlternatingStepper(small_config(dim=dim, M=M, r=r, dt=dt, n=2, mode="free"))
+    assert st._a_precond is None and st._phi_precond is None
+    st.run()
+    assert [rep.method for *_, rep in solves] == ["cg-jacobi"] * 4
+
+
+@pytest.mark.parametrize("dim,M", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_p1_wave_transform_on_the_smallest_lattices(dim, M, monkeypatch):
+    """At M <= 3 no free node of phi has all its neighbours free, so no
+    matrix row holds the whole stencil; read off the templates, it still
+    gives the transforms, and steps at dt = h run them and agree with a
+    direct solve."""
+    solves = _record_wave_solves(monkeypatch)
+    scheme.AlternatingStepper(small_config(dim=dim, M=M, dt=1 / M, n=2)).run()
+    assert len(solves) == 4
+    for A, b, x, rep in solves:
+        assert rep.method == "cg-transform"
+        assert _agrees_with_a_direct_solve(A, b, x)
+
+
 @pytest.mark.skipif(not scheme._glibc(), reason="the stepper pins glibc's malloc thresholds")
 @pytest.mark.parametrize("mode", ["free", "mms"])
 def test_warm_steps_take_their_temporaries_from_the_heap(mode):

@@ -1,12 +1,15 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import splu
 
 from msfem import sparsela as sla
-from msfem.forms import assemble_mass, assemble_stiffness
-from msfem.mesh import build_structured
-from msfem.space import build_scalar_space
+from msfem.forms import assemble_mass, assemble_stiffness, lattice_stencils
+from msfem.mesh import build_structured, lattice_points
+from msfem.space import build_scalar_space, build_vector_space
 
 
 def test_solve_spd_identity_and_diagonal():
@@ -39,6 +42,22 @@ def test_solve_spd_cg_failure_carries_report():
     with pytest.raises(sla.SolveError) as exc:
         sla.solve_spd(A, np.array([1.0, 1.0]), method="cg")
     assert exc.value.report.method == "cg-jacobi"
+
+
+def test_solve_spd_report_names_its_preconditioner():
+    """The report reads cg-jacobi without a preconditioner, cg-transform
+    with one, and direct-lu when CG breaks down and the solve falls back."""
+    space = build_scalar_space(build_structured(2, 8), 1)
+    A = 64.0 * assemble_mass(space) + 0.5 * assemble_stiffness(space)
+    lattice = space.nodes_int[~space.constrained[:, 0]]
+    m, k = lattice_stencils(space)
+    transform = sla.lattice_transform_solve(64.0 * m + 0.5 * k, lattice, 8)
+    b = np.random.default_rng(5).standard_normal(A.shape[0])
+    for precond, method in ((None, "cg-jacobi"), (transform, "cg-transform"),
+                            (lambda r: np.full_like(r, np.nan), "direct-lu")):
+        x, rep = sla.solve_spd(A, b, precond=precond)
+        assert rep.method == method
+        assert np.linalg.norm(A @ x - b) <= 1e-9 * np.linalg.norm(b)
 
 
 def test_solve_spd_rejects_unknown_method():
@@ -179,14 +198,88 @@ def test_bisection_needs_a_plane_strictly_inside():
 
 
 def test_sine_transform_solve_rejections():
+    """The lattice transform refuses what it would invert wrongly: points
+    that are not its boxes in C order, a lattice of another n, a stencil of
+    another shape, a symbol that is not positive; reading a stencil refuses
+    P2, whose cells couple nodes two lattice steps apart."""
     space = build_scalar_space(build_structured(2, 4), 1)
     lattice = space.nodes_int[~space.constrained[:, 0]]
-    K = assemble_stiffness(space)
-    with pytest.raises(ValueError, match="interior lattice"):
-        sla.sine_transform_solve(K, lattice[::-1], 4)
-    with pytest.raises(ValueError, match="interior lattice"):
-        sla.sine_transform_solve(K, lattice, 5)
-    # P2 couples the two vertices of a cell edge, two lattice steps apart
+    m, k = lattice_stencils(space)
+    for points, n in ((lattice[::-1], 4), (lattice, 5), (lattice[:-1], 4)):
+        with pytest.raises(ValueError, match="C order"):
+            sla.lattice_transform_solve(k, points, n)
+    vector = build_vector_space(build_structured(2, 4), 1)
+    nodes, comp = np.nonzero(~vector.constrained)
+    points = vector.nodes_int[nodes]
+    sla.lattice_transform_solve(k, points, 4, comp)
+    for points_, comp_ in ((points, 1 - comp), (points[::-1], comp[::-1]),
+                           (lattice, np.zeros(len(lattice), dtype=int)), (points, comp[:-1])):
+        with pytest.raises(ValueError, match="C order"):
+            sla.lattice_transform_solve(k, points_, 4, comp_)
+    with pytest.raises(ValueError, match="stencil"):
+        sla.lattice_transform_solve(k[:2], lattice, 4)
+    # the mass minus a multiple of the stiffness: indefinite
+    for stencil in (-k, m - 0.1 * k, np.where(k != 0, np.nan, 0.0)):
+        with pytest.raises(ValueError, match="not positive"):
+            sla.lattice_transform_solve(stencil, lattice, 4)
     p2 = build_scalar_space(build_structured(2, 3), 2)
     with pytest.raises(ValueError, match="nearest-neighbour"):
-        sla.sine_transform_solve(assemble_mass(p2), p2.nodes_int[~p2.constrained[:, 0]], 6)
+        lattice_stencils(p2)
+
+
+def _averaged_operator(stencil, n, natural):
+    """Dense operator of the sign-flip average of ``stencil`` on the box
+    {0..n} along axis ``natural`` (None: no such axis) and {1..n-1} along
+    the others, in C order: a neighbour past a Dirichlet side is dropped,
+    one past a natural side is its mirror image, and the rows on the
+    natural sides are halved."""
+    d = stencil.ndim
+    flips = [np.flip(stencil, axis=[k for k in range(d) if f[k]])
+             for f in itertools.product((False, True), repeat=d)]
+    averaged = sum(flips) / len(flips)
+    lo = [0 if k == natural else 1 for k in range(d)]
+    hi = [n if k == natural else n - 1 for k in range(d)]
+    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+    T = np.zeros((math.prod(shape),) * 2)
+    for row, a in enumerate(np.ndindex(*shape)):
+        point = np.add(a, lo)
+        for o in np.ndindex(*(3,) * d):
+            b = point + np.subtract(o, 1)
+            if natural is not None:
+                b[natural] = n - abs(n - abs(b[natural]))           # mirror at 0 and n
+            if np.all((b >= lo) & (b <= hi)):
+                T[row, np.ravel_multi_index(tuple(b - lo), shape)] += averaged[o]
+        if natural is not None and point[natural] in (0, n):
+            T[row] *= 0.5
+    return T
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_lattice_transform_is_the_exact_inverse_of_its_operator(d, n):
+    """P(T x) = x with T the sign-flip average of a nearest-neighbour
+    stencil, dense: on the interior lattice (every axis Dirichlet), and per
+    vector component c on the box natural along axis c, the components in
+    C order of (point, component)."""
+    rng = np.random.default_rng(10 * d + n)
+    # a stencil that is not even in any axis, with a positive symbol
+    stencil = 0.1 * rng.standard_normal((3,) * d)
+    stencil[(1,) * d] = 3.0 ** d
+    x = rng.standard_normal((n - 1) ** d)
+    lattice = 1 + lattice_points(n - 1, d)
+    solve = sla.lattice_transform_solve(stencil, lattice, n)
+    assert np.linalg.norm(solve(_averaged_operator(stencil, n, None) @ x) - x) <= 1e-12 * np.linalg.norm(x)
+    # vector: (point, component) in C order, component c on its box
+    points = lattice_points(n + 1, d)
+    inside = np.stack([np.all((points >= 1) & (points <= n - 1) | (np.arange(d) == c), axis=1)
+                       for c in range(d)], axis=1)
+    nodes, comp = np.nonzero(inside)
+    blocks = [_averaged_operator(stencil, n, c) for c in range(d)]
+    # the dofs of component c, in its box's C order, are its dofs in (point, component) order
+    T = np.zeros((len(nodes),) * 2)
+    for c in range(d):
+        idx = np.flatnonzero(comp == c)
+        T[np.ix_(idx, idx)] = blocks[c]
+    x = rng.standard_normal(len(nodes))
+    solve = sla.lattice_transform_solve(stencil, points[nodes], n, comp)
+    assert np.linalg.norm(solve(T @ x) - x) <= 1e-12 * np.linalg.norm(x)
