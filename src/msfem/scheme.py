@@ -32,11 +32,13 @@ at tol 1e-10, Jacobi / transform (the A system reads within 4 of them):
     3D P1 M=32         17 / 14  15 / 11  27 / 8  53 / 6      -
 
 Below dt = h the counts are close and Jacobi's apply, one vector product,
-is far cheaper than two transforms: at 3D P1 M=16, dt = h/4 an A solve
-took 7.0 ms by Jacobi and 17.2 ms by the transform (2-core x86-64, scipy
-1.17).  At dt = h itself small 3D boxes still lose, where each FFT call's
-fixed cost dominates: a 3D P1 M=16 step read 42-43 ms against Jacobi's
-33-37 ms.  P2, whose cells couple nodes two lattice steps apart, keeps
+is cheaper than two transforms: at 3D P1 M=16, dt = h/4 an A solve on a
+random right-hand side took 3.3 ms by Jacobi (17 iterations) and 5.1 ms
+by the transform (14; 2-core x86-64, one BLAS thread, scipy 1.17).  From
+dt = h on the transform wins in 3D as well: warm ``free`` steps at dt =
+h, median of 16 interleaved in one process, transform / Jacobi, read
+2.8 / 3.1 ms at 3D P1 M=8, 18.9 / 20.3 ms at M=16 and 64.7 / 72.5 ms at
+M=24.  P2, whose cells couple nodes two lattice steps apart, keeps
 Jacobi.
 
 The wave-function system is S0 plus step-dependent mass-scale terms, with
@@ -46,10 +48,13 @@ defect correction, x <- x + P(b - S x) (Stetter, Numer. Math. 29 (1978)
 the step terms are O(dt) against the -i/dt M of S0, so a solve takes a few
 applies of P at every system size.  For P1 P is the sine-transform solve
 of S0's stencil averaged over the axis sign flips (Hockney, J. ACM 12
-(1965) 95-113; T. Chan, SIAM J. Sci. Stat. Comput. 9 (1988) 766-771),
-O(N log N) per apply and no factor; its stencil and the wave systems'
-are combined from one read of the P1 mass and stiffness stencils.  For P2
-P is the complete sparse LU of S0, taken in nested-dissection order on the
+(1965) 95-113; T. Chan, SIAM J. Sci. Stat. Comput. 9 (1988) 766-771), with
+no factor: on boxes with short axes (every 3D lattice that fits, 2D up to
+M ~ 112; ``sparsela.DENSE_TRANSFORM_MAX_POINTS``) an apply is one dense
+eigenbasis product (GEMM) per axis and direction, on longer ones one FFT
+per axis and direction; its stencil and the wave systems' are combined
+from one read of the P1 mass and stiffness stencils.  For P2 P is the
+complete sparse LU of S0, taken in nested-dissection order on the
 lattice's cell-face planes (George, SIAM J. Numer. Anal. 10 (1973)
 345-363): no cell straddles such a plane, so its nodes separate the two
 halves, fill enters only at the separators, and the factor's time, memory
@@ -370,12 +375,12 @@ class AlternatingStepper:
         """The P1 lattice transforms (``sparsela.lattice_transform_solve``)
         of S0 for psi and, once dt >= h = 1/M, of the wave systems for A
         and phi: each the inverse of its system's stencil averaged over the
-        sign flips of the axes, O(N log N) per apply and no factor (module
-        docstring).  The Kuhn stencil couples one diagonal of each cube and
-        the average all of them, so the two differ, in the mass as well, by
-        a bounded fraction: a psi solve takes more applies than with the
-        exact inverse (4-24 in the tests), each far cheaper than an LU
-        apply.
+        sign flips of the axes, a few dense products or FFTs per apply
+        and no factor (module docstring).  The Kuhn stencil couples one
+        diagonal of each cube and the average all of them, so the two
+        differ, in the mass as well, by a bounded fraction: a psi solve
+        takes more applies than with the exact inverse (4-24 in the
+        tests), each far cheaper than an LU apply.
 
         The mass and stiffness stencils are read once, off the quadrature
         table's template rows (``forms.lattice_stencils``), and combined as
@@ -389,7 +394,8 @@ class AlternatingStepper:
         # np.take, as numpy's fancy index of the rows of a narrow array is slower
         lattice = np.take(space.nodes_int, np.flatnonzero(~space.constrained), axis=0)
         self._psi_precond = sparsela.lattice_transform_solve(self._s0(m, k), lattice, n)
-        if self.config.dt * n >= 1.0:
+        # dt >= h up to rounding: (1/M) * M reads 1 - 2^-53 at M = 49, 98, ...
+        if self.config.dt * n >= 1.0 - 1e-9:
             wave = self._wave_system(m, k)
             self._phi_precond = sparsela.lattice_transform_solve(wave, lattice, n)
             nodes, comp = np.nonzero(~self.spaces.A.constrained)    # C order of the mask

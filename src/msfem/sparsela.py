@@ -25,9 +25,11 @@ faster than its int32 ones on the step matrices.
 Two inverses of a lattice operator serve the stepper's solves.
 ``lattice_transform_solve`` inverts the sign-flip average of a
 nearest-neighbour stencil by the type-I sine transform on Dirichlet axes
-and the type-I cosine transform on natural ones, with no factor; the
-stepper uses it for P1 psi and, once dt reaches the lattice spacing, as
-the CG preconditioner of the P1 wave systems.  ``nested_dissection``
+and the type-I cosine transform on natural ones, with no factor: by one
+dense eigenbasis product (GEMM) per axis on boxes whose axes are short,
+the fast diagonalization method, and by FFT on long ones; the stepper uses
+it for P1 psi and, once dt reaches the lattice spacing, as the CG
+preconditioner of the P1 wave systems.  ``nested_dissection``
 orders the points of a lattice for a sparse LU with little fill; the
 stepper factors the P2 psi operator in that order.
 
@@ -91,6 +93,25 @@ DEFECT_CORRECTION_MAX_APPLIES = 30
 # 26.5, 0.63 / 4.4 s, 20 / 38 ms on 3D M=12; on 2D M=32 ND still factors
 # faster (4.7 / 5.7, 14 / 20 ms) and MMD applies ~8% faster (1.0 / 1.1 ms).
 ND_LEAF = 16
+# Longest box axis on which ``lattice_transform_solve`` applies its
+# transforms as dense per-axis products (GEMM); longer boxes call scipy.fft.
+# A dense apply costs O(N n) flops per axis against the FFT's O(N log n), but
+# on short axes each pocketfft call's fixed cost dominates.  One apply, FFT /
+# dense, best of 5 x 10, 1 BLAS thread, 2-core x86-64, OpenBLAS, scipy 1.17:
+#
+#   box           psi (complex)   phi             A
+#   3D M=16        232 / 84 us    142 / 42 us     401 / 141 us
+#   3D M=32       2306 / 1002    1066 / 330      3736 / 1680
+#   3D M=64      42021 / 17679  15670 / 6285    45767 / 26179
+#   2D M=64        226 / 127      123 / 67        241 / 137
+#   2D M=112       763 / 578      366 / 312       737 / 586
+#   2D M=120       676 / 701      329 / 373       729 / 710
+#   2D M=128       803 / 861      379 / 427       776 / 846
+#
+# The cut sits between 2D M=112 (111- and 113-point axes), where the dense
+# products still win, and M=120, a tie; every 3D lattice that fits 7 GB
+# (M <= 64) is far on the dense side, free2d_p1 (M=128) on the FFT side.
+DENSE_TRANSFORM_MAX_POINTS = 113
 # What a failed SuperLU factor raises: RuntimeError "Factor is exactly
 # singular", ...; out of memory as MemoryError, or as SystemError "gstrf was
 # called with invalid arguments" when SuperLU reports it as a bad argument.
@@ -341,10 +362,19 @@ def lattice_transform_solve(stencil: np.ndarray, lattice: np.ndarray, n: int,
     Stat. Comput. 9 (1988) 766-771).  On a natural axis the operator
     inverted is the even extension of the stencil with its boundary rows
     halved, as a P1 form's row on a face sums half the cells of an interior
-    row.  Returns the solve r -> idct(idst(dst(dct(r)) / lambda)), O(N log
-    N) per apply, with no factor: the boxes of all components, each with
-    its natural axis first, are stacked, so an apply is one gather, four
-    transform calls and one scatter for any d.
+    row.  Returns the solve r -> idct(idst(dst(dct(r)) / lambda)), with no
+    factor.  The box is a tensor product of 1-D lattices, so each transform
+    is one small dense eigenbasis matrix per axis, the fast diagonalization
+    method (Lynch, Rice and Thomas, Numer. Math. 6 (1964) 185-199): on a
+    box whose longest axis has at most ``DENSE_TRANSFORM_MAX_POINTS``
+    points an apply is d matrix products (GEMM) forward and d back, O(N n)
+    flops per axis, and a scalar box needs no gather
+    (``_dense_transform_solve``).  Longer boxes take scipy.fft's O(N log N)
+    transforms, whose per-call cost is lower per point there: the boxes of
+    all components, each with its natural axis first, are stacked, so an
+    apply is one gather, four transform calls and one scatter for any d.
+    The two paths agree to rounding; the cut is measured, in the table at
+    ``DENSE_TRANSFORM_MAX_POINTS``.
 
     A stencil of another shape, a lattice other than these boxes in C
     order, or a symbol that vanishes somewhere, or is not positive where
@@ -375,13 +405,15 @@ def lattice_transform_solve(stencil: np.ndarray, lattice: np.ndarray, n: int,
                          "C order: the interior lattice, or per component c the lattice "
                          "closed along axis c and interior along the others")
     scatter = place[inside]
-    gather = np.empty_like(scatter)
-    gather[scatter] = np.arange(scatter.size)
     theta = ([np.pi * np.arange(n + 1) / n] * natural
              + [np.pi * np.arange(1, n) / n] * (d - natural))
     symbol = np.stack([_symbol(np.moveaxis(stencil, c, 0), theta) for c in range(ncomp)])
     if not np.all(symbol > 0 if np.isrealobj(symbol) else np.isfinite(symbol) & (symbol != 0)):
         raise ValueError("the symbol of the lattice stencil is not positive")
+    if max(shape) <= DENSE_TRANSFORM_MAX_POINTS:
+        return _dense_transform_solve(shape, natural, symbol, scatter)
+    gather = np.empty_like(scatter)
+    gather[scatter] = np.arange(scatter.size)
     sine = tuple(range(1 + natural, d + 1))
 
     def solve(r):
@@ -395,6 +427,84 @@ def lattice_transform_solve(stencil: np.ndarray, lattice: np.ndarray, n: int,
         if natural:
             x = idct(x, type=1, axis=1)
         return np.take(x.reshape(-1), scatter)
+
+    return solve
+
+
+def _dense_transform_solve(shape: tuple, natural: int, symbol: np.ndarray,
+                           scatter: np.ndarray):
+    """The apply of ``lattice_transform_solve`` by one dense matrix product
+    (GEMM) per axis and direction, on the stacked boxes of ``shape``, each
+    with its natural axis (if ``natural``) first, and ``symbol`` (ncomp,
+    *shape); ``scatter`` is the stacked (component, box) position of each
+    unknown.
+
+    The box is held as (a_0, ..., a_{d-1}, batch), the batch the component
+    and, for complex data read through its real view, the re/im pair, so
+    every product is real.  ``x.reshape(a_k, -1).T @ F_k.T`` transforms
+    axis k and moves it last, BLAS taking the transposed operand as it is;
+    after d of them the batch leads and the symbol is applied there, and
+    ``G_k @ x.reshape(-1, a_k).T`` transforms back and turns the axes back.
+    F_k and G_k are the type-I transforms and their inverses: on a sine
+    axis 2 sin(pi j k / n) (``dst(type=1)``) and sin(pi j k / n) / n; on a
+    natural axis 2 cos(pi j k / n), ``dct(type=1)`` of the data with its end
+    rows doubled, and cos(pi j k / n) w_k / n, w = 1/2 at both ends
+    (``idct(type=1)``).  A scalar box holds the unknowns in their own
+    order, so only the vector boxes gather and scatter."""
+    ncomp, size = symbol.shape[0], math.prod(shape)
+    forward, inverse = [], []
+    for k, a in enumerate(shape):
+        cosine = natural and k == 0
+        n = a - 1 if cosine else a + 1
+        j = np.arange(a) + (0 if cosine else 1)
+        # pi j k / n reduced mod 2 pi, exactly, before the sine or cosine
+        angle = (np.pi / n) * (np.outer(j, j) % (2 * n))
+        if cosine:
+            c = np.cos(angle)
+            w = np.ones(a)
+            w[[0, -1]] = 0.5
+            forward.append(2.0 * c)
+            inverse.append(c * w / n)
+        else:
+            s = np.sin(angle)
+            forward.append(2.0 * s)
+            inverse.append(s / n)
+    scale = 1.0 / symbol
+    complex_symbol = np.iscomplexobj(scale)
+    if complex_symbol:
+        # on the (re, im) planes, x s = x (s_re, s_re) + (x_im, x_re) (-s_im, s_im)
+        scale_same = np.stack([scale.real, scale.real], axis=1)
+        scale_swap = np.stack([-scale.imag, scale.imag], axis=1)
+    else:
+        scale = scale[:, None]          # over the batch's re/im axis, if any
+    if ncomp > 1:
+        # (box, component) order of the batch-last layout
+        scatter = (scatter % size) * ncomp + scatter // size
+        gather = np.empty_like(scatter)
+        gather[scatter] = np.arange(scatter.size)
+
+    def solve(r):
+        dtype = np.result_type(r, scale)
+        x = np.ascontiguousarray(r, dtype=dtype)
+        if ncomp > 1:
+            x = np.take(x, gather)
+        complex_data = np.iscomplexobj(x)
+        if complex_data:
+            x = x.view(x.real.dtype)
+        batch = (ncomp, 2) if complex_data else (ncomp, 1)
+        for a, F in zip(shape, forward):
+            x = x.reshape(a, -1).T @ F.T
+        x = x.reshape(batch + shape)
+        if complex_symbol:
+            x = x * scale_same + x[:, ::-1] * scale_swap
+        else:
+            x = x * scale
+        for a, G in zip(shape[::-1], inverse[::-1]):
+            x = G @ x.reshape(-1, a).T
+        x = x.reshape(-1)
+        if complex_data:
+            x = x.view(dtype)
+        return np.take(x, scatter) if ncomp > 1 else x
 
     return solve
 

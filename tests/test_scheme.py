@@ -751,6 +751,21 @@ def test_p1_wave_transform_on_the_smallest_lattices(dim, M, monkeypatch):
         assert _agrees_with_a_direct_solve(A, b, x)
 
 
+@pytest.mark.parametrize("dim,M,n", [(2, 49, 1), (3, 8, 2)])
+def test_p1_wave_solves_run_the_transform_at_dt_equal_h(dim, M, n, monkeypatch):
+    """At dt = h = 1/M both wave solves of every step run the transform,
+    in at most 8 iterations (6 measured in 2D, 7-8 in 3D; the first A
+    solve has a zero right-hand side), and agree with a direct solve: also
+    at M=49, where (1/49) * 49 rounds to just below 1."""
+    solves = _record_wave_solves(monkeypatch)
+    scheme.AlternatingStepper(small_config(dim=dim, M=M, dt=1 / M, n=n, mode="free")).run()
+    assert len(solves) == 2 * n
+    for A, b, x, rep in solves:
+        assert rep.method == "cg-transform"
+        assert rep.iterations <= 8
+        assert _agrees_with_a_direct_solve(A, b, x)
+
+
 @pytest.mark.skipif(not scheme._glibc(), reason="the stepper pins glibc's malloc thresholds")
 @pytest.mark.parametrize("mode", ["free", "mms"])
 def test_warm_steps_take_their_temporaries_from_the_heap(mode):

@@ -283,3 +283,95 @@ def test_lattice_transform_is_the_exact_inverse_of_its_operator(d, n):
     x = rng.standard_normal(len(nodes))
     solve = sla.lattice_transform_solve(stencil, points[nodes], n, comp)
     assert np.linalg.norm(solve(T @ x) - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def _transform_boxes(d, n):
+    """The interior lattice of {0..n}^d, and the (point, component) dofs of
+    the vector boxes, component c closed along axis c: (points, comp)."""
+    points = lattice_points(n + 1, d)
+    inside = np.stack([np.all((points >= 1) & (points <= n - 1) | (np.arange(d) == c), axis=1)
+                       for c in range(d)], axis=1)
+    nodes, comp = np.nonzero(inside)
+    return 1 + lattice_points(n - 1, d), points[nodes], comp
+
+
+def _fft_transform_reference(stencil, n, r, comp=None):
+    """The lattice transform solve by scipy.fft, box by box: per component
+    c, the type-I cosine transform along its natural axis c with the end
+    rows doubled, the type-I sine transform along the other axes, division
+    by the symbol sum_o s_o prod_k cos(o_k theta_k) of the sign-flip
+    average, and the inverse transforms."""
+    from scipy.fft import dct, dst, idct, idst
+
+    d = stencil.ndim
+    x = np.empty_like(r, dtype=np.result_type(r, stencil))
+    for c in range(1 if comp is None else d):
+        natural = None if comp is None else c
+        mine = slice(None) if comp is None else comp == c
+        shape = tuple(n + 1 if k == natural else n - 1 for k in range(d))
+        theta = [np.pi * (np.arange(n + 1) if k == natural else np.arange(1, n)) / n
+                 for k in range(d)]
+        symbol = sum(stencil[o] * math.prod(np.cos((o[k] - 1) * theta[k])[
+                         (slice(None),) + (None,) * (d - 1 - k)] for k in range(d))
+                     for o in np.ndindex(*stencil.shape))
+        y = r[mine].reshape(shape).astype(x.dtype)
+        for k in range(d):
+            if k == natural:
+                y[(slice(None),) * k + ([0, -1],)] *= 2.0
+                y = dct(y, type=1, axis=k)
+            else:
+                y = dst(y, type=1, axis=k)
+        y = y / symbol
+        for k in range(d):
+            y = idct(y, type=1, axis=k) if k == natural else idst(y, type=1, axis=k)
+        x[mine] = y.reshape(-1)
+    return x
+
+
+def _transform_cases(d, n, rng):
+    """(stencil, points, n, comp, r) of a real scalar, a complex scalar and
+    a real vector apply: stencils not even in any axis, with a symbol that
+    is positive (real) or does not vanish (complex)."""
+    stencil = 0.1 * rng.standard_normal((3,) * d)
+    stencil[(1,) * d] = 3.0 ** d
+    lattice, points, comp = _transform_boxes(d, n)
+    noise = rng.standard_normal
+    return [(stencil, lattice, None, noise(len(lattice))),
+            (stencil * (1 - 0.5j), lattice, None,
+             noise(len(lattice)) + 1j * noise(len(lattice))),
+            (stencil, points, comp, noise(len(points)))]
+
+
+@pytest.mark.parametrize("path", ["dense", "fft"])
+@pytest.mark.parametrize("d,n", [(2, 5), (2, 16), (3, 4), (3, 9)])
+def test_lattice_transform_matches_the_fft_formula(d, n, path, monkeypatch):
+    """Both apply paths, forced by the axis-length cut, agree with the
+    transform formula by scipy.fft to 1e-12 relative on real scalar,
+    complex scalar and vector boxes; an apply leaves its argument as it
+    was and returns a new array."""
+    monkeypatch.setattr(sla, "DENSE_TRANSFORM_MAX_POINTS", 10**6 if path == "dense" else 0)
+    for stencil, points, comp, r in _transform_cases(d, n, np.random.default_rng(d * n)):
+        solve = sla.lattice_transform_solve(stencil, points, n, comp)
+        before = r.copy()
+        x = solve(r)
+        assert np.array_equal(r, before)
+        assert not np.shares_memory(x, r)
+        reference = _fft_transform_reference(stencil, n, r, comp)
+        assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+def test_lattice_transform_takes_the_dense_path_on_short_axes(monkeypatch):
+    """With the FFT calls made to raise, the applies on a 3D M=16 box (15-
+    and 17-point axes) still run, and those on 2D M=128 (127 and 129
+    points, past ``DENSE_TRANSFORM_MAX_POINTS``) raise."""
+    def fft_called(*args, **kwargs):
+        raise AssertionError("an FFT call")
+
+    for name in ("dct", "idct", "dstn", "idstn"):
+        monkeypatch.setattr(sla, name, fft_called)
+    rng = np.random.default_rng(3)
+    for stencil, points, comp, r in _transform_cases(3, 16, rng):
+        assert np.all(np.isfinite(sla.lattice_transform_solve(stencil, points, 16, comp)(r)))
+    for stencil, points, comp, r in _transform_cases(2, 128, rng):
+        with pytest.raises(AssertionError, match="an FFT call"):
+            sla.lattice_transform_solve(stencil, points, 128, comp)(r)
