@@ -49,10 +49,10 @@ the step terms are O(dt) against the -i/dt M of S0, so a solve takes a few
 applies of P at every system size.  For P1 P is the sine-transform solve
 of S0's stencil averaged over the axis sign flips (Hockney, J. ACM 12
 (1965) 95-113; T. Chan, SIAM J. Sci. Stat. Comput. 9 (1988) 766-771), with
-no factor: on boxes with short axes (every 3D lattice that fits, 2D up to
-M ~ 112; ``sparsela.DENSE_TRANSFORM_MAX_POINTS``) an apply is one dense
-eigenbasis product (GEMM) per axis and direction, on longer ones one FFT
-per axis and direction; its stencil and the wave systems' are combined
+no factor: an apply transforms each axis, forward and back, by one dense
+eigenbasis product (GEMM) if it is short (every axis of a 3D lattice that
+fits, of 2D ones up to M ~ 112; ``sparsela.DENSE_TRANSFORM_MAX_POINTS``)
+and by FFT otherwise; its stencil and the wave systems' are combined
 from one read of the P1 mass and stiffness stencils.  For P2 P is the
 complete sparse LU of S0, taken in nested-dissection order on the
 lattice's cell-face planes (George, SIAM J. Numer. Anal. 10 (1973)
@@ -375,32 +375,28 @@ class AlternatingStepper:
         """The P1 lattice transforms (``sparsela.lattice_transform_solve``)
         of S0 for psi and, once dt >= h = 1/M, of the wave systems for A
         and phi: each the inverse of its system's stencil averaged over the
-        sign flips of the axes, a few dense products or FFTs per apply
-        and no factor (module docstring).  The Kuhn stencil couples one
-        diagonal of each cube and the average all of them, so the two
-        differ, in the mass as well, by a bounded fraction: a psi solve
-        takes more applies than with the exact inverse (4-24 in the
-        tests), each far cheaper than an LU apply.
+        sign flips of the axes, a dense product or an FFT per axis and
+        direction of an apply, and no factor (module docstring).  The Kuhn
+        stencil couples one diagonal of each cube and the average all of
+        them, so the two differ, in the mass as well, by a bounded
+        fraction: a psi solve takes more applies than with the exact
+        inverse (4-24 in the tests), each far cheaper than an LU apply.
 
         The mass and stiffness stencils are read once, off the quadrature
         table's template rows (``forms.lattice_stencils``), and combined as
         the systems are; the A system's W/2 changes every step and is left
-        out.  The free nodes of psi and phi are the interior of the Kuhn
-        lattice in C order, those of A's component c the lattice closed
-        along axis c."""
+        out.  Each transform takes its space's free mask, whose boxes it
+        checks: the interior of the Kuhn lattice for psi and phi, and for
+        A's component c the lattice closed along axis c."""
         m, k = forms.lattice_stencils(self.spaces.phi)
         n = self.mesh.subdivisions
-        space = self.spaces.psi
-        # np.take, as numpy's fancy index of the rows of a narrow array is slower
-        lattice = np.take(space.nodes_int, np.flatnonzero(~space.constrained), axis=0)
-        self._psi_precond = sparsela.lattice_transform_solve(self._s0(m, k), lattice, n)
+        transform = sparsela.lattice_transform_solve
+        self._psi_precond = transform(self._s0(m, k), ~self.spaces.psi.constrained, n)
         # dt >= h up to rounding: (1/M) * M reads 1 - 2^-53 at M = 49, 98, ...
         if self.config.dt * n >= 1.0 - 1e-9:
             wave = self._wave_system(m, k)
-            self._phi_precond = sparsela.lattice_transform_solve(wave, lattice, n)
-            nodes, comp = np.nonzero(~self.spaces.A.constrained)    # C order of the mask
-            self._a_precond = sparsela.lattice_transform_solve(
-                wave, np.take(self.spaces.A.nodes_int, nodes, axis=0), n, comp)
+            self._phi_precond = transform(wave, ~self.spaces.phi.constrained, n)
+            self._a_precond = transform(wave, ~self.spaces.A.constrained, n)
 
     def _build_p2_psi_preconditioner(self):
         """The complete sparse LU of S0, the P2 psi preconditioner; returns

@@ -24,14 +24,14 @@ faster than its int32 ones on the step matrices.
 
 Two inverses of a lattice operator serve the stepper's solves.
 ``lattice_transform_solve`` inverts the sign-flip average of a
-nearest-neighbour stencil by the type-I sine transform on Dirichlet axes
-and the type-I cosine transform on natural ones, with no factor: by one
-dense eigenbasis product (GEMM) per axis on boxes whose axes are short,
-the fast diagonalization method, and by FFT on long ones; the stepper uses
-it for P1 psi and, once dt reaches the lattice spacing, as the CG
-preconditioner of the P1 wave systems.  ``nested_dissection``
-orders the points of a lattice for a sparse LU with little fill; the
-stepper factors the P2 psi operator in that order.
+nearest-neighbour stencil on the free dofs of a P1 space by the type-I
+sine transform on Dirichlet axes and the type-I cosine transform on
+natural ones, with no factor, one axis at a time: a short axis by one
+dense eigenbasis product (GEMM), the fast diagonalization method, a long
+one by FFT; the stepper uses it for P1 psi and, once dt reaches the
+lattice spacing, as the CG preconditioner of the P1 wave systems.
+``nested_dissection`` orders the points of a lattice for a sparse LU with
+little fill; the stepper factors the P2 psi operator in that order.
 
 The solver contract is the relative residual bound, not the method: SPD
 systems go through preconditioned CG with a sparse-LU fallback, Jacobi by
@@ -51,11 +51,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.fft import dct, dstn, idct, idstn
+from scipy.fft import dct, dst, idct, idst
 
 __all__ = [
     "CellSums",
@@ -93,11 +94,12 @@ DEFECT_CORRECTION_MAX_APPLIES = 30
 # 26.5, 0.63 / 4.4 s, 20 / 38 ms on 3D M=12; on 2D M=32 ND still factors
 # faster (4.7 / 5.7, 14 / 20 ms) and MMD applies ~8% faster (1.0 / 1.1 ms).
 ND_LEAF = 16
-# Longest box axis on which ``lattice_transform_solve`` applies its
-# transforms as dense per-axis products (GEMM); longer boxes call scipy.fft.
-# A dense apply costs O(N n) flops per axis against the FFT's O(N log n), but
-# on short axes each pocketfft call's fixed cost dominates.  One apply, FFT /
-# dense, best of 5 x 10, 1 BLAS thread, 2-core x86-64, OpenBLAS, scipy 1.17:
+# Longest axis that ``lattice_transform_solve`` transforms by a dense
+# eigenbasis product (GEMM); a longer axis calls scipy.fft.  A dense product
+# costs O(N n) flops on an n-point axis against the FFT's O(N log n), but on
+# short axes each pocketfft call's fixed cost dominates.  One apply with
+# every axis by FFT / every axis dense, best of 5 x 10, 1 BLAS thread,
+# 2-core x86-64, OpenBLAS, scipy 1.17:
 #
 #   box           psi (complex)   phi             A
 #   3D M=16        232 / 84 us    142 / 42 us     401 / 141 us
@@ -111,6 +113,8 @@ ND_LEAF = 16
 # The cut sits between 2D M=112 (111- and 113-point axes), where the dense
 # products still win, and M=120, a tie; every 3D lattice that fits 7 GB
 # (M <= 64) is far on the dense side, free2d_p1 (M=128) on the FFT side.
+# At M = 113 the vector boxes' natural axes (114 points) take the FFT and
+# their other axes the dense products.
 DENSE_TRANSFORM_MAX_POINTS = 113
 # What a failed SuperLU factor raises: RuntimeError "Factor is exactly
 # singular", ...; out of memory as MemoryError, or as SystemError "gstrf was
@@ -335,21 +339,20 @@ def nested_dissection(lattice: np.ndarray, step: int) -> np.ndarray:
     return np.concatenate(order(np.arange(lattice.shape[0])))
 
 
-def lattice_transform_solve(stencil: np.ndarray, lattice: np.ndarray, n: int,
-                            component: np.ndarray | None = None):
+def lattice_transform_solve(stencil: np.ndarray, free: np.ndarray, n: int):
     """Fast solve with the sign-flip average of a nearest-neighbour lattice
     stencil, on one box of lattice points per vector component.
 
     ``stencil`` (3,)*d holds at o + 1 the entry s_o that couples a point
-    to its neighbour at the offset o in {-1, 0, 1}^d.  The unknowns are the
-    points ``lattice`` (N, d) of {0, ..., n}^d, in C order, and with
-    ``component`` (N,) the vector component of each, in C order of (point,
-    component):
+    to its neighbour at the offset o in {-1, 0, 1}^d.  ``free`` is the
+    (nodes, ncomp) free mask of a P1 space on {0, ..., n}^d, whose nodes
+    are the lattice in C order, and the unknowns are its dofs, the free
+    (node, component) pairs in C order of the mask.  The mask is one of:
 
-    - scalar (no ``component``): the interior {1, ..., n-1}^d, Dirichlet on
-      every axis;
-    - vector: component c on the box {0, ..., n} along axis c and
-      {1, ..., n-1} along the others, as n x A = 0 leaves the normal
+    - scalar (ncomp = 1): the interior {1, ..., n-1}^d, Dirichlet on every
+      axis;
+    - vector (ncomp = d): component c on the box {0, ..., n} along axis c
+      and {1, ..., n-1} along the others, as n x A = 0 leaves the normal
       component free on a face; axis c of component c is natural.
 
     Averaged over the 2^d sign flips of the axes, the stencil is even in
@@ -363,112 +366,79 @@ def lattice_transform_solve(stencil: np.ndarray, lattice: np.ndarray, n: int,
     inverted is the even extension of the stencil with its boundary rows
     halved, as a P1 form's row on a face sums half the cells of an interior
     row.  Returns the solve r -> idct(idst(dst(dct(r)) / lambda)), with no
-    factor.  The box is a tensor product of 1-D lattices, so each transform
-    is one small dense eigenbasis matrix per axis, the fast diagonalization
-    method (Lynch, Rice and Thomas, Numer. Math. 6 (1964) 185-199): on a
-    box whose longest axis has at most ``DENSE_TRANSFORM_MAX_POINTS``
-    points an apply is d matrix products (GEMM) forward and d back, O(N n)
-    flops per axis, and a scalar box needs no gather
-    (``_dense_transform_solve``).  Longer boxes take scipy.fft's O(N log N)
-    transforms, whose per-call cost is lower per point there: the boxes of
-    all components, each with its natural axis first, are stacked, so an
-    apply is one gather, four transform calls and one scatter for any d.
-    The two paths agree to rounding; the cut is measured, in the table at
-    ``DENSE_TRANSFORM_MAX_POINTS``.
+    factor; an apply never writes to its argument and returns a new array.
 
-    A stencil of another shape, a lattice other than these boxes in C
-    order, or a symbol that vanishes somewhere, or is not positive where
-    the stencil is real, raises ValueError.
+    The box is a tensor product of 1-D lattices, so an apply transforms one
+    axis at a time.  A box is held as (a_0, ..., a_{d-1}, batch), its
+    natural axis first, the batch the component and, for complex data read
+    through its real view, the re/im pair, so every transform is real:
+    ``f_k(x.reshape(a_k, -1).T)`` transforms axis k and moves it last, the
+    symbol is applied with the batch leading, and ``g_k(x.reshape(-1,
+    a_k).T)`` transforms back and turns the axes back.  Only vector boxes
+    gather and scatter; a scalar box holds the dofs in their own order.  An
+    axis of at most ``DENSE_TRANSFORM_MAX_POINTS`` points is transformed by
+    one dense eigenbasis product (GEMM), O(N a_k) flops, the fast
+    diagonalization method (Lynch, Rice and Thomas, Numer. Math. 6 (1964)
+    185-199): 2 sin(pi j k / n) and sin(pi j k / n) / n on a sine axis
+    (``dst``/``idst`` type I), 2 cos(pi j k / n) on the data with its end
+    rows doubled and cos(pi j k / n) w_k / n, w = 1/2 at both ends, on a
+    natural one (``dct``/``idct`` type I).  A longer axis calls those
+    scipy.fft transforms along itself, O(N log a_k).  Both agree to
+    rounding; the cut is measured (the table at the constant).
+
+    A stencil of another shape, a mask other than these boxes, or a symbol
+    that vanishes somewhere, or is not positive where the stencil is real,
+    raises ValueError.
     """
-    d = lattice.shape[1]
+    d = stencil.ndim
     if stencil.shape != (3,) * d:
         raise ValueError(f"a lattice transform solve needs a (3,)*{d} stencil, "
                          f"got shape {stencil.shape}")
-    # per box: its natural axes (0 or 1, then first) and its shape
-    natural = int(component is not None)
-    ncomp = d if natural else 1
-    comp = np.asarray(component) if natural else np.zeros(len(lattice), dtype=np.intp)
-    shape = (n + 1,) * natural + (n - 1,) * (d - natural)
-    size = math.prod(shape)
-    # [point, c]: where the unknown (point, c) sits in the stacked boxes; -1
-    # outside the boxes
+    ncomp = d if free.ndim == 2 and free.shape[1] == d else 1
+    natural = int(ncomp > 1)
+    # per box axis, the natural one first, the j of its angles j pi / n:
+    # 0..n on a natural axis, 1..n-1 on a sine one
+    js = [np.arange(n + 1)] * natural + [np.arange(1, n)] * (d - natural)
+    shape = tuple(j.size for j in js)
+    # [node, c]: where the dof (node, c) sits in the batch-last layout (box,
+    # component); -1 outside the boxes
     place = np.full((n + 1,) * d + (ncomp,), -1, dtype=np.intp)
     for c in range(ncomp):
         box = tuple(slice(0, n + 1) if natural and k == c else slice(1, n) for k in range(d))
-        place[box + (c,)] = np.moveaxis(np.arange(c * size, (c + 1) * size).reshape(shape), 0, c)
-    inside = place >= 0
-    if not (comp.shape == lattice.shape[:1] == (inside.sum(),)
-            and np.all((lattice >= 0) & (lattice <= n))
-            and np.array_equal(np.ravel_multi_index(lattice.T, (n + 1,) * d) * ncomp + comp,
-                               np.flatnonzero(inside))):
-        raise ValueError("a lattice transform solve needs the points of its boxes in "
-                         "C order: the interior lattice, or per component c the lattice "
-                         "closed along axis c and interior along the others")
-    scatter = place[inside]
-    theta = ([np.pi * np.arange(n + 1) / n] * natural
-             + [np.pi * np.arange(1, n) / n] * (d - natural))
+        at = np.arange(c, math.prod(shape) * ncomp, ncomp).reshape(shape)
+        place[box + (c,)] = np.moveaxis(at, 0, c)
+    place = place.reshape(-1, ncomp)
+    if not np.array_equal(free, place >= 0):
+        raise ValueError("a lattice transform solve needs the free mask of its boxes: "
+                         "the interior lattice, or per component c the lattice closed "
+                         "along axis c and interior along the others")
+    if ncomp > 1:
+        scatter = place[place >= 0]
+        gather = np.empty_like(scatter)
+        gather[scatter] = np.arange(scatter.size)
+    theta = [np.pi * j / n for j in js]
     symbol = np.stack([_symbol(np.moveaxis(stencil, c, 0), theta) for c in range(ncomp)])
     if not np.all(symbol > 0 if np.isrealobj(symbol) else np.isfinite(symbol) & (symbol != 0)):
         raise ValueError("the symbol of the lattice stencil is not positive")
-    if max(shape) <= DENSE_TRANSFORM_MAX_POINTS:
-        return _dense_transform_solve(shape, natural, symbol, scatter)
-    gather = np.empty_like(scatter)
-    gather[scatter] = np.arange(scatter.size)
-    sine = tuple(range(1 + natural, d + 1))
-
-    def solve(r):
-        x = np.take(r, gather).reshape((ncomp,) + shape)
-        if natural:
-            x[:, 0] *= 2.0       # the halved boundary rows of the natural axis
-            x[:, -1] *= 2.0
-            x = dct(x, type=1, axis=1)
-        x = dstn(x, type=1, axes=sine) / symbol
-        x = idstn(x, type=1, axes=sine)
-        if natural:
-            x = idct(x, type=1, axis=1)
-        return np.take(x.reshape(-1), scatter)
-
-    return solve
-
-
-def _dense_transform_solve(shape: tuple, natural: int, symbol: np.ndarray,
-                           scatter: np.ndarray):
-    """The apply of ``lattice_transform_solve`` by one dense matrix product
-    (GEMM) per axis and direction, on the stacked boxes of ``shape``, each
-    with its natural axis (if ``natural``) first, and ``symbol`` (ncomp,
-    *shape); ``scatter`` is the stacked (component, box) position of each
-    unknown.
-
-    The box is held as (a_0, ..., a_{d-1}, batch), the batch the component
-    and, for complex data read through its real view, the re/im pair, so
-    every product is real.  ``x.reshape(a_k, -1).T @ F_k.T`` transforms
-    axis k and moves it last, BLAS taking the transposed operand as it is;
-    after d of them the batch leads and the symbol is applied there, and
-    ``G_k @ x.reshape(-1, a_k).T`` transforms back and turns the axes back.
-    F_k and G_k are the type-I transforms and their inverses: on a sine
-    axis 2 sin(pi j k / n) (``dst(type=1)``) and sin(pi j k / n) / n; on a
-    natural axis 2 cos(pi j k / n), ``dct(type=1)`` of the data with its end
-    rows doubled, and cos(pi j k / n) w_k / n, w = 1/2 at both ends
-    (``idct(type=1)``).  A scalar box holds the unknowns in their own
-    order, so only the vector boxes gather and scatter."""
-    ncomp, size = symbol.shape[0], math.prod(shape)
     forward, inverse = [], []
-    for k, a in enumerate(shape):
+    for k, j in enumerate(js):
         cosine = natural and k == 0
-        n = a - 1 if cosine else a + 1
-        j = np.arange(a) + (0 if cosine else 1)
+        if j.size > DENSE_TRANSFORM_MAX_POINTS:
+            forward.append(_doubled_end_dct if cosine else partial(dst, type=1, axis=1))
+            inverse.append(partial(idct if cosine else idst, type=1, axis=0))
+            continue
         # pi j k / n reduced mod 2 pi, exactly, before the sine or cosine
         angle = (np.pi / n) * (np.outer(j, j) % (2 * n))
         if cosine:
             c = np.cos(angle)
-            w = np.ones(a)
+            w = np.ones(j.size)
             w[[0, -1]] = 0.5
-            forward.append(2.0 * c)
-            inverse.append(c * w / n)
+            F, G = 2.0 * c, c * w / n
         else:
             s = np.sin(angle)
-            forward.append(2.0 * s)
-            inverse.append(s / n)
+            F, G = 2.0 * s, s / n
+        forward.append(lambda y, F=F: y @ F.T)
+        inverse.append(partial(np.matmul, G))
     scale = 1.0 / symbol
     complex_symbol = np.iscomplexobj(scale)
     if complex_symbol:
@@ -477,36 +447,38 @@ def _dense_transform_solve(shape: tuple, natural: int, symbol: np.ndarray,
         scale_swap = np.stack([-scale.imag, scale.imag], axis=1)
     else:
         scale = scale[:, None]          # over the batch's re/im axis, if any
-    if ncomp > 1:
-        # (box, component) order of the batch-last layout
-        scatter = (scatter % size) * ncomp + scatter // size
-        gather = np.empty_like(scatter)
-        gather[scatter] = np.arange(scatter.size)
 
     def solve(r):
         dtype = np.result_type(r, scale)
         x = np.ascontiguousarray(r, dtype=dtype)
         if ncomp > 1:
-            x = np.take(x, gather)
+            x = np.take(x, gather)      # a copy, which a natural FFT axis doubles in place
         complex_data = np.iscomplexobj(x)
         if complex_data:
             x = x.view(x.real.dtype)
         batch = (ncomp, 2) if complex_data else (ncomp, 1)
-        for a, F in zip(shape, forward):
-            x = x.reshape(a, -1).T @ F.T
+        for a, f in zip(shape, forward):
+            x = f(x.reshape(a, -1).T)
         x = x.reshape(batch + shape)
         if complex_symbol:
             x = x * scale_same + x[:, ::-1] * scale_swap
         else:
             x = x * scale
-        for a, G in zip(shape[::-1], inverse[::-1]):
-            x = G @ x.reshape(-1, a).T
+        for a, g in zip(shape[::-1], inverse[::-1]):
+            x = g(x.reshape(-1, a).T)
         x = x.reshape(-1)
         if complex_data:
             x = x.view(dtype)
         return np.take(x, scatter) if ncomp > 1 else x
 
     return solve
+
+
+def _doubled_end_dct(y: np.ndarray) -> np.ndarray:
+    """``dct(type=1)`` along axis 1 of ``y`` with its end columns doubled,
+    which it doubles in place."""
+    y[:, [0, -1]] *= 2.0
+    return dct(y, type=1, axis=1)
 
 
 def _symbol(stencil: np.ndarray, theta: list) -> np.ndarray:

@@ -766,6 +766,40 @@ def test_p1_wave_solves_run_the_transform_at_dt_equal_h(dim, M, n, monkeypatch):
         assert _agrees_with_a_direct_solve(A, b, x)
 
 
+def test_p1_steps_agree_with_every_transform_axis_by_fft(monkeypatch):
+    """2D P1 M=32 ``free`` at dt = 2h, with every transform axis (31 and 33
+    points) by scipy.fft instead of the dense products: the final norms
+    agree with the default run to 1e-12 relative, the psi solves report
+    the same method and apply counts, and the wave solves the same CG
+    iteration counts."""
+    psi = _record_psi_reports(monkeypatch)
+    waves = _record_wave_solves(monkeypatch)
+    sine_calls = []
+    dst = sparsela.dst
+
+    def counted_dst(*args, **kwargs):
+        sine_calls.append(1)
+        return dst(*args, **kwargs)
+
+    monkeypatch.setattr(sparsela, "dst", counted_dst)
+    runs = []
+    for cut in (sparsela.DENSE_TRANSFORM_MAX_POINTS, 0):
+        monkeypatch.setattr(sparsela, "DENSE_TRANSFORM_MAX_POINTS", cut)
+        st = scheme.AlternatingStepper(small_config(M=32, dt=1 / 16, n=4, mode="free"))
+        runs.append((st.run(snapshot_steps=[4]).snapshots[-1],
+                     [(rep.method, rep.iterations) for rep in psi],
+                     [(rep.method, rep.iterations) for *_, rep in waves], len(sine_calls)))
+        for calls in (psi, waves, sine_calls):
+            calls.clear()
+    (dense, dense_psi, dense_waves, dense_ffts), (fft, fft_psi, fft_waves, ffts) = runs
+    assert dense_ffts == 0 and ffts > 0
+    for key in ("psi_l2", "A_l2", "phi_l2"):
+        assert abs(fft[key] - dense[key]) <= 1e-12 * abs(dense[key])
+    assert fft_psi == dense_psi
+    assert fft_waves == dense_waves
+    assert {method for method, _ in dense_waves} == {"cg-transform"}
+
+
 @pytest.mark.skipif(not scheme._glibc(), reason="the stepper pins glibc's malloc thresholds")
 @pytest.mark.parametrize("mode", ["free", "mms"])
 def test_warm_steps_take_their_temporaries_from_the_heap(mode):

@@ -49,9 +49,8 @@ def test_solve_spd_report_names_its_preconditioner():
     with one, and direct-lu when CG breaks down and the solve falls back."""
     space = build_scalar_space(build_structured(2, 8), 1)
     A = 64.0 * assemble_mass(space) + 0.5 * assemble_stiffness(space)
-    lattice = space.nodes_int[~space.constrained[:, 0]]
     m, k = lattice_stencils(space)
-    transform = sla.lattice_transform_solve(64.0 * m + 0.5 * k, lattice, 8)
+    transform = sla.lattice_transform_solve(64.0 * m + 0.5 * k, ~space.constrained, 8)
     b = np.random.default_rng(5).standard_normal(A.shape[0])
     for precond, method in ((None, "cg-jacobi"), (transform, "cg-transform"),
                             (lambda r: np.full_like(r, np.nan), "direct-lu")):
@@ -197,31 +196,35 @@ def test_bisection_needs_a_plane_strictly_inside():
     assert sla.nested_dissection(column, 2).tolist() == list(range(100))
 
 
-def test_sine_transform_solve_rejections():
-    """The lattice transform refuses what it would invert wrongly: points
-    that are not its boxes in C order, a lattice of another n, a stencil of
-    another shape, a symbol that is not positive; reading a stencil refuses
-    P2, whose cells couple nodes two lattice steps apart."""
+def test_lattice_transform_solve_rejections():
+    """The lattice transform refuses what it would invert wrongly: a free
+    mask of another shape, a mask of another n, a scalar mask with one
+    boundary node freed, a vector mask with one tangential dof freed, a
+    stencil of another shape, a symbol that is not positive; reading a
+    stencil refuses P2, whose cells couple nodes two lattice steps apart."""
     space = build_scalar_space(build_structured(2, 4), 1)
-    lattice = space.nodes_int[~space.constrained[:, 0]]
+    free = ~space.constrained
     m, k = lattice_stencils(space)
-    for points, n in ((lattice[::-1], 4), (lattice, 5), (lattice[:-1], 4)):
-        with pytest.raises(ValueError, match="C order"):
-            sla.lattice_transform_solve(k, points, n)
     vector = build_vector_space(build_structured(2, 4), 1)
-    nodes, comp = np.nonzero(~vector.constrained)
-    points = vector.nodes_int[nodes]
-    sla.lattice_transform_solve(k, points, 4, comp)
-    for points_, comp_ in ((points, 1 - comp), (points[::-1], comp[::-1]),
-                           (lattice, np.zeros(len(lattice), dtype=int)), (points, comp[:-1])):
-        with pytest.raises(ValueError, match="C order"):
-            sla.lattice_transform_solve(k, points_, 4, comp_)
+    free_vector = ~vector.constrained
+    sla.lattice_transform_solve(k, free, 4)
+    sla.lattice_transform_solve(k, free_vector, 4)
+    boundary_freed = free.copy()
+    boundary_freed[0] = True
+    # node 1 = (0, 1) lies on the face x_0 = 0, where component 1 is tangential
+    tangential_freed = free_vector.copy()
+    tangential_freed[1, 1] = True
+    for mask, n in ((free[:, 0], 4), (free[:-1], 4), (free_vector[:, :1], 4),
+                    (np.tile(free_vector, 2), 4), (free, 5), (free_vector, 3),
+                    (boundary_freed, 4), (tangential_freed, 4)):
+        with pytest.raises(ValueError, match="free mask"):
+            sla.lattice_transform_solve(k, mask, n)
     with pytest.raises(ValueError, match="stencil"):
-        sla.lattice_transform_solve(k[:2], lattice, 4)
+        sla.lattice_transform_solve(k[:2], free, 4)
     # the mass minus a multiple of the stiffness: indefinite
     for stencil in (-k, m - 0.1 * k, np.where(k != 0, np.nan, 0.0)):
         with pytest.raises(ValueError, match="not positive"):
-            sla.lattice_transform_solve(stencil, lattice, 4)
+            sla.lattice_transform_solve(stencil, free, 4)
     p2 = build_scalar_space(build_structured(2, 3), 2)
     with pytest.raises(ValueError, match="nearest-neighbour"):
         lattice_stencils(p2)
@@ -265,37 +268,33 @@ def test_lattice_transform_is_the_exact_inverse_of_its_operator(d, n):
     # a stencil that is not even in any axis, with a positive symbol
     stencil = 0.1 * rng.standard_normal((3,) * d)
     stencil[(1,) * d] = 3.0 ** d
+    scalar, vector = _transform_boxes(d, n)
     x = rng.standard_normal((n - 1) ** d)
-    lattice = 1 + lattice_points(n - 1, d)
-    solve = sla.lattice_transform_solve(stencil, lattice, n)
+    solve = sla.lattice_transform_solve(stencil, scalar, n)
     assert np.linalg.norm(solve(_averaged_operator(stencil, n, None) @ x) - x) <= 1e-12 * np.linalg.norm(x)
-    # vector: (point, component) in C order, component c on its box
-    points = lattice_points(n + 1, d)
-    inside = np.stack([np.all((points >= 1) & (points <= n - 1) | (np.arange(d) == c), axis=1)
-                       for c in range(d)], axis=1)
-    nodes, comp = np.nonzero(inside)
+    # vector: the free (point, component) pairs in C order, component c on its box
+    _, comp = np.nonzero(vector)
     blocks = [_averaged_operator(stencil, n, c) for c in range(d)]
     # the dofs of component c, in its box's C order, are its dofs in (point, component) order
-    T = np.zeros((len(nodes),) * 2)
+    T = np.zeros((len(comp),) * 2)
     for c in range(d):
         idx = np.flatnonzero(comp == c)
         T[np.ix_(idx, idx)] = blocks[c]
-    x = rng.standard_normal(len(nodes))
-    solve = sla.lattice_transform_solve(stencil, points[nodes], n, comp)
+    x = rng.standard_normal(len(comp))
+    solve = sla.lattice_transform_solve(stencil, vector, n)
     assert np.linalg.norm(solve(T @ x) - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def _transform_boxes(d, n):
-    """The interior lattice of {0..n}^d, and the (point, component) dofs of
-    the vector boxes, component c closed along axis c: (points, comp)."""
+    """The free masks (points, 1) of the interior of {0..n}^d and (points,
+    d) of the vector boxes, component c closed along axis c."""
     points = lattice_points(n + 1, d)
-    inside = np.stack([np.all((points >= 1) & (points <= n - 1) | (np.arange(d) == c), axis=1)
-                       for c in range(d)], axis=1)
-    nodes, comp = np.nonzero(inside)
-    return 1 + lattice_points(n - 1, d), points[nodes], comp
+    interior = (points >= 1) & (points <= n - 1)
+    vector = interior[:, None, :] | np.eye(d, dtype=bool)
+    return np.all(interior, axis=1)[:, None], np.all(vector, axis=2)
 
 
-def _fft_transform_reference(stencil, n, r, comp=None):
+def _fft_transform_reference(stencil, n, r, free):
     """The lattice transform solve by scipy.fft, box by box: per component
     c, the type-I cosine transform along its natural axis c with the end
     rows doubled, the type-I sine transform along the other axes, division
@@ -305,9 +304,10 @@ def _fft_transform_reference(stencil, n, r, comp=None):
 
     d = stencil.ndim
     x = np.empty_like(r, dtype=np.result_type(r, stencil))
-    for c in range(1 if comp is None else d):
-        natural = None if comp is None else c
-        mine = slice(None) if comp is None else comp == c
+    comp = np.nonzero(free)[1]
+    for c in range(free.shape[1]):
+        natural = c if free.shape[1] == d else None
+        mine = comp == c
         shape = tuple(n + 1 if k == natural else n - 1 for k in range(d))
         theta = [np.pi * (np.arange(n + 1) if k == natural else np.arange(1, n)) / n
                  for k in range(d)]
@@ -329,35 +329,63 @@ def _fft_transform_reference(stencil, n, r, comp=None):
 
 
 def _transform_cases(d, n, rng):
-    """(stencil, points, n, comp, r) of a real scalar, a complex scalar and
-    a real vector apply: stencils not even in any axis, with a symbol that
-    is positive (real) or does not vanish (complex)."""
+    """(stencil, free, r) of a real scalar, a complex scalar and a real
+    vector apply: stencils not even in any axis, with a symbol that is
+    positive (real) or does not vanish (complex)."""
     stencil = 0.1 * rng.standard_normal((3,) * d)
     stencil[(1,) * d] = 3.0 ** d
-    lattice, points, comp = _transform_boxes(d, n)
+    scalar, vector = _transform_boxes(d, n)
     noise = rng.standard_normal
-    return [(stencil, lattice, None, noise(len(lattice))),
-            (stencil * (1 - 0.5j), lattice, None,
-             noise(len(lattice)) + 1j * noise(len(lattice))),
-            (stencil, points, comp, noise(len(points)))]
+    size, vector_size = np.count_nonzero(scalar), np.count_nonzero(vector)
+    return [(stencil, scalar, noise(size)),
+            (stencil * (1 - 0.5j), scalar, noise(size) + 1j * noise(size)),
+            (stencil, vector, noise(vector_size))]
 
 
-@pytest.mark.parametrize("path", ["dense", "fft"])
+# the axis-length cut of each path: every axis dense, every axis by FFT,
+# and the cut between a vector box's (n + 1)-point natural axis (FFT) and
+# its (n - 1)-point sine axes (dense)
+CUTS = {"dense": lambda n: 10**6, "fft": lambda n: 0, "mixed": lambda n: n}
+
+
+@pytest.mark.parametrize("path", ["dense", "fft", "mixed"])
 @pytest.mark.parametrize("d,n", [(2, 5), (2, 16), (3, 4), (3, 9)])
 def test_lattice_transform_matches_the_fft_formula(d, n, path, monkeypatch):
-    """Both apply paths, forced by the axis-length cut, agree with the
+    """Every apply path, forced by the axis-length cut, agrees with the
     transform formula by scipy.fft to 1e-12 relative on real scalar,
     complex scalar and vector boxes; an apply leaves its argument as it
-    was and returns a new array."""
-    monkeypatch.setattr(sla, "DENSE_TRANSFORM_MAX_POINTS", 10**6 if path == "dense" else 0)
-    for stencil, points, comp, r in _transform_cases(d, n, np.random.default_rng(d * n)):
-        solve = sla.lattice_transform_solve(stencil, points, n, comp)
+    was and returns a new array.  At the mixed cut only the vector box's
+    natural axis calls scipy.fft, once forward and once back."""
+    monkeypatch.setattr(sla, "DENSE_TRANSFORM_MAX_POINTS", CUTS[path](n))
+    calls = _record_fft_calls(monkeypatch)
+    for stencil, free, r in _transform_cases(d, n, np.random.default_rng(d * n)):
+        solve = sla.lattice_transform_solve(stencil, free, n)
         before = r.copy()
+        calls.clear()
         x = solve(r)
         assert np.array_equal(r, before)
         assert not np.shares_memory(x, r)
-        reference = _fft_transform_reference(stencil, n, r, comp)
+        reference = _fft_transform_reference(stencil, n, r, free)
         assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+        if path == "mixed":
+            vector = free.shape[1] == d
+            assert calls == ([("dct", n + 1), ("idct", n + 1)] if vector else [])
+
+
+def _record_fft_calls(monkeypatch):
+    """The list that receives (name, length of the transformed axis) of
+    every later scipy.fft call of the transform solves built after this."""
+    calls = []
+
+    def recording(name, transform):
+        def call(y, *args, axis, **kwargs):
+            calls.append((name, y.shape[axis]))
+            return transform(y, *args, axis=axis, **kwargs)
+        return call
+
+    for name in ("dct", "idct", "dst", "idst"):
+        monkeypatch.setattr(sla, name, recording(name, getattr(sla, name)))
+    return calls
 
 
 def test_lattice_transform_takes_the_dense_path_on_short_axes(monkeypatch):
@@ -367,11 +395,11 @@ def test_lattice_transform_takes_the_dense_path_on_short_axes(monkeypatch):
     def fft_called(*args, **kwargs):
         raise AssertionError("an FFT call")
 
-    for name in ("dct", "idct", "dstn", "idstn"):
+    for name in ("dct", "idct", "dst", "idst"):
         monkeypatch.setattr(sla, name, fft_called)
     rng = np.random.default_rng(3)
-    for stencil, points, comp, r in _transform_cases(3, 16, rng):
-        assert np.all(np.isfinite(sla.lattice_transform_solve(stencil, points, 16, comp)(r)))
-    for stencil, points, comp, r in _transform_cases(2, 128, rng):
+    for stencil, free, r in _transform_cases(3, 16, rng):
+        assert np.all(np.isfinite(sla.lattice_transform_solve(stencil, free, 16)(r)))
+    for stencil, free, r in _transform_cases(2, 128, rng):
         with pytest.raises(AssertionError, match="an FFT call"):
-            sla.lattice_transform_solve(stencil, points, 128, comp)(r)
+            sla.lattice_transform_solve(stencil, free, 128)(r)
